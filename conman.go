@@ -18,7 +18,7 @@
 //   - protocol modules wrapping that substrate (internal/modules)
 //   - the Network Manager (internal/nm): topology discovery, potential
 //     graph, path finder with encapsulation/domain pruning, compiler to
-//     CONMan scripts, wave executor, and the declarative Intent API
+//     CONMan scripts, chain executor, and the declarative Intent API
 //   - "configuration today" scripts and the Table V metric
 //     (internal/legacy)
 //   - every table and figure of the paper's evaluation
@@ -41,6 +41,8 @@
 // only the difference: missing pipes and switch rules become create
 // batches, stale components (from an earlier intent, or a pipe whose
 // endpoints changed) become delete batches via the delete() primitive.
+// A per-intent plan owns every device it touches: whatever it observes
+// there and does not want is stale, and Destroy clears those devices.
 // Planning sends no configuration commands, so a Plan doubles as a dry
 // run. Apply is idempotent — after a successful Apply, a fresh Plan for
 // the same intent is empty and re-applying it sends zero commands. The
@@ -52,8 +54,9 @@
 //
 // # The intent store
 //
-// Above the per-intent lifecycle sits the intent store — the paper's
-// "NM holds all the goals" model:
+// The intent store is the second entry point to the same diff engine —
+// the paper's "NM holds all the goals" model, for goals that share
+// devices:
 //
 //	err = nm.Submit(intentA)       // register goals; sends nothing
 //	err = nm.Submit(intentB)
@@ -75,7 +78,7 @@
 //
 // The NM fans work out across devices: DiscoverAll and Plan's state
 // observation query all devices on a bounded worker pool, and Apply
-// groups batches into dependency waves — batches on distinct devices
+// groups batches into per-device chains — batches on distinct devices
 // run concurrently, while a device appearing more than once keeps its
 // batches in order. Module peering is unaffected because the initiator
 // rule keys on module references, not arrival order, so the message
@@ -85,7 +88,7 @@
 //   - NM.Sequential: set true to restore strict one-device-at-a-time
 //     operation (the paper's original accounting mode, and a fallback
 //     for channels that cannot carry concurrent traffic).
-//   - NM.Workers: bounds the fan-out per wave; zero selects
+//   - NM.Workers: bounds the concurrent fan-out; zero selects
 //     nm.DefaultWorkers (16).
 //
 // Both are read without locking and must be set before the first

@@ -45,6 +45,12 @@ type MA struct {
 	waiters  map[uint64]chan msg.Envelope
 	triggers []trigger
 	trigSeq  int
+	// kickSeq counts retryPending calls. A sweep holds the rules it is
+	// attempting off the queue, so a kick landing meanwhile finds nothing
+	// to retry; the sweep compares kickSeq across each pass and goes
+	// round again when one did, instead of re-queueing a rule whose
+	// parameters arrived after its attempt looked.
+	kickSeq uint64
 
 	// replies caches the reply sent for each completed request keyed
 	// (requester, envelope ID), and inflight marks requests still
@@ -295,8 +301,12 @@ func (a *MA) FieldsChanged(module core.ModuleRef, component string, fields map[s
 func (a *MA) Kick() { a.retryPending() }
 
 func (a *MA) retryPending() {
+	a.mu.Lock()
+	a.kickSeq++
+	a.mu.Unlock()
 	for {
 		a.mu.Lock()
+		seq := a.kickSeq
 		pend := a.pending
 		a.pending = nil
 		a.mu.Unlock()
@@ -321,8 +331,9 @@ func (a *MA) retryPending() {
 		}
 		a.mu.Lock()
 		a.pending = append(still, a.pending...)
+		kicked := a.kickSeq != seq
 		a.mu.Unlock()
-		if !progressed {
+		if !progressed && !kicked {
 			return
 		}
 	}

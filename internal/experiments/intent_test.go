@@ -278,6 +278,131 @@ func TestPlanIsDryRun(t *testing.T) {
 	}
 }
 
+// planLines flattens a plan's batches into "device: command" lines,
+// deletes first, and fails the test if a phase carries two scripts for
+// one device: both diff entry points emit at most one batch per device
+// per phase, which is what lets the chain executor treat script order as
+// chain order.
+func planLines(t *testing.T, deletes, creates []nm.DeviceScript) []string {
+	t.Helper()
+	var lines []string
+	for phase, scripts := range [][]nm.DeviceScript{deletes, creates} {
+		seen := map[core.DeviceID]bool{}
+		for _, ds := range scripts {
+			if seen[ds.Device] {
+				t.Errorf("phase %d has more than one script for device %s", phase, ds.Device)
+			}
+			seen[ds.Device] = true
+			for _, line := range ds.Rendered {
+				lines = append(lines, string(ds.Device)+": "+line)
+			}
+		}
+	}
+	return lines
+}
+
+// TestPlanMatchesOneIntentStorePlan is the differential check that the
+// per-intent Plan is a view over the store's diff engine: on every
+// evaluation topology, NM.Plan(intent) renders exactly the commands a
+// fresh NM's one-intent Submit + PlanStore renders — from scratch, and
+// on the diamond after a wire cut strands a configured device.
+func TestPlanMatchesOneIntentStorePlan(t *testing.T) {
+	type scenario struct {
+		name  string
+		build func() (*Testbed, nm.Intent, error)
+		// cut, when set, names a wire to cut (and the devices that
+		// re-report topology) after the intent was first configured; the
+		// comparison is then made on the re-plan.
+		cut      string
+		reporter []core.DeviceID
+	}
+	var cases []scenario
+	for _, fx := range intentFixtures() {
+		fx := fx
+		cases = append(cases, scenario{name: "fig/" + fx.name, build: func() (*Testbed, nm.Intent, error) {
+			tb, err := fx.build()
+			return tb, fx.intent, err
+		}})
+	}
+	for _, sc := range LinearScenarios() {
+		sc := sc
+		cases = append(cases, scenario{name: "linear16/" + sc.Name, build: func() (*Testbed, nm.Intent, error) {
+			tb, err := sc.Build(16)
+			return tb, sc.Intent(16), err
+		}})
+	}
+	cases = append(cases, scenario{
+		name: "diamond/wire-cut", cut: "A-B1", reporter: []core.DeviceID{"A", "B1"},
+		build: func() (*Testbed, nm.Intent, error) {
+			tb, pairs, err := BuildDiamondShared(1)
+			if err != nil {
+				return nil, nm.Intent{}, err
+			}
+			return tb, pairs[0].Intent("VLAN tunnel"), nil
+		},
+	})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			per, intent, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, _, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.NM.Submit(intent); err != nil {
+				t.Fatal(err)
+			}
+			if c.cut != "" {
+				first, err := per.NM.Plan(intent)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := per.NM.Apply(first); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := store.NM.Reconcile(); err != nil {
+					t.Fatal(err)
+				}
+				for _, tb := range []*Testbed{per, store} {
+					if err := tb.Net.SetMediumUp(c.cut, false); err != nil {
+						t.Fatal(err)
+					}
+					for _, id := range c.reporter {
+						if err := tb.Devices[id].MA.ReportTopology(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			plan, err := per.NM.Plan(intent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			splan, err := store.NM.PlanStore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := planLines(t, plan.Deletes, plan.Creates)
+			want := planLines(t, splan.Deletes, splan.Creates)
+			if len(got) == 0 {
+				t.Fatal("per-intent plan is empty")
+			}
+			if c.cut != "" && len(plan.Deletes) == 0 {
+				t.Error("re-plan after the cut deletes nothing")
+			}
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("per-intent plan differs from the one-intent store plan:\n--- Plan ---\n%s\n--- PlanStore ---\n%s",
+					strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+			if plan.InPlace != splan.InPlace {
+				t.Errorf("in place: Plan %d, PlanStore %d", plan.InPlace, splan.InPlace)
+			}
+		})
+	}
+}
+
 // TestMessageLogDeterministicUnderConcurrency pins the per-device
 // sequence + stable merge: two concurrent configuration runs of the
 // same testbed produce byte-identical traces (ROADMAP open item).

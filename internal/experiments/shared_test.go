@@ -233,6 +233,49 @@ func TestWithdrawLastIsDestroyParity(t *testing.T) {
 	}
 }
 
+// TestDestroyRetiresStoreOccupancy is the regression for the occupancy
+// leak between the two lifecycles: an intent configured through the
+// store, torn down through the per-intent Destroy and then withdrawn
+// must leave no occupancy record behind — otherwise every later
+// Reconcile keeps re-observing the devices it once occupied as
+// "stranded", forever.
+func TestDestroyRetiresStoreOccupancy(t *testing.T) {
+	tb, err := BuildFig4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	intent := VPNIntent(Fig4Goal(), "GRE-IP tunnel")
+	if err := tb.NM.Submit(intent); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.NM.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.NM.Destroy(intent); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.NM.Withdraw(intent.Name); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 1; pass <= 2; pass++ {
+		plan, err := tb.NM.Reconcile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plan.Empty() {
+			t.Errorf("pass %d after destroy + withdraw is not empty:\n%s", pass, plan.Render())
+		}
+		if pass == 2 && plan.Stats.Observed != 0 {
+			t.Errorf("pass %d observed %d devices of an empty store (leaked occupancy)", pass, plan.Stats.Observed)
+		}
+	}
+	for _, dev := range []core.DeviceID{"A", "B", "C"} {
+		if got := tb.NM.IntentsOn(dev); len(got) != 0 {
+			t.Errorf("device %s still recorded as occupied by %v", dev, got)
+		}
+	}
+}
+
 // TestStoreHealsKilledPipe is the store-level failure-repair loop: one
 // configured pipe is killed out of band, and the next Reconcile must
 // observe the damage and repair exactly it — creates land only on the

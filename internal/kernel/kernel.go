@@ -222,7 +222,20 @@ type Kernel struct {
 	// OnProbe, when set, is invoked for every probe echo or reply the
 	// kernel delivers locally (module self-tests subscribe here).
 	OnProbe func(ev ProbeEvent)
+
+	// Quiesce, when set, blocks until the data plane the kernel is wired
+	// to has delivered every frame in flight (netsim's Network.Flush).
+	// AwaitProbeReply uses it as the negative bound of a self-test: a
+	// reply still missing once the network is quiet is never coming.
+	// Set before traffic starts; it must not be called from inside a
+	// frame handler.
+	Quiesce func()
 }
+
+// probeLogMax bounds the probe event log: once it is reached the older
+// half is dropped, so a long-running kernel keeps the recent window
+// (what read-after-send checks look at) instead of every probe ever.
+const probeLogMax = 4096
 
 // maxEncapDepth bounds recursive encapsulation/decapsulation.
 const maxEncapDepth = 10
@@ -717,7 +730,8 @@ func (k *Kernel) RegisterEtherType(et packet.EtherType, h EtherTypeHandler) {
 	k.ethHandler[et] = h
 }
 
-// Probes returns the probe events delivered locally so far.
+// Probes returns the probe events delivered locally (the most recent
+// probeLogMax are kept).
 func (k *Kernel) Probes() []ProbeEvent {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -964,6 +978,9 @@ func (k *Kernel) localDeliver(iif string, ip packet.IPv4, payload []byte, depth 
 		}
 		ev := ProbeEvent{Op: p.Op, Token: p.Token, Src: ip.Src, Dst: ip.Dst}
 		k.mu.Lock()
+		if len(k.probes) >= probeLogMax {
+			k.probes = append(k.probes[:0], k.probes[probeLogMax/2:]...)
+		}
 		k.probes = append(k.probes, ev)
 		cb := k.OnProbe
 		k.mu.Unlock()
@@ -1127,7 +1144,38 @@ func (k *Kernel) SendProbeFrom(src, dst netip.Addr, token uint32) error {
 		mustSerialize(packet.Probe{Op: packet.ProbeEcho, Token: token}))
 }
 
-// ProbeReplies returns the tokens of probe replies delivered locally.
+// AwaitProbeReply reports whether the reply to the probe echo sent with
+// the given token has been delivered locally. A send racing an active
+// netsim pump only enqueues its frame, so when the reply is not there
+// yet the kernel waits for the data plane to go quiet (Quiesce) and
+// looks once more — the read-after-send barrier module self-tests need.
+func (k *Kernel) AwaitProbeReply(token uint32) bool {
+	if k.probeReplied(token) {
+		return true
+	}
+	k.mu.Lock()
+	quiesce := k.Quiesce
+	k.mu.Unlock()
+	if quiesce == nil {
+		return false
+	}
+	quiesce()
+	return k.probeReplied(token)
+}
+
+func (k *Kernel) probeReplied(token uint32) bool {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for i := len(k.probes) - 1; i >= 0; i-- {
+		if p := k.probes[i]; p.Op == packet.ProbeReply && p.Token == token {
+			return true
+		}
+	}
+	return false
+}
+
+// ProbeReplies returns the tokens of probe replies delivered locally
+// (the most recent probeLogMax events are kept).
 func (k *Kernel) ProbeReplies() []uint32 {
 	k.mu.Lock()
 	defer k.mu.Unlock()

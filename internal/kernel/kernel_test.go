@@ -3,6 +3,7 @@ package kernel_test
 import (
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 
 	"conman/internal/core"
@@ -836,5 +837,54 @@ exit`)
 	}
 	if name, mtu, ok := k.VLANOf(22); !ok || name != "C1" || mtu != 1504 {
 		t.Fatalf("vlan 22: %q %d %v", name, mtu, ok)
+	}
+}
+
+// TestAwaitProbeReplyUnderConcurrentSenders pins the self-test barrier:
+// several goroutines probe at once, so all but one of them race an
+// active netsim pump and only enqueue their frame; AwaitProbeReply must
+// still see each one's own reply, and report a reply that cannot come
+// (no such host) as missing rather than blocking. The probe log stays
+// bounded while they do.
+func TestAwaitProbeReplyUnderConcurrentSenders(t *testing.T) {
+	r := newRig(t)
+	d := r.add("D", kernel.RoleRouter, "eth0")
+	a := r.add("A", kernel.RoleRouter, "eth0")
+	r.connect("DA", port("D", "eth0"), port("A", "eth0"))
+	d.Quiesce, a.Quiesce = r.net.Flush, r.net.Flush
+	if err := d.AddAddr("eth0", pfx("10.0.0.1/24")); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddAddr("eth0", pfx("10.0.0.2/24")); err != nil {
+		t.Fatal(err)
+	}
+	const senders, each = 8, 700 // 5600 replies: past the log bound
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				token := uint32(s*each + i + 1)
+				if err := d.SendProbe(ip("10.0.0.2"), token); err != nil {
+					t.Error(err)
+					return
+				}
+				if !d.AwaitProbeReply(token) {
+					t.Errorf("reply to probe %d not seen", token)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	if err := d.SendProbe(ip("10.0.0.77"), 999999); err != nil {
+		t.Fatal(err)
+	}
+	if d.AwaitProbeReply(999999) {
+		t.Error("reply reported from a host that does not exist")
+	}
+	if got := len(d.Probes()); got == 0 || got > 4096 {
+		t.Errorf("probe log holds %d events, want a bounded recent window", got)
 	}
 }

@@ -440,14 +440,11 @@ func (g *GRE) SelfTest(pipe core.PipeID) (bool, string) {
 		return false, "tunnel interface missing"
 	}
 	token := probeToken()
-	before := len(k.ProbeReplies())
 	if err := k.SendProbeFrom(tun.Local, tun.Remote, token); err != nil {
 		return false, err.Error()
 	}
-	for _, tok := range k.ProbeReplies()[before:] {
-		if tok == token {
-			return true, fmt.Sprintf("endpoint %s reachable", tun.Remote)
-		}
+	if k.AwaitProbeReply(token) {
+		return true, fmt.Sprintf("endpoint %s reachable", tun.Remote)
 	}
 	return false, fmt.Sprintf("endpoint %s unreachable", tun.Remote)
 }

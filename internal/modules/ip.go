@@ -526,10 +526,16 @@ func (m *IP) installClassifiedEgress(r *device.SwitchRuleInstance, from, to *dev
 	// Record the delivery next hop for co-located egress modules (MPLS
 	// pops straight to the customer gateway).
 	m.mu.Lock()
+	published := m.delivery["via"] == gw.String() && m.delivery["dev"] == dev
 	m.delivery["via"] = gw.String()
 	m.delivery["dev"] = dev
 	m.mu.Unlock()
-	m.Svc.FieldsChanged(m.Ref(), "delivery", map[string]string{"via": gw.String(), "dev": dev})
+	if !published {
+		// Only a changed record is news: a retry of this rule while it
+		// waits on the module below must not kick the MA again, or every
+		// attempt would ask for another.
+		m.Svc.FieldsChanged(m.Ref(), "delivery", map[string]string{"via": gw.String(), "dev": dev})
+	}
 	undoDelivery := func() {
 		m.mu.Lock()
 		delete(m.delivery, "via")
@@ -780,15 +786,12 @@ func (m *IP) SelfTest(pipe core.PipeID) (bool, string) {
 	}
 	k := m.Svc.Kernel()
 	token := probeToken()
-	before := len(k.ProbeReplies())
 	src, _ := m.PrimaryAddr()
 	if err := k.SendProbeFrom(src, dst, token); err != nil {
 		return false, err.Error()
 	}
-	for _, tok := range k.ProbeReplies()[before:] {
-		if tok == token {
-			return true, fmt.Sprintf("probe to %s answered", dst)
-		}
+	if k.AwaitProbeReply(token) {
+		return true, fmt.Sprintf("probe to %s answered", dst)
 	}
 	return false, fmt.Sprintf("probe to %s unanswered", dst)
 }

@@ -622,14 +622,11 @@ func (m *MPLS) SelfTest(pipe core.PipeID) (bool, string) {
 	}
 	k := m.Svc.Kernel()
 	token := probeToken()
-	before := len(k.ProbeReplies())
 	if err := k.SendProbe(n.PeerLinkAddr, token); err != nil {
 		return false, err.Error()
 	}
-	for _, tok := range k.ProbeReplies()[before:] {
-		if tok == token {
-			return true, fmt.Sprintf("neighbour %s reachable", n.PeerLinkAddr)
-		}
+	if k.AwaitProbeReply(token) {
+		return true, fmt.Sprintf("neighbour %s reachable", n.PeerLinkAddr)
 	}
 	return false, fmt.Sprintf("neighbour %s unreachable", n.PeerLinkAddr)
 }

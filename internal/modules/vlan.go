@@ -153,22 +153,35 @@ func (v *VLAN) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 
 // tryExchanges sends VID coordination messages for which the VID is known.
 func (v *VLAN) tryExchanges() {
-	for {
-		v.mu.Lock()
-		if v.vid == 0 || len(v.pendingPeers) == 0 {
-			v.mu.Unlock()
-			return
-		}
-		peer := v.pendingPeers[0]
-		v.pendingPeers = v.pendingPeers[1:]
+	v.mu.Lock()
+	peers, body := v.claimExchangesLocked()
+	v.mu.Unlock()
+	v.sendExchanges(peers, body)
+}
+
+// claimExchangesLocked takes every pending peer the module can initiate
+// to now that it knows the VID, marking each exchanged and the module an
+// initiator before any message leaves. Caller holds v.mu and sends the
+// returned exchanges after releasing it.
+func (v *VLAN) claimExchangesLocked() ([]core.ModuleRef, vlanMsg) {
+	if v.vid == 0 {
+		return nil, vlanMsg{}
+	}
+	var peers []core.ModuleRef
+	for _, peer := range v.pendingPeers {
 		if v.exchanged[peer.String()] {
-			v.mu.Unlock()
 			continue
 		}
 		v.exchanged[peer.String()] = true
 		v.initiatedAny = true
-		body := vlanMsg{VID: v.vid, Name: v.name, MTU: v.mtu}
-		v.mu.Unlock()
+		peers = append(peers, peer)
+	}
+	v.pendingPeers = nil
+	return peers, vlanMsg{VID: v.vid, Name: v.name, MTU: v.mtu}
+}
+
+func (v *VLAN) sendExchanges(peers []core.ModuleRef, body vlanMsg) {
+	for _, peer := range peers {
 		_ = v.Svc.Convey(v.Ref(), peer, "vlan-vid", body)
 	}
 }
@@ -242,11 +255,16 @@ func (v *VLAN) HandleConvey(from core.ModuleRef, kind string, body []byte) error
 	}
 	v.exchanged[from.String()] = true
 	resp := vlanMsg{VID: v.vid, Name: v.name, MTU: v.mtu, Reply: true}
+	// Claimed in the critical section that sets responded: a rule
+	// installing concurrently decides "pure responder" (InstallSwitchRule's
+	// establishment notify) from responded and initiatedAny together, and
+	// must not see the first without the second.
+	peers, offer := v.claimExchangesLocked()
 	v.mu.Unlock()
 	if reply {
 		_ = v.Svc.Convey(v.Ref(), from, "vlan-vid", resp)
 	}
-	v.tryExchanges()
+	v.sendExchanges(peers, offer)
 	v.Svc.Kick()
 	return nil
 }

@@ -415,14 +415,16 @@ func tradeoffGetName(key string) string {
 // concurrently, each chain strictly in order: a device that appears more
 // than once has its later scripts follow its earlier ones, but no device
 // ever waits on another device's progress — the executor pipelines
-// instead of synchronising every chain on the slowest device at a wave
+// instead of synchronising every chain on the slowest device at a
 // barrier. Module peering stays correct because the initiator rule keys
 // on module references (device identity), not on configuration arrival
 // order, and every module defers work whose parameters have not arrived
 // yet (ErrPending / pending replies). The message Counters are therefore
 // byte-identical to sequential execution. On the first batch failure the
-// other chains stop starting new batches. Setting n.Sequential restores
-// the strict in-order execution of the paper's accounting runs.
+// other chains stop starting new batches. Setting n.Sequential runs the
+// chains one at a time on the caller's goroutine — with one script per
+// device (what the compiler and both diff entry points emit) that is
+// strict script order, the paper's accounting mode.
 func (n *NM) Execute(scripts []DeviceScript) error {
 	_, err := n.executeCollect(scripts)
 	return err
@@ -434,16 +436,6 @@ func (n *NM) Execute(scripts []DeviceScript) error {
 // Entries for scripts not reached before an error are zero-valued.
 func (n *NM) executeCollect(scripts []DeviceScript) ([]msg.CommandBatchResp, error) {
 	resps := make([]msg.CommandBatchResp, len(scripts))
-	if n.Sequential {
-		for i := range scripts {
-			r, err := n.runScript(&scripts[i])
-			resps[i] = r
-			if err != nil {
-				return resps, err
-			}
-		}
-		return resps, nil
-	}
 	chains := executionChains(scripts)
 	var failed atomic.Bool
 	return resps, n.forEach(len(chains), func(c int) error {
@@ -479,26 +471,6 @@ func executionChains(scripts []DeviceScript) [][]int {
 		chains[c] = append(chains[c], i)
 	}
 	return chains
-}
-
-// executionWaves partitions script indexes into waves: each script lands
-// in the earliest wave after every earlier script for the same device.
-// With one script per device (the compiler's normal output) that is a
-// single wave. The concurrent executor now pipelines via executionChains;
-// the wave view remains the lock-step grouping (and its invariants are
-// still tested) for the Sequential-adjacent analysis tooling.
-func executionWaves(scripts []DeviceScript) [][]int {
-	deviceWave := make(map[core.DeviceID]int, len(scripts))
-	var waves [][]int
-	for i := range scripts {
-		w := deviceWave[scripts[i].Device] // next wave this device may use
-		if w == len(waves) {
-			waves = append(waves, nil)
-		}
-		waves[w] = append(waves[w], i)
-		deviceWave[scripts[i].Device] = w + 1
-	}
-	return waves
 }
 
 // runScript sends one device's batch and surfaces per-item errors.

@@ -60,11 +60,12 @@ type Plan struct {
 
 	// touched is the device set of the intent's current path; a
 	// successful Apply records it so later Plans prune devices the path
-	// migrated away from. Destroy plans clear the record instead.
+	// migrated away from. Destroy plans leave it nil, which retires the
+	// record.
 	touched []core.DeviceID
-	destroy bool
-	// pruned lists stranded devices that were observed (and cleaned)
-	// this pass; Apply clears their stale mark.
+	// pruned lists devices that were observed and diffed against an empty
+	// union (stranded ones, and every device of a destroy plan); Apply
+	// clears their stale mark.
 	pruned []core.DeviceID
 	// handleDeps are the (provider, component) pairs desired rules embed
 	// resolved handles from; Apply installs triggers for them (§II-E).
@@ -345,75 +346,22 @@ func (n *NM) strandedDevices(intentName string, current []core.DeviceID) []core.
 	for _, d := range current {
 		cur[d] = true
 	}
+	set := make(map[core.DeviceID]bool)
 	n.mu.Lock()
-	var out []core.DeviceID
 	for d := range n.intentDevs[intentName] {
 		if !cur[d] {
-			out = append(out, d)
-			cur[d] = true
+			set[d] = true
 		}
 	}
 	// Devices that were unreachable when a previous pass wanted to prune
 	// them: keep trying until they answer.
 	for d := range n.staleDevs {
 		if !cur[d] {
-			out = append(out, d)
-			cur[d] = true
+			set[d] = true
 		}
 	}
 	n.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// recordIntent updates the NM's memory of which devices an applied
-// plan's intent occupies.
-func (n *NM) recordIntent(plan *Plan) {
-	if plan.Intent.Name == "" {
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if plan.destroy {
-		delete(n.intentDevs, plan.Intent.Name)
-		return
-	}
-	set := make(map[core.DeviceID]bool, len(plan.touched))
-	for _, d := range plan.touched {
-		set[d] = true
-	}
-	n.intentDevs[plan.Intent.Name] = set
-}
-
-// pruneAll builds a delete batch removing every observed switch rule
-// and NM-created pipe of one device (used for devices an intent's path
-// migrated away from).
-func pruneAll(dev core.DeviceID, o *observed) DeviceScript {
-	del := DeviceScript{Device: dev}
-	for j := range o.rules {
-		or := &o.rules[j]
-		di, rendered := deleteItem(core.DeleteRequest{
-			Kind: core.ComponentSwitchRule, Module: or.module, ID: or.id,
-		})
-		del.Items = append(del.Items, di)
-		del.Rendered = append(del.Rendered, rendered)
-	}
-	ids := make([]core.PipeID, 0, len(o.pipes))
-	for id, op := range o.pipes {
-		if op.lower.IsZero() {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		di, rendered := deleteItem(core.DeleteRequest{
-			Kind: core.ComponentPipe, Module: o.pipes[id].lower, ID: string(id),
-		})
-		del.Items = append(del.Items, di)
-		del.Rendered = append(del.Rendered, rendered)
-	}
-	return del
+	return sortedDevs(set)
 }
 
 // deleteItem builds one delete command plus its rendering.
@@ -427,258 +375,64 @@ func deleteItem(req core.DeleteRequest) (msg.CommandItem, string) {
 // the chosen path — plus any device a previous Apply of this intent
 // touched that the path has since migrated away from — and returns
 // per-device batches that create what is missing and delete what is
-// stale. Planning sends no configuration commands; Apply(plan) twice
-// in a row therefore sends zero commands on the second pass.
-func (n *NM) Plan(intent Intent) (*Plan, error) {
+// stale. It is the store's union diff (deviceUnion.diff) run over a
+// fresh one-intent union, so the per-intent contract is ownership: the
+// intent owns every device it touches, and anything observed there that
+// it does not want is stale. Installed pipes are matched by content and
+// keep their wire ids. Planning sends no configuration commands;
+// Apply(plan) twice in a row therefore sends zero commands on the
+// second pass.
+func (n *NM) Plan(intent Intent) (*Plan, error) { return n.planIntent(intent, false) }
+
+// PlanDestroy computes the teardown plan for an intent: the same diff
+// against an empty union, so every switch rule and NM-created pipe
+// observed on the intent's devices is deleted (rules first, then pipes).
+// Planning sends no configuration commands.
+func (n *NM) PlanDestroy(intent Intent) (*Plan, error) { return n.planIntent(intent, true) }
+
+func (n *NM) planIntent(intent Intent, destroy bool) (*Plan, error) {
 	path, desired, err := n.compileIntent(intent)
 	if err != nil {
 		return nil, err
 	}
 	devs := scriptDevices(desired)
-	stranded := n.strandedDevices(intent.Name, devs)
-	obs, unreachable, err := n.observe(append(append([]core.DeviceID(nil), devs...), stranded...), optionalSet(stranded))
-	if err != nil {
-		return nil, err
-	}
-
-	plan := &Plan{Intent: intent, Path: path, touched: devs, Unreachable: unreachable}
 	// Devices a previous Apply of this intent touched but the current
 	// path avoids (e.g. rerouted around a failure): everything on them
 	// is stale. Unreachable ones are skipped and remembered.
-	for _, dev := range stranded {
-		o := obs[dev]
-		if o == nil {
-			continue
-		}
-		plan.pruned = append(plan.pruned, dev)
-		if del := pruneAll(dev, o); len(del.Items) > 0 {
-			plan.Deletes = append(plan.Deletes, del)
-		}
-	}
-	for _, ds := range desired {
-		o := obs[ds.Device]
-		var creates DeviceScript
-		var delRules, delPipes DeviceScript
-		creates.Device, delRules.Device, delPipes.Device = ds.Device, ds.Device, ds.Device
-
-		// Pipe pass: decide which desired pipes are in place. A pipe id
-		// observed with different endpoints is churned: deleted and
-		// recreated. Rules referencing churned pipes cannot be kept.
-		churned := map[core.PipeID]bool{}
-		desiredPipes := map[core.PipeID]bool{}
-		lowerOf := map[core.PipeID]core.ModuleRef{}
-		for _, item := range ds.Items {
-			if item.Pipe == nil {
-				continue
-			}
-			id := item.Pipe.ID
-			desiredPipes[id] = true
-			lowerOf[id] = item.Pipe.Req.Lower
-			got, exists := o.pipes[id]
-			switch {
-			case exists && got.matches(item.Pipe.Req):
-				plan.InPlace++
-			case exists:
-				// Same id, different endpoints or peers: replace, so the
-				// modules renegotiate with the new far end.
-				di, rendered := deleteItem(core.DeleteRequest{
-					Kind: core.ComponentPipe, Module: got.lower, ID: string(id),
-				})
-				delPipes.Items = append(delPipes.Items, di)
-				delPipes.Rendered = append(delPipes.Rendered, rendered)
-				churned[id] = true
-			default:
-				churned[id] = true
-			}
-		}
-
-		// Stale pipes: observed, deletable, but not desired. (Entries
-		// with a zero lower module were only reported from their upper
-		// end and cannot be addressed for deletion.)
-		var staleIDs []core.PipeID
-		for id, op := range o.pipes {
-			if !desiredPipes[id] && !op.lower.IsZero() {
-				staleIDs = append(staleIDs, id)
-			}
-		}
-		sort.Slice(staleIDs, func(i, j int) bool { return staleIDs[i] < staleIDs[j] })
-		for _, id := range staleIDs {
-			di, rendered := deleteItem(core.DeleteRequest{
-				Kind: core.ComponentPipe, Module: o.pipes[id].lower, ID: string(id),
-			})
-			delPipes.Items = append(delPipes.Items, di)
-			delPipes.Rendered = append(delPipes.Rendered, rendered)
-			churned[id] = true
-		}
-
-		// Item pass, in compiler order (so the create batch reads exactly
-		// like a from-scratch script): a desired pipe is created unless
-		// in place; a desired rule is in place iff an identical rule is
-		// observed and none of its pipes churned. Every observed rule not
-		// kept this way is stale and deleted (its pipes changed, or it
-		// belongs to a previous configuration).
-		for i, item := range ds.Items {
-			switch {
-			case item.Pipe != nil:
-				if churned[item.Pipe.ID] {
-					creates.Items = append(creates.Items, item)
-					creates.Rendered = append(creates.Rendered, ds.Rendered[i])
-				}
-			case item.Switch != nil:
-				r := item.Switch.Rule
-				// The rule consumes exported handles when it steers into a
-				// pipe whose lower module is a *different* module that
-				// advertises HandleFields (an egress rule's To pipe has the
-				// rule's own module below it — nothing is embedded).
-				prov, hasProv := lowerOf[r.To]
-				exports := hasProv && prov != r.Module && n.handleExporter(prov)
-				if exports {
-					plan.handleDeps = append(plan.handleDeps, handleDep{prov, "pipe:" + string(r.To)})
-				}
-				kept := false
-				if !churned[r.From] && !churned[r.To] {
-					for j := range o.rules {
-						or := &o.rules[j]
-						if or.used || or.module != r.Module || or.from != r.From || or.to != r.To {
-							continue
-						}
-						if or.match != classifierKey(r.Match) || or.via != r.Via {
-							continue
-						}
-						// Resolved-value drift: the NM's domain/gateway
-						// knowledge changed since install — replace.
-						if or.matchResolved != item.Switch.MatchResolved ||
-							or.viaResolved != item.Switch.ViaResolved {
-							continue
-						}
-						// Stale embedded handle (§II-E): the module below
-						// To regenerated its exported fields (pipe churn
-						// renumbered an NHLFE); the rule's embedded copy
-						// points at dead state — replace.
-						if exports && !n.handleFresh(prov, r.To, or.handle) {
-							continue
-						}
-						or.used = true
-						kept = true
-						break
-					}
-				}
-				if kept {
-					plan.InPlace++
-					continue
-				}
-				creates.Items = append(creates.Items, item)
-				creates.Rendered = append(creates.Rendered, ds.Rendered[i])
-			default:
-				// Filters and other non-diffed items always execute.
-				creates.Items = append(creates.Items, item)
-				creates.Rendered = append(creates.Rendered, ds.Rendered[i])
-			}
-		}
-		for j := range o.rules {
-			or := &o.rules[j]
-			if or.used {
-				continue
-			}
-			di, rendered := deleteItem(core.DeleteRequest{
-				Kind: core.ComponentSwitchRule, Module: or.module, ID: or.id,
-			})
-			delRules.Items = append(delRules.Items, di)
-			delRules.Rendered = append(delRules.Rendered, rendered)
-		}
-
-		// Rules are deleted before the pipes they reference so modules
-		// can undo rule state while the pipes still exist.
-		del := DeviceScript{Device: ds.Device}
-		del.Items = append(append(del.Items, delRules.Items...), delPipes.Items...)
-		del.Rendered = append(append(del.Rendered, delRules.Rendered...), delPipes.Rendered...)
-		if len(del.Items) > 0 {
-			plan.Deletes = append(plan.Deletes, del)
-		}
-		if len(creates.Items) > 0 {
-			plan.Creates = append(plan.Creates, creates)
-		}
-	}
-	return plan, nil
-}
-
-// PlanDestroy computes the teardown plan for an intent: every component
-// of the intent's configuration that is actually present is deleted
-// (switch rules first, then pipes, in reverse creation order). Planning
-// sends no configuration commands.
-func (n *NM) PlanDestroy(intent Intent) (*Plan, error) {
-	path, desired, err := n.compileIntent(intent)
-	if err != nil {
-		return nil, err
-	}
-	devs := scriptDevices(desired)
 	stranded := n.strandedDevices(intent.Name, devs)
-	obs, unreachable, err := n.observe(append(append([]core.DeviceID(nil), devs...), stranded...), optionalSet(stranded))
+	all := append(append([]core.DeviceID(nil), stranded...), devs...)
+	obs, unreachable, err := n.observe(all, optionalSet(stranded))
 	if err != nil {
 		return nil, err
 	}
-	plan := &Plan{Intent: intent, Path: path, destroy: true, Unreachable: unreachable}
-	for _, dev := range stranded {
+	plan := &Plan{Intent: intent, Path: path, Unreachable: unreachable}
+	unions := make(map[core.DeviceID]*deviceUnion)
+	if !destroy {
+		var order []core.DeviceID
+		mergeScripts(unions, &order, intent.Name, desired)
+		plan.touched = devs
+	}
+	var diff StorePlan
+	for _, dev := range all {
 		o := obs[dev]
 		if o == nil {
 			continue
 		}
-		plan.pruned = append(plan.pruned, dev)
-		if del := pruneAll(dev, o); len(del.Items) > 0 {
-			plan.Deletes = append(plan.Deletes, del)
+		du := unions[dev]
+		if du == nil {
+			du = &deviceUnion{dev: dev}
+			plan.pruned = append(plan.pruned, dev)
 		}
+		du.diff(n, o, &diff)
 	}
-	for _, ds := range desired {
-		o := obs[ds.Device]
-		var rules, pipes DeviceScript
-		// Reverse creation order so dependent rules go before the pipes
-		// they were built on.
-		for i := len(ds.Items) - 1; i >= 0; i-- {
-			item := ds.Items[i]
-			switch {
-			case item.Switch != nil:
-				r := item.Switch.Rule
-				for j := range o.rules {
-					or := &o.rules[j]
-					if or.used || or.module != r.Module || or.from != r.From || or.to != r.To {
-						continue
-					}
-					if or.match != classifierKey(r.Match) || or.via != r.Via {
-						continue
-					}
-					or.used = true
-					di, rendered := deleteItem(core.DeleteRequest{
-						Kind: core.ComponentSwitchRule, Module: or.module, ID: or.id,
-					})
-					rules.Items = append(rules.Items, di)
-					rules.Rendered = append(rules.Rendered, rendered)
-					break
-				}
-			case item.Pipe != nil:
-				got, exists := o.pipes[item.Pipe.ID]
-				if !exists || got.lower.IsZero() {
-					continue
-				}
-				di, rendered := deleteItem(core.DeleteRequest{
-					Kind: core.ComponentPipe, Module: got.lower, ID: string(item.Pipe.ID),
-				})
-				pipes.Items = append(pipes.Items, di)
-				pipes.Rendered = append(pipes.Rendered, rendered)
-			}
-		}
-		del := DeviceScript{Device: ds.Device}
-		del.Items = append(append(del.Items, rules.Items...), pipes.Items...)
-		del.Rendered = append(append(del.Rendered, rules.Rendered...), pipes.Rendered...)
-		if len(del.Items) > 0 {
-			plan.Deletes = append(plan.Deletes, del)
-		}
-	}
+	plan.Deletes, plan.Creates = diff.Deletes, diff.Creates
+	plan.InPlace, plan.handleDeps = diff.InPlace, diff.handleDeps
 	return plan, nil
 }
 
 // Apply reconciles the network toward the plan's intent: stale
 // components are deleted first, then missing ones created, both through
-// the wave executor (one batch per device per phase, concurrently
+// the chain executor (one batch per device per phase, concurrently
 // across devices unless n.Sequential). Applying an empty plan sends
 // nothing; applying the same intent's fresh Plan right after a
 // successful Apply is therefore a no-op.
@@ -710,7 +464,13 @@ func (n *NM) Apply(plan *Plan) error {
 		return fmt.Errorf("nm: apply %q (triggers): %w", plan.Intent.Name, err)
 	}
 	n.markStale(plan.pruned, plan.Unreachable)
-	n.recordIntent(plan)
+	if plan.Intent.Name != "" {
+		n.planMu.Lock()
+		n.mu.Lock()
+		n.recordOccupancyLocked(plan.Intent.Name, plan.touched)
+		n.mu.Unlock()
+		n.planMu.Unlock()
+	}
 	return nil
 }
 

@@ -25,23 +25,24 @@
 //
 // # The intent store
 //
-// The NM's public surface is declarative, in two tiers. The per-intent
-// tier is Plan / Apply / Destroy: one Intent (a named connectivity Goal)
-// is compiled, diffed against observed device state, and reconciled.
-// The store tier implements the paper's "NM holds all the goals" model
-// (§III): Submit and Withdraw register and remove goals in the intent
-// store, and Reconcile compiles the union of every registered intent,
-// deduplicates the desired pipes and switch rules by content with
-// per-intent ownership (refcounting), observes every relevant device
-// once, and sends create/delete batches that only remove components no
-// registered intent wants. Goals whose paths cross the same transit
-// devices therefore coexist — their shared components are configured
-// once and survive until the last owner is withdrawn — and withdrawing
-// one goal removes exactly its unshared components. PlanStore is the
-// dry-run form of Reconcile; NM.Plan remains the per-intent dry-run
-// view. Pipe identity in the store is structural (endpoint modules,
-// remote peers, dependency choices), so reconciliation adopts the wire
-// ids of matching installed pipes instead of churning them.
+// The NM's public surface is declarative, with two entry points to one
+// diff engine (deviceUnion.diff). Per intent, Plan / Apply / Destroy
+// compile one Intent (a named connectivity Goal), diff a one-intent
+// union against observed device state, and reconcile; that plan owns
+// every device it touches, so Destroy clears them. The intent store
+// implements the paper's "NM holds all the goals" model (§III): Submit
+// and Withdraw register and remove goals, and Reconcile compiles the
+// union of every registered intent, deduplicates the desired pipes and
+// switch rules by content with per-intent ownership (refcounting),
+// observes every relevant device once, and sends create/delete batches
+// that only remove components no registered intent wants. Goals whose
+// paths cross the same transit devices therefore coexist — their
+// shared components are configured once and survive until the last
+// owner is withdrawn — and withdrawing one goal removes exactly its
+// unshared components. PlanStore is the dry-run form of Reconcile.
+// Pipe identity is structural in both (endpoint modules, remote peers,
+// dependency choices), so reconciliation adopts the wire ids of
+// matching installed pipes instead of churning them.
 //
 // The store is incremental and persistent. Reconcile recompiles only
 // intents dirtied since the last pass (cached compilations are reused,
@@ -267,8 +268,8 @@ type NM struct {
 	// DiscoverAll/Execute call; it is read without locking.
 	Sequential bool
 
-	// Workers bounds the concurrent fan-out of DiscoverAll and of each
-	// Execute wave. Zero or negative selects DefaultWorkers. Set before
+	// Workers bounds the concurrent fan-out of DiscoverAll and of
+	// Execute's device chains. Zero or negative selects DefaultWorkers. Set before
 	// the first DiscoverAll/Execute call; it is read without locking.
 	Workers int
 }

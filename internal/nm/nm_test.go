@@ -328,43 +328,7 @@ func TestDomainAndGatewayResolution(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: wave grouping, worker pool, sequential fallback
-
-func TestExecutionWaves(t *testing.T) {
-	ds := func(dev string) DeviceScript { return DeviceScript{Device: core.DeviceID(dev)} }
-	cases := []struct {
-		name    string
-		scripts []DeviceScript
-		want    [][]int
-	}{
-		{"empty", nil, nil},
-		{"distinct-devices", []DeviceScript{ds("A"), ds("B"), ds("C")}, [][]int{{0, 1, 2}}},
-		{"repeat-device", []DeviceScript{ds("A"), ds("B"), ds("A")}, [][]int{{0, 1}, {2}}},
-		{"interleaved", []DeviceScript{ds("A"), ds("B"), ds("A"), ds("B"), ds("A")},
-			[][]int{{0, 1}, {2, 3}, {4}}},
-		{"late-first-appearance", []DeviceScript{ds("A"), ds("A"), ds("B")},
-			[][]int{{0, 2}, {1}}},
-	}
-	for _, c := range cases {
-		got := executionWaves(c.scripts)
-		if len(got) != len(c.want) {
-			t.Errorf("%s: %d waves, want %d (%v)", c.name, len(got), len(c.want), got)
-			continue
-		}
-		for w := range got {
-			if len(got[w]) != len(c.want[w]) {
-				t.Errorf("%s wave %d: %v, want %v", c.name, w, got[w], c.want[w])
-				continue
-			}
-			for i := range got[w] {
-				if got[w][i] != c.want[w][i] {
-					t.Errorf("%s wave %d: %v, want %v", c.name, w, got[w], c.want[w])
-					break
-				}
-			}
-		}
-	}
-}
+// Concurrency: chain grouping, worker pool, sequential fallback
 
 func TestExecutionChains(t *testing.T) {
 	ds := func(dev string) DeviceScript { return DeviceScript{Device: core.DeviceID(dev)} }

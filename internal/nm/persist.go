@@ -171,12 +171,7 @@ func (n *NM) Persist(b datastore.Backend) (int, error) {
 		if _, ok := n.intentDevs[name]; ok {
 			continue
 		}
-		set := make(map[core.DeviceID]bool, len(devs))
-		for _, dev := range devs {
-			set[dev] = true
-			ss.recordedCount[dev]++
-		}
-		n.intentDevs[name] = set
+		n.recordOccupancyLocked(name, devs)
 	}
 	for _, dev := range snap.StaleDevs {
 		n.staleDevs[dev] = true

@@ -11,8 +11,11 @@ package nm
 // unshared components. The work is incremental (storestate.go): only
 // dirty intents recompile, only devices whose observation generation
 // moved re-observe, and every mutation is journaled through the
-// datastore package when persistence is attached. NM.Plan remains
-// available as the per-intent dry-run view of the same machinery.
+// datastore package when persistence is attached. deviceUnion.diff at
+// the bottom of this file is the NM's one full-rematch engine: the store
+// runs it over its long-lived unions (deltaDiff in storestate.go is its
+// incremental form), and NM.Plan / NM.PlanDestroy (intent.go) run it
+// over a fresh one-intent union and an empty one.
 
 import (
 	"fmt"

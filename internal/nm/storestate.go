@@ -893,9 +893,7 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 		}
 		ss.cache[dev] = &obsEntry{gen: gens[dev], o: o}
 		plan.pruned = append(plan.pruned, dev)
-		if del := pruneAll(dev, o); len(del.Items) > 0 {
-			plan.Deletes = append(plan.Deletes, del)
-		}
+		(&deviceUnion{dev: dev}).diff(n, o, plan)
 		if du := ss.unions[dev]; du != nil {
 			du.pendingDelRules, du.pendingDelPipes, du.newItems = nil, nil, nil
 		}
@@ -988,6 +986,35 @@ func (n *NM) invalidateDevices(devs map[core.DeviceID]bool) {
 		n.obsGens[dev]++
 	}
 	n.mu.Unlock()
+}
+
+// recordOccupancyLocked is the single writer of the occupancy memory,
+// shared by Apply, ApplyStore and Persist's restore: it replaces the
+// named intent's recorded device set (an empty set retires the record)
+// and keeps ss.recordedCount, the per-device count of records, in step.
+// Caller holds planMu and mu.
+func (n *NM) recordOccupancyLocked(name string, devs []core.DeviceID) {
+	count := n.ss.recordedCount
+	old := n.intentDevs[name]
+	set := make(map[core.DeviceID]bool, len(devs))
+	for _, dev := range devs {
+		if !set[dev] && !old[dev] {
+			count[dev]++
+		}
+		set[dev] = true
+	}
+	for dev := range old {
+		if !set[dev] {
+			if count[dev]--; count[dev] <= 0 {
+				delete(count, dev)
+			}
+		}
+	}
+	if len(set) == 0 {
+		delete(n.intentDevs, name)
+		return
+	}
+	n.intentDevs[name] = set
 }
 
 func (n *NM) clearExpected() {
@@ -1106,33 +1133,11 @@ func (n *NM) applyStoreLocked(plan *StorePlan) error {
 	// here, after their components were pruned).
 	n.mu.Lock()
 	for _, name := range plan.removedIntents {
-		for dev := range n.intentDevs[name] {
-			ss.recordedCount[dev]--
-			if ss.recordedCount[dev] <= 0 {
-				delete(ss.recordedCount, dev)
-			}
-		}
-		delete(n.intentDevs, name)
+		n.recordOccupancyLocked(name, nil)
 		delete(ss.removedIntents, name)
 	}
 	for name, devs := range plan.records {
-		old := n.intentDevs[name]
-		set := make(map[core.DeviceID]bool, len(devs))
-		for _, dev := range devs {
-			set[dev] = true
-			if !old[dev] {
-				ss.recordedCount[dev]++
-			}
-		}
-		for dev := range old {
-			if !set[dev] {
-				ss.recordedCount[dev]--
-				if ss.recordedCount[dev] <= 0 {
-					delete(ss.recordedCount, dev)
-				}
-			}
-		}
-		n.intentDevs[name] = set
+		n.recordOccupancyLocked(name, devs)
 		delete(ss.recordsDirty, name)
 	}
 	var jerr error
