@@ -1,14 +1,17 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§III), plus the ablations DESIGN.md calls out. Run with:
+// evaluation (§III), plus the data-plane, codec and channel ablations.
+// Run with:
 //
 //	go test -bench=. -benchmem
+//
+// Scale and end-to-end performance are not measured here: that is the
+// benchmark module in bench/ (see bench/README.md).
 package conman_test
 
 import (
 	"fmt"
 	"net/netip"
 	"testing"
-	"time"
 
 	"conman/internal/channel"
 	"conman/internal/core"
@@ -325,156 +328,4 @@ func BenchmarkPacketCodec(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkFindPath compares the two path-search engines on the L2
-// chains whose variant space is exponential: the legacy
-// enumerate-then-filter DFS (capped at DefaultMaxPaths) against the
-// goal-directed best-first search. The "expanded" metric is the number
-// of search states explored — the asymptotic win the best-first
-// refactor buys on the NM's hottest code path.
-func BenchmarkFindPath(b *testing.B) {
-	sc, err := experiments.LinearScenarioByName("VLAN")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{16, 64, 128} {
-		g, base, err := sc.FindPathSpec(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mode := range []string{"exhaustive", "best-first"} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode), func(b *testing.B) {
-				spec := base
-				spec.Exhaustive = mode == "exhaustive"
-				var stats nm.PruneStats
-				for i := 0; i < b.N; i++ {
-					p, s, err := g.FindBest(spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if p == nil {
-						b.Fatalf("no %q path at n=%d", sc.PathDesc, n)
-					}
-					stats = s
-				}
-				b.ReportMetric(float64(stats.Expanded), "expanded")
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Scale suite: sequential vs concurrent NM on linear-n chains
-
-// simRTT emulates the propagation delay of a real management channel
-// (the paper's separate management NIC). Sequential configuration pays
-// it once per message in series; the concurrent NM overlaps it.
-const simRTT = 200 * time.Microsecond
-
-func BenchmarkLinearDiscover(b *testing.B) {
-	sc, err := experiments.LinearScenarioByName("GRE")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{32, 64} {
-		for _, mode := range []string{"sequential", "concurrent"} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode), func(b *testing.B) {
-				tb, err := sc.Build(n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tb.NM.Sequential = mode == "sequential"
-				tb.NM.Workers = 64
-				tb.Hub.SetLatency(simRTT)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := tb.NM.DiscoverAll(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkLinearConfigure(b *testing.B) {
-	for _, cfg := range experiments.BenchApplyRows() {
-		benchmarkLinearConfigure(b, cfg.Scenario, cfg.Ns)
-	}
-}
-
-// BenchmarkStoreReconcile measures the incremental store's 1-dirty
-// reconcile latency with k resident intents on the diamond-lite
-// topology: submit one new intent, reconcile. The k=1 run is the floor;
-// k=10000 staying within the same order of magnitude is the store's
-// O(changed) contract (gated with real thresholds by `conman bench` and
-// the CI baseline; this benchmark is for local profiling).
-func BenchmarkStoreReconcile(b *testing.B) {
-	for _, k := range []int{1, 10000} {
-		b.Run(fmt.Sprintf("k=%d/1-dirty", k), func(b *testing.B) {
-			tb, err := experiments.BuildDiamondLite(k + b.N)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tb.Close()
-			for j := 1; j <= k; j++ {
-				if err := tb.NM.Submit(experiments.LiteIntent(j)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// First pass converges the store; second settles the VLAN
-			// pipe-bind fallback so measurement starts from a quiet state.
-			if _, err := tb.NM.Reconcile(); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := tb.NM.Reconcile(); err != nil {
-				b.Fatal(err)
-			}
-			tb.Hub.SetLatency(simRTT)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := tb.NM.Submit(experiments.LiteIntent(k + 1 + i)); err != nil {
-					b.Fatal(err)
-				}
-				plan, err := tb.NM.Reconcile()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if plan.Stats.FullRebuild || plan.Stats.Recompiled != 1 {
-					b.Fatalf("1-dirty pass recompiled %d intents (full=%v)",
-						plan.Stats.Recompiled, plan.Stats.FullRebuild)
-				}
-			}
-		})
-	}
-}
-
-func benchmarkLinearConfigure(b *testing.B, sc experiments.LinearScenario, ns []int) {
-	for _, n := range ns {
-		for _, mode := range []string{"sequential", "concurrent"} {
-			b.Run(fmt.Sprintf("%s/n=%d/%s", sc.Name, n, mode), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					// Execution mutates device state, so each iteration
-					// configures a freshly built chain.
-					tb, err := sc.Build(n)
-					if err != nil {
-						b.Fatal(err)
-					}
-					tb.NM.Sequential = mode == "sequential"
-					tb.NM.Workers = 64
-					plan, err := sc.PlanLinear(tb, n)
-					if err != nil {
-						b.Fatal(err)
-					}
-					tb.Hub.SetLatency(simRTT)
-					b.StartTimer()
-					if err := tb.NM.Apply(plan); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }

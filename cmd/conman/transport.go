@@ -1,20 +1,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"conman/internal/channel"
 	"conman/internal/experiments"
-	"conman/internal/msg"
 	"conman/internal/obs"
 )
 
@@ -23,7 +16,7 @@ import (
 // and jitter, verify the data plane end-to-end, and (with -addr) keep
 // serving /status and /metrics so the harness can assert the transport's
 // retry and batching counters are nonzero.
-func runTransport(args []string) error {
+func runTransport(_ string, args []string) error {
 	fs := flag.NewFlagSet("transport", flag.ContinueOnError)
 	n := fs.Int("n", 128, "routers in the linear chain")
 	loss := fs.Float64("loss", 0.05, "per-datagram loss probability")
@@ -96,26 +89,14 @@ func runTransport(args []string) error {
 			"converge_secs":   elapsed.Seconds(),
 		}
 	}, metrics)
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: mux}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	fmt.Printf("transport: listening on http://%s (/status /metrics)\n", ln.Addr())
-	select {
-	case <-ctx.Done():
-		shutCtx, shutCancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer shutCancel()
-		_ = srv.Shutdown(shutCtx)
-		fmt.Println("transport: shut down")
+	err = serveUntilSignal(*addr, mux, func(at net.Addr) error {
+		fmt.Printf("transport: listening on http://%s (/status /metrics)\n", at)
 		return nil
-	case err := <-serveErr:
-		return err
+	})
+	if err == nil {
+		fmt.Println("transport: shut down")
 	}
+	return err
 }
 
 // syncTransportMetrics mirrors the transport's monotonic snapshot into
@@ -158,142 +139,4 @@ func settleCounters(tb *experiments.Testbed, timeout time.Duration) {
 			last = cur
 		}
 	}
-}
-
-// benchTransportRows appends the transport benchmark rows:
-//
-//   - Transport/linear-udp n=128: wall clock to configure and verify the
-//     GRE+IGP chain over real UDP sockets, clean vs seeded 5% loss +
-//     reorder + jitter. The pair bounds the price of the reliability
-//     layer under fire.
-//   - Transport/lsa-burst n=512: datagrams needed to carry a 512-envelope
-//     one-way burst, batched (64 envelopes per frame) vs unbatched (1 per
-//     frame). Expanded records the exact data-frame count — deterministic
-//     (512 is a multiple of the batch size, first transmissions only), so
-//     the CI baseline gates it exactly, and the in-bench assertion keeps
-//     batching worth at least 4x even without a baseline.
-func benchTransportRows(results *[]benchResult) error {
-	const linearN = 128
-	for _, mode := range []string{"clean", "loss-5pct"} {
-		best := time.Duration(0)
-		for rep := 0; rep < 2; rep++ {
-			el, err := benchTransportLinear(linearN, mode == "loss-5pct")
-			if err != nil {
-				return err
-			}
-			if best == 0 || el < best {
-				best = el
-			}
-		}
-		*results = append(*results, benchResult{
-			Benchmark: "Transport", Scenario: "linear-udp", N: linearN, Mode: mode,
-			Seconds: best.Seconds(),
-		})
-		fmt.Fprintf(os.Stderr, "Transport/linear-udp n=%d %s: %v\n", linearN, mode, best)
-	}
-
-	const burst = 512
-	frames := make(map[string]int)
-	for _, mode := range []string{"batched", "unbatched"} {
-		el, df, err := benchTransportBurst(burst, mode == "batched")
-		if err != nil {
-			return err
-		}
-		frames[mode] = df
-		*results = append(*results, benchResult{
-			Benchmark: "Transport", Scenario: "lsa-burst", N: burst, Mode: mode,
-			Seconds: el.Seconds(), Expanded: df,
-		})
-		fmt.Fprintf(os.Stderr, "Transport/lsa-burst n=%d %s: %v (%d data frames)\n", burst, mode, el, df)
-	}
-	if frames["unbatched"] < 4*frames["batched"] {
-		return fmt.Errorf("transport batching under 4x: %d unbatched vs %d batched frames for a %d-envelope burst",
-			frames["unbatched"], frames["batched"], burst)
-	}
-	return nil
-}
-
-// benchTransportLinear configures the GRE+IGP chain over UDP and returns
-// the wall clock to a verified data plane.
-func benchTransportLinear(n int, lossy bool) (time.Duration, error) {
-	cfg := channel.Config{FlushAge: time.Millisecond}
-	var factory func(string) (channel.Endpoint, error)
-	if lossy {
-		fn := channel.NewFaultyNetwork(cfg, channel.FaultConfig{
-			Seed: 42, Loss: 0.05, Reorder: 0.02, Jitter: time.Millisecond,
-		})
-		factory = func(name string) (channel.Endpoint, error) { return fn.Endpoint(name) }
-	} else {
-		un := channel.NewUDPNetworkConfig(cfg)
-		factory = func(name string) (channel.Endpoint, error) { return un.Endpoint(name) }
-	}
-	sc := experiments.GREIGPScenario()
-	tb, err := sc.BuildOver(n, factory)
-	if err != nil {
-		return 0, err
-	}
-	defer tb.Close()
-	tb.NM.RetryInterval = 100 * time.Millisecond
-	tb.NM.CallTimeout = 30 * time.Second
-	start := time.Now()
-	if _, err := sc.ConfigureLinear(tb, n); err != nil {
-		return 0, err
-	}
-	settleCounters(tb, 20*time.Second)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		err = tb.VerifyConnectivity(uint32(98000 + time.Now().UnixNano()%1000))
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		return 0, fmt.Errorf("bench transport n=%d lossy=%v: %w", n, lossy, err)
-	}
-	return time.Since(start), nil
-}
-
-// benchTransportBurst sends one burst of small envelopes across a clean
-// UDP pair and returns the wall clock to full delivery plus the exact
-// number of data frames the transport used.
-func benchTransportBurst(burst int, batched bool) (time.Duration, int, error) {
-	cfg := channel.Config{MaxBatchMsgs: 1, Window: 64}
-	if batched {
-		// FlushAge well above the enqueue time of the burst: every frame
-		// fills completely, so the frame count is exactly burst/64.
-		cfg = channel.Config{MaxBatchMsgs: 64, FlushAge: 50 * time.Millisecond, Window: 64}
-	}
-	un := channel.NewUDPNetworkConfig(cfg)
-	src, err := un.Endpoint("src")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer src.Close()
-	dst, err := un.Endpoint("dst")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer dst.Close()
-	got := make(chan struct{})
-	var seen atomic.Uint64 // handlers run on a concurrent pool
-	dst.SetHandler(func(env msg.Envelope) {
-		if seen.Add(1) == uint64(burst) {
-			close(got)
-		}
-	})
-	start := time.Now()
-	for i := 0; i < burst; i++ {
-		env := msg.MustNew(msg.TypeConvey, "src", "dst", 0, msg.Convey{Kind: fmt.Sprintf("lsa-%d", i)})
-		if err := src.Send(env); err != nil {
-			return 0, 0, err
-		}
-	}
-	select {
-	case <-got:
-	case <-time.After(30 * time.Second):
-		return 0, 0, fmt.Errorf("bench transport burst: %d/%d envelopes delivered", seen.Load(), burst)
-	}
-	el := time.Since(start)
-	return el, int(un.Stats().DataFrames), nil
 }

@@ -22,9 +22,6 @@ var ErrBacklog = errors.New("channel: send backlog full")
 type Config struct {
 	// MaxBatchMsgs caps envelopes per datagram (default 32).
 	MaxBatchMsgs int
-	// MaxBatchBytes budgets the datagram payload (default 60000). A
-	// single envelope above it is rejected by Send.
-	MaxBatchBytes int
 	// FlushAge holds a partial batch at most this long waiting for more
 	// envelopes. Zero (the default) never delays: a partial batch goes
 	// out as soon as the sender goroutine is free, so batching comes
@@ -35,40 +32,38 @@ type Config struct {
 	// Block makes Send wait for queue room instead of returning
 	// ErrBacklog when the peer's queue is at QueueDepth.
 	Block bool
-	// HandlerWorkers bounds the request-handler pool (default 8).
-	// Responses bypass the pool on their own goroutines so a response
-	// can never queue behind the request blocked waiting for it.
-	HandlerWorkers int
 	// Window caps sequenced frames in flight per peer (default 32).
 	Window int
 	// RTO is the per-frame retransmit timeout (default 25ms).
 	RTO time.Duration
-	// MaxRetries caps retransmissions per frame before it is abandoned
-	// and the peer presumed dead (default 40).
-	MaxRetries int
 }
+
+// Transport parameters that are not tunable.
+const (
+	// maxBatchBytes budgets the datagram payload. A single envelope
+	// above it is rejected by Send.
+	maxBatchBytes = 60000
+	// handlerWorkers bounds the request-handler pool. Responses bypass
+	// the pool on their own goroutines so a response can never queue
+	// behind the request blocked waiting for it.
+	handlerWorkers = 8
+	// maxRetries caps retransmissions per frame before it is abandoned
+	// and the peer presumed dead.
+	maxRetries = 40
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxBatchMsgs <= 0 {
 		c.MaxBatchMsgs = 32
 	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 60000
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
-	}
-	if c.HandlerWorkers <= 0 {
-		c.HandlerWorkers = 8
 	}
 	if c.Window <= 0 {
 		c.Window = 32
 	}
 	if c.RTO <= 0 {
 		c.RTO = 25 * time.Millisecond
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 40
 	}
 	return c
 }
@@ -83,7 +78,7 @@ type TransportStats struct {
 	Retransmits        atomic.Uint64
 	AckOnly            atomic.Uint64 // standalone cumulative-ack frames
 	DupFrames          atomic.Uint64 // sequenced frames already delivered (dropped, re-acked)
-	AbandonedFrames    atomic.Uint64 // frames dropped after MaxRetries
+	AbandonedFrames    atomic.Uint64 // frames dropped after maxRetries
 	EnvelopesSent      atomic.Uint64
 	EnvelopesDelivered atomic.Uint64
 	BacklogDrops       atomic.Uint64 // Sends refused with ErrBacklog
@@ -203,7 +198,7 @@ func (n *UDPNetwork) Endpoint(name string) (Endpoint, error) {
 	}
 	e.hq.cond = sync.NewCond(&e.hq.mu)
 	e.hq.stats = &n.stats
-	for i := 0; i < e.cfg.HandlerWorkers; i++ {
+	for i := 0; i < handlerWorkers; i++ {
 		e.poolWG.Add(1)
 		go e.poolWorker()
 	}
@@ -223,7 +218,7 @@ func (e *udpEndpoint) SetHandler(h Handler) {
 // Send queues the envelope for env.To. Unknown destinations fail
 // immediately; a full peer queue blocks or returns ErrBacklog per
 // Config; otherwise delivery is asynchronous and reliable (frame-level
-// retransmission until acked or MaxRetries).
+// retransmission until acked or maxRetries).
 func (e *udpEndpoint) Send(env msg.Envelope) error {
 	e.net.mu.Lock()
 	_, ok := e.net.addrs[env.To]
@@ -235,7 +230,7 @@ func (e *udpEndpoint) Send(env msg.Envelope) error {
 	if err != nil {
 		return err
 	}
-	if len(data) > e.cfg.MaxBatchBytes {
+	if len(data) > maxBatchBytes {
 		return fmt.Errorf("channel: envelope too large for UDP (%d bytes)", len(data))
 	}
 	p := e.peer(env.To)
@@ -558,7 +553,7 @@ func (p *udpPeer) collect(now time.Time) (payloads [][]byte, wake time.Time) {
 				kept = append(kept, f)
 				continue
 			}
-			if f.attempts > cfg.MaxRetries {
+			if f.attempts > maxRetries {
 				stats.AbandonedFrames.Add(1)
 				continue
 			}
@@ -593,7 +588,7 @@ func (p *udpPeer) collect(now time.Time) (payloads [][]byte, wake time.Time) {
 		take := 0
 		for take < n {
 			size += len(p.queue[take].data) + 8
-			if take > 0 && size > cfg.MaxBatchBytes {
+			if take > 0 && size > maxBatchBytes {
 				break
 			}
 			take++

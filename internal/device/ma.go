@@ -64,13 +64,6 @@ type MA struct {
 
 	// QueryTimeout bounds blocking listFieldsAndValues calls.
 	QueryTimeout time.Duration
-
-	// RetryInterval, when positive, retransmits an unanswered
-	// listFieldsAndValues request every interval until QueryTimeout —
-	// the device-side mirror of NM.RetryInterval. The NM re-relays the
-	// query (module reads are side-effect-free) and the waiter's
-	// buffered channel drops any duplicate response.
-	RetryInterval time.Duration
 }
 
 // maxReplyCache bounds the per-device reply cache; retransmits arrive
@@ -252,31 +245,20 @@ func (a *MA) QueryFields(requester, target core.ModuleRef, component string) (ma
 	if err := a.send(env); err != nil {
 		return nil, err
 	}
-	deadline := time.After(a.QueryTimeout)
-	var retry <-chan time.Time
-	if a.RetryInterval > 0 {
-		ticker := time.NewTicker(a.RetryInterval)
-		defer ticker.Stop()
-		retry = ticker.C
-	}
-	for {
-		select {
-		case resp := <-ch:
-			if resp.Type == msg.TypeError {
-				var e msg.Error
-				_ = resp.Decode(&e)
-				return nil, fmt.Errorf("device[%s]: listFieldsAndValues(%s): %s", a.dev, target, e.Message)
-			}
-			var body msg.ListFieldsResp
-			if err := resp.Decode(&body); err != nil {
-				return nil, err
-			}
-			return body.Fields, nil
-		case <-retry:
-			_ = a.send(env)
-		case <-deadline:
-			return nil, fmt.Errorf("device[%s]: listFieldsAndValues(%s): timeout", a.dev, target)
+	select {
+	case resp := <-ch:
+		if resp.Type == msg.TypeError {
+			var e msg.Error
+			_ = resp.Decode(&e)
+			return nil, fmt.Errorf("device[%s]: listFieldsAndValues(%s): %s", a.dev, target, e.Message)
 		}
+		var body msg.ListFieldsResp
+		if err := resp.Decode(&body); err != nil {
+			return nil, err
+		}
+		return body.Fields, nil
+	case <-time.After(a.QueryTimeout):
+		return nil, fmt.Errorf("device[%s]: listFieldsAndValues(%s): timeout", a.dev, target)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"conman/internal/core"
 	"conman/internal/nm"
+	"conman/internal/topo"
 )
 
 // igpPipeOf fetches one adjacency pipe id of a device's IGP module from
@@ -373,6 +374,57 @@ func TestIGPRouteNextHopsOnLink(t *testing.T) {
 			if _, _, ok := kern.IfaceForSubnet(rt.Via); !ok {
 				t.Errorf("%s: route %v via %v is not on a connected subnet", rid(k), rt.Dst, rt.Via)
 			}
+		}
+	}
+}
+
+// TestIGPColdStartRelayCounts pins the flooding cost of an IGP cold
+// start on the generated fabrics: applying the first routed intent
+// brings up adjacencies on every router, and each LSA batch is relayed
+// through the NM, so Counters().RelayOut is the flooding message count.
+// Under the sequential executor it is exact — two builds must agree —
+// and must stay within the budget the retired IGPFlood bench rows held
+// (a ring floods O(n) LSAs over O(n) adjacencies; a Clos core refloods
+// across much denser neighbour sets, but has fewer routers).
+func TestIGPColdStartRelayCounts(t *testing.T) {
+	coldStart := func(w *topo.Wiring) int {
+		t.Helper()
+		tb, pairs, err := BuildTopoGREIGP(w, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Close()
+		tb.NM.Sequential = true
+		plan, err := tb.NM.Plan(pairs[0].Intent("GRE-IP tunnel"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.NM.ResetCounters()
+		if err := tb.NM.Apply(plan); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.VerifyPair(pairs[0], 97000); err != nil {
+			t.Fatalf("%s %s: data plane after cold start: %v", w.Family, w.Param, err)
+		}
+		return tb.NM.Counters().RelayOut
+	}
+	for _, tc := range []struct {
+		build  func() (*topo.Wiring, error)
+		budget int
+	}{
+		{func() (*topo.Wiring, error) { return topo.Ring(16) }, 92},
+		{func() (*topo.Wiring, error) { return topo.FatTree(4) }, 32},
+	} {
+		w, err := tc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, second := coldStart(w), coldStart(w)
+		if first != second {
+			t.Errorf("%s %s: %d LSA relays on one build, %d on the next — not deterministic", w.Family, w.Param, first, second)
+		}
+		if first == 0 || first > tc.budget {
+			t.Errorf("%s %s: %d LSA relays, want 1..%d", w.Family, w.Param, first, tc.budget)
 		}
 	}
 }

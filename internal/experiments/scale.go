@@ -64,27 +64,6 @@ func GREIGPScenario() LinearScenario {
 	}
 }
 
-// BenchApplyRow pairs a scenario with the chain lengths its LinearApply
-// benchmark rows cover.
-type BenchApplyRow struct {
-	Scenario LinearScenario
-	Ns       []int
-}
-
-// BenchApplyRows is the single source of truth for the scale-apply
-// benchmark coverage: `BenchmarkLinearConfigure`, `conman bench` (and
-// therefore the rows the CI benchcompare gate checks against the
-// committed BENCH_baseline.json) all iterate this list. The IGP-enabled
-// rows additionally pay the §II-F control modules' link-state flooding
-// during apply.
-func BenchApplyRows() []BenchApplyRow {
-	gre, _ := LinearScenarioByName("GRE")
-	return []BenchApplyRow{
-		{Scenario: gre, Ns: []int{16, 64, 128}},
-		{Scenario: GREIGPScenario(), Ns: []int{16, 64}},
-	}
-}
-
 // LinearScenarioByName fetches a scenario ("GRE", "MPLS", "VLAN", or the
 // extra "GRE+IGP" scale scenario).
 func LinearScenarioByName(name string) (LinearScenario, error) {
@@ -107,28 +86,6 @@ func (sc LinearScenario) Intent(n int) nm.Intent {
 		Goal:   LinearGoal(n, sc.Tag),
 		Prefer: sc.PathDesc,
 	}
-}
-
-// FindPathSpec builds the scenario's linear-n potential graph and the
-// preferred-flavour finder spec the FindPath benchmarks drive. The Go
-// benchmark (BenchmarkFindPath) and `conman bench` both use this, so
-// the BENCH_scale.json rows and the benchmark output measure the
-// identical search; callers toggle spec.Exhaustive to select the
-// engine.
-func (sc LinearScenario) FindPathSpec(n int) (*nm.Graph, nm.FindSpec, error) {
-	tb, err := sc.Build(n)
-	if err != nil {
-		return nil, nm.FindSpec{}, err
-	}
-	g, err := nm.BuildGraph(tb.NM)
-	if err != nil {
-		return nil, nm.FindSpec{}, err
-	}
-	goal := LinearGoal(n, sc.Tag)
-	return g, nm.FindSpec{
-		From: goal.From, To: goal.To, TrafficDomain: goal.TrafficDomain,
-		Prefer: sc.PathDesc,
-	}, nil
 }
 
 // PlanLinear computes the scenario's reconciliation plan on a built

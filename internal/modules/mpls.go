@@ -43,15 +43,15 @@ type MPLS struct {
 	// ruleUndo maps an installed rule's id to the action removing the
 	// ILM/NHLFE/XC entries it created.
 	ruleUndo map[string]func() // guarded by mu
-	// pendingReplies holds label-exchange replies we cannot send yet
-	// because our own pipe toward the requester (and hence our link
-	// address) does not exist yet; flushed on pipe attachment.
+	// pendingReplies holds the requesters we owe a label-exchange reply;
+	// flushReplies sends each once our own pipe toward it (and hence our
+	// in-label and link address) exists.
 	pendingReplies []core.ModuleRef // guarded by mu
 }
 
 type mplsNeighbor struct {
 	// MyInLabel is the label we allocated for traffic arriving from this
-	// neighbour.
+	// neighbour; zero until our down pipe toward it is attached.
 	MyInLabel uint32
 	// PeerInLabel is the label the neighbour allocated for traffic we
 	// send to it.
@@ -143,7 +143,11 @@ func (m *MPLS) Actual() core.ModuleState {
 }
 
 // PipeAttached implements device.Module: a down pipe with a known MPLS
-// peer triggers the label exchange (initiator = smaller ref).
+// peer allocates our in-label for that neighbour and, on the initiator
+// (smaller ref), starts the label exchange. Labels are handed out here
+// and nowhere else, so they follow the device's own batch order and not
+// the arrival order of neighbours' messages, which the concurrent
+// executor does not fix.
 func (m *MPLS) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 	var (
 		send bool
@@ -159,13 +163,15 @@ func (m *MPLS) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 		peer = p.UpperPeer
 		if !peer.IsZero() && peer.Name == core.NameMPLS {
 			key := peer.String()
-			if _, have := m.neighbors[key]; !have && m.Ref().String() < key {
-				n := &mplsNeighbor{MyInLabel: m.labelBase + m.labelSeq}
+			n := m.neighborLocked(key)
+			if n.MyInLabel == 0 {
+				n.MyInLabel = m.labelBase + m.labelSeq
 				m.labelSeq++
-				m.neighbors[key] = n
-				m.initiatedAny = true
-				body = mplsLabelMsg{Label: n.MyInLabel, LinkAddr: m.linkAddrLocked(p)}
-				send = true
+				if m.Ref().String() < key {
+					m.initiatedAny = true
+					body = mplsLabelMsg{Label: n.MyInLabel, LinkAddr: m.linkAddrLocked(p)}
+					send = true
+				}
 			}
 		}
 	}
@@ -175,6 +181,17 @@ func (m *MPLS) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 	}
 	m.flushReplies()
 	return nil
+}
+
+// neighborLocked returns the negotiation state for a peer, creating an
+// empty record (no in-label yet) on first sight. Caller holds m.mu.
+func (m *MPLS) neighborLocked(key string) *mplsNeighbor {
+	n := m.neighbors[key]
+	if n == nil {
+		n = &mplsNeighbor{}
+		m.neighbors[key] = n
+	}
+	return n
 }
 
 // linkAddrLocked finds this device's address on the link under the given
@@ -261,52 +278,28 @@ func (m *MPLS) HandleConvey(from core.ModuleRef, kind string, body []byte) error
 	}
 	addr, _ := netip.ParseAddr(x.LinkAddr)
 
-	var (
-		reply bool
-		resp  mplsLabelMsg
-	)
 	m.mu.Lock()
-	key := from.String()
-	n, have := m.neighbors[key]
-	if !have {
-		// We are the responder: allocate our own in-label now.
-		n = &mplsNeighbor{MyInLabel: m.labelBase + m.labelSeq}
-		m.labelSeq++
-		m.neighbors[key] = n
-		m.responded = true
-	}
+	n := m.neighborLocked(from.String())
 	n.PeerInLabel = x.Label
 	n.PeerLinkAddr = addr
 	n.HavePeer = true
 	if !x.Reply {
-		// Find our down pipe toward this neighbour for our link address.
-		// If that pipe does not exist yet (the NM configures devices in
-		// path order, so the requester's batch usually precedes ours),
-		// defer the reply until it does.
-		var linkAddr string
-		for _, p := range m.dnPipes {
-			if p.UpperPeer == from {
-				linkAddr = m.linkAddrLocked(p)
-				break
-			}
-		}
-		if linkAddr == "" {
-			m.pendingReplies = append(m.pendingReplies, from)
-		} else {
-			resp = mplsLabelMsg{Label: n.MyInLabel, LinkAddr: linkAddr, Reply: true}
-			reply = true
-		}
+		// We are the responder. Our in-label and link address both come
+		// with our down pipe toward this neighbour; if that pipe does
+		// not exist yet (the NM configures devices in path order, so the
+		// requester's batch usually precedes ours), the reply waits
+		// until it does.
+		m.responded = true
+		m.pendingReplies = append(m.pendingReplies, from)
 	}
 	m.mu.Unlock()
-	if reply {
-		_ = m.Svc.Convey(m.Ref(), from, "mpls-label", resp)
-	}
+	m.flushReplies()
 	m.Svc.Kick()
 	return nil
 }
 
-// flushReplies sends label-exchange replies that were waiting for our own
-// pipes to exist.
+// flushReplies sends the label-exchange replies whose down pipe toward
+// the requester exists; the rest keep waiting for theirs.
 func (m *MPLS) flushReplies() {
 	type outMsg struct {
 		to   core.ModuleRef
