@@ -337,8 +337,7 @@ func cacheableRequest(env msg.Envelope) bool {
 		return false
 	}
 	switch env.Type {
-	case msg.TypeCommandBatchReq, msg.TypeCreatePipeReq, msg.TypeCreateSwitchReq,
-		msg.TypeCreateFilterReq, msg.TypeDeleteReq, msg.TypeInstallTriggerReq:
+	case msg.TypeCommandBatchReq, msg.TypeCreateFilterReq, msg.TypeDeleteReq, msg.TypeInstallTriggerReq:
 		return true
 	}
 	return false
@@ -438,34 +437,6 @@ func (a *MA) handle(env msg.Envelope) {
 			a.retryPending()
 		}
 		a.reply(env, msg.TypeCommandBatchResp, resp)
-
-	case msg.TypeCreatePipeReq:
-		var body msg.CreatePipeReq
-		if err := env.Decode(&body); err != nil {
-			a.replyErr(env, "bad create.pipe: %v", err)
-			return
-		}
-		id, err := a.createPipe("", body.Req)
-		if err != nil {
-			a.replyErr(env, "%v", err)
-			return
-		}
-		a.retryPending()
-		a.reply(env, msg.TypeCreatePipeResp, msg.CreatePipeResp{Pipe: id})
-
-	case msg.TypeCreateSwitchReq:
-		var body msg.CreateSwitchReq
-		if err := env.Decode(&body); err != nil {
-			a.replyErr(env, "bad create.switch: %v", err)
-			return
-		}
-		id, _, err := a.createSwitch(body)
-		if err != nil {
-			a.replyErr(env, "%v", err)
-			return
-		}
-		a.retryPending()
-		a.reply(env, msg.TypeCreateSwitchResp, msg.CreateSwitchResp{RuleID: id})
 
 	case msg.TypeCreateFilterReq:
 		var body msg.CreateFilterReq

@@ -31,10 +31,6 @@ const (
 	TypeShowPotentialResp  Type = "showPotential.resp"
 	TypeShowActualReq      Type = "showActual"
 	TypeShowActualResp     Type = "showActual.resp"
-	TypeCreatePipeReq      Type = "create.pipe"
-	TypeCreatePipeResp     Type = "create.pipe.resp"
-	TypeCreateSwitchReq    Type = "create.switch"
-	TypeCreateSwitchResp   Type = "create.switch.resp"
 	TypeCreateFilterReq    Type = "create.filter"
 	TypeCreateFilterResp   Type = "create.filter.resp"
 	TypeDeleteReq          Type = "delete"
@@ -138,28 +134,14 @@ type ShowActualResp struct {
 	Modules []core.ModuleState `json:"modules"`
 }
 
-// CreatePipeReq asks a device to create an up-down pipe pair.
-type CreatePipeReq struct {
-	Req core.PipeRequest `json:"req"`
-}
-
-// CreatePipeResp returns the allocated pipe id.
-type CreatePipeResp struct {
-	Pipe core.PipeID `json:"pipe"`
-}
-
-// CreateSwitchReq installs a switch rule. The NM resolves abstract
-// classifier/gateway tokens it owns (address domains, §III-C) into
-// MatchResolved/ViaResolved so no extra round-trips are needed.
+// CreateSwitchReq is the batch item body (CommandItem.Switch) that
+// installs a switch rule. The NM resolves abstract classifier/gateway
+// tokens it owns (address domains, §III-C) into MatchResolved/ViaResolved
+// so no extra round-trips are needed.
 type CreateSwitchReq struct {
 	Rule          core.SwitchRule `json:"rule"`
 	MatchResolved string          `json:"match_resolved,omitempty"`
 	ViaResolved   string          `json:"via_resolved,omitempty"`
-}
-
-// CreateSwitchResp acknowledges a switch rule.
-type CreateSwitchResp struct {
-	RuleID string `json:"rule_id"`
 }
 
 // CreateFilterReq installs an abstract filter rule (§II-E).

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sort"
 	"sync"
 	"time"
 
@@ -341,7 +340,7 @@ func (d *Daemon) reconcileEpoch() bool {
 				d.lastSnapshots += delta
 			}
 		}
-		creates, deletes := planCounts(plan)
+		creates, deletes := batchCounts(plan.Creates, plan.Deletes)
 		d.cInstalled.Add(uint64(creates))
 		d.cWithdrawn.Add(uint64(deletes))
 		d.mu.Lock()
@@ -366,25 +365,6 @@ func (d *Daemon) reconcileEpoch() bool {
 			return fail(fmt.Errorf("nm: daemon: no convergence after %d passes", iter+1))
 		}
 	}
-}
-
-func planCounts(plan *StorePlan) (creates, deletes int) {
-	for _, ds := range plan.Creates {
-		creates += len(ds.Items)
-	}
-	for _, ds := range plan.Deletes {
-		deletes += len(ds.Items)
-	}
-	return creates, deletes
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Status snapshots the daemon for /status and conman doctor.

@@ -48,6 +48,18 @@ func (n *NM) handleExporter(ref core.ModuleRef) bool {
 	return false
 }
 
+// handleProvider returns the module whose exported handle fields a
+// desired rule embeds, or the zero ref: the module below the rule's To
+// pipe when that is a *different* module advertising HandleFields (an
+// egress rule's To pipe has the rule's own module below it — nothing is
+// embedded).
+func (n *NM) handleProvider(r *unionRule) core.ModuleRef {
+	if tp := r.toPipe; tp != nil && tp.req.Lower != r.rule.Module && n.handleExporter(tp.req.Lower) {
+		return tp.req.Lower
+	}
+	return core.ModuleRef{}
+}
+
 // handleFresh probes the provider's current fields for the component and
 // reports whether a consumer rule installed with the recorded handle is
 // still valid. An unreachable provider or empty current fields count as

@@ -88,29 +88,38 @@ func (p *Plan) Render() string {
 		fmt.Fprintf(&b, " — path %s: %s", p.Path.Describe(), p.Path.Modules())
 	}
 	b.WriteString("\n")
-	for _, ds := range p.Deletes {
-		for _, line := range ds.Rendered {
-			fmt.Fprintf(&b, "  %s: %s\n", ds.Device, line)
-		}
-	}
-	for _, ds := range p.Creates {
-		for _, line := range ds.Rendered {
-			fmt.Fprintf(&b, "  %s: %s\n", ds.Device, line)
-		}
-	}
-	creates, deletes := 0, 0
-	for _, ds := range p.Creates {
-		creates += len(ds.Items)
-	}
-	for _, ds := range p.Deletes {
-		deletes += len(ds.Items)
-	}
-	if p.Empty() {
-		fmt.Fprintf(&b, "  no changes (%d components in place)\n", p.InPlace)
-	} else {
-		fmt.Fprintf(&b, "  %d to create, %d to delete, %d in place\n", creates, deletes, p.InPlace)
-	}
+	renderBatches(&b, p.Deletes, p.Creates, p.InPlace, "")
 	return b.String()
+}
+
+// batchCounts counts the commands in a plan's create and delete batches.
+func batchCounts(creates, deletes []DeviceScript) (nc, nd int) {
+	for _, ds := range creates {
+		nc += len(ds.Items)
+	}
+	for _, ds := range deletes {
+		nd += len(ds.Items)
+	}
+	return nc, nd
+}
+
+// renderBatches is the body every plan rendering shares: each command of
+// the delete batches, then of the create batches, one "device: command"
+// line apiece, and the summary line (tally, when set, extends it with a
+// plan-specific count).
+func renderBatches(b *strings.Builder, deletes, creates []DeviceScript, inPlace int, tally string) {
+	for _, scripts := range [][]DeviceScript{deletes, creates} {
+		for _, ds := range scripts {
+			for _, line := range ds.Rendered {
+				fmt.Fprintf(b, "  %s: %s\n", ds.Device, line)
+			}
+		}
+	}
+	if nc, nd := batchCounts(creates, deletes); nc+nd == 0 {
+		fmt.Fprintf(b, "  no changes (%d components in place%s)\n", inPlace, tally)
+	} else {
+		fmt.Fprintf(b, "  %d to create, %d to delete, %d in place%s\n", nc, nd, inPlace, tally)
+	}
 }
 
 // graph returns the potential-connectivity graph for the NM's current
@@ -185,14 +194,15 @@ type observed struct {
 	// rules lists installed switch rules across the device's modules.
 	rules []obsRule
 
-	// The remaining fields are the incremental store's binding indexes,
-	// lazily built by ensureIndex (storestate.go); a bare observed as
-	// observe() or a test constructs it carries none of them.
+	// The remaining fields are the diff's binding indexes, lazily built
+	// by ensureIndex (storestate.go); a bare observed as observe() or a
+	// test constructs it carries none of them.
 
-	// claimed marks observed pipes bound to a desired union pipe.
+	// claimed marks observed pipes that are spoken for: bound to a desired
+	// union pipe, or queued for deletion.
 	claimed map[core.PipeID]bool
-	// usedIDs tracks every wire id ever observed on or allocated for the
-	// device, so deleted ids are not reused while the entry is cached.
+	// usedIDs holds the wire ids handed out for the device since the last
+	// rematch; with the observed ids they are what allocPipeID skips.
 	usedIDs map[core.PipeID]bool
 	// ruleIdx indexes rules by binding identity (obsRule.key) and
 	// ruleByID by installed id; tombstoned rules (id=="") are unindexed.
@@ -361,7 +371,7 @@ func (n *NM) strandedDevices(intentName string, current []core.DeviceID) []core.
 		}
 	}
 	n.mu.Unlock()
-	return sortedDevs(set)
+	return sortedKeys(set)
 }
 
 // deleteItem builds one delete command plus its rendering.
@@ -375,17 +385,18 @@ func deleteItem(req core.DeleteRequest) (msg.CommandItem, string) {
 // the chosen path — plus any device a previous Apply of this intent
 // touched that the path has since migrated away from — and returns
 // per-device batches that create what is missing and delete what is
-// stale. It is the store's union diff (deviceUnion.diff) run over a
-// fresh one-intent union, so the per-intent contract is ownership: the
-// intent owns every device it touches, and anything observed there that
-// it does not want is stale. Installed pipes are matched by content and
-// keep their wire ids. Planning sends no configuration commands;
+// stale. It is the store's own pass over a scratch one-intent store —
+// the same merge, the same rematch (deviceUnion.diff) — so the
+// per-intent contract is ownership: the intent owns every device it
+// touches, and anything observed there that it does not want is stale.
+// Installed pipes are matched by content and keep their wire ids.
+// Planning sends no configuration commands;
 // Apply(plan) twice in a row therefore sends zero commands on the
 // second pass.
 func (n *NM) Plan(intent Intent) (*Plan, error) { return n.planIntent(intent, false) }
 
-// PlanDestroy computes the teardown plan for an intent: the same diff
-// against an empty union, so every switch rule and NM-created pipe
+// PlanDestroy computes the teardown plan for an intent: the same
+// rematch with nothing merged, so every switch rule and NM-created pipe
 // observed on the intent's devices is deleted (rules first, then pipes).
 // Planning sends no configuration commands.
 func (n *NM) PlanDestroy(intent Intent) (*Plan, error) { return n.planIntent(intent, true) }
@@ -406,10 +417,11 @@ func (n *NM) planIntent(intent Intent, destroy bool) (*Plan, error) {
 		return nil, err
 	}
 	plan := &Plan{Intent: intent, Path: path, Unreachable: unreachable}
-	unions := make(map[core.DeviceID]*deviceUnion)
+	ss := newStoreState()
 	if !destroy {
-		var order []core.DeviceID
-		mergeScripts(unions, &order, intent.Name, desired)
+		if err := ss.merge(intent.Name, desired); err != nil {
+			return nil, err
+		}
 		plan.touched = devs
 	}
 	var diff StorePlan
@@ -418,12 +430,12 @@ func (n *NM) planIntent(intent Intent, destroy bool) (*Plan, error) {
 		if o == nil {
 			continue
 		}
-		du := unions[dev]
+		du := ss.unions[dev]
 		if du == nil {
 			du = &deviceUnion{dev: dev}
 			plan.pruned = append(plan.pruned, dev)
 		}
-		du.diff(n, o, &diff)
+		du.diff(n, o, &diff, true)
 	}
 	plan.Deletes, plan.Creates = diff.Deletes, diff.Creates
 	plan.InPlace, plan.handleDeps = diff.InPlace, diff.handleDeps

@@ -26,10 +26,12 @@
 // # The intent store
 //
 // The NM's public surface is declarative, with two entry points to one
-// diff engine (deviceUnion.diff). Per intent, Plan / Apply / Destroy
-// compile one Intent (a named connectivity Goal), diff a one-intent
-// union against observed device state, and reconcile; that plan owns
-// every device it touches, so Destroy clears them. The intent store
+// merge (storeState.merge) and one diff (deviceUnion.diff, whose full
+// rematch is its pending-work pass run from empty). Per intent, Plan /
+// Apply / Destroy compile one Intent (a named connectivity Goal), merge
+// it into a scratch one-intent store, rematch that against observed
+// device state, and reconcile; that plan owns every device it touches,
+// so Destroy clears them. The intent store
 // implements the paper's "NM holds all the goals" model (§III): Submit
 // and Withdraw register and remove goals, and Reconcile compiles the
 // union of every registered intent, deduplicates the desired pipes and

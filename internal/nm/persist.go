@@ -11,7 +11,7 @@ package nm
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
 
 	"conman/internal/core"
 	"conman/internal/msg"
@@ -64,11 +64,10 @@ type deviceSnap struct {
 }
 
 type obsSnap struct {
-	Device  core.DeviceID `json:"device"`
-	Gen     uint64        `json:"gen"`
-	Pipes   []obsPipeSnap `json:"pipes,omitempty"`
-	Rules   []obsRuleSnap `json:"rules,omitempty"`
-	UsedIDs []core.PipeID `json:"used_ids,omitempty"`
+	Device core.DeviceID `json:"device"`
+	Gen    uint64        `json:"gen"`
+	Pipes  []obsPipeSnap `json:"pipes,omitempty"`
+	Rules  []obsRuleSnap `json:"rules,omitempty"`
 }
 
 type obsPipeSnap struct {
@@ -183,10 +182,7 @@ func (n *NM) Persist(b datastore.Backend) (int, error) {
 		if live[os.Device] {
 			continue // it rebooted or re-announced; observe it fresh
 		}
-		o := &observed{
-			pipes:   make(map[core.PipeID]obsPipe, len(os.Pipes)),
-			usedIDs: make(map[core.PipeID]bool, len(os.UsedIDs)),
-		}
+		o := &observed{pipes: make(map[core.PipeID]obsPipe, len(os.Pipes))}
 		for _, p := range os.Pipes {
 			o.pipes[p.ID] = obsPipe{
 				upper: p.Upper, lower: p.Lower,
@@ -201,9 +197,6 @@ func (n *NM) Persist(b datastore.Backend) (int, error) {
 				matchResolved: r.MatchResolved, viaResolved: r.ViaResolved,
 				handle: r.Handle,
 			})
-		}
-		for _, id := range os.UsedIDs {
-			o.usedIDs[id] = true
 		}
 		ss.cache[os.Device] = &obsEntry{gen: os.Gen, o: o}
 		if n.obsGens[os.Device] < os.Gen {
@@ -246,8 +239,8 @@ func (n *NM) checkpointLocked() error {
 	}
 	snap := snapshotV1{
 		Version:  1,
-		Domains:  copyStringMap(n.domains),
-		Gateways: copyStringMap(n.gateways),
+		Domains:  maps.Clone(n.domains),
+		Gateways: maps.Clone(n.gateways),
 	}
 	for _, name := range n.storeOrder {
 		data, err := json.Marshal(n.store[name])
@@ -266,20 +259,12 @@ func (n *NM) checkpointLocked() error {
 	if len(n.intentDevs) > 0 {
 		snap.IntentDevs = make(map[string][]core.DeviceID, len(n.intentDevs))
 		for name, devs := range n.intentDevs {
-			snap.IntentDevs[name] = sortedDevs(devs)
+			snap.IntentDevs[name] = sortedKeys(devs)
 		}
 	}
-	snap.StaleDevs = sortedDevs(n.staleDevs)
-	for key := range n.installedTriggers {
-		snap.Triggers = append(snap.Triggers, key)
-	}
-	sort.Strings(snap.Triggers)
-	cached := make([]core.DeviceID, 0, len(ss.cache))
-	for dev := range ss.cache {
-		cached = append(cached, dev)
-	}
-	sort.Slice(cached, func(i, j int) bool { return cached[i] < cached[j] })
-	for _, dev := range cached {
+	snap.StaleDevs = sortedKeys(n.staleDevs)
+	snap.Triggers = sortedKeys(n.installedTriggers)
+	for _, dev := range sortedKeys(ss.cache) {
 		ce := ss.cache[dev]
 		if ce.o == nil || ce.gen != n.obsGens[dev] {
 			// An entry the live NM has already invalidated (an event or a
@@ -289,12 +274,7 @@ func (n *NM) checkpointLocked() error {
 			continue
 		}
 		os := obsSnap{Device: dev, Gen: ce.gen}
-		ids := make([]core.PipeID, 0, len(ce.o.pipes))
-		for id := range ce.o.pipes {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
+		for _, id := range sortedKeys(ce.o.pipes) {
 			p := ce.o.pipes[id]
 			os.Pipes = append(os.Pipes, obsPipeSnap{
 				ID: id, Upper: p.upper, Lower: p.lower,
@@ -313,7 +293,6 @@ func (n *NM) checkpointLocked() error {
 				Handle: r.handle,
 			})
 		}
-		os.UsedIDs = sortedDevsPipe(ce.o.usedIDs)
 		snap.Observed = append(snap.Observed, os)
 	}
 	n.mu.Unlock()
@@ -329,26 +308,6 @@ func (n *NM) checkpointLocked() error {
 	n.snapshotsWritten++
 	n.mu.Unlock()
 	return nil
-}
-
-func copyStringMap(m map[string]string) map[string]string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func sortedDevsPipe(set map[core.PipeID]bool) []core.PipeID {
-	out := make([]core.PipeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // JournalStats reports the state of the attached persistence.

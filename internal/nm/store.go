@@ -11,15 +11,13 @@ package nm
 // unshared components. The work is incremental (storestate.go): only
 // dirty intents recompile, only devices whose observation generation
 // moved re-observe, and every mutation is journaled through the
-// datastore package when persistence is attached. deviceUnion.diff at
-// the bottom of this file is the NM's one full-rematch engine: the store
-// runs it over its long-lived unions (deltaDiff in storestate.go is its
-// incremental form), and NM.Plan / NM.PlanDestroy (intent.go) run it
-// over a fresh one-intent union and an empty one.
+// datastore package when persistence is attached. The diff itself
+// (deviceUnion.diff, storestate.go) has one body: a full rematch is the
+// delta pass run from empty. NM.Plan / NM.PlanDestroy (intent.go) run it
+// over a scratch one-intent store and an empty one.
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"conman/internal/core"
@@ -255,28 +253,7 @@ func (p *StorePlan) Render() string {
 		}
 		fmt.Fprintf(&b, " (%d exclusive, %d shared components)\n", v.Exclusive, v.Shared)
 	}
-	for _, ds := range p.Deletes {
-		for _, line := range ds.Rendered {
-			fmt.Fprintf(&b, "  %s: %s\n", ds.Device, line)
-		}
-	}
-	for _, ds := range p.Creates {
-		for _, line := range ds.Rendered {
-			fmt.Fprintf(&b, "  %s: %s\n", ds.Device, line)
-		}
-	}
-	creates, deletes := 0, 0
-	for _, ds := range p.Creates {
-		creates += len(ds.Items)
-	}
-	for _, ds := range p.Deletes {
-		deletes += len(ds.Items)
-	}
-	if p.Empty() {
-		fmt.Fprintf(&b, "  no changes (%d components in place, %d shared)\n", p.InPlace, p.Shared)
-	} else {
-		fmt.Fprintf(&b, "  %d to create, %d to delete, %d in place, %d shared\n", creates, deletes, p.InPlace, p.Shared)
-	}
+	renderBatches(&b, p.Deletes, p.Creates, p.InPlace, fmt.Sprintf(", %d shared", p.Shared))
 	return b.String()
 }
 
@@ -352,26 +329,27 @@ type unionOther struct {
 }
 
 // deviceUnion is the merged desired configuration of one device across
-// every registered intent, with ownership per component. The full-pass
-// fields (items/pipes/rules) carry the union itself; the rest is the
-// incremental bookkeeping the delta diff consumes.
+// every registered intent, with ownership per component. items, pipes
+// and rules carry the union itself; the rest is the pending work and the
+// binding tallies the diff consumes.
 type deviceUnion struct {
 	dev   core.DeviceID
 	items []unionItem
 	pipes map[string]*unionPipe
 	rules map[string]*unionRule
 
-	// newItems are components merged since the last diff resolved them:
+	// newItems are the pending components — merged since the last diff
+	// resolved them, or all live ones once a rematch forgot the bindings:
 	// each is still waiting to be bound to an observed component or
 	// created on the device.
 	newItems []unionItem
-	// pendingDelRules/pendingDelPipes are bound components whose last
-	// owner withdrew; the next pass deletes them (rules before pipes)
-	// without a full sweep.
+	// pendingDelRules/pendingDelPipes are installed components queued
+	// for deletion (rules before pipes): bound ones whose last owner
+	// withdrew, and observed state a rematch found nobody claiming.
 	pendingDelRules []core.DeleteRequest
 	pendingDelPipes []core.DeleteRequest
 	// classes indexes value-carrying classifier rules by (module, entry,
-	// classifier, resolution) for incremental conflict detection.
+	// classifier, resolution) for conflict detection as intents merge.
 	classes map[string][]*unionRule
 	// bound counts desired components currently bound to device state;
 	// live counts non-tombstoned items; dead counts tombstones awaiting
@@ -381,8 +359,7 @@ type deviceUnion struct {
 	dead  int
 }
 
-// hasWork reports whether the delta diff has anything to do on this
-// device.
+// hasWork reports whether the diff has pending work on this device.
 func (du *deviceUnion) hasWork() bool {
 	return len(du.newItems) > 0 || len(du.pendingDelRules) > 0 || len(du.pendingDelPipes) > 0
 }
@@ -457,81 +434,40 @@ func (e *ConflictError) Error() string {
 		e.Module, e.IntentA, renderSwitchCreate(e.RuleA), e.TargetA, e.IntentB, renderSwitchCreate(e.RuleB), e.TargetB)
 }
 
-// conflicts scans one device union for classified rules that agree on
-// (module, entry pipe, classifier) but disagree on where the traffic
-// goes. Pipe references are compared structurally (two intents compile
-// the same pipe under different local ids), and rules that unified into
-// one union entry are by construction conflict-free.
-func (du *deviceUnion) conflicts() error {
-	type target struct {
-		to  string
-		via string
-		it  *unionRule
-	}
-	seen := make(map[string]target)
-	for _, it := range du.items {
-		r := it.rule
-		// Only value-carrying classifiers are exclusive: dst-domain
-		// routes a prefix exactly one way, so divergent targets clash.
-		// Valueless classifiers ("Tagged") select a traffic class that
-		// L2 delivery further discriminates — the multi-tenant edge
-		// legitimately fans one trunk out to several customer ports.
-		if r == nil || r.gone || r.rule.Match == nil || r.rule.Match.Value == "" {
-			continue
-		}
-		key := ruleClassKey(r)
-		tgt := target{to: pipeIdent(r.rule.To, r.toPipe), via: r.rule.Via + "/" + r.viaResolved, it: r}
-		prev, ok := seen[key]
-		if !ok {
-			seen[key] = tgt
-			continue
-		}
-		if prev.to != tgt.to || prev.via != tgt.via {
-			return &ConflictError{
-				Device:  du.dev,
-				Module:  r.rule.Module,
-				IntentA: prev.it.owners[0], IntentB: r.owners[0],
-				RuleA: prev.it.rule, RuleB: r.rule,
-				TargetA: describeTarget(prev.it.rule.To, prev.it.toPipe, prev.via),
-				TargetB: describeTarget(r.rule.To, r.toPipe, tgt.via),
-			}
-		}
-	}
-	return nil
-}
-
-// mergeScripts folds one intent's compiled device scripts into the
-// per-device unions, recording ownership (refcounting) per component.
-func mergeScripts(unions map[core.DeviceID]*deviceUnion, order *[]core.DeviceID, name string, scripts []DeviceScript) {
-	_ = mergeScriptsCtx(nil, unions, order, name, scripts)
-}
-
-// mergeScriptsCtx is mergeScripts with incremental bookkeeping: when ss
-// is non-nil it records contribution refs (so a later withdraw/update
-// can remove exactly this intent's share), maintains the sharing
-// tallies and the per-device conflict-class index, and reports
-// classifier conflicts as they merge. A conflict aborts the merge with
-// this intent's partial contributions rolled back.
-func mergeScriptsCtx(ss *storeState, unions map[core.DeviceID]*deviceUnion, order *[]core.DeviceID, name string, scripts []DeviceScript) error {
-	var contrib *intentContrib
-	if ss != nil {
-		contrib = ss.contribs[name]
-	}
-	record := func(du *deviceUnion, it unionItem) {
-		if contrib != nil {
-			contrib.refs = append(contrib.refs, contribRef{du: du, it: it})
-		}
+// merge folds one intent's compiled device scripts into the per-device
+// unions: every component gains the intent as an owner (refcounting),
+// the intent's contribution refs record its share (so a later withdraw
+// or update removes exactly that), the sharing tallies and the per-device
+// conflict-class index follow, and new components queue as pending work
+// for the next diff. A classifier conflict aborts the merge with this
+// intent's partial contributions removed and a *ConflictError returned.
+func (ss *storeState) merge(name string, scripts []DeviceScript) error {
+	contrib := ss.contribs[name]
+	if contrib == nil {
+		contrib = &intentContrib{}
+		ss.contribs[name] = contrib
 	}
 	for _, ds := range scripts {
-		du := unions[ds.Device]
+		du := ss.unions[ds.Device]
 		if du == nil {
 			du = &deviceUnion{
 				dev:   ds.Device,
 				pipes: make(map[string]*unionPipe),
 				rules: make(map[string]*unionRule),
 			}
-			unions[ds.Device] = du
-			*order = append(*order, ds.Device)
+			ss.unions[ds.Device] = du
+			ss.order = append(ss.order, ds.Device)
+		}
+		add := func(it unionItem) {
+			du.items = append(du.items, it)
+			du.newItems = append(du.newItems, it)
+			du.live++
+		}
+		own := func(owners *[]string, it unionItem) {
+			if addOwnerLen(owners, name) {
+				ss.ownerAdded(*owners)
+				contrib.refs = append(contrib.refs, contribRef{du: du, it: it})
+			}
 		}
 		// local maps this intent's compile-time pipe ids (device-scoped
 		// P0, P1, ...) to their union pipes.
@@ -544,14 +480,9 @@ func mergeScriptsCtx(ss *storeState, unions map[core.DeviceID]*deviceUnion, orde
 				if up == nil {
 					up = &unionPipe{req: item.Pipe.Req, key: key}
 					du.pipes[key] = up
-					du.items = append(du.items, unionItem{pipe: up})
-					du.newItems = append(du.newItems, unionItem{pipe: up})
-					du.live++
+					add(unionItem{pipe: up})
 				}
-				if added := addOwnerLen(&up.owners, name); added {
-					ss.ownerAdded(up.owners)
-					record(du, unionItem{pipe: up})
-				}
+				own(&up.owners, unionItem{pipe: up})
 				local[item.Pipe.ID] = up
 			case item.Switch != nil:
 				fp, tp := local[item.Switch.Rule.From], local[item.Switch.Rule.To]
@@ -564,28 +495,19 @@ func mergeScriptsCtx(ss *storeState, unions map[core.DeviceID]*deviceUnion, orde
 						viaResolved:   item.Switch.ViaResolved,
 						key:           key,
 					}
-					if ss != nil {
-						if err := du.classAdd(ur, name); err != nil {
-							ss.rollbackContrib(name)
-							return err
-						}
+					if err := du.classAdd(ur, name); err != nil {
+						ss.removeContribs(name)
+						return err
 					}
 					du.rules[key] = ur
-					du.items = append(du.items, unionItem{rule: ur})
-					du.newItems = append(du.newItems, unionItem{rule: ur})
-					du.live++
+					add(unionItem{rule: ur})
 				}
-				if added := addOwnerLen(&ur.owners, name); added {
-					ss.ownerAdded(ur.owners)
-					record(du, unionItem{rule: ur})
-				}
+				own(&ur.owners, unionItem{rule: ur})
 			default:
-				uo := &unionOther{item: item, rendered: ds.Rendered[i], owner: name}
-				du.items = append(du.items, unionItem{other: uo})
-				du.newItems = append(du.newItems, unionItem{other: uo})
-				du.live++
+				uo := unionItem{other: &unionOther{item: item, rendered: ds.Rendered[i], owner: name}}
+				add(uo)
 				ss.ownerAdded([]string{name})
-				record(du, unionItem{other: uo})
+				contrib.refs = append(contrib.refs, contribRef{du: du, it: uo})
 			}
 		}
 	}
@@ -599,205 +521,4 @@ func ownersSuffix(owners []string) string {
 		return ""
 	}
 	return "  [shared: " + strings.Join(owners, ", ") + "]"
-}
-
-// diff reconciles one device's whole union against its observed state
-// (the full rematch), appending delete/create batches to the plan.
-// Pipes are matched by content (adopting observed wire ids so surviving
-// configuration is untouched); anything observed that no desired
-// component claims is stale and deleted, rules before pipes. The NM is
-// consulted for handle-freshness probes on rules that embed exported
-// low-level fields (§II-E). On return the union's incremental
-// bookkeeping is rebuilt from scratch: newItems holds exactly the
-// create-pending components and pendingDel* exactly the queued
-// deletions, so a plan that is never applied re-emits the same work
-// through the delta path next pass.
-func (du *deviceUnion) diff(n *NM, o *observed, plan *StorePlan) {
-	o.ensureIndex()
-	o.compactRules()
-	// Reset every binding: the rematch re-derives them all.
-	o.claimed = make(map[core.PipeID]bool)
-	for j := range o.rules {
-		o.rules[j].used = false
-	}
-	du.bound = 0
-	du.pendingDelRules, du.pendingDelPipes = nil, nil
-	for _, it := range du.items {
-		switch {
-		case it.pipe != nil:
-			it.pipe.inPlace = false
-			it.pipe.id = ""
-		case it.rule != nil:
-			it.rule.kept = false
-			it.rule.boundID = ""
-		}
-	}
-	// Pipe pass 1: bind desired pipes to observed ones by content.
-	obsIDs := make([]core.PipeID, 0, len(o.pipes))
-	for id := range o.pipes {
-		obsIDs = append(obsIDs, id)
-	}
-	sort.Slice(obsIDs, func(i, j int) bool { return obsIDs[i] < obsIDs[j] })
-	for _, it := range du.items {
-		if it.pipe == nil || it.pipe.gone {
-			continue
-		}
-		for _, id := range obsIDs {
-			if o.claimed[id] {
-				continue
-			}
-			if o.pipes[id].matches(it.pipe.req) {
-				it.pipe.id, it.pipe.inPlace, o.claimed[id] = id, true, true
-				du.bound++
-				plan.InPlace++
-				break
-			}
-		}
-	}
-	// Pipe pass 2: allocate fresh wire ids for missing pipes, avoiding
-	// every id observed on the device (stale pipes are deleted in the
-	// same reconcile, but their ids are not reused within it).
-	used := make(map[core.PipeID]bool, len(obsIDs))
-	for _, id := range obsIDs {
-		used[id] = true
-	}
-	next := 0
-	for _, it := range du.items {
-		if it.pipe == nil || it.pipe.gone || it.pipe.inPlace {
-			continue
-		}
-		for {
-			cand := core.PipeID(fmt.Sprintf("P%d", next))
-			next++
-			if !used[cand] {
-				it.pipe.id = cand
-				used[cand] = true
-				break
-			}
-		}
-	}
-	for id := range used {
-		o.usedIDs[id] = true
-	}
-	// Rule pass: a desired rule is kept iff an identical installed rule
-	// exists and every NM-created pipe it references is in place (a rule
-	// on a freshly created pipe resolves to a fresh id no installed rule
-	// can match).
-	for _, it := range du.items {
-		if it.rule == nil || it.rule.gone {
-			continue
-		}
-		// The rule consumes exported handles when it steers into a pipe
-		// whose lower module is a *different* module that advertises
-		// HandleFields (an egress rule's To pipe has the rule's own
-		// module below it — nothing is embedded).
-		exports := it.rule.toPipe != nil && it.rule.toPipe.req.Lower != it.rule.rule.Module &&
-			n.handleExporter(it.rule.toPipe.req.Lower)
-		if exports {
-			// The rule embeds fields the To pipe's lower module exports:
-			// register the dependency so ApplyStore installs a trigger.
-			plan.handleDeps = append(plan.handleDeps, handleDep{
-				it.rule.toPipe.req.Lower, "pipe:" + string(it.rule.toPipe.id),
-			})
-		}
-		if !pipesReady(it.rule) {
-			continue
-		}
-		rr := it.rule.resolved()
-		// The index key carries module, endpoints, classifier and the
-		// concrete resolutions, so resolved-value drift (SetDomain /
-		// SetGateway changed since install) simply fails to match and the
-		// rule is replaced.
-		for _, j := range o.ruleIdx[desiredRuleKey(rr, it.rule.matchResolved, it.rule.viaResolved)] {
-			or := &o.rules[j]
-			if or.used || or.id == "" {
-				continue
-			}
-			// Stale embedded handle (§II-E): the provider below the To
-			// pipe regenerated its exported fields since this rule was
-			// installed (e.g. an NHLFE renumbered by pipe churn), so the
-			// installed rule's embedded copy points at dead state even
-			// though its abstract and resolved forms still match —
-			// replace it.
-			if exports && !n.handleFresh(it.rule.toPipe.req.Lower, rr.To, or.handle) {
-				continue
-			}
-			or.used = true
-			it.rule.kept, it.rule.boundID = true, or.id
-			du.bound++
-			plan.InPlace++
-			break
-		}
-	}
-	// Stale observed state: rules no desired component kept, then pipes
-	// no desired component claimed. Recorded as pending deletions too,
-	// so a dropped plan re-queues them instead of losing them.
-	del := DeviceScript{Device: du.dev}
-	for j := range o.rules {
-		or := &o.rules[j]
-		if or.used || or.id == "" {
-			continue
-		}
-		req := core.DeleteRequest{Kind: core.ComponentSwitchRule, Module: or.module, ID: or.id}
-		du.pendingDelRules = append(du.pendingDelRules, req)
-		di, rendered := deleteItem(req)
-		del.Items = append(del.Items, di)
-		del.Rendered = append(del.Rendered, rendered)
-	}
-	for _, id := range obsIDs {
-		if o.claimed[id] || o.pipes[id].lower.IsZero() {
-			continue
-		}
-		req := core.DeleteRequest{Kind: core.ComponentPipe, Module: o.pipes[id].lower, ID: string(id)}
-		du.pendingDelPipes = append(du.pendingDelPipes, req)
-		di, rendered := deleteItem(req)
-		del.Items = append(del.Items, di)
-		del.Rendered = append(del.Rendered, rendered)
-	}
-	if len(del.Items) > 0 {
-		plan.Deletes = append(plan.Deletes, del)
-	}
-	// Creates, in first-appearance order across the intents; newItems is
-	// rebuilt to exactly this create-pending set.
-	creates := DeviceScript{Device: du.dev}
-	var binds []bindTarget
-	newItems := du.newItems[:0]
-	for _, it := range du.items {
-		switch {
-		case it.pipe != nil && !it.pipe.gone && !it.pipe.inPlace:
-			creates.Items = append(creates.Items, msg.CommandItem{
-				Pipe: &msg.CreatePipeItem{ID: it.pipe.id, Req: it.pipe.req},
-			})
-			creates.Rendered = append(creates.Rendered,
-				renderPipeCreate(it.pipe.id, it.pipe.req)+ownersSuffix(it.pipe.owners))
-			binds = append(binds, bindTarget{pipe: it.pipe})
-			newItems = append(newItems, it)
-		case it.rule != nil && !it.rule.gone && !it.rule.kept:
-			rr := it.rule.resolved()
-			creates.Items = append(creates.Items, msg.CommandItem{
-				Switch: &msg.CreateSwitchReq{
-					Rule:          rr,
-					MatchResolved: it.rule.matchResolved,
-					ViaResolved:   it.rule.viaResolved,
-				},
-			})
-			creates.Rendered = append(creates.Rendered,
-				renderSwitchCreate(rr)+ownersSuffix(it.rule.owners))
-			binds = append(binds, bindTarget{rule: it.rule})
-			newItems = append(newItems, it)
-		case it.other != nil && !it.other.gone && !it.other.done:
-			creates.Items = append(creates.Items, it.other.item)
-			creates.Rendered = append(creates.Rendered, it.other.rendered)
-			binds = append(binds, bindTarget{other: it.other})
-			newItems = append(newItems, it)
-		}
-	}
-	du.newItems = newItems
-	if len(creates.Items) > 0 {
-		plan.Creates = append(plan.Creates, creates)
-		if plan.createBinds == nil {
-			plan.createBinds = make(map[core.DeviceID][]bindTarget)
-		}
-		plan.createBinds[du.dev] = binds
-	}
 }

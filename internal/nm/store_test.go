@@ -72,6 +72,15 @@ func ruleItem(r core.SwitchRule) (msg.CommandItem, string) {
 	return msg.CommandItem{Switch: &msg.CreateSwitchReq{Rule: r}}, renderSwitchCreate(r)
 }
 
+// mustMerge folds one intent's single-device script into the store
+// state the way a reconcile pass does.
+func mustMerge(t *testing.T, ss *storeState, name string, ds DeviceScript) {
+	t.Helper()
+	if err := ss.merge(name, []DeviceScript{ds}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func appendItems(ds *DeviceScript, items ...func() (msg.CommandItem, string)) {
 	for _, f := range items {
 		it, rendered := f()
@@ -80,8 +89,7 @@ func appendItems(ds *DeviceScript, items ...func() (msg.CommandItem, string)) {
 	}
 }
 
-// TestUnionMergeDedupesSharedComponents drives mergeScripts + diff
-// directly: two intents compile the same transit pipe and rule on one
+// TestUnionMergeDedupesSharedComponents drives merge + diff directly: two intents compile the same transit pipe and rule on one
 // device (each numbering the pipe P0 in isolation), plus one exclusive
 // rule each. The union must configure the shared pair once, refcount it
 // with both owners, and keep the exclusive rules separate.
@@ -108,12 +116,11 @@ func TestUnionMergeDedupesSharedComponents(t *testing.T) {
 		return ds
 	}
 
-	unions := make(map[core.DeviceID]*deviceUnion)
-	var order []core.DeviceID
-	mergeScripts(unions, &order, "vpn-a", []DeviceScript{mkScript("c1")})
-	mergeScripts(unions, &order, "vpn-b", []DeviceScript{mkScript("c2")})
+	ss := newStoreState()
+	mustMerge(t, ss, "vpn-a", mkScript("c1"))
+	mustMerge(t, ss, "vpn-b", mkScript("c2"))
 
-	du := unions[dev]
+	du := ss.unions[dev]
 	if len(du.pipes) != 1 {
 		t.Fatalf("union holds %d pipes, want 1 (shared)", len(du.pipes))
 	}
@@ -121,7 +128,7 @@ func TestUnionMergeDedupesSharedComponents(t *testing.T) {
 		t.Fatalf("union holds %d rules, want 3 (2 exclusive + 1 shared)", len(du.rules))
 	}
 	plan := &StorePlan{}
-	du.diff(New(), &observed{pipes: map[core.PipeID]obsPipe{}}, plan)
+	du.diff(New(), &observed{pipes: map[core.PipeID]obsPipe{}}, plan, true)
 	if len(plan.Creates) != 1 {
 		t.Fatalf("want one create batch, got %d", len(plan.Creates))
 	}
@@ -153,9 +160,8 @@ func TestDiffAdoptsObservedPipeIDs(t *testing.T) {
 			return ruleItem(core.SwitchRule{Module: vlan, From: "P0", To: "Phy-trunk", Bidirectional: true})
 		},
 	)
-	unions := make(map[core.DeviceID]*deviceUnion)
-	var order []core.DeviceID
-	mergeScripts(unions, &order, "vpn-a", []DeviceScript{ds})
+	ss := newStoreState()
+	mustMerge(t, ss, "vpn-a", ds)
 
 	o := &observed{
 		pipes: map[core.PipeID]obsPipe{
@@ -167,7 +173,7 @@ func TestDiffAdoptsObservedPipeIDs(t *testing.T) {
 		},
 	}
 	plan := &StorePlan{}
-	unions[dev].diff(New(), o, plan)
+	ss.unions[dev].diff(New(), o, plan, true)
 	if len(plan.Creates) != 0 {
 		t.Errorf("in-place pipe churned:\n%s", plan.Render())
 	}
@@ -218,15 +224,12 @@ func TestStoreConflictDetection(t *testing.T) {
 		)
 		return ds
 	}
-	unions := make(map[core.DeviceID]*deviceUnion)
-	var order []core.DeviceID
-	mergeScripts(unions, &order, "a", []DeviceScript{mk(gre)})
-	mergeScripts(unions, &order, "b", []DeviceScript{mk(mpls)})
-
-	err := unions[dev].conflicts()
-	ce, ok := err.(*ConflictError)
-	if !ok {
-		t.Fatalf("conflicts() = %v, want *ConflictError", err)
+	ss := newStoreState()
+	mustMerge(t, ss, "a", mk(gre))
+	err := ss.merge("b", []DeviceScript{mk(mpls)})
+	var ce *ConflictError
+	if !errors.As(err, &ce) {
+		t.Fatalf("merge of the colliding intent = %v, want *ConflictError", err)
 	}
 	if ce.IntentA != "a" || ce.IntentB != "b" {
 		t.Errorf("conflict names intents %q/%q, want a/b", ce.IntentA, ce.IntentB)
@@ -249,8 +252,7 @@ func TestStoreConflictTolerates(t *testing.T) {
 	gre := core.Ref(core.NameGRE, dev, "l")
 	eth := core.Ref(core.NameETH, dev, "a")
 
-	unions := make(map[core.DeviceID]*deviceUnion)
-	var order []core.DeviceID
+	ss := newStoreState()
 	for i, name := range []string{"a", "b"} {
 		ds := DeviceScript{Device: dev}
 		appendItems(&ds,
@@ -271,9 +273,54 @@ func TestStoreConflictTolerates(t *testing.T) {
 				return msg.CommandItem{Switch: &msg.CreateSwitchReq{Rule: r}}, renderSwitchCreate(r)
 			},
 		)
-		mergeScripts(unions, &order, name, []DeviceScript{ds})
+		if err := ss.merge(name, []DeviceScript{ds}); err != nil {
+			t.Fatalf("false conflict: %v", err)
+		}
 	}
-	if err := unions[dev].conflicts(); err != nil {
-		t.Fatalf("false conflict: %v", err)
+}
+
+// TestDroppedRematchKeepsQueuedStateSpokenFor pins what a rematch leaves
+// behind for the delta pass: an installed rule the rematch found stale is
+// queued for deletion, the plan is dropped, and then an intent that wants
+// exactly that rule merges. The delta pass must cancel the deletion and
+// re-adopt the rule — not bind it and delete it in the same plan.
+func TestDroppedRematchKeepsQueuedStateSpokenFor(t *testing.T) {
+	dev := core.DeviceID("X")
+	eth := core.Ref(core.NameETH, dev, "e")
+	vlan := core.Ref(core.NameVLAN, dev, "v")
+	req := core.PipeRequest{Upper: eth, Lower: vlan, LowerPeer: core.Ref(core.NameVLAN, "Y", "v")}
+	mk := func(port core.PipeID) DeviceScript {
+		ds := DeviceScript{Device: dev}
+		appendItems(&ds,
+			func() (msg.CommandItem, string) { return pipeItem("P0", req) },
+			func() (msg.CommandItem, string) {
+				return ruleItem(core.SwitchRule{Module: vlan, From: "P0", To: port})
+			},
+		)
+		return ds
+	}
+	o := &observed{
+		pipes: map[core.PipeID]obsPipe{
+			"P7": {upper: eth, lower: vlan, lowerPeer: core.Ref(core.NameVLAN, "Y", "v")},
+		},
+		rules: []obsRule{
+			{id: "r1", module: vlan, from: "P7", to: "Phy-a"},
+			{id: "r2", module: vlan, from: "P7", to: "Phy-b"},
+		},
+	}
+	n, ss := New(), newStoreState()
+	mustMerge(t, ss, "a", mk("Phy-a"))
+	dropped := &StorePlan{}
+	ss.unions[dev].diff(n, o, dropped, true)
+	if len(dropped.Deletes) != 1 || !strings.Contains(dropped.Deletes[0].Rendered[0], "r2") {
+		t.Fatalf("rematch did not queue the stale rule:\n%s", dropped.Render())
+	}
+
+	mustMerge(t, ss, "b", mk("Phy-b"))
+	plan := &StorePlan{}
+	ss.unions[dev].diff(n, o, plan, false)
+	if !plan.Empty() || plan.InPlace != 3 {
+		t.Errorf("delta pass after the dropped rematch: %d in place, want 3 and no commands:\n%s",
+			plan.InPlace, plan.Render())
 	}
 }

@@ -7,11 +7,13 @@ package nm
 // cache. A pass only pays for what changed — dirty intents recompile,
 // devices whose observation generation moved re-observe, and devices
 // with a valid, fully bound cache entry diff in O(pending work) or are
-// skipped outright.
+// skipped outright. There is one diff (deviceUnion.diff below): a
+// rematch is the same pass over pending work, run from empty.
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"conman/internal/core"
 	"conman/internal/msg"
@@ -21,9 +23,9 @@ import (
 // obsEntry is one device's cached observation, tagged with the
 // generation it was fetched at. The entry is *valid* while the device's
 // observation generation still equals gen (no event since the fetch)
-// and *synced* once a full diff has bound the union against it — only
+// and *synced* once a rematch has bound the union against it — only
 // then can a later pass trust the recorded bindings and diff just the
-// delta.
+// pending work.
 type obsEntry struct {
 	gen    uint64
 	o      *observed
@@ -97,7 +99,7 @@ func newStoreState() *storeState {
 // and record counts: cached device state is still real state, so the
 // rebuild can rematch against it without a single showActual. Pending
 // per-device work (newItems, queued deletes) is discarded with the
-// unions — the full rematch re-derives it from the union-vs-cache diff.
+// unions — the rematch re-derives it from the union-vs-cache diff.
 func (ss *storeState) reset() {
 	ss.unions = make(map[core.DeviceID]*deviceUnion)
 	ss.order = nil
@@ -136,12 +138,8 @@ func removeOwner(owners *[]string, name string) bool {
 }
 
 // ownerAdded updates the sharing tallies after name (the last element)
-// joined a component's owner list. Nil-safe: mergeScripts without a
-// store context skips the accounting.
+// joined a component's owner list.
 func (ss *storeState) ownerAdded(owners []string) {
-	if ss == nil {
-		return
-	}
 	switch len(owners) {
 	case 1:
 		ss.bumpView(owners[0], 1, 0)
@@ -208,14 +206,6 @@ func (ss *storeState) removeView(name string) {
 	delete(ss.viewIdx, name)
 	for j := i; j < len(ss.views); j++ {
 		ss.viewIdx[ss.views[j].Intent.Name] = j
-	}
-}
-
-// rollbackContrib undoes a partial merge after a conflict: the refs
-// recorded so far are removed exactly like a withdrawal.
-func (ss *storeState) rollbackContrib(name string) {
-	if ss != nil {
-		ss.removeContribs(name)
 	}
 }
 
@@ -343,19 +333,10 @@ func describeTarget(lit core.PipeID, up *unionPipe, via string) string {
 	if up != nil {
 		out = fmt.Sprintf("the %s~%s pipe", up.req.Upper, up.req.Lower)
 	}
-	if i := indexByte(via, '/'); i > 0 {
+	if i := strings.IndexByte(via, '/'); i > 0 {
 		out += " via " + via[:i]
 	}
 	return out
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // ruleClassKey identifies the traffic a value-carrying classifier rule
@@ -368,8 +349,13 @@ func ruleClassKey(r *unionRule) string {
 
 // classAdd indexes a new value-carrying classifier rule and reports a
 // typed conflict if an existing rule claims the same traffic for a
-// different target (the incremental form of deviceUnion.conflicts:
-// detection happens as each dirty intent merges, not in a full scan).
+// different target; detection happens as each intent merges. Only
+// value-carrying classifiers are exclusive: dst-domain routes a prefix
+// exactly one way, so divergent targets clash. Valueless classifiers
+// ("Tagged") select a traffic class that L2 delivery further
+// discriminates — the multi-tenant edge legitimately fans one trunk out
+// to several customer ports. Rules that unified into one union entry are
+// by construction conflict-free.
 func (du *deviceUnion) classAdd(r *unionRule, owner string) error {
 	if r.rule.Match == nil || r.rule.Match.Value == "" {
 		return nil
@@ -446,7 +432,7 @@ func (o *observed) rebuildRuleIndex() {
 }
 
 // key is the binding identity of an installed rule — exactly the fields
-// the full diff compares when deciding whether a desired rule is kept.
+// the diff compares when deciding whether a desired rule is kept.
 func (or *obsRule) key() string {
 	return or.module.String() + "|" + string(or.from) + "|" + string(or.to) + "|" +
 		or.match + "|" + or.via + "|" + or.matchResolved + "|" + or.viaResolved
@@ -489,7 +475,7 @@ func (o *observed) tombstoneRule(id string) {
 	or.id = ""
 }
 
-// compactRules drops tombstones before a full rematch.
+// compactRules drops tombstones before a rematch.
 func (o *observed) compactRules() {
 	dead := false
 	for j := range o.rules {
@@ -513,25 +499,21 @@ func (o *observed) compactRules() {
 
 // matchUnclaimed finds the lowest-id unclaimed observed pipe matching a
 // desired request.
-func (o *observed) matchUnclaimed(req core.PipeRequest) (core.PipeID, bool) {
-	ids := make([]core.PipeID, 0, len(o.pipes))
-	for id := range o.pipes {
-		if !o.claimed[id] {
-			ids = append(ids, id)
+func (o *observed) matchUnclaimed(req core.PipeRequest) (best core.PipeID, found bool) {
+	for id, op := range o.pipes {
+		if !o.claimed[id] && (!found || id < best) && op.matches(req) {
+			best, found = id, true
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if o.pipes[id].matches(req) {
-			return id, true
-		}
-	}
-	return "", false
+	return best, found
 }
 
-// allocPipeID allocates a wire id never observed on and never before
-// allocated for this device (deleted ids are not reused, so a delete
-// and a create of the same shape in one pass cannot collide).
+// allocPipeID allocates the lowest wire id that is neither observed on
+// the device nor handed out since the last rematch. A pipe this pass
+// deletes is still observed until ApplyStore writes the deletion
+// through, so a delete and a create of the same shape in one pass cannot
+// collide; the rematch forgets the handed-out ids (forgetBindings), so
+// it numbers missing pipes the same whether or not dry runs preceded it.
 func (o *observed) allocPipeID() core.PipeID {
 	for next := 0; ; next++ {
 		cand := core.PipeID(fmt.Sprintf("P%d", next))
@@ -547,7 +529,7 @@ func (o *observed) allocPipeID() core.PipeID {
 }
 
 // ---------------------------------------------------------------------------
-// Delta diff
+// The diff
 
 // adoptPendingPipe cancels a queued pipe deletion whose installed pipe
 // matches a re-merged desired pipe (the update/resubmit path), so an
@@ -565,25 +547,40 @@ func (du *deviceUnion) adoptPendingPipe(o *observed, req core.PipeRequest) (core
 	return "", false
 }
 
-// adoptPendingRule is the rule-side cancellation: a queued rule
-// deletion whose installed form matches a re-merged desired rule is
-// dropped and the installed rule re-bound.
-func (du *deviceUnion) adoptPendingRule(n *NM, o *observed, key string, exports bool, provider core.ModuleRef, to core.PipeID) (string, bool) {
+// bindRule finds an installed rule with the desired rule's binding
+// identity that nothing else holds: an unused observed one, else one
+// whose deletion is queued (the update/resubmit path: the deletion is
+// cancelled and the unchanged rule re-adopted instead of churned). The
+// identity carries module, endpoints, classifier and the concrete
+// resolutions, so resolved-value drift (SetDomain / SetGateway changed
+// since install) simply fails to match and the rule is replaced. A
+// non-zero provider is the module below the To pipe whose exported
+// fields the rule embeds.
+func (du *deviceUnion) bindRule(n *NM, o *observed, key string, provider core.ModuleRef, to core.PipeID) (string, bool) {
+	// Stale embedded handle (§II-E): the provider regenerated its exported
+	// fields since the rule was installed (e.g. an NHLFE renumbered by
+	// pipe churn), so the installed rule's embedded copy points at dead
+	// state even though its abstract and resolved forms still match —
+	// replace it.
+	fresh := func(or *obsRule) bool {
+		return provider.IsZero() || n.handleFresh(provider, to, or.handle)
+	}
+	for _, j := range o.ruleIdx[key] {
+		if or := &o.rules[j]; !or.used && or.id != "" && fresh(or) {
+			or.used = true
+			return or.id, true
+		}
+	}
 	for i, dr := range du.pendingDelRules {
 		j, ok := o.ruleByID[dr.ID]
 		if !ok {
 			continue
 		}
-		or := &o.rules[j]
-		if or.key() != key {
-			continue
+		if or := &o.rules[j]; or.key() == key && fresh(or) {
+			du.pendingDelRules = append(du.pendingDelRules[:i], du.pendingDelRules[i+1:]...)
+			or.used = true
+			return or.id, true
 		}
-		if exports && !n.handleFresh(provider, to, or.handle) {
-			continue
-		}
-		du.pendingDelRules = append(du.pendingDelRules[:i], du.pendingDelRules[i+1:]...)
-		or.used = true
-		return or.id, true
 	}
 	return "", false
 }
@@ -592,13 +589,103 @@ func pipesReady(r *unionRule) bool {
 	return (r.fromPipe == nil || r.fromPipe.inPlace) && (r.toPipe == nil || r.toPipe.inPlace)
 }
 
-// deltaDiff reconciles only the pending work on a device whose cached
-// observation is valid and already bound (synced): queued deletions of
-// withdrawn components and newly merged components. Cost is O(pending),
-// independent of the union and store size — the incremental store's
-// fast path.
-func (du *deviceUnion) deltaDiff(n *NM, o *observed, plan *StorePlan) {
+// diff reconciles one device's union against its observed state,
+// appending delete/create batches to the plan. There is one matcher,
+// bindPending, and it only ever looks at pending work: on a device whose
+// cached observation is valid and already bound (synced) that is the
+// newly merged components and the queued deletions of withdrawn ones, so
+// the cost is O(pending), independent of union and store size — the
+// incremental store's fast path. A rematch (the observation is fresh, or
+// the unions were rebuilt, or the caller holds a scratch union) is the
+// same pass run from empty: forgetBindings makes every live component
+// pending, and whatever observed state nobody claimed afterwards is stale
+// and queued for deletion too. Either way newItems and pendingDel* hold
+// exactly the emitted work on return, so a plan that is never applied
+// re-emits it next pass.
+func (du *deviceUnion) diff(n *NM, o *observed, plan *StorePlan, rematch bool) {
 	o.ensureIndex()
+	if rematch {
+		du.forgetBindings(o)
+	}
+	du.bindPending(n, o, plan)
+	if rematch {
+		du.queueUnclaimed(o)
+	}
+	// Deletes after adoption so cancelled ones never hit the wire; the
+	// executor still runs all Deletes before any Creates.
+	if len(du.pendingDelRules)+len(du.pendingDelPipes) > 0 {
+		del := DeviceScript{Device: du.dev}
+		for _, reqs := range [][]core.DeleteRequest{du.pendingDelRules, du.pendingDelPipes} {
+			for _, req := range reqs {
+				di, rendered := deleteItem(req)
+				del.Items = append(del.Items, di)
+				del.Rendered = append(del.Rendered, rendered)
+			}
+		}
+		plan.Deletes = append(plan.Deletes, del)
+	}
+}
+
+// forgetBindings resets the device to "nothing matched yet": no observed
+// pipe or rule is claimed, no wire id has been handed out, no deletion is
+// queued, and every live desired component is pending again, in
+// first-appearance order.
+func (du *deviceUnion) forgetBindings(o *observed) {
+	o.compactRules()
+	o.claimed = make(map[core.PipeID]bool)
+	o.usedIDs = make(map[core.PipeID]bool)
+	for j := range o.rules {
+		o.rules[j].used = false
+	}
+	du.bound = 0
+	du.pendingDelRules, du.pendingDelPipes = nil, nil
+	du.newItems = du.newItems[:0]
+	for _, it := range du.items {
+		switch {
+		case it.isGone():
+			continue
+		case it.pipe != nil:
+			it.pipe.inPlace, it.pipe.id = false, ""
+		case it.rule != nil:
+			it.rule.kept, it.rule.boundID = false, ""
+		}
+		du.newItems = append(du.newItems, it)
+	}
+}
+
+// queueUnclaimed queues the deletion of every observed rule no desired
+// rule kept, then every observed pipe no desired pipe claimed (rules
+// before the pipes they reference). Queued state counts as spoken for,
+// like the bound components killRule/killPipe queue: only bindRule /
+// adoptPendingPipe, which cancel the deletion, can hand it out again.
+func (du *deviceUnion) queueUnclaimed(o *observed) {
+	for j := range o.rules {
+		if or := &o.rules[j]; !or.used && or.id != "" {
+			or.used = true
+			du.pendingDelRules = append(du.pendingDelRules, core.DeleteRequest{
+				Kind: core.ComponentSwitchRule, Module: or.module, ID: or.id,
+			})
+		}
+	}
+	for _, id := range sortedKeys(o.pipes) {
+		if op := o.pipes[id]; !o.claimed[id] && !op.lower.IsZero() {
+			o.claimed[id] = true
+			du.pendingDelPipes = append(du.pendingDelPipes, core.DeleteRequest{
+				Kind: core.ComponentPipe, Module: op.lower, ID: string(id),
+			})
+		}
+	}
+}
+
+// bindPending resolves each pending component: a pipe binds to an
+// observed pipe of the same content, adopting its wire id so surviving
+// configuration is untouched; a rule binds to an identical installed rule
+// once every NM-created pipe it references is in place (a rule on a
+// freshly created pipe resolves to a fresh id no installed rule can
+// match). What cannot bind gets a create command, in first-appearance
+// order across the intents, and stays pending until ApplyStore binds it
+// to what the device reports.
+func (du *deviceUnion) bindPending(n *NM, o *observed, plan *StorePlan) {
 	// Everything bound before this pass is in place by definition.
 	plan.InPlace += du.bound
 	creates := DeviceScript{Device: du.dev}
@@ -611,15 +698,12 @@ func (du *deviceUnion) deltaDiff(n *NM, o *observed, plan *StorePlan) {
 			if p.inPlace {
 				continue
 			}
-			if id, ok := du.adoptPendingPipe(o, p.req); ok {
-				p.id, p.inPlace = id, true
-				du.bound++
-				plan.InPlace++
-				continue
+			id, ok := du.adoptPendingPipe(o, p.req)
+			if !ok {
+				id, ok = o.matchUnclaimed(p.req)
 			}
-			if id, ok := o.matchUnclaimed(p.req); ok {
-				p.id, p.inPlace = id, true
-				o.claimed[id] = true
+			if ok {
+				p.id, p.inPlace, o.claimed[id] = id, true, true
 				du.bound++
 				plan.InPlace++
 				continue
@@ -639,45 +723,18 @@ func (du *deviceUnion) deltaDiff(n *NM, o *observed, plan *StorePlan) {
 			if r.kept {
 				continue
 			}
-			exports := r.toPipe != nil && r.toPipe.req.Lower != r.rule.Module &&
-				n.handleExporter(r.toPipe.req.Lower)
-			if exports {
-				plan.handleDeps = append(plan.handleDeps, handleDep{
-					r.toPipe.req.Lower, "pipe:" + string(r.toPipe.id),
-				})
+			// A rule that embeds exported handles registers the dependency,
+			// so ApplyStore installs a trigger on the provider.
+			provider := n.handleProvider(r)
+			if !provider.IsZero() {
+				plan.handleDeps = append(plan.handleDeps, handleDep{provider, "pipe:" + string(r.toPipe.id)})
 			}
 			rr := r.resolved()
 			if pipesReady(r) {
-				key := desiredRuleKey(rr, r.matchResolved, r.viaResolved)
-				bound := false
-				for _, j := range o.ruleIdx[key] {
-					or := &o.rules[j]
-					if or.used || or.id == "" {
-						continue
-					}
-					if exports && !n.handleFresh(r.toPipe.req.Lower, rr.To, or.handle) {
-						continue
-					}
-					or.used = true
-					r.kept, r.boundID = true, or.id
+				if id, ok := du.bindRule(n, o, desiredRuleKey(rr, r.matchResolved, r.viaResolved), provider, rr.To); ok {
+					r.kept, r.boundID = true, id
 					du.bound++
 					plan.InPlace++
-					bound = true
-					break
-				}
-				if !bound {
-					var prov core.ModuleRef
-					if r.toPipe != nil {
-						prov = r.toPipe.req.Lower
-					}
-					if id, ok := du.adoptPendingRule(n, o, key, exports, prov, rr.To); ok {
-						r.kept, r.boundID = true, id
-						du.bound++
-						plan.InPlace++
-						bound = true
-					}
-				}
-				if bound {
 					continue
 				}
 			}
@@ -700,22 +757,6 @@ func (du *deviceUnion) deltaDiff(n *NM, o *observed, plan *StorePlan) {
 		}
 	}
 	du.newItems = keep
-	// Deletes after adoption so cancelled ones never hit the wire; the
-	// executor still runs all Deletes before any Creates.
-	if len(du.pendingDelRules)+len(du.pendingDelPipes) > 0 {
-		del := DeviceScript{Device: du.dev}
-		for _, req := range du.pendingDelRules {
-			di, rendered := deleteItem(req)
-			del.Items = append(del.Items, di)
-			del.Rendered = append(del.Rendered, rendered)
-		}
-		for _, req := range du.pendingDelPipes {
-			di, rendered := deleteItem(req)
-			del.Items = append(del.Items, di)
-			del.Rendered = append(del.Rendered, rendered)
-		}
-		plan.Deletes = append(plan.Deletes, del)
-	}
 	if len(creates.Items) > 0 {
 		plan.Creates = append(plan.Creates, creates)
 		if plan.createBinds == nil {
@@ -760,11 +801,7 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 		}
 		sort.Slice(dirty, func(i, j int) bool { return n.storePos[dirty[i]] < n.storePos[dirty[j]] })
 	}
-	removed := make([]string, 0, len(n.ssRemoved))
-	for name := range n.ssRemoved {
-		removed = append(removed, name)
-	}
-	sort.Strings(removed)
+	removed := sortedKeys(n.ssRemoved)
 	intents := make(map[string]Intent, len(dirty))
 	for _, name := range dirty {
 		intents[name] = n.store[name]
@@ -807,7 +844,7 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 		ss.removeContribs(name)
 		ss.contribs[name] = &intentContrib{path: path, devices: devs}
 		ss.setView(IntentView{Intent: intent, Path: path, Devices: devs})
-		if err := mergeScriptsCtx(ss, ss.unions, &ss.order, name, scripts); err != nil {
+		if err := ss.merge(name, scripts); err != nil {
 			delete(ss.contribs, name)
 			ss.removeView(name)
 			n.requeueDirty(dirty[i:])
@@ -820,7 +857,7 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 	// Device classification: what does each occupied device need?
 	const (
 		actSkip = iota
-		actFull
+		actRematch
 		actDelta
 	)
 	action := make(map[core.DeviceID]int)
@@ -838,12 +875,12 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 			// An event moved the generation (or we never looked):
 			// observe fresh, then rematch the whole union.
 			required = append(required, dev)
-			action[dev] = actFull
+			action[dev] = actRematch
 			plan.Stats.CacheMisses++
 		case !ce.synced:
 			// Cached observation is current but the union was rebuilt
 			// (or restored): rematch against the cache, zero RPCs.
-			action[dev] = actFull
+			action[dev] = actRematch
 			plan.Stats.CacheHits++
 		case du.hasWork():
 			action[dev] = actDelta
@@ -870,7 +907,7 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 		}
 	}
 	n.mu.Unlock()
-	stranded := sortedDevs(strandedSet)
+	stranded := sortedKeys(strandedSet)
 
 	obs, unreachable, err := n.observe(
 		append(append([]core.DeviceID(nil), required...), stranded...),
@@ -893,22 +930,17 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 		}
 		ss.cache[dev] = &obsEntry{gen: gens[dev], o: o}
 		plan.pruned = append(plan.pruned, dev)
-		(&deviceUnion{dev: dev}).diff(n, o, plan)
+		(&deviceUnion{dev: dev}).diff(n, o, plan, true)
 		if du := ss.unions[dev]; du != nil {
 			du.pendingDelRules, du.pendingDelPipes, du.newItems = nil, nil, nil
 		}
 	}
 
 	for _, dev := range ss.order {
-		du := ss.unions[dev]
-		switch action[dev] {
-		case actFull:
+		if act := action[dev]; act != actSkip {
 			ce := ss.cache[dev]
-			du.diff(n, ce.o, plan)
+			ss.unions[dev].diff(n, ce.o, plan, act == actRematch)
 			ce.synced = true
-			plan.Stats.DiffedDevices++
-		case actDelta:
-			du.deltaDiff(n, ss.cache[dev].o, plan)
 			plan.Stats.DiffedDevices++
 		}
 	}
@@ -924,10 +956,7 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 			plan.records[name] = c.devices
 		}
 	}
-	for name := range ss.removedIntents {
-		plan.removedIntents = append(plan.removedIntents, name)
-	}
-	sort.Strings(plan.removedIntents)
+	plan.removedIntents = sortedKeys(ss.removedIntents)
 	ss.passSeq++
 	plan.pass = ss.passSeq
 	return plan, nil
@@ -945,10 +974,11 @@ func (n *NM) requeueDirty(names []string) {
 	n.mu.Unlock()
 }
 
-func sortedDevs(set map[core.DeviceID]bool) []core.DeviceID {
-	out := make([]core.DeviceID, 0, len(set))
-	for dev := range set {
-		out = append(out, dev)
+// sortedKeys returns a set's members in ascending order.
+func sortedKeys[K ~string, V any](set map[K]V) []K {
+	out := make([]K, 0, len(set))
+	for k := range set {
+		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -963,7 +993,7 @@ func planDevices(plan *StorePlan) []core.DeviceID {
 	for _, ds := range plan.Creates {
 		set[ds.Device] = true
 	}
-	return sortedDevs(set)
+	return sortedKeys(set)
 }
 
 func scriptDeviceSet(scripts []DeviceScript) map[core.DeviceID]bool {
@@ -1207,9 +1237,7 @@ func (n *NM) bindCreatesLocked(ds DeviceScript, resp msg.CommandBatchResp, binds
 			if r.gone || r.kept {
 				continue
 			}
-			exports := r.toPipe != nil && r.toPipe.req.Lower != r.rule.Module &&
-				n.handleExporter(r.toPipe.req.Lower)
-			if exports || res.Pending || res.RuleID == "" {
+			if !n.handleProvider(r).IsZero() || res.Pending || res.RuleID == "" {
 				// The installed form embeds state the NM did not see (an
 				// exported handle) or is not installed yet: observe it
 				// for real next pass.
