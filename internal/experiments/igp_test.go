@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -427,4 +428,49 @@ func TestIGPColdStartRelayCounts(t *testing.T) {
 			t.Errorf("%s %s: %d LSA relays, want 1..%d", w.Family, w.Param, first, tc.budget)
 		}
 	}
+}
+
+// TestIGPColdStartSPFRuns pins the other half of the cold start's cost:
+// how often the modules compute routes. Every accepted LSA batch is
+// relayed and re-flooded, but an IGP module runs SPF only when a stored
+// LSA can change its confirmed graph or prefixes, so on the sequential
+// n=32 chain Σ spf-runs (pulled with listFieldsAndValues) is exact —
+// two builds agree — and well under one run per relayed batch, where it
+// used to be one per accepted batch plus two per device.
+func TestIGPColdStartSPFRuns(t *testing.T) {
+	const n = 32
+	coldStart := func() (spfRuns, relays int) {
+		t.Helper()
+		sc := GREIGPScenario()
+		tb, err := sc.Build(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Close()
+		tb.NM.Sequential = true
+		if _, err := sc.ConfigureLinear(tb, n); err != nil {
+			t.Fatal(err)
+		}
+		relays = tb.NM.Counters().RelayOut
+		for k := 1; k <= n; k++ {
+			fields, err := tb.NM.ListFields(core.Ref(core.NameIGP, rid(k), "igp"), "self")
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs, err := strconv.Atoi(fields["spf-runs"])
+			if err != nil || fields["routes"] == "0" {
+				t.Fatalf("%s: IGP fields %v: %v", rid(k), fields, err)
+			}
+			spfRuns += runs
+		}
+		return spfRuns, relays
+	}
+	first, relays := coldStart()
+	if second, _ := coldStart(); first != second {
+		t.Errorf("%d SPF runs on one build, %d on the next — not deterministic", first, second)
+	}
+	if first == 0 || 10*first > 6*relays {
+		t.Errorf("%d SPF runs for %d LSA relays, want 1..%d (0.6 per relay)", first, relays, 6*relays/10)
+	}
+	t.Logf("n=%d: %d SPF runs, %d LSA relays", n, first, relays)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 
@@ -36,20 +37,54 @@ import (
 // exists only if both ends advertise it), so a cut link disappears as
 // soon as either end re-originates, and an unreachable router's subnets
 // are withdrawn even while its stale LSA lingers in the database.
+//
+// # When SPF runs
+//
+// Every accepted LSA is stored and re-flooded, but routes are computed
+// only when the stored LSA can have changed them (storeLocked): its
+// prefixes differ from the LSA it replaces, or an edge to one of its old
+// or new neighbours flips between confirmed and unconfirmed. A seq-only
+// refresh, or an LSA naming a neighbour that has not listed it back,
+// floods without computing. The rule reads only database content, never
+// arrival order, so it holds under the concurrent executor; the module's
+// own originations always compute.
+//
+// showActual carries the O(1) summary (lsdb-size, adjacencies, routes);
+// the manager pulls per-LSA and per-route detail, and the spf-runs /
+// lsas-accepted counters, with listFieldsAndValues ("lsdb", "routes",
+// "self").
 type IGP struct {
 	device.BaseModule
 
 	mu sync.Mutex
 	// adjs maps this module's down pipes to their adjacencies.
 	adjs map[core.PipeID]*igpAdj // guarded by mu
-	// lsdb is the link-state database, keyed by origin module ref.
-	lsdb map[string]*igpLSA // guarded by mu
+	// origins interns module refs: each origin or neighbour an LSA names
+	// gets a dense index once, kept until the last adjacency goes.
+	origins map[string]int32 // guarded by mu
+	// lsdb is the link-state database, indexed by origins; nil where a
+	// router has been named as a neighbour but its LSA is not held.
+	lsdb []*igpLSA // guarded by mu
 	// seq is the sequence number of this module's own LSA.
 	seq uint64
-	// installed tracks the kernel routes this module owns, keyed by
-	// dst|via|dev, so recomputation withdraws exactly the stale ones.
-	installed map[string]kernel.Route // guarded by mu
+	// installed is the set of kernel routes this module owns, so
+	// recomputation withdraws exactly the stale ones.
+	installed map[routeKey]struct{} // guarded by mu
+	// desired is recompute's scratch set, kept only to reuse its storage.
+	desired map[routeKey]struct{} // guarded by mu
+	// spfRuns and lsasAccepted count route computations and stored peer
+	// LSAs (ListFields "self").
+	spfRuns, lsasAccepted int // guarded by mu
 }
+
+// routeKey identifies one owned kernel route.
+type routeKey struct {
+	dst netip.Prefix
+	via netip.Addr
+	dev string
+}
+
+func (r routeKey) String() string { return r.dst.String() + "|" + r.via.String() + "|" + r.dev }
 
 // igpAdj is one adjacency derived from an NM-created pipe (keyed by
 // the pipe id in IGP.adjs).
@@ -77,9 +112,10 @@ type igpLSA struct {
 	Addrs  []string `json:"addrs"`     // host addresses with prefix length
 	Nbrs   []string `json:"neighbors"` // adjacent IGP module refs
 
-	// prefixes is the parsed form of Addrs, filled on store (unexported,
-	// so it never rides the wire).
+	// prefixes is the parsed form of Addrs and nbrIdx the interned form
+	// of Nbrs, filled on store (unexported, so they never ride the wire).
 	prefixes []netip.Prefix
+	nbrIdx   []int32
 }
 
 func (l *igpLSA) parse() {
@@ -99,8 +135,9 @@ func NewIGP(svc device.Services, id core.ModuleID) *IGP {
 			Svc:    svc,
 		},
 		adjs:      make(map[core.PipeID]*igpAdj),
-		lsdb:      make(map[string]*igpLSA),
-		installed: make(map[string]kernel.Route),
+		origins:   make(map[string]int32),
+		installed: make(map[routeKey]struct{}),
+		desired:   make(map[routeKey]struct{}),
 	}
 }
 
@@ -117,12 +154,12 @@ func (g *IGP) Abstraction() core.Abstraction {
 	}
 }
 
-// Actual implements device.Module: the adjacencies (as pipes), the LSDB
-// summary and the owned routes, for showActual and reconciliation.
+// Actual implements device.Module: the adjacencies (as pipes) and the
+// database and route counts, for showActual and reconciliation.
 func (g *IGP) Actual() core.ModuleState {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st := core.ModuleState{Ref: g.Ref(), LowLevel: map[string]string{}}
+	st := core.ModuleState{Ref: g.Ref(), LowLevel: g.summaryLocked()}
 	for id, adj := range g.adjs {
 		p, ok := g.Svc.PipeByID(id)
 		if !ok {
@@ -133,12 +170,6 @@ func (g *IGP) Actual() core.ModuleState {
 		})
 	}
 	sort.Slice(st.Pipes, func(i, j int) bool { return st.Pipes[i].ID < st.Pipes[j].ID })
-	for origin, lsa := range g.lsdb {
-		st.LowLevel["lsa:"+origin] = fmt.Sprintf("seq=%d addrs=%d nbrs=%d", lsa.Seq, len(lsa.Addrs), len(lsa.Nbrs))
-	}
-	for key := range g.installed {
-		st.LowLevel["route:"+key] = "installed"
-	}
 	return st
 }
 
@@ -158,26 +189,24 @@ func (g *IGP) localAddrs() []netip.Prefix {
 	return out
 }
 
-// ownLSALocked builds this module's current LSA. Caller holds g.mu.
-func (g *IGP) ownLSALocked() *igpLSA {
+// originateLocked bumps this module's sequence number, then builds and
+// stores its current LSA. Caller holds g.mu.
+func (g *IGP) originateLocked() *igpLSA {
+	g.seq++
 	lsa := &igpLSA{Origin: g.Ref().String(), Seq: g.seq}
 	for _, p := range g.localAddrs() {
 		lsa.Addrs = append(lsa.Addrs, p.String())
 	}
 	sort.Strings(lsa.Addrs)
-	seen := map[string]bool{}
-	for _, adj := range g.adjs {
-		if !seen[adj.nbr.String()] {
-			seen[adj.nbr.String()] = true
-			lsa.Nbrs = append(lsa.Nbrs, adj.nbr.String())
-		}
+	for _, nbr := range g.neighborsLocked() {
+		lsa.Nbrs = append(lsa.Nbrs, nbr.String())
 	}
-	sort.Strings(lsa.Nbrs)
-	lsa.parse()
+	g.storeLocked(lsa)
 	return lsa
 }
 
-// neighbors snapshots the distinct adjacent IGP modules. Caller holds g.mu.
+// neighborsLocked snapshots the distinct adjacent IGP modules, sorted.
+// Caller holds g.mu.
 func (g *IGP) neighborsLocked() []core.ModuleRef {
 	var out []core.ModuleRef
 	seen := map[string]bool{}
@@ -195,9 +224,7 @@ func (g *IGP) neighborsLocked() []core.ModuleRef {
 // and floods it to every neighbour, then recomputes routes.
 func (g *IGP) reoriginate() {
 	g.mu.Lock()
-	g.seq++
-	lsa := g.ownLSALocked()
-	g.lsdb[lsa.Origin] = lsa
+	lsa := g.originateLocked()
 	nbrs := g.neighborsLocked()
 	g.mu.Unlock()
 	for _, nbr := range nbrs {
@@ -238,13 +265,9 @@ func (g *IGP) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 	}
 	g.mu.Lock()
 	g.adjs[p.ID] = &igpAdj{nbr: nbr}
-	g.seq++
-	own := g.ownLSALocked()
-	g.lsdb[own.Origin] = own
-	var db []*igpLSA
-	for _, origin := range g.sortedOriginsLocked() {
-		db = append(db, g.lsdb[origin])
-	}
+	own := g.originateLocked()
+	db := g.heldLocked()
+	sort.Slice(db, func(i, j int) bool { return db[i].Origin < db[j].Origin })
 	var others []core.ModuleRef
 	for _, n := range g.neighborsLocked() {
 		if n != nbr {
@@ -277,15 +300,10 @@ func (g *IGP) PipeDeleted(p *device.Pipe, side device.PipeSide) error {
 	delete(g.adjs, p.ID)
 	last := len(g.adjs) == 0
 	if last {
-		k := g.Svc.Kernel()
-		for _, rt := range g.installed {
-			rt := rt
-			k.DelRouteWhere("main", func(r kernel.Route) bool {
-				return r.Dst == rt.Dst && r.Via == rt.Via && r.Dev == rt.Dev
-			})
+		for key := range g.installed {
+			g.withdrawLocked(key)
 		}
-		g.installed = make(map[string]kernel.Route)
-		g.lsdb = make(map[string]*igpLSA)
+		g.origins, g.lsdb = make(map[string]int32), nil
 	}
 	g.mu.Unlock()
 	if !last {
@@ -294,19 +312,80 @@ func (g *IGP) PipeDeleted(p *device.Pipe, side device.PipeSide) error {
 	return nil
 }
 
-func (g *IGP) sortedOriginsLocked() []string {
-	origins := make([]string, 0, len(g.lsdb))
-	for o := range g.lsdb {
-		origins = append(origins, o)
+// withdrawLocked removes one owned route from the kernel and the set.
+func (g *IGP) withdrawLocked(key routeKey) {
+	g.Svc.Kernel().DelRouteWhere("main", func(r kernel.Route) bool {
+		return r.Dst == key.dst && r.Via == key.via && r.Dev == key.dev
+	})
+	delete(g.installed, key)
+}
+
+// internLocked returns ref's dense index, assigning the next one on
+// first sight.
+func (g *IGP) internLocked(ref string) int32 {
+	i, ok := g.origins[ref]
+	if !ok {
+		i = int32(len(g.lsdb))
+		g.origins[ref] = i
+		g.lsdb = append(g.lsdb, nil)
 	}
-	sort.Strings(origins)
-	return origins
+	return i
+}
+
+// lsaLocked returns the stored LSA of ref, or nil.
+func (g *IGP) lsaLocked(ref string) *igpLSA {
+	if i, ok := g.origins[ref]; ok {
+		return g.lsdb[i]
+	}
+	return nil
+}
+
+// heldLocked lists the LSAs the database holds, in index order.
+func (g *IGP) heldLocked() []*igpLSA {
+	held := make([]*igpLSA, 0, len(g.lsdb))
+	for _, lsa := range g.lsdb {
+		if lsa != nil {
+			held = append(held, lsa)
+		}
+	}
+	return held
+}
+
+// storeLocked files lsa in the database and reports whether routes can
+// have changed: the origin's prefixes differ from the LSA it replaces
+// (a first LSA matters only through its edges — an origin with none
+// confirmed is unreachable), or some neighbour that lists the origin
+// back is named by exactly one of the old and new LSA, which flips that
+// edge's confirmed status.
+func (g *IGP) storeLocked(lsa *igpLSA) bool {
+	lsa.parse()
+	for _, nbr := range lsa.Nbrs {
+		lsa.nbrIdx = append(lsa.nbrIdx, g.internLocked(nbr))
+	}
+	at := g.internLocked(lsa.Origin)
+	old := g.lsdb[at]
+	g.lsdb[at] = lsa
+	if old == nil { // nothing to differ from, and every neighbour is new
+		old = &igpLSA{prefixes: lsa.prefixes}
+	}
+	return !slices.Equal(old.prefixes, lsa.prefixes) || g.flipsLocked(at, old, lsa) || g.flipsLocked(at, lsa, old)
+}
+
+// flipsLocked reports whether a names a neighbour b does not, whose own
+// LSA lists the origin at index at.
+func (g *IGP) flipsLocked(at int32, a, b *igpLSA) bool {
+	for _, n := range a.nbrIdx {
+		if peer := g.lsdb[n]; peer != nil && !slices.Contains(b.nbrIdx, n) && slices.Contains(peer.nbrIdx, at) {
+			return true
+		}
+	}
+	return false
 }
 
 // HandleConvey implements device.Module: accept every LSA in the batch
 // that is news (higher sequence number than what we hold), re-flood the
 // accepted ones — as one batch per neighbour — and recompute routes
-// once.
+// once, if storing any of them can have changed the answer.
 func (g *IGP) HandleConvey(from core.ModuleRef, kind string, body []byte) error {
 	if kind != "igp-lsa" {
 		return nil
@@ -317,17 +396,18 @@ func (g *IGP) HandleConvey(from core.ModuleRef, kind string, body []byte) error 
 	}
 	g.mu.Lock()
 	var accepted []*igpLSA
+	compute := false
 	for _, lsa := range upd.LSAs {
 		if lsa == nil {
 			continue
 		}
-		if cur, ok := g.lsdb[lsa.Origin]; ok && cur.Seq >= lsa.Seq {
+		if cur := g.lsaLocked(lsa.Origin); cur != nil && cur.Seq >= lsa.Seq {
 			continue
 		}
-		lsa.parse()
-		g.lsdb[lsa.Origin] = lsa
+		compute = g.storeLocked(lsa) || compute
 		accepted = append(accepted, lsa)
 	}
+	g.lsasAccepted += len(accepted)
 	if len(accepted) == 0 {
 		g.mu.Unlock()
 		return nil
@@ -342,7 +422,9 @@ func (g *IGP) HandleConvey(from core.ModuleRef, kind string, body []byte) error 
 	for _, nbr := range flood {
 		g.sendUpdate(nbr, accepted)
 	}
-	g.recompute()
+	if compute {
+		g.recompute()
+	}
 	g.Svc.Kick()
 	return nil
 }
@@ -354,93 +436,71 @@ func (g *IGP) HandleConvey(from core.ModuleRef, kind string, body []byte) error 
 // current topology wants.
 func (g *IGP) recompute() {
 	g.mu.Lock()
-	self := g.Ref().String()
-	own, haveSelf := g.lsdb[self]
-	if !haveSelf || len(g.adjs) == 0 {
+	own := g.lsaLocked(g.Ref().String())
+	if own == nil || len(g.adjs) == 0 {
 		g.mu.Unlock()
 		return
 	}
+	g.spfRuns++
+	self := g.origins[own.Origin]
 
-	// Bidirectionally confirmed adjacency graph.
-	edges := make(map[string][]string, len(g.lsdb))
-	declared := func(lsa *igpLSA, nbr string) bool {
-		for _, n := range lsa.Nbrs {
-			if n == nbr {
-				return true
-			}
-		}
-		return false
+	// BFS from self over the bidirectionally confirmed edges, straight
+	// off the LSDB; firstHop[o] is the neighbour a packet toward o leaves
+	// through, -1 while o is unreached. Deterministic: neighbour lists
+	// arrive sorted.
+	firstHop := make([]int32, len(g.lsdb))
+	for i := range firstHop {
+		firstHop[i] = -1
 	}
-	for _, origin := range g.sortedOriginsLocked() {
-		lsa := g.lsdb[origin]
-		for _, nbr := range lsa.Nbrs {
-			if peer, ok := g.lsdb[nbr]; ok && declared(peer, origin) {
-				edges[origin] = append(edges[origin], nbr)
-			}
-		}
-	}
-
-	// BFS from self; firstHop[o] is the neighbour a packet toward o
-	// leaves through. Deterministic: origins and edge lists are sorted.
-	firstHop := map[string]string{}
-	queue := []string{self}
-	visited := map[string]bool{self: true}
-	for len(queue) > 0 {
+	firstHop[self] = self
+	queue := append(make([]int32, 0, len(g.lsdb)), self)
+	for ; len(queue) > 0; queue = queue[1:] {
 		cur := queue[0]
-		queue = queue[1:]
-		for _, next := range edges[cur] {
-			if visited[next] {
+		for _, next := range g.lsdb[cur].nbrIdx {
+			peer := g.lsdb[next]
+			if firstHop[next] >= 0 || peer == nil || !slices.Contains(peer.nbrIdx, cur) {
 				continue
 			}
-			visited[next] = true
+			firstHop[next] = firstHop[cur]
 			if cur == self {
 				firstHop[next] = next
-			} else {
-				firstHop[next] = firstHop[cur]
 			}
 			queue = append(queue, next)
 		}
 	}
 
-	// Local subnets are never routed: they are directly connected.
-	local := map[netip.Prefix]bool{}
-	for _, p := range own.prefixes {
-		local[p.Masked()] = true
-	}
-
-	// Desired routes: every reachable remote subnet via the next-hop
-	// address — the first-hop neighbour's address inside one of our
-	// connected subnets.
+	// Desired routes: every reachable remote subnet (local ones are
+	// directly connected, never routed) via the next-hop address — the
+	// first-hop neighbour's address inside one of our connected subnets.
 	k := g.Svc.Kernel()
-	desired := map[string]kernel.Route{}
-	for _, origin := range g.sortedOriginsLocked() {
-		if origin == self {
+	clear(g.desired)
+	local := make([]netip.Prefix, 0, len(own.prefixes))
+	for _, p := range own.prefixes {
+		local = append(local, p.Masked())
+	}
+	nextHops := map[int32]routeKey{}
+	for o, lsa := range g.lsdb {
+		hop := firstHop[o]
+		if lsa == nil || hop < 0 || int32(o) == self {
 			continue
 		}
-		hop, reachable := firstHop[origin]
-		if !reachable {
-			continue
-		}
-		hopLSA := g.lsdb[hop]
-		var via netip.Addr
-		var dev string
-		for _, p := range hopLSA.prefixes {
-			if iface, _, ok := k.IfaceForSubnet(p.Addr()); ok {
-				via, dev = p.Addr(), iface
-				break
+		nh, resolved := nextHops[hop]
+		if !resolved {
+			for _, p := range g.lsdb[hop].prefixes {
+				if iface, _, ok := k.IfaceForSubnet(p.Addr()); ok {
+					nh = routeKey{via: p.Addr(), dev: iface}
+					break
+				}
 			}
+			nextHops[hop] = nh
 		}
-		if !via.IsValid() {
+		if !nh.via.IsValid() {
 			continue // adjacency formed but no shared subnet yet
 		}
-		for _, p := range g.lsdb[origin].prefixes {
-			dst := p.Masked()
-			if local[dst] {
-				continue
-			}
-			key := dst.String() + "|" + via.String() + "|" + dev
-			if _, dup := desired[key]; !dup {
-				desired[key] = kernel.Route{Dst: dst, Via: via, Dev: dev, MPLSKey: -1}
+		for _, p := range lsa.prefixes {
+			nh.dst = p.Masked()
+			if !slices.Contains(local, nh.dst) {
+				g.desired[nh] = struct{}{}
 			}
 		}
 	}
@@ -448,32 +508,29 @@ func (g *IGP) recompute() {
 	// Reconcile the kernel under the module lock (kernel calls never
 	// re-enter the module, and the g.mu -> kernel.mu order is the one
 	// every module method uses), so two concurrent recomputations cannot
-	// interleave their installs and withdrawals.
-	changed := false
-	for key, rt := range g.installed {
-		if _, keep := desired[key]; keep {
-			continue
-		}
-		rt := rt
-		k.DelRouteWhere("main", func(r kernel.Route) bool {
-			return r.Dst == rt.Dst && r.Via == rt.Via && r.Dev == rt.Dev
-		})
-		delete(g.installed, key)
-		changed = true
+	// interleave their installs and withdrawals. New routes go in sorted
+	// by their dst|via|dev string, the only place it is built.
+	type namedRoute struct {
+		name string
+		key  routeKey
 	}
-	keys := make([]string, 0, len(desired))
-	for key := range desired {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		if _, have := g.installed[key]; have {
-			continue
+	var add []namedRoute
+	for key := range g.desired {
+		if _, have := g.installed[key]; !have {
+			add = append(add, namedRoute{key.String(), key})
 		}
-		rt := desired[key]
-		_ = k.AddRoute("", rt)
-		g.installed[key] = rt
-		changed = true
+	}
+	changed := len(add) > 0
+	for key := range g.installed {
+		if _, keep := g.desired[key]; !keep {
+			g.withdrawLocked(key)
+			changed = true
+		}
+	}
+	sort.Slice(add, func(i, j int) bool { return add[i].name < add[j].name })
+	for _, a := range add {
+		_ = k.AddRoute("", kernel.Route{Dst: a.key.dst, Via: a.key.via, Dev: a.key.dev, MPLSKey: -1})
+		g.installed[a.key] = struct{}{}
 	}
 	g.mu.Unlock()
 
@@ -490,16 +547,37 @@ func (g *IGP) RouteCount() int {
 	return len(g.installed)
 }
 
-// ListFields implements device.Module: convergence status for operators
-// and the NM's debugging walk.
+// summaryLocked is the O(1)-sized convergence status showActual pushes.
+func (g *IGP) summaryLocked() map[string]string {
+	return map[string]string{
+		"lsdb-size":   fmt.Sprint(len(g.heldLocked())),
+		"adjacencies": fmt.Sprint(len(g.adjs)),
+		"routes":      fmt.Sprint(len(g.installed)),
+	}
+}
+
+// ListFields implements device.Module, for operators and the NM's
+// debugging walk: "lsdb" and "routes" list the database and the owned
+// routes entry by entry; any other component ("self") is the summary
+// plus the SPF churn counters.
 func (g *IGP) ListFields(component string) (map[string]string, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return map[string]string{
-		"lsdb-size":   fmt.Sprint(len(g.lsdb)),
-		"adjacencies": fmt.Sprint(len(g.adjs)),
-		"routes":      fmt.Sprint(len(g.installed)),
-	}, nil
+	out := map[string]string{}
+	switch component {
+	case "lsdb":
+		for _, lsa := range g.heldLocked() {
+			out["lsa:"+lsa.Origin] = fmt.Sprintf("seq=%d addrs=%d nbrs=%d", lsa.Seq, len(lsa.Addrs), len(lsa.Nbrs))
+		}
+	case "routes":
+		for key := range g.installed {
+			out["route:"+key.String()] = "installed"
+		}
+	default:
+		out = g.summaryLocked()
+		out["spf-runs"], out["lsas-accepted"] = fmt.Sprint(g.spfRuns), fmt.Sprint(g.lsasAccepted)
+	}
+	return out, nil
 }
 
 // SelfTest implements device.Module: an IGP is healthy when every
@@ -511,14 +589,12 @@ func (g *IGP) SelfTest(pipe core.PipeID) (bool, string) {
 	if !ok {
 		return false, fmt.Sprintf("no adjacency on pipe %s", pipe)
 	}
-	lsa, ok := g.lsdb[adj.nbr.String()]
-	if !ok {
+	lsa := g.lsaLocked(adj.nbr.String())
+	if lsa == nil {
 		return false, fmt.Sprintf("no LSA from neighbour %s", adj.nbr)
 	}
-	for _, n := range lsa.Nbrs {
-		if n == g.Ref().String() {
-			return true, fmt.Sprintf("adjacency with %s confirmed (seq %d)", adj.nbr, lsa.Seq)
-		}
+	if slices.Contains(lsa.Nbrs, g.Ref().String()) {
+		return true, fmt.Sprintf("adjacency with %s confirmed (seq %d)", adj.nbr, lsa.Seq)
 	}
 	return false, fmt.Sprintf("neighbour %s does not list us", adj.nbr)
 }

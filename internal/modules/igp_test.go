@@ -1,0 +1,452 @@
+package modules
+
+import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/netip"
+	"sort"
+	"testing"
+
+	"conman/internal/core"
+	"conman/internal/device"
+	"conman/internal/kernel"
+)
+
+// The IGP's route computation is incremental twice over — it runs only
+// when a stored LSA can have changed the answer, and it reconciles the
+// kernel by difference — so it is held to its from-scratch equivalent:
+// referenceRoutes is the always-recompute, string-keyed SPF the module
+// used to run on every accepted convey, kept here as the oracle.
+
+// referenceRoutes computes, from scratch, the routes a module holding
+// lsdb must own, keyed dst|via|dev.
+func referenceRoutes(self string, adjs int, lsdb map[string]*igpLSA, k *kernel.Kernel) map[string]kernel.Route {
+	sortedOrigins := func() []string {
+		origins := make([]string, 0, len(lsdb))
+		for o := range lsdb {
+			origins = append(origins, o)
+		}
+		sort.Strings(origins)
+		return origins
+	}
+	desired := map[string]kernel.Route{}
+	own, haveSelf := lsdb[self]
+	if !haveSelf || adjs == 0 {
+		return desired
+	}
+
+	// Bidirectionally confirmed adjacency graph.
+	edges := make(map[string][]string, len(lsdb))
+	declared := func(lsa *igpLSA, nbr string) bool {
+		for _, n := range lsa.Nbrs {
+			if n == nbr {
+				return true
+			}
+		}
+		return false
+	}
+	for _, origin := range sortedOrigins() {
+		lsa := lsdb[origin]
+		for _, nbr := range lsa.Nbrs {
+			if peer, ok := lsdb[nbr]; ok && declared(peer, origin) {
+				edges[origin] = append(edges[origin], nbr)
+			}
+		}
+	}
+
+	// BFS from self; firstHop[o] is the neighbour a packet toward o
+	// leaves through. Deterministic: origins and edge lists are sorted.
+	firstHop := map[string]string{}
+	queue := []string{self}
+	visited := map[string]bool{self: true}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, next := range edges[cur] {
+			if visited[next] {
+				continue
+			}
+			visited[next] = true
+			if cur == self {
+				firstHop[next] = next
+			} else {
+				firstHop[next] = firstHop[cur]
+			}
+			queue = append(queue, next)
+		}
+	}
+
+	// Local subnets are never routed: they are directly connected.
+	local := map[netip.Prefix]bool{}
+	for _, p := range own.prefixes {
+		local[p.Masked()] = true
+	}
+
+	// Desired routes: every reachable remote subnet via the next-hop
+	// address — the first-hop neighbour's address inside one of our
+	// connected subnets.
+	for _, origin := range sortedOrigins() {
+		if origin == self {
+			continue
+		}
+		hop, reachable := firstHop[origin]
+		if !reachable {
+			continue
+		}
+		hopLSA := lsdb[hop]
+		var via netip.Addr
+		var dev string
+		for _, p := range hopLSA.prefixes {
+			if iface, _, ok := k.IfaceForSubnet(p.Addr()); ok {
+				via, dev = p.Addr(), iface
+				break
+			}
+		}
+		if !via.IsValid() {
+			continue // adjacency formed but no shared subnet yet
+		}
+		for _, p := range lsdb[origin].prefixes {
+			dst := p.Masked()
+			if local[dst] {
+				continue
+			}
+			key := dst.String() + "|" + via.String() + "|" + dev
+			if _, dup := desired[key]; !dup {
+				desired[key] = kernel.Route{Dst: dst, Via: via, Dev: dev, MPLSKey: -1}
+			}
+		}
+	}
+	return desired
+}
+
+// lsdbOf and ownedRoutes read a module's database and owned route keys
+// in the oracle's terms.
+func lsdbOf(g *IGP) (lsdb map[string]*igpLSA, adjs int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	lsdb = make(map[string]*igpLSA, len(g.lsdb))
+	for _, lsa := range g.heldLocked() {
+		lsdb[lsa.Origin] = lsa
+	}
+	return lsdb, len(g.adjs)
+}
+
+func ownedRoutes(g *IGP) []string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	keys := make([]string, 0, len(g.installed))
+	for key := range g.installed {
+		keys = append(keys, key.String())
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// igpNet is a mini-network of IGP modules on real kernels. Conveys are
+// queued and delivered one at a time in seeded-shuffled order, so a run
+// explores an arrival order the synchronous hub never produces and
+// replays exactly from its seed.
+type igpNet struct {
+	t     *testing.T
+	rng   *rand.Rand
+	nodes []*igpNode
+	byRef map[core.ModuleRef]*igpNode
+	queue []igpMsg
+	pipes int
+}
+
+type igpMsg struct {
+	from, to core.ModuleRef
+	kind     string
+	body     []byte
+}
+
+// igpNode is one router: the module, its kernel and the fake MA
+// services between them.
+type igpNode struct {
+	device.Services // the methods an IGP never calls stay nil
+	net             *igpNet
+	dev             core.DeviceID
+	k               *kernel.Kernel
+	g               *IGP
+	pipes           map[core.PipeID]*device.Pipe
+	adj             map[int]core.PipeID // neighbour index -> our adjacency pipe
+}
+
+func (n *igpNode) Device() core.DeviceID  { return n.dev }
+func (n *igpNode) Kernel() *kernel.Kernel { return n.k }
+func (n *igpNode) Kick()                  {}
+func (n *igpNode) PipeByID(id core.PipeID) (*device.Pipe, bool) {
+	p, ok := n.pipes[id]
+	return p, ok
+}
+func (n *igpNode) Convey(from, to core.ModuleRef, kind string, body any) error {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return err
+	}
+	n.net.queue = append(n.net.queue, igpMsg{from: from, to: to, kind: kind, body: raw})
+	return nil
+}
+
+// newIGPNet builds n routers wired as a ring plus chords random chords.
+// Every link is a /30 with an address on each end, every router has a
+// stub LAN, and the last two routers share one LAN prefix so a
+// destination reachable through two origins is covered.
+func newIGPNet(t *testing.T, seed int64, n, chords int) (*igpNet, [][2]int) {
+	t.Helper()
+	net := &igpNet{t: t, rng: rand.New(rand.NewSource(seed)), byRef: map[core.ModuleRef]*igpNode{}}
+	for i := 0; i < n; i++ {
+		dev := core.DeviceID(fmt.Sprintf("R%03d", i))
+		node := &igpNode{net: net, dev: dev, pipes: map[core.PipeID]*device.Pipe{}, adj: map[int]core.PipeID{}}
+		node.k = kernel.New(dev, kernel.RoleRouter, func(string, []byte) error { return nil }, nil)
+		lan := i
+		if i == n-1 {
+			lan = n - 2
+		}
+		node.k.AddLAN("lan0", netip.MustParsePrefix(fmt.Sprintf("172.16.%d.%d/24", lan, 1+i-lan)))
+		node.g = NewIGP(node, "igp")
+		net.nodes = append(net.nodes, node)
+		net.byRef[node.g.Ref()] = node
+	}
+	var links [][2]int
+	seen := map[[2]int]bool{}
+	link := func(a, b int) {
+		if a > b {
+			a, b = b, a
+		}
+		if a == b || seen[[2]int{a, b}] {
+			return
+		}
+		seen[[2]int{a, b}] = true
+		e := len(links)
+		links = append(links, [2]int{a, b})
+		for side, i := range []int{a, b} {
+			iface := fmt.Sprintf("eth%d", e)
+			net.nodes[i].k.AddPhysical(iface)
+			addr := netip.MustParsePrefix(fmt.Sprintf("10.%d.%d.%d/30", e/256, e%256, side+1))
+			if err := net.nodes[i].k.AddAddr(iface, addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		link(i, (i+1)%n)
+	}
+	for c := 0; c < chords; c++ {
+		link(net.rng.Intn(n), net.rng.Intn(n))
+	}
+	return net, links
+}
+
+// attach creates node a's adjacency pipe toward node b, as the NM's
+// createPipe on a's device would.
+func (net *igpNet) attach(a, b int) {
+	net.t.Helper()
+	na, nb := net.nodes[a], net.nodes[b]
+	net.pipes++
+	p := &device.Pipe{
+		ID:        core.PipeID(fmt.Sprintf("P%d", net.pipes)),
+		Upper:     na.g.Ref(),
+		Lower:     core.Ref(core.NameIPv4, na.dev, "ip"),
+		UpperPeer: nb.g.Ref(),
+		LowerPeer: core.Ref(core.NameIPv4, nb.dev, "ip"),
+	}
+	na.pipes[p.ID], na.adj[b] = p, p.ID
+	if err := na.g.PipeAttached(p, device.SideUpper); err != nil {
+		net.t.Fatal(err)
+	}
+	net.check(na, "attach")
+}
+
+// detach deletes node a's adjacency pipe toward node b.
+func (net *igpNet) detach(a, b int) {
+	net.t.Helper()
+	na := net.nodes[a]
+	p := na.pipes[na.adj[b]]
+	delete(na.pipes, p.ID)
+	delete(na.adj, b)
+	if err := na.g.PipeDeleted(p, device.SideUpper); err != nil {
+		net.t.Fatal(err)
+	}
+	net.check(na, "detach")
+}
+
+// deliver hands one queued convey, chosen at random, to its module and
+// checks the module it changed.
+func (net *igpNet) deliver() {
+	net.t.Helper()
+	i := net.rng.Intn(len(net.queue))
+	m := net.queue[i]
+	net.queue[i] = net.queue[len(net.queue)-1]
+	net.queue = net.queue[:len(net.queue)-1]
+	to := net.byRef[m.to]
+	if err := to.g.HandleConvey(m.from, m.kind, m.body); err != nil {
+		net.t.Fatal(err)
+	}
+	net.check(to, "deliver")
+}
+
+// drain delivers until no convey is in flight, then checks every module.
+func (net *igpNet) drain() {
+	net.t.Helper()
+	for len(net.queue) > 0 {
+		net.deliver()
+	}
+	for _, node := range net.nodes {
+		net.check(node, "quiescent")
+	}
+}
+
+// check holds one module to the oracle: the routes it owns are exactly
+// what a from-scratch computation over its database gives, and the
+// kernel's main table holds exactly those gateway routes, once each.
+func (net *igpNet) check(node *igpNode, when string) {
+	net.t.Helper()
+	lsdb, adjs := lsdbOf(node.g)
+	want := referenceRoutes(node.g.Ref().String(), adjs, lsdb, node.k)
+	wantKeys := make([]string, 0, len(want))
+	for key := range want {
+		wantKeys = append(wantKeys, key)
+	}
+	sort.Strings(wantKeys)
+	if got := ownedRoutes(node.g); fmt.Sprint(got) != fmt.Sprint(wantKeys) {
+		net.t.Fatalf("%s after %s: module owns %d routes %v\nfrom-scratch over its LSDB gives %d %v", node.dev, when, len(got), got, len(wantKeys), wantKeys)
+	}
+	inKernel := map[string]int{}
+	for _, rt := range node.k.Routes("main") {
+		if rt.Via.IsValid() {
+			inKernel[rt.Dst.String()+"|"+rt.Via.String()+"|"+rt.Dev]++
+		}
+	}
+	for key, count := range inKernel {
+		if _, ok := want[key]; !ok || count != 1 {
+			net.t.Fatalf("%s after %s: kernel holds %s ×%d, from-scratch wants it: %v", node.dev, when, key, count, ok)
+		}
+	}
+	if len(inKernel) != len(want) {
+		net.t.Fatalf("%s after %s: kernel holds %d gateway routes, from-scratch wants %d", node.dev, when, len(inKernel), len(want))
+	}
+}
+
+// TestIGPRoutesMatchFromScratchOracle brings random ring+chords
+// networks up side by side in random order, then churns adjacencies,
+// delivering conveys in shuffled order throughout; after every delivered
+// message and event the module it touched, and at quiescence every
+// module, agrees with referenceRoutes.
+func TestIGPRoutesMatchFromScratchOracle(t *testing.T) {
+	sizes := []int{6, 12, 24}
+	if testing.Short() {
+		sizes = []int{6, 12}
+	}
+	for _, n := range sizes {
+		for seed := int64(1); seed <= 8; seed++ {
+			net, links := newIGPNet(t, seed*100+int64(n), n, n/3)
+			// Bring-up: every side of every link, in random order, with
+			// deliveries interleaved.
+			var sides [][2]int
+			for _, l := range links {
+				sides = append(sides, l, [2]int{l[1], l[0]})
+			}
+			net.rng.Shuffle(len(sides), func(i, j int) { sides[i], sides[j] = sides[j], sides[i] })
+			for _, s := range sides {
+				net.attach(s[0], s[1])
+				for k := net.rng.Intn(4); k > 0 && len(net.queue) > 0; k-- {
+					net.deliver()
+				}
+			}
+			net.drain()
+			for _, node := range net.nodes {
+				if lsdb, _ := lsdbOf(node.g); len(lsdb) != n || node.g.RouteCount() == 0 {
+					t.Fatalf("n=%d seed=%d: %s did not converge after bring-up: %d LSAs, %d routes", n, seed, node.dev, len(lsdb), node.g.RouteCount())
+				}
+			}
+			// Churn: flip random sides (delete an attached one, attach a
+			// missing one) while earlier floods are still in flight; one
+			// event in four first gives the router a new stub LAN, so its
+			// next LSA changes prefixes as well as neighbours.
+			for ev := 0; ev < 3*n; ev++ {
+				s := sides[net.rng.Intn(len(sides))]
+				if net.rng.Intn(4) == 0 {
+					net.nodes[s[0]].k.AddLAN(fmt.Sprintf("lan%d", ev+1), netip.MustParsePrefix(fmt.Sprintf("172.17.%d.1/24", ev)))
+				}
+				if _, up := net.nodes[s[0]].adj[s[1]]; up {
+					net.detach(s[0], s[1])
+				} else {
+					net.attach(s[0], s[1])
+				}
+				for k := net.rng.Intn(6); k > 0 && len(net.queue) > 0; k-- {
+					net.deliver()
+				}
+			}
+			net.drain()
+		}
+	}
+}
+
+// TestIGPSPFRunsOnlyWhenRoutesCanChange walks one module through the
+// skip rule: every accepted LSA is re-flooded, but SPF runs only for the
+// ones that flip a confirmed edge or change prefixes; losing the last
+// adjacency empties routes, database and intern table.
+func TestIGPSPFRunsOnlyWhenRoutesCanChange(t *testing.T) {
+	net, _ := newIGPNet(t, 1, 4, 0) // ring A(0)—B(1)—C(2)—D(3)—A
+	a, b, c, d := net.nodes[0], net.nodes[1], net.nodes[2], net.nodes[3]
+	ref := func(n *igpNode) string { return n.g.Ref().String() }
+	net.attach(0, 1)
+	net.attach(0, 3)
+	if a.g.spfRuns != 2 {
+		t.Fatalf("two own originations ran SPF %d times, want 2", a.g.spfRuns)
+	}
+
+	bAddrs := []string{"10.0.0.2/30", "10.0.1.1/30", "172.16.1.1/24"}
+	for _, step := range []struct {
+		name      string
+		lsa       igpLSA
+		spf       int  // SPF runs this LSA must cause
+		reflooded bool // accepted and passed on to D
+		routes    int  // routes A owns afterwards
+	}{
+		{"B lists A back: edge A—B confirmed", igpLSA{Origin: ref(b), Seq: 1, Addrs: bAddrs, Nbrs: []string{ref(a)}}, 1, true, 2},
+		{"seq-only refresh", igpLSA{Origin: ref(b), Seq: 2, Addrs: bAddrs, Nbrs: []string{ref(a)}}, 0, true, 2},
+		{"B adds C, who has not listed B", igpLSA{Origin: ref(b), Seq: 3, Addrs: bAddrs, Nbrs: []string{ref(a), ref(c)}}, 0, true, 2},
+		{"C reciprocates: edge B—C confirmed", igpLSA{Origin: ref(c), Seq: 1, Addrs: []string{"10.0.1.2/30", "172.16.2.1/24"}, Nbrs: []string{ref(b)}}, 1, true, 3},
+		{"B's prefixes change", igpLSA{Origin: ref(b), Seq: 4, Addrs: append([]string{"172.18.0.1/24"}, bAddrs...), Nbrs: []string{ref(a), ref(c)}}, 1, true, 4},
+		{"B drops C", igpLSA{Origin: ref(b), Seq: 5, Addrs: bAddrs, Nbrs: []string{ref(a)}}, 1, true, 2},
+		{"duplicate of the last", igpLSA{Origin: ref(b), Seq: 5, Addrs: bAddrs, Nbrs: []string{ref(a)}}, 0, false, 2},
+	} {
+		net.queue = nil
+		before := a.g.spfRuns
+		body, err := json.Marshal(igpUpdate{LSAs: []*igpLSA{&step.lsa}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.g.HandleConvey(b.g.Ref(), "igp-lsa", body); err != nil {
+			t.Fatal(err)
+		}
+		net.check(a, step.name)
+		if got := a.g.spfRuns - before; got != step.spf {
+			t.Errorf("%s: %d SPF runs, want %d", step.name, got, step.spf)
+		}
+		if reflooded := len(net.queue) == 1 && net.queue[0].to == d.g.Ref(); reflooded != step.reflooded {
+			t.Errorf("%s: re-flooded to D = %v (queue %d), want %v", step.name, reflooded, len(net.queue), step.reflooded)
+		}
+		if got := a.g.RouteCount(); got != step.routes {
+			t.Errorf("%s: %d routes %v, want %d", step.name, got, ownedRoutes(a.g), step.routes)
+		}
+	}
+
+	fields, err := a.g.ListFields("self")
+	if err != nil || fields["spf-runs"] != "6" || fields["lsas-accepted"] != "6" || fields["lsdb-size"] != "3" {
+		t.Errorf("ListFields(self) = %v, %v; want spf-runs 6, lsas-accepted 6, lsdb-size 3", fields, err)
+	}
+	net.detach(0, 1)
+	if a.g.RouteCount() != 0 {
+		t.Errorf("with edge A—B gone A still owns %v", ownedRoutes(a.g))
+	}
+	net.detach(0, 3)
+	if lsdb, _ := lsdbOf(a.g); len(lsdb) != 0 || len(a.g.lsdb) != 0 || len(a.g.origins) != 0 || a.g.RouteCount() != 0 {
+		t.Errorf("after the last adjacency: %d LSAs, %d database slots, %d interned origins, %d routes; want none", len(lsdb), len(a.g.lsdb), len(a.g.origins), a.g.RouteCount())
+	}
+	net.check(a, "last adjacency deleted")
+}
