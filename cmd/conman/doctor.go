@@ -73,9 +73,11 @@ func runDoctor(_ string, args []string) error {
 		hits, misses, rate,
 		counterOf(st.Metrics, "conman_observes_total"),
 		counterOf(st.Metrics, "conman_store_recompiles_total"))
-	fmt.Printf("  journal:     %d entries, %d snapshots\n",
+	fmt.Printf("  journal:     %d entries, %d snapshots, %d bytes journaled since the last snapshot of %d bytes\n",
 		counterOf(st.Metrics, "conman_journal_entries_total"),
-		counterOf(st.Metrics, "conman_snapshot_writes_total"))
+		counterOf(st.Metrics, "conman_snapshot_writes_total"),
+		counterOf(st.Metrics, "conman_journal_bytes_since_snapshot"),
+		counterOf(st.Metrics, "conman_snapshot_bytes"))
 
 	if !st.Healthy() {
 		fmt.Println("UNHEALTHY")

@@ -29,8 +29,13 @@ func sortedPlanLines(t *testing.T, plan *nm.StorePlan) string {
 }
 
 // liteChurn applies n random submit/withdraw mutations to the store,
-// keeping live in step, and leaves at least one intent registered.
-func liteChurn(t *testing.T, tb *Testbed, rng *rand.Rand, live map[int]bool, k, n int) {
+// keeping live in step, and leaves at least one intent registered. With
+// remerge set the mix also re-merges registered intents out of
+// registration order: an update moves customer j between port j and its
+// spare port k+j (the testbed has 2k), and now and then the update is
+// first one that cannot compile — the pass fails, everything dirty behind
+// it waits — and is repaired afterwards.
+func liteChurn(t *testing.T, tb *Testbed, rng *rand.Rand, live map[int]bool, k, n int, remerge bool) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		j := 1 + rng.Intn(k)
@@ -39,6 +44,18 @@ func liteChurn(t *testing.T, tb *Testbed, rng *rand.Rand, live map[int]bool, k, 
 		case !live[j]:
 			err = tb.NM.Submit(LiteIntent(j))
 			live[j] = true
+		case remerge && rng.Intn(3) == 0:
+			if rng.Intn(4) == 0 {
+				bad := LiteIntent(j)
+				bad.Prefer = "no such flavour"
+				if err := tb.NM.Update(bad); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tb.NM.PlanStore(); err == nil {
+					t.Fatalf("a store holding %+v planned without error", bad)
+				}
+			}
+			err = tb.NM.Update(liteIntentOn(j, j+k*rng.Intn(2)))
 		case len(live) > 1:
 			err = tb.NM.Withdraw(LiteIntent(j).Name)
 			delete(live, j)
@@ -70,6 +87,12 @@ func settle(t *testing.T, tb *Testbed) *nm.StorePlan {
 // cached observations (a SetDomain of a name no goal uses moves the
 // compile generation), then the full rematch against fresh ones. Each
 // supersedes — drops — the one before.
+//
+// The two full plans come from a store rebuilt from scratch, in
+// registration order; the delta plan comes from one that got there by
+// churn, re-merging in whatever order updates and failed passes left.
+// Their per-intent views must nevertheless agree line for line — order,
+// paths, exclusive and shared tallies — and follow Registered().
 func threePlans(t *testing.T, tb *Testbed, tag string) (delta, cached, fresh *nm.StorePlan) {
 	t.Helper()
 	var err error
@@ -90,7 +113,35 @@ func threePlans(t *testing.T, tb *Testbed, tag string) (delta, cached, fresh *nm
 	if fresh.Stats.Observed == 0 {
 		t.Fatalf("%s: fresh rematch observed nothing", tag)
 	}
+	var registered []string
+	for _, in := range tb.NM.Registered() {
+		registered = append(registered, in.Name)
+	}
+	want := viewLines(cached)
+	for name, p := range map[string]*nm.StorePlan{"delta": delta, "fresh full": fresh} {
+		if got := viewLines(p); got != want {
+			t.Fatalf("%s: %s plan's views differ from the rebuilt store's:\n%s\n--- rebuilt ---\n%s", tag, name, got, want)
+		}
+	}
+	var viewed []string
+	for _, v := range delta.Views {
+		viewed = append(viewed, v.Intent.Name)
+	}
+	if strings.Join(viewed, " ") != strings.Join(registered, " ") {
+		t.Fatalf("%s: views are ordered %v, the store registers %v", tag, viewed, registered)
+	}
 	return delta, cached, fresh
+}
+
+// viewLines is the per-intent half of a rendered store plan.
+func viewLines(plan *nm.StorePlan) string {
+	var lines []string
+	for _, line := range strings.Split(plan.Render(), "\n") {
+		if strings.HasPrefix(line, "  intent ") {
+			lines = append(lines, line)
+		}
+	}
+	return strings.Join(lines, "\n")
 }
 
 func TestFullRematchAgreesWithDelta(t *testing.T) {
@@ -100,17 +151,17 @@ func TestFullRematchAgreesWithDelta(t *testing.T) {
 	t.Run("converged", func(t *testing.T) {
 		const k, steps = 40, 120
 		for seed := int64(1); seed <= 8; seed++ {
-			tb, err := BuildDiamondLite(k)
+			tb, err := BuildDiamondLite(2 * k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(seed))
 			live := map[int]bool{}
-			liteChurn(t, tb, rng, live, k, 3)
+			liteChurn(t, tb, rng, live, k, 3, true)
 			for step := 0; step < steps; step++ {
 				switch r := rng.Intn(10); {
 				case r < 6:
-					liteChurn(t, tb, rng, live, k, 1)
+					liteChurn(t, tb, rng, live, k, 1, true)
 				case r < 8:
 					if _, err := tb.NM.PlanStore(); err != nil {
 						t.Fatal(err)
@@ -136,14 +187,18 @@ func TestFullRematchAgreesWithDelta(t *testing.T) {
 	t.Run("pending", func(t *testing.T) {
 		const k, rounds = 30, 6
 		for seed := int64(1); seed <= 10; seed++ {
-			tb, err := BuildDiamondLite(k)
+			tb, err := BuildDiamondLite(2 * k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(seed))
 			live := map[int]bool{}
 			for round := 0; round < rounds; round++ {
-				liteChurn(t, tb, rng, live, k, 1+rng.Intn(8))
+				// No re-merges until the trunk is installed: a component's
+				// [shared: ...] annotation lists its owners in merge order, so
+				// on a create it would differ from the rebuilt store's by the
+				// order alone.
+				liteChurn(t, tb, rng, live, k, 1+rng.Intn(8), round > 0)
 				if rng.Intn(2) == 0 {
 					// A dropped dry run first: the delta plan below then
 					// re-emits work it already handed wire ids to.

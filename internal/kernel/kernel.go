@@ -217,7 +217,12 @@ type Kernel struct {
 	ethHandler map[packet.EtherType]EtherTypeHandler
 	modules    map[string]bool // `insmod`/`modprobe` flags
 	probes     []ProbeEvent
-	execLog    []string
+	// awaited holds the tokens AwaitProbeReply calls are waiting on (one
+	// per concurrent waiter) and whether the reply came: the probe log is
+	// bounded, so under enough other traffic a reply can arrive and be
+	// evicted before its waiter looks again.
+	awaited map[uint32]bool
+	execLog []string
 
 	// OnProbe, when set, is invoked for every probe echo or reply the
 	// kernel delivers locally (module self-tests subscribe here).
@@ -261,6 +266,7 @@ func New(dev core.DeviceID, role Role, send func(port string, frame []byte) erro
 		arp:        make(map[netip.Addr]packet.MAC),
 		arpPending: make(map[netip.Addr][]pendingPkt),
 		udp:        make(map[uint16]UDPHandler),
+		awaited:    make(map[uint32]bool),
 		ethHandler: make(map[packet.EtherType]EtherTypeHandler),
 		modules:    make(map[string]bool),
 	}
@@ -982,6 +988,9 @@ func (k *Kernel) localDeliver(iif string, ip packet.IPv4, payload []byte, depth 
 			k.probes = append(k.probes[:0], k.probes[probeLogMax/2:]...)
 		}
 		k.probes = append(k.probes, ev)
+		if _, waiting := k.awaited[p.Token]; waiting && p.Op == packet.ProbeReply {
+			k.awaited[p.Token] = true
+		}
 		cb := k.OnProbe
 		k.mu.Unlock()
 		if cb != nil {
@@ -1147,25 +1156,31 @@ func (k *Kernel) SendProbeFrom(src, dst netip.Addr, token uint32) error {
 // AwaitProbeReply reports whether the reply to the probe echo sent with
 // the given token has been delivered locally. A send racing an active
 // netsim pump only enqueues its frame, so when the reply is not there
-// yet the kernel waits for the data plane to go quiet (Quiesce) and
-// looks once more — the read-after-send barrier module self-tests need.
+// yet the kernel registers the token, waits for the data plane to go
+// quiet (Quiesce) and asks whether delivery marked it — the
+// read-after-send barrier module self-tests need. Quiesce waits for
+// global quiet, which other senders can postpone long enough for the
+// bounded log to evict the reply; the registration cannot lose it.
 func (k *Kernel) AwaitProbeReply(token uint32) bool {
-	if k.probeReplied(token) {
-		return true
-	}
 	k.mu.Lock()
-	quiesce := k.Quiesce
-	k.mu.Unlock()
-	if quiesce == nil {
-		return false
+	replied, quiesce := k.probeRepliedLocked(token), k.Quiesce
+	if replied || quiesce == nil {
+		k.mu.Unlock()
+		return replied
 	}
+	k.awaited[token] = false
+	k.mu.Unlock()
 	quiesce()
-	return k.probeReplied(token)
-}
-
-func (k *Kernel) probeReplied(token uint32) bool {
 	k.mu.Lock()
 	defer k.mu.Unlock()
+	replied = k.awaited[token]
+	delete(k.awaited, token)
+	return replied
+}
+
+// probeRepliedLocked scans the probe log for the token's reply. Caller
+// holds k.mu.
+func (k *Kernel) probeRepliedLocked(token uint32) bool {
 	for i := len(k.probes) - 1; i >= 0; i-- {
 		if p := k.probes[i]; p.Op == packet.ProbeReply && p.Token == token {
 			return true

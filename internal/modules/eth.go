@@ -10,7 +10,9 @@
 package modules
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -135,16 +137,8 @@ func (e *ETH) Abstraction() core.Abstraction {
 		})
 		_ = iface
 	}
-	sortPhysical(a.Physical)
+	slices.SortFunc(a.Physical, func(x, y core.PhysicalPipeInfo) int { return cmp.Compare(x.Pipe, y.Pipe) })
 	return a
-}
-
-func sortPhysical(ps []core.PhysicalPipeInfo) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].Pipe < ps[j-1].Pipe; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
 }
 
 // Actual implements device.Module.

@@ -339,6 +339,9 @@ func (d *Daemon) reconcileEpoch() bool {
 				d.cSnapshots.Add(delta)
 				d.lastSnapshots += delta
 			}
+			m := d.cfg.Metrics
+			m.Gauge("conman_journal_bytes_since_snapshot", "Journal a restart would replay").Set(uint64(js.SinceSnapshotBytes))
+			m.Gauge("conman_snapshot_bytes", "Last snapshot; the journal size that triggers the next").Set(uint64(js.SnapshotBytes))
 		}
 		creates, deletes := batchCounts(plan.Creates, plan.Deletes)
 		d.cInstalled.Add(uint64(creates))

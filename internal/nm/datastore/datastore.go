@@ -11,6 +11,11 @@
 // full journal is retained after a snapshot so `conman store log`
 // shows commit history and `conman store rollback` can rewind to any
 // recorded sequence number.
+//
+// A snapshot rewrites the whole store, so one is due (Log.SnapshotDue)
+// only once the journal since the last has grown as large as it: snapshot
+// bytes never exceed journal bytes — amortised O(1) per journal byte —
+// and a restart replays at most one snapshot's worth of journal.
 package datastore
 
 import (
@@ -86,9 +91,17 @@ type State struct {
 type Log struct {
 	mu        sync.Mutex
 	b         Backend
-	seq       uint64
-	sinceSnap int
+	seq       uint64 // guarded by mu
+	sinceSnap int    // guarded by mu
+	// sinceBytes is the journal written since the last snapshot, snapBytes
+	// that snapshot's size; Open recomputes both from what it loads.
+	sinceBytes int // guarded by mu
+	snapBytes  int // guarded by mu
 }
+
+// size is the journal space an entry accounts for: its payload plus a
+// fixed allowance for the seq/time/op framing around it.
+func (e Entry) size() int { return len(e.Name) + len(e.Data) + 64 }
 
 // Open loads the backend's snapshot and journal and returns a Log
 // positioned after the last recorded entry.
@@ -102,15 +115,17 @@ func Open(b Backend) (*Log, State, error) {
 		return nil, State{}, fmt.Errorf("datastore: read journal: %w", err)
 	}
 	st := State{SnapshotSeq: snapSeq, Snapshot: snap, LastSeq: snapSeq}
+	l := &Log{b: b, snapBytes: len(snap)}
 	for _, e := range all {
 		if e.Seq > st.LastSeq {
 			st.LastSeq = e.Seq
 		}
 		if e.Seq > snapSeq {
 			st.Entries = append(st.Entries, e)
+			l.sinceBytes += e.size()
 		}
 	}
-	l := &Log{b: b, seq: st.LastSeq, sinceSnap: len(st.Entries)}
+	l.seq, l.sinceSnap = st.LastSeq, len(st.Entries)
 	return l, st, nil
 }
 
@@ -138,19 +153,37 @@ func (l *Log) Append(op Op, name string, data any, to uint64) (Entry, error) {
 		return Entry{}, fmt.Errorf("datastore: append: %w", err)
 	}
 	l.sinceSnap++
+	l.sinceBytes += e.size()
 	return e, nil
 }
 
-// WriteSnapshot records data as the state at the current sequence
-// number and resets the since-snapshot counter. The journal is kept.
+// WriteSnapshot records data (valid JSON) as the state at the current
+// sequence number and zeroes the since-snapshot counts; the journal is kept.
 func (l *Log) WriteSnapshot(data []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.b.WriteSnapshot(l.seq, data); err != nil {
 		return 0, fmt.Errorf("datastore: write snapshot: %w", err)
 	}
-	l.sinceSnap = 0
+	l.sinceSnap, l.sinceBytes, l.snapBytes = 0, 0, len(data)
 	return l.seq, nil
+}
+
+// SnapshotDue reports whether a snapshot has paid for itself: at least
+// floor entries (so a small store does not snapshot on every entry) and
+// at least the last snapshot's size in bytes were journaled since it.
+func (l *Log) SnapshotDue(floor int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.sinceSnap >= floor && l.sinceBytes >= l.snapBytes
+}
+
+// SnapshotBytes returns the journal bytes a restart would replay (those
+// since the last snapshot) and that snapshot's size, which they chase.
+func (l *Log) SnapshotBytes() (since, snapshot int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.sinceBytes, l.snapBytes
 }
 
 // LastSeq returns the sequence number of the most recent entry.
@@ -161,7 +194,7 @@ func (l *Log) LastSeq() uint64 {
 }
 
 // SinceSnapshot returns how many entries have been appended since the
-// last snapshot (used for auto-checkpoint cadence).
+// last snapshot.
 func (l *Log) SinceSnapshot() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()

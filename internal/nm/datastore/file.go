@@ -123,18 +123,23 @@ func (f *FileBackend) LoadSnapshot() (uint64, []byte, error) {
 
 // WriteSnapshot implements Backend via write-to-temp + fsync + rename:
 // without the fsync before the rename, power loss can make the rename
-// durable while the data is not, leaving a corrupt snapshot.json.
+// durable while the data is not, leaving a corrupt snapshot.json. data
+// is the caller's already-encoded JSON and is framed as it stands —
+// re-marshalling it would validate and compact megabytes a second time.
 func (f *FileBackend) WriteSnapshot(seq uint64, data []byte) error {
-	b, err := json.Marshal(fileSnapshot{Seq: seq, Data: data})
-	if err != nil {
-		return err
+	if len(data) == 0 {
+		data = []byte("null")
 	}
 	tmp := filepath.Join(f.dir, "snapshot.json.tmp")
 	t, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := t.Write(b); err != nil {
+	w := bufio.NewWriter(t)
+	fmt.Fprintf(w, `{"seq":%d,"data":`, seq)
+	w.Write(data)
+	w.WriteByte('}')
+	if err := w.Flush(); err != nil {
 		t.Close()
 		return err
 	}

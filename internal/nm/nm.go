@@ -171,7 +171,7 @@ type NM struct {
 	// (Submit/Withdraw) by intent name; storeOrder keeps submission
 	// order so Reconcile compiles and renders deterministically.
 	store      map[string]Intent // guarded by mu
-	storeOrder []string          // guarded by mu
+	storeOrder seqList[string]   // guarded by mu
 
 	// notifies/triggers retain the most recent unsolicited events for
 	// inspection (bounded to eventRetain; live consumers use Subscribe).
@@ -225,11 +225,11 @@ type NM struct {
 	ss     *storeState // guarded by planMu
 
 	// ssDirty/ssRemoved record store mutations since the last PlanStore
-	// drained them; storePos keeps each registered intent's submission
-	// index so dirty intents merge in deterministic order.
+	// drained them; storePos keeps each registered intent's number in
+	// storeOrder so dirty intents merge in deterministic order.
 	ssDirty   map[string]bool // guarded by mu
 	ssRemoved map[string]bool // guarded by mu
-	storePos  map[string]int
+	storePos  map[string]uint64
 
 	// journal, when set via Persist, durably records store mutations;
 	// journalEntries/snapshotsWritten count this process's writes.
@@ -301,7 +301,7 @@ func New() *NM {
 		ss:                newStoreState(),
 		ssDirty:           make(map[string]bool),
 		ssRemoved:         make(map[string]bool),
-		storePos:          make(map[string]int),
+		storePos:          make(map[string]uint64),
 		CallTimeout:       5 * time.Second,
 	}
 }

@@ -18,8 +18,10 @@ import (
 	"conman/internal/nm/datastore"
 )
 
-// autoSnapshotEvery bounds journal growth: ApplyStore checkpoints after
-// this many entries accumulate past the last snapshot.
+// autoSnapshotEvery is the entry floor of the checkpoint cadence:
+// ApplyStore checkpoints once at least this many entries and at least the
+// last snapshot's size in bytes were journaled past it (the why is on
+// datastore.Log.SnapshotDue); small stores only ever meet the floor.
 const autoSnapshotEvery = 128
 
 // journalLocked appends one entry to the attached journal (a no-op
@@ -39,12 +41,15 @@ func (n *NM) journalLocked(op datastore.Op, name string, data any, to uint64) er
 // the NM learned over the management channel that a restarted process
 // would otherwise have to rediscover, including the observed-state
 // cache so recovery costs zero showActual calls for unchanged devices.
-type snapshotV1 struct {
-	Version  int                      `json:"version"`
-	Intents  []datastore.IntentRecord `json:"intents"`
-	Domains  map[string]string        `json:"domains,omitempty"`
-	Gateways map[string]string        `json:"gateways,omitempty"`
-	Devices  []deviceSnap             `json:"devices,omitempty"`
+// I is datastore.IntentRecord (raw JSON, what journal replay folds) when
+// reading and storedIntent when writing, so a checkpoint encodes each
+// intent once, in place, instead of marshalling it and re-validating that.
+type snapshotV1[I any] struct {
+	Version  int               `json:"version"`
+	Intents  []I               `json:"intents"`
+	Domains  map[string]string `json:"domains,omitempty"`
+	Gateways map[string]string `json:"gateways,omitempty"`
+	Devices  []deviceSnap      `json:"devices,omitempty"`
 	// IntentDevs is the committed occupancy memory (which devices each
 	// applied intent touched), and StaleDevs the unreachable-with-stale-
 	// state set.
@@ -54,6 +59,11 @@ type snapshotV1 struct {
 	// does not re-install (and re-count) them.
 	Triggers []string  `json:"triggers,omitempty"`
 	Observed []obsSnap `json:"observed,omitempty"`
+}
+
+type storedIntent struct {
+	Name string `json:"name"`
+	Data Intent `json:"data"`
 }
 
 type deviceSnap struct {
@@ -110,7 +120,7 @@ func (n *NM) Persist(b datastore.Backend) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("nm: persist: %w", err)
 	}
-	var snap snapshotV1
+	var snap snapshotV1[datastore.IntentRecord]
 	if st.Snapshot != nil {
 		if err := json.Unmarshal(st.Snapshot, &snap); err != nil {
 			return 0, fmt.Errorf("nm: persist: corrupt snapshot: %w", err)
@@ -160,8 +170,7 @@ func (n *NM) Persist(b datastore.Backend) (int, error) {
 		if _, ok := n.store[intent.Name]; ok {
 			continue // a live submission outranks the journal
 		}
-		n.storePos[intent.Name] = len(n.storeOrder)
-		n.storeOrder = append(n.storeOrder, intent.Name)
+		n.storePos[intent.Name] = n.storeOrder.push(intent.Name)
 		n.store[intent.Name] = intent
 		n.ssDirty[intent.Name] = true
 		restored++
@@ -237,18 +246,13 @@ func (n *NM) checkpointLocked() error {
 		n.mu.Unlock()
 		return fmt.Errorf("nm: checkpoint: no persistence attached (use Persist)")
 	}
-	snap := snapshotV1{
+	snap := snapshotV1[storedIntent]{
 		Version:  1,
 		Domains:  maps.Clone(n.domains),
 		Gateways: maps.Clone(n.gateways),
 	}
-	for _, name := range n.storeOrder {
-		data, err := json.Marshal(n.store[name])
-		if err != nil {
-			n.mu.Unlock()
-			return fmt.Errorf("nm: checkpoint: intent %q: %w", name, err)
-		}
-		snap.Intents = append(snap.Intents, datastore.IntentRecord{Name: name, Data: data})
+	for _, name := range n.storeOrder.items {
+		snap.Intents = append(snap.Intents, storedIntent{Name: name, Data: n.store[name]})
 	}
 	for _, id := range n.order {
 		d := n.devices[id]
@@ -318,11 +322,14 @@ type JournalStats struct {
 	// snapshot writes.
 	Entries   uint64
 	Snapshots uint64
-	// LastSeq is the journal's last sequence number; SinceSnapshot counts
-	// entries past the last snapshot (auto-checkpoint trips at
-	// autoSnapshotEvery).
-	LastSeq       uint64
-	SinceSnapshot int
+	// LastSeq is the journal's last sequence number. SinceSnapshot[Bytes]
+	// measure the journal past the last snapshot (what a restart replays),
+	// SnapshotBytes that snapshot; the next auto-checkpoint comes at
+	// SinceSnapshot >= autoSnapshotEvery && SinceSnapshotBytes >= SnapshotBytes.
+	LastSeq            uint64
+	SinceSnapshot      int
+	SinceSnapshotBytes int
+	SnapshotBytes      int
 }
 
 // JournalStatus returns a snapshot of the persistence counters.
@@ -332,8 +339,8 @@ func (n *NM) JournalStatus() JournalStats {
 	st := JournalStats{Enabled: j != nil, Entries: n.journalEntries, Snapshots: n.snapshotsWritten}
 	n.mu.Unlock()
 	if j != nil {
-		st.LastSeq = j.LastSeq()
-		st.SinceSnapshot = j.SinceSnapshot()
+		st.LastSeq, st.SinceSnapshot = j.LastSeq(), j.SinceSnapshot()
+		st.SinceSnapshotBytes, st.SnapshotBytes = j.SnapshotBytes()
 	}
 	return st
 }

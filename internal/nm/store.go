@@ -60,8 +60,7 @@ func (n *NM) Submit(intent Intent) error {
 		n.mu.Unlock()
 		return &DuplicateIntentError{Name: intent.Name}
 	}
-	n.storePos[intent.Name] = len(n.storeOrder)
-	n.storeOrder = append(n.storeOrder, intent.Name)
+	n.storePos[intent.Name] = n.storeOrder.push(intent.Name)
 	n.store[intent.Name] = intent
 	n.ssDirty[intent.Name] = true
 	// A withdraw-then-resubmit within one reconcile window is a
@@ -105,16 +104,8 @@ func (n *NM) Withdraw(name string) error {
 	delete(n.store, name)
 	delete(n.ssDirty, name)
 	n.ssRemoved[name] = true
+	n.storeOrder.remove(n.storePos[name])
 	delete(n.storePos, name)
-	for i, s := range n.storeOrder {
-		if s == name {
-			n.storeOrder = append(n.storeOrder[:i], n.storeOrder[i+1:]...)
-			for j := i; j < len(n.storeOrder); j++ {
-				n.storePos[n.storeOrder[j]] = j
-			}
-			break
-		}
-	}
 	err := n.journalLocked(datastore.OpWithdraw, name, nil, 0)
 	n.mu.Unlock()
 	return err
@@ -124,8 +115,8 @@ func (n *NM) Withdraw(name string) error {
 func (n *NM) Registered() []Intent {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]Intent, 0, len(n.storeOrder))
-	for _, name := range n.storeOrder {
+	out := make([]Intent, 0, len(n.storeOrder.items))
+	for _, name := range n.storeOrder.items {
 		out = append(out, n.store[name])
 	}
 	return out
@@ -265,7 +256,7 @@ func (p *StorePlan) Render() string {
 // of a matching observed pipe, or allocating a fresh one).
 type unionPipe struct {
 	req    core.PipeRequest
-	owners []string
+	owners seqList[string]
 	// id is the resolved wire id: the observed pipe's id when the pipe
 	// is already in place, a freshly allocated one otherwise.
 	id      core.PipeID
@@ -285,7 +276,7 @@ type unionRule struct {
 	fromPipe, toPipe *unionPipe
 	matchResolved    string
 	viaResolved      string
-	owners           []string
+	owners           seqList[string]
 	kept             bool
 	// boundID is the installed rule id this desired rule is bound to
 	// while kept, so a later withdrawal can delete it without an
@@ -463,11 +454,16 @@ func (ss *storeState) merge(name string, scripts []DeviceScript) error {
 			du.newItems = append(du.newItems, it)
 			du.live++
 		}
-		own := func(owners *[]string, it unionItem) {
-			if addOwnerLen(owners, name) {
-				ss.ownerAdded(*owners)
-				contrib.refs = append(contrib.refs, contribRef{du: du, it: it})
+		own := func(owners *seqList[string], it unionItem) {
+			// merge(name) only ever follows removeContribs(name), so name
+			// owns nothing when it starts and can only be the newest owner
+			// of a component its scripts already named: no scan.
+			if k := len(owners.items); k > 0 && owners.items[k-1] == name {
+				return
 			}
+			seq := owners.push(name)
+			ss.ownerAdded(owners.items)
+			contrib.refs = append(contrib.refs, contribRef{du: du, it: it, seq: seq})
 		}
 		// local maps this intent's compile-time pipe ids (device-scoped
 		// P0, P1, ...) to their union pipes.

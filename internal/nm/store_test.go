@@ -3,6 +3,7 @@ package nm
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -322,5 +323,146 @@ func TestDroppedRematchKeepsQueuedStateSpokenFor(t *testing.T) {
 	if !plan.Empty() || plan.InPlace != 3 {
 		t.Errorf("delta pass after the dropped rematch: %d in place, want 3 and no commands:\n%s",
 			plan.InPlace, plan.Render())
+	}
+}
+
+// checkSeqList fails unless the list's numbers are strictly increasing
+// and pair up with its items.
+func checkSeqList[T any](t *testing.T, what string, l seqList[T]) {
+	t.Helper()
+	if len(l.seqs) != len(l.items) {
+		t.Fatalf("%s: %d numbers for %d items", what, len(l.seqs), len(l.items))
+	}
+	for i := 1; i < len(l.seqs); i++ {
+		if l.seqs[i] <= l.seqs[i-1] {
+			t.Fatalf("%s: numbers not strictly increasing: %v", what, l.seqs)
+		}
+	}
+}
+
+// TestOrderBookkeepingUnderChurn drives the store state the way reconcile
+// passes do — first merges, re-merges (update), withdrawals, and an older
+// intent whose first merge comes after a newer one's — against a plain
+// model, and holds the sequence-ordered lists to it: every owner list is
+// the component's owners in merge order with no name twice (merge's
+// last-owner test relies on removeContribs having run), views are in
+// registration order, and nothing is ever renumbered.
+func TestOrderBookkeepingUnderChurn(t *testing.T) {
+	dev := core.DeviceID("X")
+	eth := core.Ref(core.NameETH, dev, "e")
+	vlan := core.Ref(core.NameVLAN, dev, "v")
+	trunk := core.PipeRequest{Upper: eth, Lower: vlan, LowerPeer: core.Ref(core.NameVLAN, "Y", "v")}
+	script := func(port int) DeviceScript {
+		ds := DeviceScript{Device: dev}
+		appendItems(&ds,
+			func() (msg.CommandItem, string) { return pipeItem("P0", trunk) },
+			func() (msg.CommandItem, string) {
+				return ruleItem(core.SwitchRule{
+					Module: eth, From: core.PipeID(fmt.Sprintf("Phy-c%d", port)), To: "P0",
+					Match: &core.Classifier{Kind: "tagged"},
+				})
+			},
+			func() (msg.CommandItem, string) {
+				return ruleItem(core.SwitchRule{Module: vlan, From: "P0", To: "Phy-trunk", Bidirectional: true})
+			},
+			// Named twice by one script: the second must not add a second ref.
+			func() (msg.CommandItem, string) { return pipeItem("P1", trunk) },
+		)
+		return ds
+	}
+
+	ss := newStoreState()
+	rng := rand.New(rand.NewSource(31))
+	const names = 24
+	var nextReg uint64
+	regSeq := map[string]uint64{}    // registered name -> registration number
+	merged := map[string]int{}       // merged name -> customer port
+	var mergeOrder, pending []string // model: trunk owners; registered but never merged
+	without := func(list []string, name string) []string {
+		out := list[:0:0]
+		for _, s := range list {
+			if s != name {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	lateFirstMerges := 0
+	merge := func(name string, port int) {
+		if k := len(ss.views.seqs); k > 0 && regSeq[name] < ss.views.seqs[k-1] {
+			if _, has := ss.viewIdx[name]; !has {
+				lateFirstMerges++
+			}
+		}
+		ss.removeContribs(name)
+		ss.contribs[name] = &intentContrib{}
+		ss.setView(regSeq[name], IntentView{Intent: Intent{Name: name}})
+		mustMerge(t, ss, name, script(port))
+		merged[name] = port
+		mergeOrder = append(without(mergeOrder, name), name)
+	}
+	for step := 0; step < 2000; step++ {
+		name := fmt.Sprintf("vpn-%d", rng.Intn(names))
+		_, registered := regSeq[name]
+		switch r := rng.Intn(10); {
+		case !registered:
+			nextReg++
+			regSeq[name] = nextReg
+			if r < 2 {
+				// Its compile fails for now: registered, merged later — after
+				// intents registered after it.
+				pending = append(pending, name)
+			} else {
+				merge(name, rng.Intn(4))
+			}
+		case r < 3:
+			pending = without(pending, name)
+			merge(name, rng.Intn(4)) // update, or the late first merge
+		case r < 6:
+			ss.removeContribs(name)
+			delete(ss.contribs, name)
+			ss.removeView(name)
+			delete(regSeq, name)
+			delete(merged, name)
+			mergeOrder, pending = without(mergeOrder, name), without(pending, name)
+		}
+
+		du := ss.unions[dev]
+		if du == nil {
+			continue
+		}
+		if p := du.pipes[pipeKey(trunk)]; p != nil {
+			checkSeqList(t, "trunk pipe owners", p.owners)
+			if got := strings.Join(p.owners.items, ","); got != strings.Join(mergeOrder, ",") {
+				t.Fatalf("step %d: trunk pipe owners %s, want merge order %s", step, got, strings.Join(mergeOrder, ","))
+			}
+		} else if len(mergeOrder) > 0 {
+			t.Fatalf("step %d: trunk pipe gone with owners %v", step, mergeOrder)
+		}
+		for key, r := range du.rules {
+			checkSeqList(t, "owners of rule "+key, r.owners)
+			seen := map[string]bool{}
+			for _, o := range r.owners.items {
+				if seen[o] {
+					t.Fatalf("step %d: rule %s owned twice by %s: %v", step, key, o, r.owners.items)
+				}
+				seen[o] = true
+			}
+		}
+		checkSeqList(t, "views", ss.views)
+		if len(ss.views.items) != len(merged) {
+			t.Fatalf("step %d: %d views for %d merged intents", step, len(ss.views.items), len(merged))
+		}
+		for i, v := range ss.views.items {
+			if ss.views.seqs[i] != regSeq[v.Intent.Name] || ss.viewIdx[v.Intent.Name] != regSeq[v.Intent.Name] {
+				t.Fatalf("step %d: view %d (%s) sits at number %d, registered as %d", step, i, v.Intent.Name, ss.views.seqs[i], regSeq[v.Intent.Name])
+			}
+			if v.Exclusive+v.Shared != 3 {
+				t.Fatalf("step %d: view %s tallies %d exclusive + %d shared components, want 3 in all", step, v.Intent.Name, v.Exclusive, v.Shared)
+			}
+		}
+	}
+	if lateFirstMerges == 0 {
+		t.Error("no older intent ever first merged after a newer one: the sorted insert went untested")
 	}
 }

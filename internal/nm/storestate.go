@@ -12,6 +12,7 @@ package nm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,6 +45,44 @@ type intentContrib struct {
 type contribRef struct {
 	du *deviceUnion
 	it unionItem
+	// seq is the intent's number in the component's owner list.
+	seq uint64
+}
+
+// seqList keeps items in the order of the strictly increasing sequence
+// numbers they were added under — registration order for the store's
+// intents and views, merge order for a component's owners — so a
+// membership change renumbers nothing: an item is found and removed by
+// binary search on its number, O(log k) plus one copy.
+type seqList[T any] struct {
+	seqs  []uint64
+	items []T
+	next  uint64
+}
+
+// push appends v under the list's own next number and returns it.
+func (l *seqList[T]) push(v T) uint64 {
+	l.next++
+	l.put(l.next, v)
+	return l.next
+}
+
+// put inserts v at the sorted position of a number the caller owns: the
+// end, unless an older intent first merges after a newer one.
+func (l *seqList[T]) put(seq uint64, v T) {
+	i, dup := slices.BinarySearch(l.seqs, seq)
+	if dup {
+		panic(fmt.Sprintf("nm: sequence number %d used twice", seq))
+	}
+	l.seqs, l.items = slices.Insert(l.seqs, i, seq), slices.Insert(l.items, i, v)
+}
+
+func (l *seqList[T]) remove(seq uint64) bool {
+	i, ok := slices.BinarySearch(l.seqs, seq)
+	if ok {
+		l.seqs, l.items = slices.Delete(l.seqs, i, i+1), slices.Delete(l.items, i, i+1)
+	}
+	return ok
 }
 
 // storeState is the incremental heart of the intent store.
@@ -53,13 +92,14 @@ type storeState struct {
 	// contribs tracks each registered intent's union share.
 	contribs map[string]*intentContrib
 	// views/viewIdx are the per-intent sharing summaries, maintained on
-	// ownership transitions instead of a full-store tally per pass.
-	// Every StorePlan captures the slice as-is (copying 10k views per
+	// ownership transitions instead of a full-store tally per pass, in
+	// registration order: viewIdx holds each view's number in views.
+	// Every StorePlan captures views.items as-is (copying 10k views per
 	// pass would defeat O(changed)), so it is copy-on-write: once
 	// viewsShared is set, mutators clone the slice — and bumpView the
 	// element — before writing, leaving captured snapshots untouched.
-	views       []*IntentView
-	viewIdx     map[string]int
+	views       seqList[*IntentView]
+	viewIdx     map[string]uint64
 	viewsShared bool
 	// shared counts distinct components with more than one owner.
 	shared int
@@ -86,7 +126,7 @@ func newStoreState() *storeState {
 	return &storeState{
 		unions:         make(map[core.DeviceID]*deviceUnion),
 		contribs:       make(map[string]*intentContrib),
-		viewIdx:        make(map[string]int),
+		viewIdx:        make(map[string]uint64),
 		cache:          make(map[core.DeviceID]*obsEntry),
 		recordedCount:  make(map[core.DeviceID]int),
 		removedIntents: make(map[string]bool),
@@ -104,8 +144,8 @@ func (ss *storeState) reset() {
 	ss.unions = make(map[core.DeviceID]*deviceUnion)
 	ss.order = nil
 	ss.contribs = make(map[string]*intentContrib)
-	ss.views = nil
-	ss.viewIdx = make(map[string]int)
+	ss.views = seqList[*IntentView]{}
+	ss.viewIdx = make(map[string]uint64)
 	ss.viewsShared = false
 	ss.shared = 0
 	for _, ce := range ss.cache {
@@ -115,27 +155,6 @@ func (ss *storeState) reset() {
 
 // ---------------------------------------------------------------------------
 // Ownership accounting
-
-// addOwnerLen appends an intent name once, reporting whether it was new.
-func addOwnerLen(owners *[]string, name string) bool {
-	for _, o := range *owners {
-		if o == name {
-			return false
-		}
-	}
-	*owners = append(*owners, name)
-	return true
-}
-
-func removeOwner(owners *[]string, name string) bool {
-	for i, o := range *owners {
-		if o == name {
-			*owners = append((*owners)[:i], (*owners)[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
 
 // ownerAdded updates the sharing tallies after name (the last element)
 // joined a component's owner list.
@@ -162,14 +181,15 @@ func (ss *storeState) unshared(owner string) {
 }
 
 func (ss *storeState) bumpView(name string, dExclusive, dShared int) {
-	if i, ok := ss.viewIdx[name]; ok {
+	if seq, ok := ss.viewIdx[name]; ok {
 		ss.ownViews()
+		i, _ := slices.BinarySearch(ss.views.seqs, seq)
 		// Clone the element too: a snapshot captured last pass still
 		// points at the old struct.
-		v := *ss.views[i]
+		v := *ss.views.items[i]
 		v.Exclusive += dExclusive
 		v.Shared += dShared
-		ss.views[i] = &v
+		ss.views.items[i] = &v
 	}
 }
 
@@ -180,32 +200,25 @@ func (ss *storeState) ownViews() {
 	if !ss.viewsShared {
 		return
 	}
-	ss.views = append([]*IntentView(nil), ss.views...)
+	ss.views.items = append([]*IntentView(nil), ss.views.items...)
 	ss.viewsShared = false
 }
 
-// setView installs (or replaces in place) an intent's view with zeroed
-// sharing counts; the subsequent merge re-accumulates them.
-func (ss *storeState) setView(v IntentView) {
+// setView installs (or replaces) an intent's view under its registration
+// number seq with zeroed sharing counts; the subsequent merge
+// re-accumulates them.
+func (ss *storeState) setView(seq uint64, v IntentView) {
+	ss.removeView(v.Intent.Name)
 	ss.ownViews()
-	if i, ok := ss.viewIdx[v.Intent.Name]; ok {
-		ss.views[i] = &v
-		return
-	}
-	ss.viewIdx[v.Intent.Name] = len(ss.views)
-	ss.views = append(ss.views, &v)
+	ss.viewIdx[v.Intent.Name] = seq
+	ss.views.put(seq, &v)
 }
 
 func (ss *storeState) removeView(name string) {
-	i, ok := ss.viewIdx[name]
-	if !ok {
-		return
-	}
-	ss.ownViews()
-	ss.views = append(ss.views[:i], ss.views[i+1:]...)
-	delete(ss.viewIdx, name)
-	for j := i; j < len(ss.views); j++ {
-		ss.viewIdx[ss.views[j].Intent.Name] = j
+	if seq, ok := ss.viewIdx[name]; ok {
+		ss.ownViews()
+		ss.views.remove(seq)
+		delete(ss.viewIdx, name)
 	}
 }
 
@@ -225,25 +238,25 @@ func (ss *storeState) removeContribs(name string) {
 		switch {
 		case ref.it.pipe != nil:
 			p := ref.it.pipe
-			if !removeOwner(&p.owners, name) {
+			if !p.owners.remove(ref.seq) {
 				continue
 			}
-			switch len(p.owners) {
+			switch len(p.owners.items) {
 			case 0:
 				du.killPipe(p)
 			case 1:
-				ss.unshared(p.owners[0])
+				ss.unshared(p.owners.items[0])
 			}
 		case ref.it.rule != nil:
 			r := ref.it.rule
-			if !removeOwner(&r.owners, name) {
+			if !r.owners.remove(ref.seq) {
 				continue
 			}
-			switch len(r.owners) {
+			switch len(r.owners.items) {
 			case 0:
 				du.killRule(r)
 			case 1:
-				ss.unshared(r.owners[0])
+				ss.unshared(r.owners.items[0])
 			}
 		case ref.it.other != nil:
 			du.killOther(ref.it.other)
@@ -373,7 +386,7 @@ func (du *deviceUnion) classAdd(r *unionRule, owner string) error {
 		if pipeIdent(prev.rule.To, prev.toPipe) != to || prevVia != via {
 			return &ConflictError{
 				Device: du.dev, Module: r.rule.Module,
-				IntentA: prev.owners[0], IntentB: owner,
+				IntentA: prev.owners.items[0], IntentB: owner,
 				RuleA: prev.rule, RuleB: r.rule,
 				TargetA: describeTarget(prev.rule.To, prev.toPipe, prevVia),
 				TargetB: describeTarget(r.rule.To, r.toPipe, via),
@@ -715,7 +728,7 @@ func (du *deviceUnion) bindPending(n *NM, o *observed, plan *StorePlan) {
 				Pipe: &msg.CreatePipeItem{ID: p.id, Req: p.req},
 			})
 			creates.Rendered = append(creates.Rendered,
-				renderPipeCreate(p.id, p.req)+ownersSuffix(p.owners))
+				renderPipeCreate(p.id, p.req)+ownersSuffix(p.owners.items))
 			binds = append(binds, bindTarget{pipe: p})
 			keep = append(keep, it)
 		case it.rule != nil && !it.rule.gone:
@@ -746,7 +759,7 @@ func (du *deviceUnion) bindPending(n *NM, o *observed, plan *StorePlan) {
 				},
 			})
 			creates.Rendered = append(creates.Rendered,
-				renderSwitchCreate(rr)+ownersSuffix(r.owners))
+				renderSwitchCreate(rr)+ownersSuffix(r.owners.items))
 			binds = append(binds, bindTarget{rule: r})
 			keep = append(keep, it)
 		case it.other != nil && !it.other.gone && !it.other.done:
@@ -793,7 +806,7 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 	full := ss.compiledGen != curGen
 	var dirty []string
 	if full {
-		dirty = append([]string(nil), n.storeOrder...)
+		dirty = append([]string(nil), n.storeOrder.items...)
 	} else {
 		dirty = make([]string, 0, len(n.ssDirty))
 		for name := range n.ssDirty {
@@ -803,8 +816,9 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 	}
 	removed := sortedKeys(n.ssRemoved)
 	intents := make(map[string]Intent, len(dirty))
+	regSeq := make(map[string]uint64, len(dirty))
 	for _, name := range dirty {
-		intents[name] = n.store[name]
+		intents[name], regSeq[name] = n.store[name], n.storePos[name]
 	}
 	n.ssDirty = make(map[string]bool)
 	n.ssRemoved = make(map[string]bool)
@@ -843,7 +857,7 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 		devs := scriptDevices(scripts)
 		ss.removeContribs(name)
 		ss.contribs[name] = &intentContrib{path: path, devices: devs}
-		ss.setView(IntentView{Intent: intent, Path: path, Devices: devs})
+		ss.setView(regSeq[name], IntentView{Intent: intent, Path: path, Devices: devs})
 		if err := ss.merge(name, scripts); err != nil {
 			delete(ss.contribs, name)
 			ss.removeView(name)
@@ -948,7 +962,7 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 	// The plan captures the views slice without copying (O(changed), not
 	// O(store)); mutators clone before the next write. Elements are
 	// effectively immutable once captured.
-	plan.Views = ss.views
+	plan.Views = ss.views.items
 	ss.viewsShared = true
 	plan.Shared = ss.shared
 	for name := range ss.recordsDirty {
@@ -1183,7 +1197,7 @@ func (n *NM) applyStoreLocked(plan *StorePlan) error {
 	if jerr != nil {
 		return jerr
 	}
-	if j != nil && j.SinceSnapshot() >= autoSnapshotEvery {
+	if j != nil && j.SnapshotDue(autoSnapshotEvery) {
 		if err := n.checkpointLocked(); err != nil {
 			return fmt.Errorf("nm: apply: checkpoint: %w", err)
 		}
