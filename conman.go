@@ -194,8 +194,8 @@ type (
 	// Reconcile until the network converges — failures heal with no
 	// caller.
 	Daemon = nm.Daemon
-	// DaemonConfig tunes the daemon's debounce, backoff, optional audit
-	// polling, logging and metrics. Zero values select defaults.
+	// DaemonConfig tunes the daemon's optional audit polling, logging
+	// and metrics. Zero values select defaults.
 	DaemonConfig = nm.DaemonConfig
 	// DaemonStatus is the daemon's health snapshot (the /status
 	// document).

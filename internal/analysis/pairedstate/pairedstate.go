@@ -19,8 +19,8 @@
 //     — a method of the same module named DeleteRule, Delete*,
 //     PipeDeleted, Shutdown, Close, Stop or Teardown, followed through
 //     same-module method calls — or if it appears inside any function
-//     literal of the module (the ruleUndo/undo-closure convention:
-//     closures registered at install time ARE the delete path);
+//     literal of the module (the undo-closure convention: the undos a
+//     module's Install* methods return ARE the delete path);
 //   - an installer with no reachable remover is reported at the call
 //     site.
 //

@@ -1,7 +1,9 @@
 package device_test
 
 import (
+	"errors"
 	"net/netip"
+	"sync"
 	"testing"
 
 	"conman/internal/channel"
@@ -293,5 +295,170 @@ func TestRetransmittedBatchServedFromCache(t *testing.T) {
 	}
 	if resp.Results[0].PipeID != "P6" {
 		t.Fatalf("ID-colliding request served stale pipe %q", resp.Results[0].PipeID)
+	}
+}
+
+// fakeMod is a BaseModule-embedding module whose switch rules wait
+// (ErrPending) until it is told to install or fail them; installed rules
+// return an undo that counts its runs.
+type fakeMod struct {
+	device.BaseModule
+
+	mu    sync.Mutex
+	mode  error // ErrPending, nil (install) or a terminal error
+	undos int
+}
+
+const nameFake core.ModuleName = "FAKE"
+
+func (f *fakeMod) Abstraction() core.Abstraction {
+	spec := core.PipeSpec{Connectable: []core.ModuleName{nameFake}}
+	return core.Abstraction{Ref: f.Ref(), Kind: core.KindData, Up: spec, Down: spec}
+}
+
+func (f *fakeMod) Actual() core.ModuleState { return core.ModuleState{Ref: f.Ref()} }
+
+func (f *fakeMod) InstallSwitchRule(*device.SwitchRuleInstance) (func(), error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.mode != nil {
+		return nil, f.mode
+	}
+	return func() {
+		f.mu.Lock()
+		f.undos++
+		f.mu.Unlock()
+	}, nil
+}
+
+func (f *fakeMod) set(mode error) {
+	f.mu.Lock()
+	f.mode = mode
+	f.mu.Unlock()
+}
+
+// fakeRig registers two fake modules, u over l, joined by pipes P0 and
+// P1.
+func fakeRig(t *testing.T) (*device.Device, *nm.NM, *fakeMod) {
+	t.Helper()
+	hub := channel.NewHub()
+	manager := nm.New()
+	manager.AttachChannel(hub.Endpoint(msg.NMName))
+	d, err := device.New(netsim.New(), "X", kernel.RoleRouter, "eth0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := &fakeMod{BaseModule: device.BaseModule{ModRef: core.Ref(nameFake, "X", "u"), Svc: d.MA}, mode: device.ErrPending}
+	d.AddModule(u)
+	d.AddModule(&fakeMod{BaseModule: device.BaseModule{ModRef: core.Ref(nameFake, "X", "l"), Svc: d.MA}})
+	d.MA.AttachChannel(hub.Endpoint("X"))
+	if err := d.MA.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var items []msg.CommandItem
+	for _, id := range []core.PipeID{"P0", "P1"} {
+		items = append(items, msg.CommandItem{Pipe: &msg.CreatePipeItem{ID: id, Req: core.PipeRequest{
+			Upper: core.Ref(nameFake, "X", "u"), Lower: core.Ref(nameFake, "X", "l"),
+		}}})
+	}
+	if resp, err := manager.ExecuteBatch("X", items); err != nil || !resp.OK() {
+		t.Fatalf("pipes: %v %v", err, resp)
+	}
+	return d, manager, u
+}
+
+func switchItems(n int, from, to core.PipeID) []msg.CommandItem {
+	items := make([]msg.CommandItem, n)
+	for i := range items {
+		items[i] = msg.CommandItem{Switch: &msg.CreateSwitchReq{Rule: core.SwitchRule{
+			Module: core.Ref(nameFake, "X", "u"), From: from, To: to,
+		}}}
+	}
+	return items
+}
+
+// TestPendingRulesDieWithTheirPipe: a rule still waiting to install is
+// dropped when a pipe it references is deleted — not retried into the
+// failure log, nor installed against the missing pipe — and the failure
+// log keeps only a bounded tail.
+func TestPendingRulesDieWithTheirPipe(t *testing.T) {
+	d, manager, u := fakeRig(t)
+	if resp, err := manager.ExecuteBatch("X", switchItems(3, "P0", "P1")); err != nil || !resp.OK() || !resp.Results[0].Pending {
+		t.Fatalf("rules: %v %+v", err, resp)
+	}
+	if n := d.MA.PendingRules(); n != 3 {
+		t.Fatalf("%d pending rules, want 3", n)
+	}
+	if err := manager.Delete(core.DeleteRequest{Kind: core.ComponentPipe, Module: core.Ref(nameFake, "X", "l"), ID: "P1"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.MA.PendingRules(); n != 0 {
+		t.Fatalf("%d pending rules survived their pipe", n)
+	}
+	u.set(errors.New("boom"))
+	d.MA.Kick()
+	if f := d.MA.FailedRules(); len(f) != 0 {
+		t.Fatalf("rules of a deleted pipe failed later: %v", f)
+	}
+
+	// Terminal failures keep a bounded tail.
+	u.set(device.ErrPending)
+	if _, err := manager.ExecuteBatch("X", switchItems(600, "P0", "P0")); err != nil {
+		t.Fatal(err)
+	}
+	u.set(errors.New("boom"))
+	d.MA.Kick()
+	if f := d.MA.FailedRules(); len(f) == 0 || len(f) > 300 {
+		t.Fatalf("%d failed rules logged, want a bounded non-empty tail", len(f))
+	}
+}
+
+// TestRuleRegistry: the MA records installed rules, reports them and
+// every pipe end in showActual, refuses to delete a rule it does not know
+// or that another module owns, and runs a rule's undo once when its pipe
+// goes.
+func TestRuleRegistry(t *testing.T) {
+	_, manager, u := fakeRig(t)
+	u.set(nil)
+	resp, err := manager.ExecuteBatch("X", switchItems(1, "P0", "P1"))
+	if err != nil || !resp.OK() {
+		t.Fatalf("rule: %v %v", err, resp)
+	}
+	id := resp.Results[0].RuleID
+	states, err := manager.ShowActual("X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range states {
+		switch st.Ref.Module {
+		case "u":
+			if len(st.SwitchRules) != 1 || st.SwitchRules[0].ID != id {
+				t.Errorf("u rules = %+v", st.SwitchRules)
+			}
+			if len(st.Pipes) != 2 || st.Pipes[0].ID != "P0" || st.Pipes[0].End != core.EndDown {
+				t.Errorf("u pipes = %+v", st.Pipes)
+			}
+		case "l":
+			if len(st.Pipes) != 2 || st.Pipes[1].ID != "P1" || st.Pipes[1].End != core.EndUp {
+				t.Errorf("l pipes = %+v", st.Pipes)
+			}
+		}
+	}
+	for _, req := range []core.DeleteRequest{
+		{Kind: core.ComponentSwitchRule, Module: core.Ref(nameFake, "X", "u"), ID: "X-sw99"},
+		{Kind: core.ComponentSwitchRule, Module: core.Ref(nameFake, "X", "l"), ID: id},
+	} {
+		if err := manager.Delete(req); err == nil {
+			t.Errorf("delete %+v accepted", req)
+		}
+	}
+	if err := manager.Delete(core.DeleteRequest{Kind: core.ComponentPipe, Module: core.Ref(nameFake, "X", "l"), ID: "P0"}); err != nil {
+		t.Fatal(err)
+	}
+	if u.undos != 1 {
+		t.Fatalf("undo ran %d times, want 1", u.undos)
+	}
+	if err := manager.Delete(core.DeleteRequest{Kind: core.ComponentSwitchRule, Module: core.Ref(nameFake, "X", "u"), ID: id}); err == nil {
+		t.Error("rule outlived its pipe")
 	}
 }

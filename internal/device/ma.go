@@ -1,9 +1,10 @@
 package device
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,26 +26,61 @@ type pendingRule struct {
 	inst   *SwitchRuleInstance
 }
 
-// MA is a device's management agent: it owns the module registry and pipe
-// table, serves the NM's primitives, and relays module messages.
+// installedRule is one switch or filter rule a module installed: what
+// showActual reports for it, rendered when it was recorded, and the undo
+// its Install* call returned.
+type installedRule struct {
+	id     string
+	seq    uint64 // record order, which showActual and teardown follow
+	module core.ModuleID
+	sw     *core.SwitchRuleState // exactly one of sw and filter is set
+	filter *core.FilterRuleState
+	undo   func()
+}
+
+// pipes lists the pipes the rule references: a switch rule's two ends.
+// Filters are bound to their module, not to a pipe.
+func (r *installedRule) pipes() []core.PipeID {
+	if r.sw == nil {
+		return nil
+	}
+	return []core.PipeID{r.sw.From, r.sw.To}
+}
+
+// maxFailedRules bounds the terminal rule-failure log: once reached the
+// older half is dropped, as the kernel's probe log does.
+const maxFailedRules = 256
+
+// queryTimeout bounds blocking listFieldsAndValues calls.
+const queryTimeout = 5 * time.Second
+
+// MA is a device's management agent: it owns the module registry, the
+// pipe table and the registry of installed rules, serves the NM's
+// primitives, and relays module messages.
 type MA struct {
 	dev      core.DeviceID
 	kern     *kernel.Kernel
 	portInfo func() []msg.PortReport
 
-	mu       sync.Mutex
-	ep       channel.Endpoint
-	modules  map[core.ModuleID]Module
-	order    []core.ModuleID
-	pipes    map[core.PipeID]*Pipe
-	pipeSeq  int
-	ruleSeq  int
-	pending  []pendingRule
-	failed   []string
-	reqSeq   uint64
-	waiters  map[uint64]chan msg.Envelope
-	triggers []trigger
-	trigSeq  int
+	mu      sync.Mutex
+	ep      channel.Endpoint
+	modules map[core.ModuleID]Module
+	order   []core.ModuleID
+	pipes   map[core.PipeID]*Pipe
+	pipeSeq int
+	ruleSeq int
+	// rules holds every installed rule by id, and pipeRules the same
+	// records by the pipes they reference, so deleting a rule or a pipe
+	// finds its rules without a scan.
+	rules     map[string]*installedRule                 // guarded by mu
+	pipeRules map[core.PipeID]map[string]*installedRule // guarded by mu
+	recSeq    uint64                                    // guarded by mu
+	pending   []pendingRule
+	failed    []string
+	reqSeq    uint64
+	waiters   map[uint64]chan msg.Envelope
+	triggers  []trigger
+	trigSeq   int
 	// kickSeq counts retryPending calls. A sweep holds the rules it is
 	// attempting off the queue, so a kick landing meanwhile finds nothing
 	// to retry; the sweep compares kickSeq across each pass and goes
@@ -61,9 +97,6 @@ type MA struct {
 	replies    map[string]msg.Envelope // guarded by mu
 	inflight   map[string]bool         // guarded by mu
 	replyOrder []string                // guarded by mu
-
-	// QueryTimeout bounds blocking listFieldsAndValues calls.
-	QueryTimeout time.Duration
 }
 
 // maxReplyCache bounds the per-device reply cache; retransmits arrive
@@ -73,15 +106,16 @@ const maxReplyCache = 512
 // NewMA creates a management agent.
 func NewMA(dev core.DeviceID, kern *kernel.Kernel, portInfo func() []msg.PortReport) *MA {
 	return &MA{
-		dev:          dev,
-		kern:         kern,
-		portInfo:     portInfo,
-		modules:      make(map[core.ModuleID]Module),
-		pipes:        make(map[core.PipeID]*Pipe),
-		waiters:      make(map[uint64]chan msg.Envelope),
-		replies:      make(map[string]msg.Envelope),
-		inflight:     make(map[string]bool),
-		QueryTimeout: 5 * time.Second,
+		dev:       dev,
+		kern:      kern,
+		portInfo:  portInfo,
+		modules:   make(map[core.ModuleID]Module),
+		pipes:     make(map[core.PipeID]*Pipe),
+		rules:     make(map[string]*installedRule),
+		pipeRules: make(map[core.PipeID]map[string]*installedRule),
+		waiters:   make(map[uint64]chan msg.Envelope),
+		replies:   make(map[string]msg.Envelope),
+		inflight:  make(map[string]bool),
 	}
 }
 
@@ -93,9 +127,9 @@ func (a *MA) Kernel() *kernel.Kernel { return a.kern }
 
 // Register adds a module to the device.
 func (a *MA) Register(m Module) {
+	id := m.Ref().Module
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	id := m.Ref().Module
 	if _, dup := a.modules[id]; !dup {
 		a.order = append(a.order, id)
 	}
@@ -166,18 +200,6 @@ func (a *MA) PipeByID(id core.PipeID) (*Pipe, bool) {
 	defer a.mu.Unlock()
 	p, ok := a.pipes[id]
 	return p, ok
-}
-
-// Pipes returns all pipes sorted by id.
-func (a *MA) Pipes() []*Pipe {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]*Pipe, 0, len(a.pipes))
-	for _, p := range a.pipes {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // PendingRules reports how many switch rules are still waiting on
@@ -257,7 +279,7 @@ func (a *MA) QueryFields(requester, target core.ModuleRef, component string) (ma
 			return nil, err
 		}
 		return body.Fields, nil
-	case <-time.After(a.QueryTimeout):
+	case <-time.After(queryTimeout):
 		return nil, fmt.Errorf("device[%s]: listFieldsAndValues(%s): timeout", a.dev, target)
 	}
 }
@@ -298,27 +320,144 @@ func (a *MA) retryPending() {
 		progressed := false
 		var still []pendingRule
 		for _, pr := range pend {
-			err := pr.module.InstallSwitchRule(pr.inst)
+			undo, err := pr.module.InstallSwitchRule(pr.inst)
 			switch {
 			case err == nil:
 				progressed = true
+				a.record(pr.module.Ref().Module, pr.inst, nil, undo)
 			case err == ErrPending:
 				still = append(still, pr)
 			default:
 				progressed = true
 				a.mu.Lock()
+				if len(a.failed) >= maxFailedRules {
+					a.failed = append(a.failed[:0], a.failed[maxFailedRules/2:]...)
+				}
 				a.failed = append(a.failed, fmt.Sprintf("%s: %v", pr.inst.ID, err))
 				a.mu.Unlock()
 			}
 		}
 		a.mu.Lock()
-		a.pending = append(still, a.pending...)
+		// A rule whose pipe was deleted while this sweep held it dies
+		// with the pipe, as a queued one does in deletePipe.
+		live := still[:0]
+		for _, pr := range still {
+			if a.pipesLiveLocked(pr.inst.Rule) {
+				live = append(live, pr)
+			}
+		}
+		a.pending = append(live, a.pending...)
 		kicked := a.kickSeq != seq
 		a.mu.Unlock()
 		if !progressed && !kicked {
 			return
 		}
 	}
+}
+
+// pipesLiveLocked reports whether both pipes a switch rule references
+// are still in the pipe table. Caller holds a.mu.
+func (a *MA) pipesLiveLocked(r core.SwitchRule) bool {
+	return a.pipes[r.From] != nil && a.pipes[r.To] != nil
+}
+
+// record files a rule its module has just installed — the one place a
+// rule enters the registry. A switch rule whose pipe was deleted while it
+// installed dies with the pipe instead: record runs its undo.
+func (a *MA) record(module core.ModuleID, sw *SwitchRuleInstance, f *FilterRuleInstance, undo func()) {
+	r := &installedRule{module: module, undo: undo}
+	if sw != nil {
+		r.id = sw.ID
+		r.sw = &core.SwitchRuleState{
+			ID: sw.ID, From: sw.Rule.From, To: sw.Rule.To, Match: sw.Rule.Match, Via: sw.Rule.Via,
+			MatchResolved: sw.MatchResolved, ViaResolved: sw.ViaResolved, HandleResolved: sw.HandleResolved,
+		}
+	} else {
+		r.id = f.ID
+		r.filter = &core.FilterRuleState{ID: f.ID, Rule: f.Rule, ResolvedFields: f.ResolvedFields}
+	}
+	a.mu.Lock()
+	live := sw == nil || a.pipesLiveLocked(sw.Rule)
+	if live {
+		a.recSeq++
+		r.seq = a.recSeq
+		a.rules[r.id] = r
+		for _, id := range r.pipes() {
+			if a.pipeRules[id] == nil {
+				a.pipeRules[id] = make(map[string]*installedRule)
+			}
+			a.pipeRules[id][r.id] = r
+		}
+	}
+	a.mu.Unlock()
+	if !live && undo != nil {
+		undo()
+	}
+}
+
+// unrecordLocked takes a rule out of the registry. Caller holds a.mu and
+// runs the rule's undo after releasing it.
+func (a *MA) unrecordLocked(r *installedRule) {
+	delete(a.rules, r.id)
+	for _, id := range r.pipes() {
+		delete(a.pipeRules[id], r.id)
+		if len(a.pipeRules[id]) == 0 {
+			delete(a.pipeRules, id)
+		}
+	}
+}
+
+// actual renders showActual: each module's own LowLevel and Perf, plus
+// the pipes and rules the MA keeps for it — pipes sorted by id, with
+// kernel counters on physical ones, and rules in install order.
+func (a *MA) actual() []core.ModuleState {
+	mods := a.Modules()
+	states := make([]core.ModuleState, len(mods))
+	byModule := make(map[core.ModuleID]*core.ModuleState, len(mods))
+	for i, m := range mods {
+		own := m.Actual()
+		states[i] = core.ModuleState{Ref: m.Ref(), LowLevel: own.LowLevel, Perf: own.Perf}
+		byModule[states[i].Ref.Module] = &states[i]
+	}
+	a.mu.Lock()
+	pipes := make([]*Pipe, 0, len(a.pipes))
+	for _, p := range a.pipes {
+		pipes = append(pipes, p)
+	}
+	rules := make([]*installedRule, 0, len(a.rules))
+	for _, r := range a.rules {
+		rules = append(rules, r)
+	}
+	a.mu.Unlock()
+	slices.SortFunc(pipes, func(x, y *Pipe) int { return cmp.Compare(x.ID, y.ID) })
+	slices.SortFunc(rules, func(x, y *installedRule) int { return cmp.Compare(x.seq, y.seq) })
+
+	for _, p := range pipes {
+		if p.Physical {
+			if st := byModule[p.Lower.Module]; st != nil {
+				rx, tx := a.kern.IfaceCounters(p.Iface)
+				st.Pipes = append(st.Pipes, core.PipeState{ID: p.ID, End: core.EndPhy, Status: p.Status, RxPkts: rx, TxPkts: tx})
+			}
+			continue
+		}
+		if st := byModule[p.Upper.Module]; st != nil {
+			st.Pipes = append(st.Pipes, core.PipeState{ID: p.ID, End: core.EndDown, Other: p.Lower, Peer: p.UpperPeer, Status: p.Status})
+		}
+		if st := byModule[p.Lower.Module]; st != nil {
+			st.Pipes = append(st.Pipes, core.PipeState{ID: p.ID, End: core.EndUp, Other: p.Upper, Peer: p.LowerPeer, Status: p.Status})
+		}
+	}
+	for _, r := range rules {
+		st := byModule[r.module]
+		switch {
+		case st == nil:
+		case r.sw != nil:
+			st.SwitchRules = append(st.SwitchRules, *r.sw)
+		default:
+			st.Filters = append(st.Filters, *r.filter)
+		}
+	}
+	return states
 }
 
 // ---------------------------------------------------------------------------
@@ -411,12 +550,7 @@ func (a *MA) handle(env msg.Envelope) {
 		a.reply(env, msg.TypeShowPotentialResp, msg.ShowPotentialResp{Modules: abs})
 
 	case msg.TypeShowActualReq:
-		mods := a.Modules()
-		states := make([]core.ModuleState, 0, len(mods))
-		for _, m := range mods {
-			states = append(states, m.Actual())
-		}
-		a.reply(env, msg.TypeShowActualResp, msg.ShowActualResp{Modules: states})
+		a.reply(env, msg.TypeShowActualResp, msg.ShowActualResp{Modules: a.actual()})
 
 	case msg.TypeCommandBatchReq:
 		var batch msg.CommandBatchReq
@@ -684,7 +818,7 @@ func (a *MA) createSwitch(body msg.CreateSwitchReq) (string, bool, error) {
 	}
 	a.mu.Unlock()
 
-	err := m.InstallSwitchRule(inst)
+	undo, err := m.InstallSwitchRule(inst)
 	if err == ErrPending {
 		a.mu.Lock()
 		a.pending = append(a.pending, pendingRule{module: m, inst: inst})
@@ -694,6 +828,7 @@ func (a *MA) createSwitch(body msg.CreateSwitchReq) (string, bool, error) {
 	if err != nil {
 		return "", false, err
 	}
+	a.record(body.Rule.Module.Module, inst, nil, undo)
 	return inst.ID, false, nil
 }
 
@@ -709,50 +844,109 @@ func (a *MA) createFilter(body msg.CreateFilterReq) (string, error) {
 		Rule: body.Rule,
 	}
 	a.mu.Unlock()
-	if err := m.InstallFilterRule(inst); err != nil {
+	undo, err := m.InstallFilterRule(inst)
+	if err != nil {
 		return "", err
 	}
+	a.record(body.Rule.Module.Module, nil, inst, undo)
 	return inst.ID, nil
 }
 
 func (a *MA) deleteComponent(req core.DeleteRequest) error {
-	m, ok := a.LocalModule(req.Module.Module)
-	if !ok {
+	if _, ok := a.LocalModule(req.Module.Module); !ok {
 		return fmt.Errorf("device[%s]: no module %s", a.dev, req.Module)
 	}
 	switch req.Kind {
 	case core.ComponentPipe:
-		a.mu.Lock()
-		p, ok := a.pipes[core.PipeID(req.ID)]
-		if ok && !p.Physical {
-			delete(a.pipes, core.PipeID(req.ID))
-		}
-		a.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("device[%s]: no pipe %s", a.dev, req.ID)
-		}
-		if p.Physical {
-			return fmt.Errorf("device[%s]: physical pipe %s cannot be deleted, only disabled", a.dev, req.ID)
-		}
-		upper, uok := a.LocalModule(p.Upper.Module)
-		lower, lok := a.LocalModule(p.Lower.Module)
-		if uok {
-			_ = upper.PipeDeleted(p, SideUpper)
-		}
-		if lok {
-			_ = lower.PipeDeleted(p, SideLower)
-		}
-		// Unsolicited event so the NM learns about deletions it did not
-		// itself order (a killed pipe heals autonomously, §II-E).
-		_ = a.Notify(p.Lower, "pipe-deleted", string(p.ID))
-		return nil
+		return a.deletePipe(core.PipeID(req.ID))
 	case core.ComponentSwitchRule, core.ComponentFilterRule:
-		// Modules own rule teardown.
-		type ruleDeleter interface{ DeleteRule(id string) error }
-		if rd, ok := m.(ruleDeleter); ok {
-			return rd.DeleteRule(req.ID)
-		}
-		return ErrUnsupported
+		return a.deleteRule(req.Module.Module, req.ID)
 	}
 	return fmt.Errorf("device[%s]: delete of %s unsupported", a.dev, req.Kind)
+}
+
+// deletePipe removes a pipe with every rule on it: the rules still
+// waiting to install are dropped, and the installed ones' undos run —
+// the upper module's first, then the lower's, each in install order —
+// before both modules hear PipeDeleted.
+func (a *MA) deletePipe(id core.PipeID) error {
+	a.mu.Lock()
+	p, ok := a.pipes[id]
+	var doomed []*installedRule
+	if ok && !p.Physical {
+		delete(a.pipes, id)
+		for _, r := range a.pipeRules[id] {
+			doomed = append(doomed, r)
+		}
+		for _, r := range doomed {
+			a.unrecordLocked(r)
+		}
+		live := a.pending[:0]
+		for _, pr := range a.pending {
+			if a.pipesLiveLocked(pr.inst.Rule) {
+				live = append(live, pr)
+			}
+		}
+		a.pending = live
+	}
+	a.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("device[%s]: no pipe %s", a.dev, id)
+	}
+	if p.Physical {
+		return fmt.Errorf("device[%s]: physical pipe %s cannot be deleted, only disabled", a.dev, id)
+	}
+	rank := func(r *installedRule) int {
+		switch r.module {
+		case p.Upper.Module:
+			return 0
+		case p.Lower.Module:
+			return 1
+		}
+		return 2
+	}
+	slices.SortFunc(doomed, func(x, y *installedRule) int {
+		if c := cmp.Compare(rank(x), rank(y)); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.seq, y.seq)
+	})
+	for _, r := range doomed {
+		if r.undo != nil {
+			r.undo()
+		}
+	}
+	if upper, ok := a.LocalModule(p.Upper.Module); ok {
+		_ = upper.PipeDeleted(p, SideUpper)
+	}
+	if lower, ok := a.LocalModule(p.Lower.Module); ok {
+		_ = lower.PipeDeleted(p, SideLower)
+	}
+	// Unsolicited event so the NM learns about deletions it did not
+	// itself order (a killed pipe heals autonomously, §II-E).
+	_ = a.Notify(p.Lower, "pipe-deleted", string(p.ID))
+	return nil
+}
+
+// deleteRule takes one installed rule of the given module out and runs
+// its undo. A rule id the MA does not know, or one another module
+// installed, is refused.
+func (a *MA) deleteRule(module core.ModuleID, id string) error {
+	a.mu.Lock()
+	r, ok := a.rules[id]
+	owned := ok && r.module == module
+	if owned {
+		a.unrecordLocked(r)
+	}
+	a.mu.Unlock()
+	switch {
+	case !ok:
+		return fmt.Errorf("device[%s]: no rule %q", a.dev, id)
+	case !owned:
+		return fmt.Errorf("device[%s]: rule %q belongs to module %s, not %s", a.dev, id, r.module, module)
+	}
+	if r.undo != nil {
+		r.undo()
+	}
+	return nil
 }

@@ -3,6 +3,13 @@
 // over the management channel, relays module-to-module messages through
 // the NM, and bridges modules to the simulated kernel and physical
 // network (paper §II).
+//
+// The MA also keeps the protocol-agnostic half of every module's
+// components: the pipe table, the registry of installed switch and
+// filter rules with the undo each Install* call returned, the teardown
+// cascade (deleting a pipe runs the undos of the rules on it), and the
+// pipes and rules showActual reports. A module implements only protocol
+// behaviour.
 package device
 
 import (
@@ -129,7 +136,8 @@ type SwitchRuleInstance struct {
 	HandleResolved string
 }
 
-// FilterRuleInstance is an installed abstract filter rule.
+// FilterRuleInstance is an installed abstract filter rule. The MA reports
+// the ResolvedFields the installing module set, as they were at install.
 type FilterRuleInstance struct {
 	ID             string
 	Rule           core.FilterRule
@@ -148,23 +156,32 @@ var ErrUnsupported = errors.New("device: operation unsupported by module")
 
 // Module is the interface every protocol module implements toward its MA.
 // It is deliberately protocol-agnostic: everything protocol-specific stays
-// inside the implementation (the whole point of CONMan).
+// inside the implementation (the whole point of CONMan). Which pipes a
+// module sits on and which rules it installed are the MA's records, not
+// the module's: a module looks its pipes up with BaseModule.OwnPipe, and
+// takes a rule back out only through the undo its Install* call returned.
 type Module interface {
 	// Ref returns the module's <name, module-id, device-id> tuple.
 	Ref() core.ModuleRef
 	// Abstraction self-describes the module (Table II).
 	Abstraction() core.Abstraction
-	// Actual reports current state (showActual).
+	// Actual reports the module's own showActual state: LowLevel and
+	// Perf. The MA adds the pipes and rules it keeps for the module.
 	Actual() core.ModuleState
 	// PipeAttached notifies the module of a new pipe at the given side.
 	PipeAttached(p *Pipe, side PipeSide) error
-	// PipeDeleted notifies the module that a pipe was removed.
+	// PipeDeleted notifies the module that a pipe was removed, after the
+	// MA has run the undos of every rule on it.
 	PipeDeleted(p *Pipe, side PipeSide) error
-	// InstallSwitchRule directs packet switching between two pipes.
-	// Returning ErrPending defers the rule until dependencies resolve.
-	InstallSwitchRule(r *SwitchRuleInstance) error
-	// InstallFilterRule installs an abstract filter (§II-E).
-	InstallFilterRule(r *FilterRuleInstance) error
+	// InstallSwitchRule directs packet switching between two pipes and
+	// returns the undo that takes the rule's state back out (nil when it
+	// left none). The MA runs the undo when the rule, or a pipe it
+	// references, is deleted. Returning ErrPending defers the rule until
+	// dependencies resolve.
+	InstallSwitchRule(r *SwitchRuleInstance) (undo func(), err error)
+	// InstallFilterRule installs an abstract filter (§II-E) and returns
+	// its undo, as InstallSwitchRule does.
+	InstallFilterRule(r *FilterRuleInstance) (undo func(), err error)
 	// HandleConvey processes a message from a (remote) peer module.
 	HandleConvey(from core.ModuleRef, kind string, body []byte) error
 	// ListFields resolves an abstract component to low-level fields
@@ -218,11 +235,30 @@ func (b *BaseModule) PipeAttached(*Pipe, PipeSide) error { return nil }
 // PipeDeleted implements Module.
 func (b *BaseModule) PipeDeleted(*Pipe, PipeSide) error { return nil }
 
+// OwnPipe looks a pipe of the device up and reports which end of it this
+// module is; ok is false for an unknown pipe or one the module is not an
+// end of. A physical pipe's owning ETH module is its lower end.
+func (b *BaseModule) OwnPipe(id core.PipeID) (p *Pipe, side PipeSide, ok bool) {
+	p, ok = b.Svc.PipeByID(id)
+	switch {
+	case !ok:
+	case p.Upper.Module == b.ModRef.Module:
+		return p, SideUpper, true
+	case p.Lower.Module == b.ModRef.Module:
+		return p, SideLower, true
+	}
+	return nil, 0, false
+}
+
 // InstallSwitchRule implements Module (unsupported).
-func (b *BaseModule) InstallSwitchRule(*SwitchRuleInstance) error { return ErrUnsupported }
+func (b *BaseModule) InstallSwitchRule(*SwitchRuleInstance) (func(), error) {
+	return nil, ErrUnsupported
+}
 
 // InstallFilterRule implements Module (unsupported).
-func (b *BaseModule) InstallFilterRule(*FilterRuleInstance) error { return ErrUnsupported }
+func (b *BaseModule) InstallFilterRule(*FilterRuleInstance) (func(), error) {
+	return nil, ErrUnsupported
+}
 
 // HandleConvey implements Module (ignores).
 func (b *BaseModule) HandleConvey(core.ModuleRef, string, []byte) error { return nil }

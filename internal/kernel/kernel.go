@@ -715,6 +715,40 @@ func (k *Kernel) HasNHLFE(key int) bool {
 	return ok
 }
 
+// ForwardingConfig renders the configuration no other accessor exposes —
+// rt_tables names, policy rules, every table and its routes, and the
+// MPLS ILM/XC/NHLFE entries — as sorted canonical lines, so a
+// consistency check can compare a kernel against an earlier copy of
+// itself.
+func (k *Kernel) ForwardingConfig() []string {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	var out []string
+	for num, name := range k.rtNames {
+		out = append(out, fmt.Sprintf("rt_tables %d %s", num, name))
+	}
+	for _, r := range k.rules {
+		out = append(out, fmt.Sprintf("rule to %v iif %q table %s", r.To, r.IIF, r.Table))
+	}
+	for name, t := range k.tables {
+		out = append(out, "table "+name)
+		for _, r := range t.Routes {
+			out = append(out, fmt.Sprintf("route %s %v via %v dev %q mpls %d", name, r.dst(), r.Via, r.Dev, r.MPLSKey))
+		}
+	}
+	for ik := range k.mpls.ilm {
+		out = append(out, fmt.Sprintf("ilm %d/%d", ik.Label, ik.LabelSpace))
+	}
+	for ik, key := range k.mpls.xc {
+		out = append(out, fmt.Sprintf("xc %d/%d nhlfe %d", ik.Label, ik.LabelSpace, key))
+	}
+	for key, n := range k.mpls.nhlfe {
+		out = append(out, fmt.Sprintf("nhlfe %d mtu %d push %v nexthop %q %v", key, n.MTU, n.PushLabels, n.NexthopDev, n.NexthopIP))
+	}
+	sort.Strings(out)
+	return out
+}
+
 // RegisterUDP binds a handler to a local UDP port.
 func (k *Kernel) RegisterUDP(port uint16, h UDPHandler) {
 	k.mu.Lock()

@@ -10,7 +10,6 @@
 package modules
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -28,16 +27,9 @@ import (
 type ETH struct {
 	device.BaseModule
 
-	mu        sync.Mutex
-	isSwitch  bool
-	ifaces    []string               // kernel port names
-	physPipes map[core.PipeID]string // physical pipe id -> iface
-	external  map[core.PipeID]bool
-	upPipes   map[core.PipeID]*device.Pipe
-	rules     []*device.SwitchRuleInstance
-	// ruleUndo maps an installed rule's id to the action undoing the
-	// CatOS port configuration it emitted (nil for router NIC rules).
-	ruleUndo map[string]func()
+	mu       sync.Mutex
+	isSwitch bool
+	ifaces   []string // kernel port names, sorted
 	// vlanRefs counts installed rules per emitted CatOS port config.
 	// Several intents' paths may ride the same (port, vid) membership —
 	// the kernel state is shared, so only the last rule out may clear
@@ -57,14 +49,11 @@ func NewETH(svc device.Services, id core.ModuleID, isSwitch bool, ifaces ...stri
 			ModRef: core.Ref(core.NameETH, svc.Device(), id),
 			Svc:    svc,
 		},
-		isSwitch:  isSwitch,
-		ifaces:    append([]string(nil), ifaces...),
-		physPipes: make(map[core.PipeID]string),
-		external:  make(map[core.PipeID]bool),
-		upPipes:   make(map[core.PipeID]*device.Pipe),
-		ruleUndo:  make(map[string]func()),
-		vlanRefs:  make(map[string]int),
+		isSwitch: isSwitch,
+		ifaces:   slices.Clone(ifaces),
+		vlanRefs: make(map[string]int),
 	}
+	slices.Sort(e.ifaces)
 	return e
 }
 
@@ -76,20 +65,14 @@ func (e *ETH) RegisterPhysical(ma *device.MA, externalIfaces ...string) {
 		ext[i] = true
 	}
 	for _, iface := range e.ifaces {
-		id := PhysPipeID(iface)
-		p := &device.Pipe{
-			ID:       id,
+		ma.RegisterPhysicalPipe(&device.Pipe{
+			ID:       PhysPipeID(iface),
 			Lower:    e.Ref(), // the ETH module owns its physical pipes
 			Status:   core.PipeUp,
 			Physical: true,
 			Iface:    iface,
 			External: ext[iface],
-		}
-		e.mu.Lock()
-		e.physPipes[id] = iface
-		e.external[id] = ext[iface]
-		e.mu.Unlock()
-		ma.RegisterPhysicalPipe(p)
+		})
 	}
 }
 
@@ -100,8 +83,6 @@ func PhysPipeID(iface string) core.PipeID {
 
 // Abstraction implements device.Module (paper Table II/IV).
 func (e *ETH) Abstraction() core.Abstraction {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	a := core.Abstraction{
 		Ref:      e.Ref(),
 		Kind:     core.KindData,
@@ -128,146 +109,73 @@ func (e *ETH) Abstraction() core.Abstraction {
 			StateSource: core.StateLocal,
 		}
 	}
-	for id, iface := range e.physPipes {
-		a.Physical = append(a.Physical, core.PhysicalPipeInfo{
-			Pipe:     id,
-			Enabled:  true,
-			External: e.external[id],
-			// Peer fields are filled by the NM from topology reports.
-		})
-		_ = iface
+	// Sorted ifaces give physical pipes in id order.
+	for _, iface := range e.ifaces {
+		if p, ok := e.physPipe(PhysPipeID(iface)); ok {
+			a.Physical = append(a.Physical, core.PhysicalPipeInfo{
+				Pipe:     p.ID,
+				Enabled:  true,
+				External: p.External,
+				// Peer fields are filled by the NM from topology reports.
+			})
+		}
 	}
-	slices.SortFunc(a.Physical, func(x, y core.PhysicalPipeInfo) int { return cmp.Compare(x.Pipe, y.Pipe) })
 	return a
 }
 
 // Actual implements device.Module.
 func (e *ETH) Actual() core.ModuleState {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	st := core.ModuleState{Ref: e.Ref(), LowLevel: map[string]string{}}
-	for id, iface := range e.physPipes {
-		rx, tx := e.Svc.Kernel().IfaceCounters(iface)
-		st.Pipes = append(st.Pipes, core.PipeState{
-			ID: id, End: core.EndPhy, Status: core.PipeUp, RxPkts: rx, TxPkts: tx,
-		})
-		st.LowLevel["iface:"+iface] = iface
-	}
-	for id, p := range e.upPipes {
-		// Peer is this (lower) module's own remote peer, matching how
-		// every other module reports its pipes.
-		st.Pipes = append(st.Pipes, core.PipeState{
-			ID: id, End: core.EndUp, Other: p.Upper, Peer: p.LowerPeer, Status: p.Status,
-		})
-	}
-	for _, r := range e.rules {
-		st.SwitchRules = append(st.SwitchRules, core.SwitchRuleState{
-			ID: r.ID, From: r.Rule.From, To: r.Rule.To, Match: r.Rule.Match, Via: r.Rule.Via,
-			MatchResolved: r.MatchResolved, ViaResolved: r.ViaResolved,
-		})
+	for _, iface := range e.ifaces {
+		if _, ok := e.physPipe(PhysPipeID(iface)); ok {
+			st.LowLevel["iface:"+iface] = iface
+		}
 	}
 	return st
 }
 
 // PipeAttached implements device.Module.
 func (e *ETH) PipeAttached(p *device.Pipe, side device.PipeSide) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	switch side {
-	case device.SideLower:
-		// Something above us (IP, MPLS, VLAN).
-		e.upPipes[p.ID] = p
-	case device.SideUpper:
-		// Only switch ETH modules accept a module "below" them (the VLAN
-		// dance of Fig 9b); nothing to do until the switch rule.
-		if !e.isSwitch {
-			return fmt.Errorf("%s: router ETH has no down pipes", e.Ref())
-		}
+	// Only switch ETH modules accept a module "below" them (the VLAN
+	// dance of Fig 9b); nothing to do until the switch rule.
+	if side == device.SideUpper && !e.isSwitch {
+		return fmt.Errorf("%s: router ETH has no down pipes", e.Ref())
 	}
 	return nil
 }
 
-// PipeDeleted implements device.Module: switch rules referencing the
-// pipe go with it, undoing any port configuration they emitted.
-func (e *ETH) PipeDeleted(p *device.Pipe, side device.PipeSide) error {
-	e.mu.Lock()
-	delete(e.upPipes, p.ID)
-	var undos []func()
-	kept := e.rules[:0]
-	for _, r := range e.rules {
-		if r.Rule.From == p.ID || r.Rule.To == p.ID {
-			if u := e.ruleUndo[r.ID]; u != nil {
-				undos = append(undos, u)
-			}
-			delete(e.ruleUndo, r.ID)
-			continue
-		}
-		kept = append(kept, r)
-	}
-	e.rules = kept
-	e.mu.Unlock()
-	for _, u := range undos {
-		u()
-	}
-	return nil
-}
-
-// DeleteRule removes a switch rule by id (invoked via delete()),
-// undoing its port configuration.
-func (e *ETH) DeleteRule(id string) error {
-	e.mu.Lock()
-	for i, r := range e.rules {
-		if r.ID != id {
-			continue
-		}
-		e.rules = append(e.rules[:i], e.rules[i+1:]...)
-		undo := e.ruleUndo[id]
-		delete(e.ruleUndo, id)
-		e.mu.Unlock()
-		if undo != nil {
-			undo()
-		}
-		return nil
-	}
-	e.mu.Unlock()
-	return fmt.Errorf("%s: no switch rule %q", e.Ref(), id)
-}
-
-// ifaceOf resolves a physical pipe id to its kernel interface.
-func (e *ETH) ifaceOf(pipe core.PipeID) (string, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	i, ok := e.physPipes[pipe]
-	return i, ok
+// physPipe resolves one of this module's physical pipes.
+func (e *ETH) physPipe(id core.PipeID) (*device.Pipe, bool) {
+	p, side, ok := e.OwnPipe(id)
+	return p, ok && side == device.SideLower && p.Physical
 }
 
 // InstallSwitchRule implements device.Module. Router NIC rules ([up-pipe,
 // phys-pipe]) need no kernel action — the routed interface is already
 // live. Switch rules involving a VLAN module translate to CatOS port
 // configuration once the VLAN module has settled on a VID.
-func (e *ETH) InstallSwitchRule(r *device.SwitchRuleInstance) error {
+func (e *ETH) InstallSwitchRule(r *device.SwitchRuleInstance) (func(), error) {
 	from, ok1 := e.Svc.PipeByID(r.Rule.From)
 	to, ok2 := e.Svc.PipeByID(r.Rule.To)
 	if !ok1 || !ok2 {
-		return fmt.Errorf("%s: switch rule references unknown pipes", e.Ref())
+		return nil, fmt.Errorf("%s: switch rule references unknown pipes", e.Ref())
 	}
 	phys, other := from, to
 	if !phys.Physical {
 		phys, other = to, from
 	}
 	if !phys.Physical {
-		return fmt.Errorf("%s: ETH switch rules must involve a physical pipe", e.Ref())
+		return nil, fmt.Errorf("%s: ETH switch rules must involve a physical pipe", e.Ref())
 	}
 	if other.Physical && e.isSwitch {
 		// [phy => phy] transit switching of tagged frames: the port VLAN
 		// membership is protocol state only the VLAN module knows; a
 		// path that bypasses it cannot be configured (the NM then picks
 		// the canonical path through the VLAN module instead).
-		return fmt.Errorf("%s: transit [phy => phy] switching needs the VLAN module in the path", e.Ref())
+		return nil, fmt.Errorf("%s: transit [phy => phy] switching needs the VLAN module in the path", e.Ref())
 	}
-	iface, ok := e.ifaceOf(phys.ID)
-	if !ok {
-		return fmt.Errorf("%s: physical pipe %s is not mine", e.Ref(), phys.ID)
+	if phys.Lower.Module != e.Ref().Module {
+		return nil, fmt.Errorf("%s: physical pipe %s is not mine", e.Ref(), phys.ID)
 	}
 
 	// Which module is on the other side of the non-physical pipe?
@@ -278,21 +186,10 @@ func (e *ETH) InstallSwitchRule(r *device.SwitchRuleInstance) error {
 		counterpart = other.Upper
 	}
 
-	var undo func()
 	if counterpart.Name == core.NameVLAN && e.isSwitch {
-		var err error
-		undo, err = e.installVLANPortRule(r, iface, counterpart)
-		if err != nil {
-			return err
-		}
+		return e.installVLANPortRule(r, phys.Iface, counterpart)
 	}
-	e.mu.Lock()
-	e.rules = append(e.rules, r)
-	if undo != nil {
-		e.ruleUndo[r.ID] = undo
-	}
-	e.mu.Unlock()
-	return nil
+	return nil, nil
 }
 
 // installVLANPortRule emits the CatOS port configuration for one side of
@@ -374,10 +271,8 @@ func (e *ETH) ListFields(component string) (map[string]string, error) {
 	if len(component) > 5 && component[:5] == "pipe:" {
 		component = component[5:]
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if iface, ok := e.physPipes[core.PipeID(component)]; ok {
-		return e.fieldsForIface(iface)
+	if p, ok := e.physPipe(core.PipeID(component)); ok {
+		return e.fieldsForIface(p.Iface)
 	}
 	// A router NIC has exactly one interface: any up-pipe (even one still
 	// being attached) or "self" maps onto it.
@@ -398,10 +293,10 @@ func (e *ETH) fieldsForIface(iface string) (map[string]string, error) {
 // SelfTest implements device.Module: checks the physical pipe is attached
 // and carrying frames.
 func (e *ETH) SelfTest(pipe core.PipeID) (bool, string) {
-	iface, ok := e.ifaceOf(pipe)
+	p, ok := e.physPipe(pipe)
 	if !ok {
 		return false, fmt.Sprintf("no physical pipe %s", pipe)
 	}
-	rx, tx := e.Svc.Kernel().IfaceCounters(iface)
-	return true, fmt.Sprintf("iface %s rx=%d tx=%d", iface, rx, tx)
+	rx, tx := e.Svc.Kernel().IfaceCounters(p.Iface)
+	return true, fmt.Sprintf("iface %s rx=%d tx=%d", p.Iface, rx, tx)
 }

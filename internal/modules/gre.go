@@ -20,23 +20,14 @@ import (
 type GRE struct {
 	device.BaseModule
 
-	mu      sync.Mutex
-	upPipes map[core.PipeID]*device.Pipe
-	dnPipes map[core.PipeID]*device.Pipe
+	mu sync.Mutex
 	// params holds per-peer negotiated parameters.
 	params map[string]*greParams
-	// tunnels maps a kernel interface name to the up/down pipes the
-	// tunnel was built across.
-	tunnels  map[string]greTun
+	// tunnels counts the installed switch rules riding each kernel
+	// tunnel interface; the last rule's undo deletes the tunnel.
+	tunnels  map[string]int
 	keySeq   uint32
 	insmoded bool
-	rules    []*device.SwitchRuleInstance
-}
-
-// greTun records which pipes a kernel tunnel belongs to, so teardown
-// can match pipe ids exactly.
-type greTun struct {
-	up, dn core.PipeID
 }
 
 type greParams struct {
@@ -65,10 +56,8 @@ func NewGRE(svc device.Services, id core.ModuleID) *GRE {
 			ModRef: core.Ref(core.NameGRE, svc.Device(), id),
 			Svc:    svc,
 		},
-		upPipes: make(map[core.PipeID]*device.Pipe),
-		dnPipes: make(map[core.PipeID]*device.Pipe),
 		params:  make(map[string]*greParams),
-		tunnels: make(map[string]greTun),
+		tunnels: make(map[string]int),
 	}
 }
 
@@ -123,16 +112,6 @@ func (g *GRE) Actual() core.ModuleState {
 	defer g.mu.Unlock()
 	st := core.ModuleState{Ref: g.Ref(), LowLevel: map[string]string{}}
 	k := g.Svc.Kernel()
-	for id, p := range g.upPipes {
-		st.Pipes = append(st.Pipes, core.PipeState{
-			ID: id, End: core.EndUp, Other: p.Upper, Peer: p.LowerPeer, Status: p.Status,
-		})
-	}
-	for id, p := range g.dnPipes {
-		st.Pipes = append(st.Pipes, core.PipeState{
-			ID: id, End: core.EndDown, Other: p.Lower, Peer: p.UpperPeer, Status: p.Status,
-		})
-	}
 	for iface := range g.tunnels {
 		if tun, ok := k.Tunnel(iface); ok {
 			st.LowLevel["tunnel:"+iface] = fmt.Sprintf("dev=%s local=%s remote=%s ikey=%d okey=%d seq=%v csum=%v",
@@ -143,12 +122,6 @@ func (g *GRE) Actual() core.ModuleState {
 			"rx-packets": float64(rx),
 			"tx-packets": float64(tx),
 		}
-	}
-	for _, r := range g.rules {
-		st.SwitchRules = append(st.SwitchRules, core.SwitchRuleState{
-			ID: r.ID, From: r.Rule.From, To: r.Rule.To, Match: r.Rule.Match, Via: r.Rule.Via,
-			MatchResolved: r.MatchResolved, ViaResolved: r.ViaResolved,
-		})
 	}
 	return st
 }
@@ -161,34 +134,26 @@ func (g *GRE) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 		prop    greProposal
 	)
 	g.mu.Lock()
-	switch side {
-	case device.SideLower:
-		// Our up pipe (IP payload above). Kick off parameter negotiation
-		// with the peer GRE module if we are the initiator (the module
-		// with the lexically smaller reference, so each pair negotiates
-		// exactly once).
-		g.upPipes[p.ID] = p
-		peer = p.LowerPeer
-		if !peer.IsZero() && peer.Name == core.NameGRE {
-			pkey := peer.String()
-			_, have := g.params[pkey]
-			if !have && g.Ref().String() < pkey {
-				pr := &greParams{
-					IKey: 1001 + 2*g.keySeq,
-					OKey: 2001 + 2*g.keySeq,
-					Seq:  p.TradeoffChosen(core.MetricOrdering),
-					Csum: p.TradeoffChosen(core.MetricErrorRate),
-					Done: true,
-				}
-				g.keySeq++
-				g.params[pkey] = pr
-				prop = greProposal{YourIKey: pr.OKey, MyIKey: pr.IKey, Seq: pr.Seq, Csum: pr.Csum}
-				propose = true
+	// Our up pipe (IP payload above): kick off parameter negotiation with
+	// the peer GRE module if we are the initiator (the module with the
+	// lexically smaller reference, so each pair negotiates exactly once).
+	peer = p.LowerPeer
+	if side == device.SideLower && !peer.IsZero() && peer.Name == core.NameGRE {
+		pkey := peer.String()
+		_, have := g.params[pkey]
+		if !have && g.Ref().String() < pkey {
+			pr := &greParams{
+				IKey: 1001 + 2*g.keySeq,
+				OKey: 2001 + 2*g.keySeq,
+				Seq:  p.TradeoffChosen(core.MetricOrdering),
+				Csum: p.TradeoffChosen(core.MetricErrorRate),
+				Done: true,
 			}
+			g.keySeq++
+			g.params[pkey] = pr
+			prop = greProposal{YourIKey: pr.OKey, MyIKey: pr.IKey, Seq: pr.Seq, Csum: pr.Csum}
+			propose = true
 		}
-	case device.SideUpper:
-		// Our down pipe (delivery IP below).
-		g.dnPipes[p.ID] = p
 	}
 	g.mu.Unlock()
 	// The convey can synchronously trigger the peer's reply (in-process
@@ -197,80 +162,6 @@ func (g *GRE) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 		_ = g.Svc.Convey(g.Ref(), peer, "gre-params", prop)
 	}
 	return nil
-}
-
-// PipeDeleted implements device.Module: tears down tunnels and switch
-// rules built on the pipe (their state vanishes with it, so a later
-// re-Apply recreates both). The peer GRE module is told so it can reset
-// its receive-sequence state.
-func (g *GRE) PipeDeleted(p *device.Pipe, side device.PipeSide) error {
-	peer := p.LowerPeer
-	if side == device.SideUpper {
-		peer = p.UpperPeer
-	}
-	g.mu.Lock()
-	delete(g.upPipes, p.ID)
-	delete(g.dnPipes, p.ID)
-	torn := g.dropTunnelsLocked(p.ID)
-	kept := g.rules[:0]
-	for _, r := range g.rules {
-		if r.Rule.From != p.ID && r.Rule.To != p.ID {
-			kept = append(kept, r)
-		}
-	}
-	g.rules = kept
-	g.mu.Unlock()
-	g.notifyTunnelDown(torn, peer)
-	return nil
-}
-
-// dropTunnelsLocked deletes kernel tunnels whose up or down pipe is
-// exactly the given pipe and reports how many went. Caller holds g.mu.
-func (g *GRE) dropTunnelsLocked(id core.PipeID) int {
-	torn := 0
-	for iface, tun := range g.tunnels {
-		if tun.up == id || tun.dn == id {
-			g.Svc.Kernel().DelIface(iface)
-			delete(g.tunnels, iface)
-			torn++
-		}
-	}
-	return torn
-}
-
-// notifyTunnelDown tells the peer GRE module the tunnel went away so it
-// resets its receive-sequence protection: a re-created near end restarts
-// transmit sequences at zero, which the peer would otherwise drop as
-// replay (§II-D coordination through the NM, never on the data path).
-func (g *GRE) notifyTunnelDown(torn int, peer core.ModuleRef) {
-	if torn == 0 || peer.IsZero() || peer.Name != core.NameGRE {
-		return
-	}
-	_ = g.Svc.Convey(g.Ref(), peer, "gre-down", struct{}{})
-}
-
-// DeleteRule removes a switch rule by id (invoked via delete()),
-// tearing down the kernel tunnel the rule created.
-func (g *GRE) DeleteRule(id string) error {
-	g.mu.Lock()
-	for i, r := range g.rules {
-		if r.ID != id {
-			continue
-		}
-		g.rules = append(g.rules[:i], g.rules[i+1:]...)
-		torn := g.dropTunnelsLocked(r.Rule.From) + g.dropTunnelsLocked(r.Rule.To)
-		var peer core.ModuleRef
-		if up, ok := g.upPipes[r.Rule.From]; ok {
-			peer = up.LowerPeer
-		} else if up, ok := g.upPipes[r.Rule.To]; ok {
-			peer = up.LowerPeer
-		}
-		g.mu.Unlock()
-		g.notifyTunnelDown(torn, peer)
-		return nil
-	}
-	g.mu.Unlock()
-	return fmt.Errorf("%s: no switch rule %q", g.Ref(), id)
 }
 
 // HandleConvey implements device.Module: the responder half of the key
@@ -318,18 +209,16 @@ func (g *GRE) HandleConvey(from core.ModuleRef, kind string, body []byte) error 
 // binds the tunnel together. By now the peer negotiation supplies keys and
 // options, and the IP module below supplies the endpoint addresses; the
 // module then emits the same `ip tunnel add` command a human writes in
-// Fig 7(a) — but nobody had to write it.
-func (g *GRE) InstallSwitchRule(r *device.SwitchRuleInstance) error {
-	g.mu.Lock()
-	up, upOK := g.upPipes[r.Rule.From]
-	dn, dnOK := g.dnPipes[r.Rule.To]
-	if !upOK || !dnOK {
-		up, upOK = g.upPipes[r.Rule.To]
-		dn, dnOK = g.dnPipes[r.Rule.From]
+// Fig 7(a) — but nobody had to write it. The returned undo deletes the
+// tunnel once no rule rides it.
+func (g *GRE) InstallSwitchRule(r *device.SwitchRuleInstance) (func(), error) {
+	up, upSide, ok1 := g.OwnPipe(r.Rule.From)
+	dn, dnSide, ok2 := g.OwnPipe(r.Rule.To)
+	if upSide == device.SideUpper {
+		up, dn, upSide, dnSide = dn, up, dnSide, upSide
 	}
-	g.mu.Unlock()
-	if !upOK || !dnOK {
-		return fmt.Errorf("%s: switch rule needs one up and one down pipe", g.Ref())
+	if !ok1 || !ok2 || upSide != device.SideLower || dnSide != device.SideUpper {
+		return nil, fmt.Errorf("%s: switch rule needs one up and one down pipe", g.Ref())
 	}
 
 	peer := up.LowerPeer
@@ -337,37 +226,59 @@ func (g *GRE) InstallSwitchRule(r *device.SwitchRuleInstance) error {
 	pr, haveParams := g.params[peer.String()]
 	g.mu.Unlock()
 	if peer.IsZero() {
-		return fmt.Errorf("%s: up pipe %s has no peer", g.Ref(), up.ID)
+		return nil, fmt.Errorf("%s: up pipe %s has no peer", g.Ref(), up.ID)
 	}
 	if !haveParams || !pr.Done {
-		return device.ErrPending
+		return nil, device.ErrPending
 	}
 
 	// Tunnel endpoints from the IP module below (which exchanged
 	// addresses with its own peer).
 	lowerIP, ok := g.Svc.LocalModule(dn.Lower.Module)
 	if !ok {
-		return fmt.Errorf("%s: no lower module %s", g.Ref(), dn.Lower)
+		return nil, fmt.Errorf("%s: no lower module %s", g.Ref(), dn.Lower)
 	}
 	fields, err := lowerIP.ListFields("peer:" + dn.LowerPeer.String())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if fields["local"] == "" || fields["remote"] == "" {
-		return device.ErrPending
+		return nil, device.ErrPending
 	}
 	local, err1 := netip.ParseAddr(fields["local"])
 	remote, err2 := netip.ParseAddr(fields["remote"])
 	if err1 != nil || err2 != nil {
-		return fmt.Errorf("%s: bad endpoint addresses %q/%q", g.Ref(), fields["local"], fields["remote"])
+		return nil, fmt.Errorf("%s: bad endpoint addresses %q/%q", g.Ref(), fields["local"], fields["remote"])
 	}
 
 	name := fmt.Sprintf("gre-%s-%s", up.ID, dn.ID)
 	k := g.Svc.Kernel()
-	g.mu.Lock()
-	if _, exists := g.tunnels[name]; exists {
+	undo := func() {
+		g.mu.Lock()
+		g.tunnels[name]--
+		last := g.tunnels[name] <= 0
+		if last {
+			delete(g.tunnels, name)
+		}
 		g.mu.Unlock()
-		return nil
+		if !last {
+			return
+		}
+		k.DelIface(name)
+		// Tell the peer GRE module so it resets its receive-sequence
+		// protection: a re-created near end restarts transmit sequences
+		// at zero, which the peer would otherwise drop as replay (§II-D
+		// coordination through the NM, never on the data path).
+		if peer.Name == core.NameGRE {
+			_ = g.Svc.Convey(g.Ref(), peer, "gre-down", struct{}{})
+		}
+	}
+	g.mu.Lock()
+	if g.tunnels[name] > 0 {
+		// Another rule already built this tunnel; this one shares it.
+		g.tunnels[name]++
+		g.mu.Unlock()
+		return undo, nil
 	}
 	needInsmod := !g.insmoded
 	g.insmoded = true
@@ -375,7 +286,7 @@ func (g *GRE) InstallSwitchRule(r *device.SwitchRuleInstance) error {
 
 	if needInsmod {
 		if _, err := k.Exec("insmod /lib/modules/2.6.14-2/ip_gre.ko"); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	cmd := fmt.Sprintf("ip tunnel add name %s mode gre remote %s local %s ikey %d okey %d",
@@ -387,15 +298,14 @@ func (g *GRE) InstallSwitchRule(r *device.SwitchRuleInstance) error {
 		cmd += " iseq oseq"
 	}
 	if _, err := k.Exec(cmd); err != nil {
-		return err
+		return nil, err
 	}
 	g.mu.Lock()
-	g.tunnels[name] = greTun{up: up.ID, dn: dn.ID}
-	g.rules = append(g.rules, r)
+	g.tunnels[name]++
 	g.mu.Unlock()
 	// The IP module above may be waiting for our device handle.
 	g.Svc.Kick()
-	return nil
+	return undo, nil
 }
 
 // ListFields implements device.Module: exposes the tunnel device handle
@@ -403,22 +313,16 @@ func (g *GRE) InstallSwitchRule(r *device.SwitchRuleInstance) error {
 // showActual/debugging.
 func (g *GRE) ListFields(component string) (map[string]string, error) {
 	comp := strings.TrimPrefix(component, "pipe:")
+	if _, _, ok := g.OwnPipe(core.PipeID(comp)); !ok && comp != "self" {
+		return nil, fmt.Errorf("%s: unknown component %q", g.Ref(), component)
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	// Any pipe of ours maps onto the single tunnel built across it.
-	if _, ok := g.upPipes[core.PipeID(comp)]; ok || comp == "self" {
-		for iface := range g.tunnels {
-			return map[string]string{"dev": iface}, nil
-		}
-		return map[string]string{}, nil
+	for iface := range g.tunnels {
+		return map[string]string{"dev": iface}, nil
 	}
-	if _, ok := g.dnPipes[core.PipeID(comp)]; ok {
-		for iface := range g.tunnels {
-			return map[string]string{"dev": iface}, nil
-		}
-		return map[string]string{}, nil
-	}
-	return nil, fmt.Errorf("%s: unknown component %q", g.Ref(), component)
+	return map[string]string{}, nil
 }
 
 // SelfTest implements device.Module: checks IP reachability of the tunnel

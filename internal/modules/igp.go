@@ -154,23 +154,12 @@ func (g *IGP) Abstraction() core.Abstraction {
 	}
 }
 
-// Actual implements device.Module: the adjacencies (as pipes) and the
-// database and route counts, for showActual and reconciliation.
+// Actual implements device.Module: the database and route counts, for
+// showActual and reconciliation (the MA reports the adjacency pipes).
 func (g *IGP) Actual() core.ModuleState {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st := core.ModuleState{Ref: g.Ref(), LowLevel: g.summaryLocked()}
-	for id, adj := range g.adjs {
-		p, ok := g.Svc.PipeByID(id)
-		if !ok {
-			continue
-		}
-		st.Pipes = append(st.Pipes, core.PipeState{
-			ID: id, End: core.EndDown, Other: p.Lower, Peer: adj.nbr, Status: p.Status,
-		})
-	}
-	sort.Slice(st.Pipes, func(i, j int) bool { return st.Pipes[i].ID < st.Pipes[j].ID })
-	return st
+	return core.ModuleState{Ref: g.Ref(), LowLevel: g.summaryLocked()}
 }
 
 // localAddrs lists the kernel's connected interface addresses, excluding

@@ -26,18 +26,12 @@ type IP struct {
 	// addrs binds kernel interfaces to this module's assigned addresses.
 	addrs map[string]netip.Prefix // guarded by mu
 
-	pipes map[core.PipeID]*ipPipe // guarded by mu
 	// peerAddrs caches addresses learned through ip-exchange conveys,
 	// keyed by peer module ref string.
 	peerAddrs map[string]netip.Addr // guarded by mu
 	// exchangesDone dedups initiations.
 	exchangesDone map[string]bool // guarded by mu
 
-	rules []*device.SwitchRuleInstance // guarded by mu
-	// ruleUndo maps an installed switch rule's id to the action undoing
-	// its kernel state (routes, policy tables), run when the rule or a
-	// pipe it references is deleted.
-	ruleUndo map[string]func() // guarded by mu
 	// delivery is the resolved customer-delivery next hop ([pipe =>
 	// customer-pipe, gateway] rules); MPLS egress modules query it.
 	delivery map[string]string // guarded by mu
@@ -46,14 +40,8 @@ type IP struct {
 	// the paper's Table IV defaults (e.g. IPSec for the §II-F scenario).
 	extraConnectable []core.ModuleName
 
-	filters []*device.FilterRuleInstance // guarded by mu
-
-	emittedRoutes []string // guarded by mu
-}
-
-type ipPipe struct {
-	pipe *device.Pipe
-	side device.PipeSide
+	// filters holds the installed filters by id, for §II-E re-resolution.
+	filters map[string]*device.FilterRuleInstance // guarded by mu
 }
 
 // ipExchange is the convey body for address exchanges between peer IP
@@ -75,11 +63,10 @@ func NewIP(svc device.Services, id core.ModuleID, domain string, addrs map[strin
 		},
 		domain:        domain,
 		addrs:         make(map[string]netip.Prefix),
-		pipes:         make(map[core.PipeID]*ipPipe),
 		peerAddrs:     make(map[string]netip.Addr),
 		exchangesDone: make(map[string]bool),
-		ruleUndo:      make(map[string]func()),
 		delivery:      make(map[string]string),
+		filters:       make(map[string]*device.FilterRuleInstance),
 	}
 	for iface, p := range addrs {
 		// NM-assigned interface addresses are device-lifetime state:
@@ -176,46 +163,14 @@ func (m *IP) Actual() core.ModuleState {
 	for iface, p := range m.addrs {
 		st.LowLevel["addr:"+iface] = p.String()
 	}
-	for id, ip := range m.pipes {
-		ps := core.PipeState{ID: id, Status: ip.pipe.Status}
-		if ip.side == device.SideUpper {
-			ps.End = core.EndDown
-			ps.Other = ip.pipe.Lower
-			ps.Peer = ip.pipe.UpperPeer
-		} else {
-			ps.End = core.EndUp
-			ps.Other = ip.pipe.Upper
-			ps.Peer = ip.pipe.LowerPeer
-		}
-		st.Pipes = append(st.Pipes, ps)
-	}
-	for _, r := range m.rules {
-		st.SwitchRules = append(st.SwitchRules, core.SwitchRuleState{
-			ID: r.ID, From: r.Rule.From, To: r.Rule.To, Match: r.Rule.Match, Via: r.Rule.Via,
-			MatchResolved: r.MatchResolved, ViaResolved: r.ViaResolved,
-			HandleResolved: r.HandleResolved,
-		})
-	}
-	for _, f := range m.filters {
-		st.Filters = append(st.Filters, core.FilterRuleState{
-			ID: f.ID, Rule: f.Rule, ResolvedFields: f.ResolvedFields,
-		})
-	}
 	for peer, a := range m.peerAddrs {
 		st.LowLevel["peer-addr:"+peer] = a.String()
-	}
-	for i, r := range m.emittedRoutes {
-		st.LowLevel[fmt.Sprintf("route:%d", i)] = r
 	}
 	return st
 }
 
 // PipeAttached implements device.Module: triggers the address exchanges.
 func (m *IP) PipeAttached(p *device.Pipe, side device.PipeSide) error {
-	m.mu.Lock()
-	m.pipes[p.ID] = &ipPipe{pipe: p, side: side}
-	m.mu.Unlock()
-
 	var peer core.ModuleRef
 	switch side {
 	case device.SideLower:
@@ -235,40 +190,6 @@ func (m *IP) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 	}
 	m.maybeInitiateExchange(peer)
 	return nil
-}
-
-// PipeDeleted implements device.Module: forget the pipe and tear down
-// any switch rules built on it (a rule's kernel state vanishes with its
-// pipe, so a later re-Apply recreates both).
-func (m *IP) PipeDeleted(p *device.Pipe, side device.PipeSide) error {
-	m.mu.Lock()
-	delete(m.pipes, p.ID)
-	m.mu.Unlock()
-	m.dropRulesOnPipe(p.ID)
-	return nil
-}
-
-// dropRulesOnPipe removes installed switch rules referencing the pipe,
-// running their kernel undo actions.
-func (m *IP) dropRulesOnPipe(id core.PipeID) {
-	m.mu.Lock()
-	var undos []func()
-	kept := m.rules[:0]
-	for _, r := range m.rules {
-		if r.Rule.From == id || r.Rule.To == id {
-			if u := m.ruleUndo[r.ID]; u != nil {
-				undos = append(undos, u)
-			}
-			delete(m.ruleUndo, r.ID)
-			continue
-		}
-		kept = append(kept, r)
-	}
-	m.rules = kept
-	m.mu.Unlock()
-	for _, u := range undos {
-		u()
-	}
 }
 
 // maybeInitiateExchange starts the 2-message address exchange with a peer
@@ -378,24 +299,31 @@ func (m *IP) ListFields(component string) (map[string]string, error) {
 		}
 		return out, nil
 	default:
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if ip, ok := m.pipes[core.PipeID(component)]; ok {
-			out := map[string]string{}
-			if a, ok := m.PrimaryAddr(); ok {
-				out["address"] = a.String()
-			}
-			peer := ip.pipe.LowerPeer
-			if ip.side == device.SideUpper {
-				peer = ip.pipe.UpperPeer
-			}
-			if !peer.IsZero() {
-				out["peer"] = peer.String()
-			}
-			return out, nil
+		peer, ok := m.pipePeer(core.PipeID(component))
+		if !ok {
+			return nil, fmt.Errorf("%s: unknown component %q", m.Ref(), component)
 		}
-		return nil, fmt.Errorf("%s: unknown component %q", m.Ref(), component)
+		out := map[string]string{}
+		if a, ok := m.PrimaryAddr(); ok {
+			out["address"] = a.String()
+		}
+		if !peer.IsZero() {
+			out["peer"] = peer.String()
+		}
+		return out, nil
 	}
+}
+
+// pipePeer returns this module's remote peer across one of its pipes.
+func (m *IP) pipePeer(id core.PipeID) (core.ModuleRef, bool) {
+	p, side, ok := m.OwnPipe(id)
+	switch {
+	case !ok:
+		return core.ModuleRef{}, false
+	case side == device.SideUpper:
+		return p.UpperPeer, true
+	}
+	return p.LowerPeer, true
 }
 
 // lowerHandle asks the module below a pipe how to send traffic into it:
@@ -418,11 +346,11 @@ func (m *IP) lowerHandle(p *device.Pipe) (map[string]string, error) {
 //     tunnel traffic to the customer gateway.
 //   - plain bidirectional (Fig 2's (5): switch(c, P2, P3)): the outer
 //     tunnel route `ip route add to <peer> via <next-hop> dev <iface>`.
-func (m *IP) InstallSwitchRule(r *device.SwitchRuleInstance) error {
+func (m *IP) InstallSwitchRule(r *device.SwitchRuleInstance) (func(), error) {
 	from, ok1 := m.Svc.PipeByID(r.Rule.From)
 	to, ok2 := m.Svc.PipeByID(r.Rule.To)
 	if !ok1 || !ok2 {
-		return fmt.Errorf("%s: switch rule references unknown pipes", m.Ref())
+		return nil, fmt.Errorf("%s: switch rule references unknown pipes", m.Ref())
 	}
 	var (
 		undo func()
@@ -437,16 +365,10 @@ func (m *IP) InstallSwitchRule(r *device.SwitchRuleInstance) error {
 		undo, err = m.installTransit(r, from, to)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m.mu.Lock()
-	m.rules = append(m.rules, r)
-	if undo != nil {
-		m.ruleUndo[r.ID] = undo
-	}
-	m.mu.Unlock()
 	m.Svc.Kick()
-	return nil
+	return undo, nil
 }
 
 // installClassifiedIngress handles [fromPipe, dst:<domain> => toPipe].
@@ -483,7 +405,6 @@ func (m *IP) installClassifiedIngress(r *device.SwitchRuleInstance, from, to *de
 		if _, err := k.Exec(cmd); err != nil {
 			return nil, err
 		}
-		m.recordRoute(cmd)
 		return func() {
 			k.DelRouteWhere("main", func(rt kernel.Route) bool {
 				return rt.MPLSKey > 0 && rt.Dst == prefix
@@ -499,7 +420,6 @@ func (m *IP) installClassifiedIngress(r *device.SwitchRuleInstance, from, to *de
 		if _, err := k.ExecScript(script); err != nil {
 			return nil, err
 		}
-		m.recordRoute(script)
 		return func() { k.DropTable(table) }, nil
 	}
 }
@@ -571,7 +491,6 @@ func (m *IP) installClassifiedEgress(r *device.SwitchRuleInstance, from, to *dev
 	if _, err := k.ExecScript(script); err != nil {
 		return nil, err
 	}
-	m.recordRoute(script)
 	return func() {
 		k.DropTable(table)
 		undoDelivery()
@@ -628,7 +547,6 @@ func (m *IP) installTransit(r *device.SwitchRuleInstance, from, to *device.Pipe)
 	if _, err := k.Exec(cmd); err != nil {
 		return nil, err
 	}
-	m.recordRoute(cmd)
 	dstPrefix := netip.PrefixFrom(dst, dst.BitLen())
 	dev := handle["dev"]
 	return func() {
@@ -638,30 +556,43 @@ func (m *IP) installTransit(r *device.SwitchRuleInstance, from, to *device.Pipe)
 	}, nil
 }
 
-func (m *IP) recordRoute(s string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.emittedRoutes = append(m.emittedRoutes, s)
-}
-
 // InstallFilterRule implements device.Module (§II-E): resolve the abstract
 // endpoints via listFieldsAndValues, then install a concrete kernel
 // filter.
-func (m *IP) InstallFilterRule(r *device.FilterRuleInstance) error {
-	var f kernel.FilterEntry
-	f.ID = r.ID
-	f.Action = r.Rule.Action
-	resolved := map[string]string{}
+func (m *IP) InstallFilterRule(r *device.FilterRuleInstance) (func(), error) {
+	f, resolved, err := m.resolveFilter(r)
+	if err != nil {
+		return nil, err
+	}
+	k := m.Svc.Kernel()
+	k.AddFilter(f)
+	r.ResolvedFields = resolved
+	r.KernelID = f.ID
+	m.mu.Lock()
+	m.filters[r.ID] = r
+	m.mu.Unlock()
+	return func() {
+		m.mu.Lock()
+		delete(m.filters, r.ID)
+		m.mu.Unlock()
+		k.DelFilter(f.ID)
+	}, nil
+}
 
+// resolveFilter turns an abstract filter into a kernel filter, resolving
+// its endpoint modules to concrete fields.
+func (m *IP) resolveFilter(r *device.FilterRuleInstance) (kernel.FilterEntry, map[string]string, error) {
+	f := kernel.FilterEntry{ID: r.ID, Action: r.Rule.Action}
+	resolved := map[string]string{}
 	if r.Rule.FromModule != nil {
 		fields, err := m.Svc.QueryFields(m.Ref(), *r.Rule.FromModule, "self")
 		if err != nil {
-			return err
+			return f, nil, err
 		}
 		if a := fields["address"]; a != "" {
 			addr, err := netip.ParseAddr(a)
 			if err != nil {
-				return fmt.Errorf("%s: filter source address %q: %v", m.Ref(), a, err)
+				return f, nil, fmt.Errorf("%s: filter source address %q: %v", m.Ref(), a, err)
 			}
 			f.SrcPrefix = netip.PrefixFrom(addr, addr.BitLen())
 			resolved["src"] = a
@@ -670,12 +601,12 @@ func (m *IP) InstallFilterRule(r *device.FilterRuleInstance) error {
 	if r.Rule.ToModule != nil {
 		fields, err := m.Svc.QueryFields(m.Ref(), *r.Rule.ToModule, "self")
 		if err != nil {
-			return err
+			return f, nil, err
 		}
 		if a := fields["address"]; a != "" {
 			addr, err := netip.ParseAddr(a)
 			if err != nil {
-				return fmt.Errorf("%s: filter destination address %q: %v", m.Ref(), a, err)
+				return f, nil, fmt.Errorf("%s: filter destination address %q: %v", m.Ref(), a, err)
 			}
 			f.DstPrefix = netip.PrefixFrom(addr, addr.BitLen())
 			resolved["dst"] = a
@@ -683,99 +614,43 @@ func (m *IP) InstallFilterRule(r *device.FilterRuleInstance) error {
 		if p := fields["port"]; p != "" {
 			var port uint16
 			if _, err := fmt.Sscanf(p, "%d", &port); err != nil {
-				return fmt.Errorf("%s: filter port %q: %v", m.Ref(), p, err)
+				return f, nil, fmt.Errorf("%s: filter port %q: %v", m.Ref(), p, err)
 			}
 			f.DstPort, f.HasPort = port, true
 			resolved["dst-port"] = p
 		}
 	}
-	m.Svc.Kernel().AddFilter(f)
-	r.ResolvedFields = resolved
-	r.KernelID = f.ID
-	m.mu.Lock()
-	m.filters = append(m.filters, r)
-	m.mu.Unlock()
-	return nil
+	return f, resolved, nil
 }
 
-// DeleteRule removes a filter or switch rule by id (invoked via
-// delete()), undoing the kernel state the rule installed.
-func (m *IP) DeleteRule(id string) error {
-	m.mu.Lock()
-	for i, r := range m.rules {
-		if r.ID != id {
-			continue
-		}
-		m.rules = append(m.rules[:i], m.rules[i+1:]...)
-		undo := m.ruleUndo[id]
-		delete(m.ruleUndo, id)
-		m.mu.Unlock()
-		if undo != nil {
-			undo()
-		}
-		return nil
-	}
-	m.mu.Unlock()
-	m.mu.Lock()
-	found := false
-	kept := m.filters[:0]
-	for _, f := range m.filters {
-		if f.ID != id {
-			kept = append(kept, f)
-			continue
-		}
-		found = true
-	}
-	m.filters = kept
-	m.mu.Unlock()
-	if !found {
-		return fmt.Errorf("%s: no rule %q", m.Ref(), id)
-	}
-	m.Svc.Kernel().DelFilter(id)
-	return nil
-}
-
-// ReResolveFilter re-resolves and reinstalls a filter after a dependency
-// trigger fired (§II-E dependency maintenance).
+// ReResolveFilter re-resolves an installed filter after a dependency
+// trigger fired (§II-E dependency maintenance) and swaps its kernel
+// filter for one built from the fresh fields. showActual keeps the
+// resolution the MA recorded at install.
 func (m *IP) ReResolveFilter(id string) error {
 	m.mu.Lock()
-	var inst *device.FilterRuleInstance
-	for _, f := range m.filters {
-		if f.ID == id {
-			inst = f
-			break
-		}
-	}
+	inst := m.filters[id]
 	m.mu.Unlock()
 	if inst == nil {
 		return fmt.Errorf("%s: no filter %q", m.Ref(), id)
 	}
-	m.Svc.Kernel().DelFilter(id)
-	m.mu.Lock()
-	kept := m.filters[:0]
-	for _, f := range m.filters {
-		if f.ID != id {
-			kept = append(kept, f)
-		}
+	f, _, err := m.resolveFilter(inst)
+	if err != nil {
+		return err
 	}
-	m.filters = kept
-	m.mu.Unlock()
-	return m.InstallFilterRule(inst)
+	k := m.Svc.Kernel()
+	k.DelFilter(id)
+	k.AddFilter(f)
+	return nil
 }
 
 // SelfTest implements device.Module: probe the peer across a pipe
 // (§II-D.2 — "errors like path MTU problems are detected when NM asks the
 // IP module to self test its connectivity to its peer").
 func (m *IP) SelfTest(pipe core.PipeID) (bool, string) {
-	m.mu.Lock()
-	ip, ok := m.pipes[pipe]
-	m.mu.Unlock()
+	peer, ok := m.pipePeer(pipe)
 	if !ok {
 		return false, fmt.Sprintf("no pipe %s", pipe)
-	}
-	peer := ip.pipe.LowerPeer
-	if ip.side == device.SideUpper {
-		peer = ip.pipe.UpperPeer
 	}
 	if peer.IsZero() {
 		return false, "pipe has no known peer"

@@ -141,8 +141,6 @@ type IPSec struct {
 	device.BaseModule
 
 	mu       sync.Mutex
-	upPipes  map[core.PipeID]*device.Pipe
-	dnPipes  map[core.PipeID]*device.Pipe
 	provider core.ModuleRef // IKE instance chosen by the NM
 	saKeys   map[string]uint64
 }
@@ -154,9 +152,7 @@ func NewIPSec(svc device.Services, id core.ModuleID) *IPSec {
 			ModRef: core.Ref(core.NameIPSec, svc.Device(), id),
 			Svc:    svc,
 		},
-		upPipes: make(map[core.PipeID]*device.Pipe),
-		dnPipes: make(map[core.PipeID]*device.Pipe),
-		saKeys:  make(map[string]uint64),
+		saKeys: make(map[string]uint64),
 	}
 }
 
@@ -189,65 +185,66 @@ func (s *IPSec) Abstraction() core.Abstraction {
 // PipeAttached implements device.Module: the up-pipe's dependency choice
 // must name an IKE provider; the module then asks it for keys.
 func (s *IPSec) PipeAttached(p *device.Pipe, side device.PipeSide) error {
+	if side != device.SideLower {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch side {
-	case device.SideLower:
-		// Find the provider the NM chose for our keying dependency.
-		for _, c := range p.Satisfy {
-			if c.Token == IPSecKeyToken && c.Provider != "" {
-				ref, err := core.ParseModuleRef(c.Provider)
-				if err != nil {
-					return fmt.Errorf("%s: bad provider %q: %v", s.Ref(), c.Provider, err)
-				}
-				s.provider = ref
+	// Find the provider the NM chose for our keying dependency.
+	for _, c := range p.Satisfy {
+		if c.Token == IPSecKeyToken && c.Provider != "" {
+			ref, err := core.ParseModuleRef(c.Provider)
+			if err != nil {
+				return fmt.Errorf("%s: bad provider %q: %v", s.Ref(), c.Provider, err)
 			}
+			s.provider = ref
 		}
-		if s.provider.IsZero() {
-			return fmt.Errorf("%s: pipe created without an %s provider", s.Ref(), IPSecKeyToken)
-		}
-		s.upPipes[p.ID] = p
-	case device.SideUpper:
-		s.dnPipes[p.ID] = p
+	}
+	if s.provider.IsZero() {
+		return fmt.Errorf("%s: pipe created without an %s provider", s.Ref(), IPSecKeyToken)
 	}
 	return nil
 }
 
 // InstallSwitchRule implements device.Module: binds the SA together once
-// IKE has keys for the peer's IKE instance.
-func (s *IPSec) InstallSwitchRule(r *device.SwitchRuleInstance) error {
-	s.mu.Lock()
-	var up *device.Pipe
-	for _, p := range s.upPipes {
-		if p.ID == r.Rule.From || p.ID == r.Rule.To {
-			up = p
-		}
+// IKE has keys for the peer's IKE instance. The returned undo drops the
+// SA key.
+func (s *IPSec) InstallSwitchRule(r *device.SwitchRuleInstance) (func(), error) {
+	up, side, ok := s.OwnPipe(r.Rule.From)
+	if !ok || side != device.SideLower {
+		up, side, ok = s.OwnPipe(r.Rule.To)
 	}
+	if !ok || side != device.SideLower {
+		return nil, fmt.Errorf("%s: switch rule pipes not attached", s.Ref())
+	}
+	s.mu.Lock()
 	provider := s.provider
 	s.mu.Unlock()
-	if up == nil {
-		return fmt.Errorf("%s: switch rule pipes not attached", s.Ref())
-	}
 	ike, ok := s.Svc.LocalModule(provider.Module)
 	if !ok {
-		return fmt.Errorf("%s: provider %s not on this device", s.Ref(), provider)
+		return nil, fmt.Errorf("%s: provider %s not on this device", s.Ref(), provider)
 	}
 	ikeMod, ok := ike.(*IKE)
 	if !ok {
-		return fmt.Errorf("%s: provider %s is not an IKE module", s.Ref(), provider)
+		return nil, fmt.Errorf("%s: provider %s is not an IKE module", s.Ref(), provider)
 	}
 	// The peer's IKE instance lives on the peer IPSec module's device,
 	// conventionally with the same module id as ours.
 	peerIKE := core.Ref(core.NameIKE, up.LowerPeer.Device, provider.Module)
 	key, err := ikeMod.Negotiate(peerIKE)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	peer := up.LowerPeer.String()
 	s.mu.Lock()
-	s.saKeys[up.LowerPeer.String()] = key
+	s.saKeys[peer] = key
 	s.mu.Unlock()
 	s.Svc.Kick()
-	return nil
+	return func() {
+		s.mu.Lock()
+		delete(s.saKeys, peer)
+		s.mu.Unlock()
+	}, nil
 }
 
 // SAKey reports the security association key for a peer (tests/operators).

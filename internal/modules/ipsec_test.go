@@ -1,6 +1,8 @@
 package modules_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"conman/internal/channel"
@@ -74,7 +76,7 @@ func TestIPSecIKEControlModuleDependency(t *testing.T) {
 	}
 
 	// Create the IPSec pipes on both devices, naming the provider.
-	mkPipe := func(dev core.DeviceID, peerDev core.DeviceID, prov core.ModuleRef) {
+	mkPipe := func(dev core.DeviceID, peerDev core.DeviceID, prov core.ModuleRef) string {
 		resp, err := manager.ExecuteBatch(dev, []msg.CommandItem{
 			{Pipe: &msg.CreatePipeItem{ID: "P0", Req: core.PipeRequest{
 				Upper:     core.Ref(core.NameIPv4, dev, "ip"),
@@ -100,8 +102,9 @@ func TestIPSecIKEControlModuleDependency(t *testing.T) {
 				t.Fatalf("%s item %d: %s", dev, i, e)
 			}
 		}
+		return resp.Results[2].RuleID
 	}
-	mkPipe("A", "B", core.Ref(core.NameIKE, "A", "ike"))
+	ruleA := mkPipe("A", "B", core.Ref(core.NameIKE, "A", "ike"))
 	mkPipe("B", "A", core.Ref(core.NameIKE, "B", "ike"))
 
 	// Both sides must have converged on the same SA key, negotiated by
@@ -114,6 +117,53 @@ func TestIPSecIKEControlModuleDependency(t *testing.T) {
 	if keyA != keyB || keyA == 0 {
 		t.Fatalf("SA keys diverge: %#x vs %#x", keyA, keyB)
 	}
+
+	// IPSec owns its components like every other module: showActual
+	// reports its rule and both ends of both pipes, and the NM can take
+	// them all back out, the SA key with the rule.
+	secRef := core.Ref(core.NameIPSec, "A", "sec")
+	listed := func() (pipes, rules []string) {
+		states, err := manager.ShowActual("A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range states {
+			for _, ps := range st.Pipes {
+				pipes = append(pipes, fmt.Sprintf("%s:%s:%s", st.Ref.Module, ps.ID, ps.End))
+			}
+			for _, r := range st.SwitchRules {
+				rules = append(rules, fmt.Sprintf("%s:%s", st.Ref.Module, r.ID))
+			}
+		}
+		return pipes, rules
+	}
+	pipes, rules := listed()
+	if want := []string{"ip:P0:down", "ip:P1:up", "sec:P0:up", "sec:P1:down"}; !slices.Equal(sorted(pipes), want) {
+		t.Errorf("showActual pipes = %v, want %v", pipes, want)
+	}
+	if want := []string{"sec:" + ruleA}; !slices.Equal(rules, want) {
+		t.Errorf("showActual rules = %v, want %v", rules, want)
+	}
+	for _, req := range []core.DeleteRequest{
+		{Kind: core.ComponentSwitchRule, Module: secRef, ID: ruleA},
+		{Kind: core.ComponentPipe, Module: secRef, ID: "P0"},
+		{Kind: core.ComponentPipe, Module: core.Ref(core.NameIPv4, "A", "ip"), ID: "P1"},
+	} {
+		if err := manager.Delete(req); err != nil {
+			t.Fatalf("delete %s %s: %v", req.Kind, req.ID, err)
+		}
+	}
+	if pipes, rules := listed(); len(pipes) != 0 || len(rules) != 0 {
+		t.Errorf("after deletes showActual lists pipes %v, rules %v", pipes, rules)
+	}
+	if _, ok := secA.SAKey(core.Ref(core.NameIPSec, "B", "sec")); ok {
+		t.Error("SA key survived its rule")
+	}
+}
+
+func sorted(s []string) []string {
+	slices.Sort(s)
+	return s
 }
 
 // TestIPSecPipeRequiresProvider checks the dependency is enforced.

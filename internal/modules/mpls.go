@@ -22,8 +22,6 @@ type MPLS struct {
 	mu        sync.Mutex
 	labelBase uint32
 	labelSeq  uint32
-	upPipes   map[core.PipeID]*device.Pipe // guarded by mu
-	dnPipes   map[core.PipeID]*device.Pipe // guarded by mu
 	// neighbors holds per-peer label negotiation state keyed by the peer
 	// module's ref string.
 	neighbors map[string]*mplsNeighbor // guarded by mu
@@ -38,11 +36,7 @@ type MPLS struct {
 	responded    bool
 	notified     bool
 	modprobed    bool
-	spacesSet    map[string]bool              // guarded by mu
-	rules        []*device.SwitchRuleInstance // guarded by mu
-	// ruleUndo maps an installed rule's id to the action removing the
-	// ILM/NHLFE/XC entries it created.
-	ruleUndo map[string]func() // guarded by mu
+	spacesSet    map[string]bool // guarded by mu
 	// pendingReplies holds the requesters we owe a label-exchange reply;
 	// flushReplies sends each once our own pipe toward it (and hence our
 	// in-label and link address) exists.
@@ -50,6 +44,8 @@ type MPLS struct {
 }
 
 type mplsNeighbor struct {
+	// Pipe is our down pipe toward this neighbour, once attached.
+	Pipe core.PipeID
 	// MyInLabel is the label we allocated for traffic arriving from this
 	// neighbour; zero until our down pipe toward it is attached.
 	MyInLabel uint32
@@ -81,11 +77,8 @@ func NewMPLS(svc device.Services, id core.ModuleID, labelBase uint32) *MPLS {
 			Svc:    svc,
 		},
 		labelBase: labelBase,
-		upPipes:   make(map[core.PipeID]*device.Pipe),
-		dnPipes:   make(map[core.PipeID]*device.Pipe),
 		neighbors: make(map[string]*mplsNeighbor),
 		spacesSet: make(map[string]bool),
-		ruleUndo:  make(map[string]func()),
 	}
 }
 
@@ -121,23 +114,11 @@ func (m *MPLS) Actual() core.ModuleState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := core.ModuleState{Ref: m.Ref(), LowLevel: map[string]string{}}
-	for id, p := range m.upPipes {
-		st.Pipes = append(st.Pipes, core.PipeState{ID: id, End: core.EndUp, Other: p.Upper, Peer: p.LowerPeer, Status: p.Status})
-	}
-	for id, p := range m.dnPipes {
-		st.Pipes = append(st.Pipes, core.PipeState{ID: id, End: core.EndDown, Other: p.Lower, Peer: p.UpperPeer, Status: p.Status})
-	}
 	for peer, n := range m.neighbors {
 		st.LowLevel["labels:"+peer] = fmt.Sprintf("in=%d out=%d nexthop=%s", n.MyInLabel, n.PeerInLabel, n.PeerLinkAddr)
 	}
 	if m.pushKey != "" {
 		st.LowLevel["nhlfe-key"] = m.pushKey
-	}
-	for _, r := range m.rules {
-		st.SwitchRules = append(st.SwitchRules, core.SwitchRuleState{
-			ID: r.ID, From: r.Rule.From, To: r.Rule.To, Match: r.Rule.Match, Via: r.Rule.Via,
-			MatchResolved: r.MatchResolved, ViaResolved: r.ViaResolved,
-		})
 	}
 	return st
 }
@@ -154,24 +135,19 @@ func (m *MPLS) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 		peer core.ModuleRef
 		body mplsLabelMsg
 	)
+	peer = p.UpperPeer
 	m.mu.Lock()
-	switch side {
-	case device.SideLower:
-		m.upPipes[p.ID] = p
-	case device.SideUpper:
-		m.dnPipes[p.ID] = p
-		peer = p.UpperPeer
-		if !peer.IsZero() && peer.Name == core.NameMPLS {
-			key := peer.String()
-			n := m.neighborLocked(key)
-			if n.MyInLabel == 0 {
-				n.MyInLabel = m.labelBase + m.labelSeq
-				m.labelSeq++
-				if m.Ref().String() < key {
-					m.initiatedAny = true
-					body = mplsLabelMsg{Label: n.MyInLabel, LinkAddr: m.linkAddrLocked(p)}
-					send = true
-				}
+	if side == device.SideUpper && !peer.IsZero() && peer.Name == core.NameMPLS {
+		key := peer.String()
+		n := m.neighborLocked(key)
+		n.Pipe = p.ID
+		if n.MyInLabel == 0 {
+			n.MyInLabel = m.labelBase + m.labelSeq
+			m.labelSeq++
+			if m.Ref().String() < key {
+				m.initiatedAny = true
+				body = mplsLabelMsg{Label: n.MyInLabel, LinkAddr: m.linkAddrLocked(p)}
+				send = true
 			}
 		}
 	}
@@ -209,53 +185,6 @@ func (m *MPLS) linkAddrLocked(p *device.Pipe) string {
 		return a.String()
 	}
 	return ""
-}
-
-// PipeDeleted implements device.Module: the pipe's switch rules (and
-// their label-switching kernel state) go with it.
-func (m *MPLS) PipeDeleted(p *device.Pipe, side device.PipeSide) error {
-	m.mu.Lock()
-	delete(m.upPipes, p.ID)
-	delete(m.dnPipes, p.ID)
-	var undos []func()
-	kept := m.rules[:0]
-	for _, r := range m.rules {
-		if r.Rule.From == p.ID || r.Rule.To == p.ID {
-			if u := m.ruleUndo[r.ID]; u != nil {
-				undos = append(undos, u)
-			}
-			delete(m.ruleUndo, r.ID)
-			continue
-		}
-		kept = append(kept, r)
-	}
-	m.rules = kept
-	m.mu.Unlock()
-	for _, u := range undos {
-		u()
-	}
-	return nil
-}
-
-// DeleteRule removes a switch rule by id (invoked via delete()),
-// removing the ILM/NHLFE/XC entries it installed.
-func (m *MPLS) DeleteRule(id string) error {
-	m.mu.Lock()
-	for i, r := range m.rules {
-		if r.ID != id {
-			continue
-		}
-		m.rules = append(m.rules[:i], m.rules[i+1:]...)
-		undo := m.ruleUndo[id]
-		delete(m.ruleUndo, id)
-		m.mu.Unlock()
-		if undo != nil {
-			undo()
-		}
-		return nil
-	}
-	m.mu.Unlock()
-	return fmt.Errorf("%s: no switch rule %q", m.Ref(), id)
 }
 
 // nhlfeKeyInt parses the 0x-prefixed key string `mpls nhlfe add` printed.
@@ -309,19 +238,16 @@ func (m *MPLS) flushReplies() {
 	m.mu.Lock()
 	var still []core.ModuleRef
 	for _, peer := range m.pendingReplies {
+		n := m.neighbors[peer.String()]
+		if n == nil {
+			continue
+		}
 		var linkAddr string
-		for _, p := range m.dnPipes {
-			if p.UpperPeer == peer {
-				linkAddr = m.linkAddrLocked(p)
-				break
-			}
+		if p, ok := m.Svc.PipeByID(n.Pipe); ok {
+			linkAddr = m.linkAddrLocked(p)
 		}
 		if linkAddr == "" {
 			still = append(still, peer)
-			continue
-		}
-		n := m.neighbors[peer.String()]
-		if n == nil {
 			continue
 		}
 		outs = append(outs, outMsg{peer, mplsLabelMsg{Label: n.MyInLabel, LinkAddr: linkAddr, Reply: true}})
@@ -333,12 +259,16 @@ func (m *MPLS) flushReplies() {
 	}
 }
 
-// neighborFor returns negotiation state for the peer across a down pipe.
-func (m *MPLS) neighborFor(p *device.Pipe) (*mplsNeighbor, bool) {
+// neighborFor returns a copy of the negotiation state for the peer
+// across a down pipe (HandleConvey updates the record under m.mu).
+func (m *MPLS) neighborFor(p *device.Pipe) (mplsNeighbor, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n, ok := m.neighbors[p.UpperPeer.String()]
-	return n, ok
+	if !ok {
+		return mplsNeighbor{}, false
+	}
+	return *n, true
 }
 
 // InstallSwitchRule implements device.Module. Two shapes:
@@ -349,23 +279,20 @@ func (m *MPLS) neighborFor(p *device.Pipe) (*mplsNeighbor, bool) {
 //     (learned from the IP module above).
 //   - transit ([down-pipe <=> down-pipe], Fig 8's router B): two
 //     ILM->NHLFE swaps, one per direction.
-func (m *MPLS) InstallSwitchRule(r *device.SwitchRuleInstance) error {
-	m.mu.Lock()
-	fromUp, fromIsUp := m.upPipes[r.Rule.From]
-	toUp, toIsUp := m.upPipes[r.Rule.To]
-	fromDn, fromIsDn := m.dnPipes[r.Rule.From]
-	toDn, toIsDn := m.dnPipes[r.Rule.To]
-	m.mu.Unlock()
-
+func (m *MPLS) InstallSwitchRule(r *device.SwitchRuleInstance) (func(), error) {
+	from, fromSide, ok1 := m.OwnPipe(r.Rule.From)
+	to, toSide, ok2 := m.OwnPipe(r.Rule.To)
 	switch {
-	case fromIsUp && toIsDn:
-		return m.installEdge(r, fromUp, toDn)
-	case toIsUp && fromIsDn:
-		return m.installEdge(r, toUp, fromDn)
-	case fromIsDn && toIsDn:
-		return m.installTransit(r, fromDn, toDn)
+	case !ok1 || !ok2:
+		return nil, fmt.Errorf("%s: switch rule pipes not attached to this module", m.Ref())
+	case fromSide == device.SideLower && toSide == device.SideUpper:
+		return m.installEdge(from, to)
+	case toSide == device.SideLower && fromSide == device.SideUpper:
+		return m.installEdge(to, from)
+	case fromSide == device.SideUpper && toSide == device.SideUpper:
+		return m.installTransit(from, to)
 	default:
-		return fmt.Errorf("%s: switch rule pipes not attached to this module", m.Ref())
+		return nil, fmt.Errorf("%s: switch rule pipes not attached to this module", m.Ref())
 	}
 }
 
@@ -408,47 +335,47 @@ func (m *MPLS) devUnder(p *device.Pipe) (string, error) {
 	return fields["dev"], nil
 }
 
-func (m *MPLS) installEdge(r *device.SwitchRuleInstance, up, dn *device.Pipe) error {
+func (m *MPLS) installEdge(up, dn *device.Pipe) (func(), error) {
 	n, ok := m.neighborFor(dn)
 	if !ok || !n.HavePeer {
-		return device.ErrPending
+		return nil, device.ErrPending
 	}
 	dev, err := m.devUnder(dn)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Customer delivery next hop comes from the IP module above, which
 	// learns it from its own [pipe => customer, gateway] rule.
 	upper, ok := m.Svc.LocalModule(up.Upper.Module)
 	if !ok {
-		return fmt.Errorf("%s: no upper module %s", m.Ref(), up.Upper)
+		return nil, fmt.Errorf("%s: no upper module %s", m.Ref(), up.Upper)
 	}
 	delivery, err := upper.ListFields("delivery")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if delivery["via"] == "" || delivery["dev"] == "" {
-		return device.ErrPending
+		return nil, device.ErrPending
 	}
 	if err := m.ensureBase(dev); err != nil {
-		return err
+		return nil, err
 	}
 	k := m.Svc.Kernel()
 
 	// Egress: pop our in-label, deliver to the customer gateway
 	// (Fig 8a's "MPLS LSP for traffic from S2->S1" block).
 	if _, err := k.Exec(fmt.Sprintf("mpls ilm add label gen %d labelspace 0", n.MyInLabel)); err != nil {
-		return err
+		return nil, err
 	}
 	out, err := k.Exec(fmt.Sprintf("mpls nhlfe add key 0 mtu 1500 instructions nexthop %s ipv4 %s",
 		delivery["dev"], delivery["via"]))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	egressKey := extractNHLFEKey(out)
 	if _, err := k.Exec(fmt.Sprintf("mpls xc add ilm label gen %d ilm labelspace 0 nhlfe key %s",
 		n.MyInLabel, egressKey)); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Ingress: NHLFE pushing the neighbour's label (Fig 8a's
@@ -457,7 +384,7 @@ func (m *MPLS) installEdge(r *device.SwitchRuleInstance, up, dn *device.Pipe) er
 	out, err = k.Exec(fmt.Sprintf("mpls nhlfe add key 0 mtu 1500 instructions push gen %d nexthop %s ipv4 %s",
 		n.PeerInLabel, dev, n.PeerLinkAddr))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	inLabel, ingressKey := n.MyInLabel, extractNHLFEKey(out)
 	upComponent := "pipe:" + string(up.ID)
@@ -465,8 +392,7 @@ func (m *MPLS) installEdge(r *device.SwitchRuleInstance, up, dn *device.Pipe) er
 	handleChanged := m.pushKey != ingressKey || m.pushVia != n.PeerLinkAddr.String()
 	m.pushKey = ingressKey
 	m.pushVia = n.PeerLinkAddr.String()
-	m.rules = append(m.rules, r)
-	m.ruleUndo[r.ID] = func() {
+	undo := func() {
 		k.DelILM(inLabel, 0)
 		k.DelNHLFE(nhlfeKeyInt(egressKey))
 		k.DelNHLFE(nhlfeKeyInt(ingressKey))
@@ -505,33 +431,33 @@ func (m *MPLS) installEdge(r *device.SwitchRuleInstance, up, dn *device.Pipe) er
 	} else {
 		m.Svc.Kick()
 	}
-	return nil
+	return undo, nil
 }
 
-func (m *MPLS) installTransit(r *device.SwitchRuleInstance, a, b *device.Pipe) error {
+func (m *MPLS) installTransit(a, b *device.Pipe) (func(), error) {
 	na, okA := m.neighborFor(a)
 	nb, okB := m.neighborFor(b)
 	if !okA || !okB || !na.HavePeer || !nb.HavePeer {
-		return device.ErrPending
+		return nil, device.ErrPending
 	}
 	devA, err := m.devUnder(a)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	devB, err := m.devUnder(b)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := m.ensureBase(devA); err != nil {
-		return err
+		return nil, err
 	}
 	if err := m.ensureBase(devB); err != nil {
-		return err
+		return nil, err
 	}
 	k := m.Svc.Kernel()
 	// Direction A->B: traffic from neighbour A arrives with our in-label
 	// allocated for A, is swapped to B's in-label.
-	swap := func(in *mplsNeighbor, out *mplsNeighbor, outDev string) (string, error) {
+	swap := func(in, out mplsNeighbor, outDev string) (string, error) {
 		if _, err := k.Exec(fmt.Sprintf("mpls ilm add label gen %d labelspace 0", in.MyInLabel)); err != nil {
 			return "", err
 		}
@@ -549,24 +475,20 @@ func (m *MPLS) installTransit(r *device.SwitchRuleInstance, a, b *device.Pipe) e
 	}
 	keyAB, err := swap(na, nb, devB)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	keyBA, err := swap(nb, na, devA)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	labA, labB := na.MyInLabel, nb.MyInLabel
-	m.mu.Lock()
-	m.rules = append(m.rules, r)
-	m.ruleUndo[r.ID] = func() {
+	m.Svc.Kick()
+	return func() {
 		k.DelILM(labA, 0)
 		k.DelILM(labB, 0)
 		k.DelNHLFE(nhlfeKeyInt(keyAB))
 		k.DelNHLFE(nhlfeKeyInt(keyBA))
-	}
-	m.mu.Unlock()
-	m.Svc.Kick()
-	return nil
+	}, nil
 }
 
 // extractNHLFEKey pulls the 0x-prefixed key out of `mpls nhlfe add`
@@ -584,17 +506,18 @@ func extractNHLFEKey(out string) string {
 // module above.
 func (m *MPLS) ListFields(component string) (map[string]string, error) {
 	comp := strings.TrimPrefix(component, "pipe:")
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.upPipes[core.PipeID(comp)]; ok || comp == "self" {
+	_, side, ok := m.OwnPipe(core.PipeID(comp))
+	switch {
+	case comp == "self" || ok && side == device.SideLower:
+		m.mu.Lock()
+		defer m.mu.Unlock()
 		out := map[string]string{}
 		if m.pushKey != "" {
 			out["mpls-key"] = m.pushKey
 			out["via"] = m.pushVia
 		}
 		return out, nil
-	}
-	if _, ok := m.dnPipes[core.PipeID(comp)]; ok {
+	case ok:
 		return map[string]string{}, nil
 	}
 	return nil, fmt.Errorf("%s: unknown component %q", m.Ref(), component)
@@ -603,10 +526,8 @@ func (m *MPLS) ListFields(component string) (map[string]string, error) {
 // SelfTest implements device.Module: verifies the neighbour's link
 // address answers probes.
 func (m *MPLS) SelfTest(pipe core.PipeID) (bool, string) {
-	m.mu.Lock()
-	p, ok := m.dnPipes[pipe]
-	m.mu.Unlock()
-	if !ok {
+	p, side, ok := m.OwnPipe(pipe)
+	if !ok || side != device.SideUpper {
 		return false, fmt.Sprintf("no down pipe %s", pipe)
 	}
 	n, okN := m.neighborFor(p)

@@ -28,15 +28,14 @@ type VLAN struct {
 
 	endpoint     bool // has a customer-facing pipe (P1-style)
 	farPeer      core.ModuleRef
-	pipes        map[core.PipeID]*device.Pipe
-	sides        map[core.PipeID]device.PipeSide
 	pendingPeers []core.ModuleRef // exchanges waiting for the VID
 	exchanged    map[string]bool
 	initiatedAny bool
 	responded    bool
 	notified     bool
-	rules        []*device.SwitchRuleInstance
-	defEmitted   bool
+	// defRefs counts the installed rules holding the CatOS VLAN
+	// definition: the first emits it, the last one's undo removes it.
+	defRefs int
 }
 
 // vlanMsg is the convey body of the VID coordination.
@@ -58,8 +57,6 @@ func NewVLAN(svc device.Services, id core.ModuleID, vidBase uint16, name string,
 		vidBase:   vidBase,
 		name:      name,
 		mtu:       mtu,
-		pipes:     make(map[core.PipeID]*device.Pipe),
-		sides:     make(map[core.PipeID]device.PipeSide),
 		exchanged: make(map[string]bool),
 	}
 }
@@ -92,30 +89,12 @@ func (v *VLAN) Actual() core.ModuleState {
 		st.LowLevel["vlan-name"] = v.name
 		st.LowLevel["mtu"] = fmt.Sprintf("%d", v.mtu)
 	}
-	for id, p := range v.pipes {
-		end := core.EndDown
-		other, peer := p.Lower, p.UpperPeer
-		if v.sides[id] == device.SideLower {
-			end = core.EndUp
-			other, peer = p.Upper, p.LowerPeer
-		}
-		st.Pipes = append(st.Pipes, core.PipeState{ID: id, End: end, Other: other, Peer: peer, Status: p.Status})
-	}
-	for _, r := range v.rules {
-		st.SwitchRules = append(st.SwitchRules, core.SwitchRuleState{
-			ID: r.ID, From: r.Rule.From, To: r.Rule.To, Match: r.Rule.Match, Via: r.Rule.Via,
-			MatchResolved: r.MatchResolved, ViaResolved: r.ViaResolved,
-		})
-	}
 	return st
 }
 
 // PipeAttached implements device.Module.
 func (v *VLAN) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 	v.mu.Lock()
-	v.pipes[p.ID] = p
-	v.sides[p.ID] = side
-
 	var myPeer core.ModuleRef
 	if side == device.SideLower {
 		myPeer = p.LowerPeer
@@ -186,53 +165,6 @@ func (v *VLAN) sendExchanges(peers []core.ModuleRef, body vlanMsg) {
 	}
 }
 
-// PipeDeleted implements device.Module: rules built on the pipe go with
-// it.
-func (v *VLAN) PipeDeleted(p *device.Pipe, side device.PipeSide) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	delete(v.pipes, p.ID)
-	delete(v.sides, p.ID)
-	kept := v.rules[:0]
-	for _, r := range v.rules {
-		if r.Rule.From == p.ID || r.Rule.To == p.ID {
-			continue
-		}
-		kept = append(kept, r)
-	}
-	v.rules = kept
-	v.dropDefinitionIfUnused()
-	return nil
-}
-
-// dropDefinitionIfUnused undoes the CatOS VLAN definition once no rule
-// uses this module any more, so a later re-Apply re-emits it. Caller
-// holds v.mu.
-func (v *VLAN) dropDefinitionIfUnused() {
-	if len(v.rules) > 0 || !v.defEmitted {
-		return
-	}
-	v.defEmitted = false
-	if v.vid != 0 {
-		v.Svc.Kernel().UndefineVLAN(v.vid)
-	}
-}
-
-// DeleteRule removes a switch rule by id (invoked via delete()).
-func (v *VLAN) DeleteRule(id string) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for i, r := range v.rules {
-		if r.ID != id {
-			continue
-		}
-		v.rules = append(v.rules[:i], v.rules[i+1:]...)
-		v.dropDefinitionIfUnused()
-		return nil
-	}
-	return fmt.Errorf("%s: no switch rule %q", v.Ref(), id)
-}
-
 // HandleConvey implements device.Module.
 func (v *VLAN) HandleConvey(from core.ModuleRef, kind string, body []byte) error {
 	if kind != "vlan-vid" {
@@ -271,25 +203,35 @@ func (v *VLAN) HandleConvey(from core.ModuleRef, kind string, body []byte) error
 
 // InstallSwitchRule implements device.Module: emits the CatOS VLAN
 // definition once the VID is settled (`set vlan 22 name C1 mtu 1504`).
-func (v *VLAN) InstallSwitchRule(r *device.SwitchRuleInstance) error {
+// The returned undo removes the definition once no rule holds it, so a
+// later re-Apply re-emits it.
+func (v *VLAN) InstallSwitchRule(r *device.SwitchRuleInstance) (func(), error) {
 	v.mu.Lock()
 	vid, name, mtu := v.vid, v.name, v.mtu
-	v.mu.Unlock()
 	if vid == 0 {
-		return device.ErrPending
+		v.mu.Unlock()
+		return nil, device.ErrPending
 	}
-	v.mu.Lock()
-	emit := !v.defEmitted
-	v.defEmitted = true
+	v.defRefs++
+	emit := v.defRefs == 1
 	v.mu.Unlock()
+	k := v.Svc.Kernel()
+	undo := func() {
+		v.mu.Lock()
+		v.defRefs--
+		last := v.defRefs == 0
+		v.mu.Unlock()
+		if last {
+			k.UndefineVLAN(vid)
+		}
+	}
 	if emit {
-		cmd := fmt.Sprintf("set vlan %d name %s mtu %d", vid, name, mtu)
-		if _, err := v.Svc.Kernel().Exec(cmd); err != nil {
-			return err
+		if _, err := k.Exec(fmt.Sprintf("set vlan %d name %s mtu %d", vid, name, mtu)); err != nil {
+			undo()
+			return nil, err
 		}
 	}
 	v.mu.Lock()
-	v.rules = append(v.rules, r)
 	notify := v.responded && !v.initiatedAny && !v.notified
 	if notify {
 		v.notified = true
@@ -302,16 +244,16 @@ func (v *VLAN) InstallSwitchRule(r *device.SwitchRuleInstance) error {
 	}
 	// The ETH module's port rules may be waiting on our VID.
 	v.Svc.Kick()
-	return nil
+	return undo, nil
 }
 
 // ListFields implements device.Module: the negotiated VLAN parameters for
 // the co-located ETH module.
 func (v *VLAN) ListFields(component string) (map[string]string, error) {
 	comp := strings.TrimPrefix(component, "pipe:")
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if comp == "self" || v.pipes[core.PipeID(comp)] != nil {
+	if _, _, ok := v.OwnPipe(core.PipeID(comp)); ok || comp == "self" {
+		v.mu.Lock()
+		defer v.mu.Unlock()
 		out := map[string]string{}
 		if v.vid != 0 {
 			out["vid"] = fmt.Sprintf("%d", v.vid)

@@ -23,17 +23,19 @@ import (
 	"conman/internal/obs"
 )
 
+const (
+	// debounce is how long the loop waits after an event before
+	// reconciling, coalescing bursts (a link failure produces one
+	// topology re-report per adjacent device).
+	debounce = 10 * time.Millisecond
+	// backoff is the initial retry delay after a failed reconcile; it
+	// doubles per consecutive failure up to maxBackoff.
+	backoff    = 50 * time.Millisecond
+	maxBackoff = 2 * time.Second
+)
+
 // DaemonConfig tunes the control loop. Zero values select defaults.
 type DaemonConfig struct {
-	// Debounce is how long the loop waits after an event before
-	// reconciling, coalescing bursts (a link failure produces one
-	// topology re-report per adjacent device). Default 10ms.
-	Debounce time.Duration
-	// Backoff is the initial retry delay after a failed reconcile; it
-	// doubles per consecutive failure up to MaxBackoff. Defaults 50ms
-	// and 2s.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 	// Poll, when positive, adds a periodic audit pass so drift that
 	// produced no event is still caught (the pull side of push-vs-poll;
 	// the event path is the push side). Default 0: pure push. Each poll
@@ -57,15 +59,6 @@ type DaemonConfig struct {
 }
 
 func (c *DaemonConfig) defaults() {
-	if c.Debounce <= 0 {
-		c.Debounce = 10 * time.Millisecond
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 50 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -211,7 +204,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 		defer t.Stop()
 		pollC = t.C
 	}
-	backoff := d.cfg.Backoff
+	retry := backoff
 	// Initial pass, immediately.
 	wake := time.After(0)
 	for {
@@ -220,23 +213,20 @@ func (d *Daemon) Run(ctx context.Context) error {
 			return nil
 		case ev := <-events:
 			d.noteEvent(ev)
-			wake = time.After(d.cfg.Debounce)
+			wake = time.After(debounce)
 		case <-pollC:
 			d.cPoll.Inc()
 			d.nm.InvalidateObservations()
 			d.markDirty("*")
-			wake = time.After(d.cfg.Debounce)
+			wake = time.After(debounce)
 		case <-wake:
 			wake = nil
 			if d.reconcileEpoch() {
-				backoff = d.cfg.Backoff
+				retry = backoff
 			} else {
-				d.log.Info("retry scheduled", "backoff", backoff)
-				wake = time.After(backoff)
-				backoff *= 2
-				if backoff > d.cfg.MaxBackoff {
-					backoff = d.cfg.MaxBackoff
-				}
+				d.log.Info("retry scheduled", "backoff", retry)
+				wake = time.After(retry)
+				retry = min(2*retry, maxBackoff)
 			}
 		}
 	}

@@ -213,10 +213,6 @@ type observed struct {
 type obsPipe struct {
 	upper, lower         core.ModuleRef
 	upperPeer, lowerPeer core.ModuleRef
-	// upperSeen reports whether the upper module reported the pipe (so
-	// upperPeer is meaningful; switch ETH modules do not track pipes
-	// they sit above).
-	upperSeen bool
 }
 
 // matches reports whether the observed pipe satisfies a desired pipe
@@ -224,15 +220,8 @@ type obsPipe struct {
 // peer changed must be recreated so the modules renegotiate (VID,
 // keys, labels) with the new peer.
 func (o obsPipe) matches(req core.PipeRequest) bool {
-	if o.upper != req.Upper || o.lower != req.Lower || o.lowerPeer != req.LowerPeer {
-		return false
-	}
-	if o.upperSeen {
-		return o.upperPeer == req.UpperPeer
-	}
-	// The upper module does not report its pipes; only a peer-less
-	// desired upper end can be confirmed in place.
-	return req.UpperPeer.IsZero()
+	return o.upper == req.Upper && o.lower == req.Lower &&
+		o.upperPeer == req.UpperPeer && o.lowerPeer == req.LowerPeer
 }
 
 type obsRule struct {
@@ -293,7 +282,7 @@ func (n *NM) observe(devs []core.DeviceID, optional map[core.DeviceID]bool) (map
 					o.pipes[ps.ID] = op
 				case core.EndDown:
 					op := o.pipes[ps.ID]
-					op.upperPeer, op.upperSeen = ps.Peer, true
+					op.upperPeer = ps.Peer
 					o.pipes[ps.ID] = op
 				}
 			}

@@ -86,7 +86,6 @@ type obsPipeSnap struct {
 	Lower     core.ModuleRef `json:"lower"`
 	UpperPeer core.ModuleRef `json:"upper_peer"`
 	LowerPeer core.ModuleRef `json:"lower_peer"`
-	UpperSeen bool           `json:"upper_seen"`
 }
 
 type obsRuleSnap struct {
@@ -196,7 +195,6 @@ func (n *NM) Persist(b datastore.Backend) (int, error) {
 			o.pipes[p.ID] = obsPipe{
 				upper: p.Upper, lower: p.Lower,
 				upperPeer: p.UpperPeer, lowerPeer: p.LowerPeer,
-				upperSeen: p.UpperSeen,
 			}
 		}
 		for _, r := range os.Rules {
@@ -283,7 +281,6 @@ func (n *NM) checkpointLocked() error {
 			os.Pipes = append(os.Pipes, obsPipeSnap{
 				ID: id, Upper: p.upper, Lower: p.lower,
 				UpperPeer: p.upperPeer, LowerPeer: p.lowerPeer,
-				UpperSeen: p.upperSeen,
 			})
 		}
 		for _, r := range ce.o.rules {

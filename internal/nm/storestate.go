@@ -1242,7 +1242,6 @@ func (n *NM) bindCreatesLocked(ds DeviceScript, resp msg.CommandBatchResp, binds
 			o.pipes[p.id] = obsPipe{
 				upper: p.req.Upper, lower: p.req.Lower,
 				upperPeer: p.req.UpperPeer, lowerPeer: p.req.LowerPeer,
-				upperSeen: true,
 			}
 			o.claimed[p.id] = true
 			o.usedIDs[p.id] = true
