@@ -570,6 +570,7 @@ func (a *MA) handle(env msg.Envelope) {
 			resp.Results[i] = res
 			a.retryPending()
 		}
+		a.requestDone()
 		a.reply(env, msg.TypeCommandBatchResp, resp)
 
 	case msg.TypeCreateFilterReq:
@@ -591,7 +592,9 @@ func (a *MA) handle(env msg.Envelope) {
 			a.replyErr(env, "bad delete: %v", err)
 			return
 		}
-		if err := a.deleteComponent(body.Req); err != nil {
+		err := a.deleteComponent(body.Req)
+		a.requestDone()
+		if err != nil {
 			a.replyErr(env, "%v", err)
 			return
 		}
@@ -678,6 +681,14 @@ func (a *MA) handle(env msg.Envelope) {
 		}
 		ok2, detail := m.SelfTest(body.Pipe)
 		a.reply(env, msg.TypeSelfTestResp, msg.SelfTestResp{OK: ok2, Detail: detail})
+	}
+}
+
+// requestDone runs every module's end-of-request hook, before the reply
+// goes out, so what a module does once per request is part of it.
+func (a *MA) requestDone() {
+	for _, m := range a.Modules() {
+		m.RequestDone()
 	}
 }
 

@@ -173,6 +173,10 @@ type Module interface {
 	// PipeDeleted notifies the module that a pipe was removed, after the
 	// MA has run the undos of every rule on it.
 	PipeDeleted(p *Pipe, side PipeSide) error
+	// RequestDone is called after the MA has executed one request from
+	// the NM — a command batch or a delete — so a module can act once on
+	// everything the request changed rather than once per pipe.
+	RequestDone()
 	// InstallSwitchRule directs packet switching between two pipes and
 	// returns the undo that takes the rule's state back out (nil when it
 	// left none). The MA runs the undo when the rule, or a pipe it
@@ -234,6 +238,9 @@ func (b *BaseModule) PipeAttached(*Pipe, PipeSide) error { return nil }
 
 // PipeDeleted implements Module.
 func (b *BaseModule) PipeDeleted(*Pipe, PipeSide) error { return nil }
+
+// RequestDone implements Module (nothing to do).
+func (b *BaseModule) RequestDone() {}
 
 // OwnPipe looks a pipe of the device up and reports which end of it this
 // module is; ok is false for an unknown pipe or one the module is not an

@@ -3,6 +3,7 @@ package modules
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/netip"
 	"slices"
 	"sort"
@@ -29,14 +30,32 @@ import (
 // Each module originates a sequence-numbered LSA describing its router:
 // the kernel's connected subnets (with the router's host address on
 // each, so neighbours can resolve next hops by subnet matching) and the
-// set of adjacent IGP modules. LSAs flood reliably over the adjacency
-// graph with duplicate suppression on (origin, seq); convergence is
-// deterministic because acceptance depends only on sequence numbers,
-// never on arrival order. Route computation is a breadth-first shortest
-// path over the *bidirectionally confirmed* adjacency graph (an edge
-// exists only if both ends advertise it), so a cut link disappears as
-// soon as either end re-originates, and an unreachable router's subnets
-// are withdrawn even while its stale LSA lingers in the database.
+// set of adjacent IGP modules. It originates once per MA request, not
+// once per pipe: PipeAttached and PipeDeleted only record the adjacency
+// change, and RequestDone, which the MA calls after every command batch
+// and delete request, advertises it. LSAs flood reliably over the
+// adjacency graph with duplicate suppression on (origin, seq);
+// convergence is deterministic because acceptance depends only on
+// sequence numbers, never on arrival order. Route computation is a
+// breadth-first shortest path over the *bidirectionally confirmed*
+// adjacency graph (an edge exists only if both ends advertise it), so a
+// cut link disappears as soon as either end re-originates, and an
+// unreachable router's subnets are withdrawn even while its stale LSA
+// lingers in the database.
+//
+// # Adjacency bring-up
+//
+// A new neighbour gets one "igp-dd" convey: the fresh self-LSA plus the
+// (origin, seq) summary of everything else the database holds. The
+// receiver stores the LSA like any update and answers in at most one
+// "igp-lsa" convey: the LSAs the summary lacks or holds at an older seq,
+// and a request for the ones the summary is ahead on. It asks only over
+// an adjacency whose own summary has already gone out — over a fresh one
+// that summary is about to draw a push, and without one it needs no
+// routes through the sender — and the asked side answers with one more
+// "igp-lsa". Neither side echoes its whole database, and a router that
+// lost its last adjacency (and with it its database) gets everything
+// back from a neighbour whose pipe never went away.
 //
 // # When SPF runs
 //
@@ -47,7 +66,10 @@ import (
 // refresh, or an LSA naming a neighbour that has not listed it back,
 // floods without computing. The rule reads only database content, never
 // arrival order, so it holds under the concurrent executor; the module's
-// own originations always compute.
+// own originations always compute. A computation runs the BFS over the
+// whole database but touches the kernel per origin: only an origin
+// whose first-hop next hop or prefixes differ from what was last
+// installed for it withdraws and adds routes.
 //
 // showActual carries the O(1) summary (lsdb-size, adjacencies, routes);
 // the manager pulls per-LSA and per-route detail, and the spf-runs /
@@ -59,6 +81,8 @@ type IGP struct {
 	mu sync.Mutex
 	// adjs maps this module's down pipes to their adjacencies.
 	adjs map[core.PipeID]*igpAdj // guarded by mu
+	// unsent marks an adjacency change RequestDone has not advertised.
+	unsent bool // guarded by mu
 	// origins interns module refs: each origin or neighbour an LSA names
 	// gets a dense index once, kept until the last adjacency goes.
 	origins map[string]int32 // guarded by mu
@@ -67,11 +91,15 @@ type IGP struct {
 	lsdb []*igpLSA // guarded by mu
 	// seq is the sequence number of this module's own LSA.
 	seq uint64
-	// installed is the set of kernel routes this module owns, so
-	// recomputation withdraws exactly the stale ones.
-	installed map[routeKey]struct{} // guarded by mu
-	// desired is recompute's scratch set, kept only to reuse its storage.
-	desired map[routeKey]struct{} // guarded by mu
+	// routes is the set of kernel routes this module owns, each counted
+	// once per origin whose installed record stands for it: two origins
+	// can advertise one link subnet.
+	routes map[routeKey]int32 // guarded by mu
+	// installed is, per origin index, what recompute last installed for
+	// that origin, and local the self-LSA whose prefixes those routes skip
+	// as directly connected.
+	installed []igpInstalled // guarded by mu
+	local     *igpLSA        // guarded by mu
 	// spfRuns and lsasAccepted count route computations and stored peer
 	// LSAs (ListFields "self").
 	spfRuns, lsasAccepted int // guarded by mu
@@ -86,23 +114,54 @@ type routeKey struct {
 
 func (r routeKey) String() string { return r.dst.String() + "|" + r.via.String() + "|" + r.dev }
 
+// igpInstalled records the routes installed for one origin: one per
+// prefix of lsa (bar local ones), via the next hop nh (dst unset). A nil
+// lsa stands for none — the origin is unreached or its next hop
+// unresolved. Holding the LSA rather than a copy of its prefixes keeps
+// the record a pointer wide.
+type igpInstalled struct {
+	lsa *igpLSA
+	nh  routeKey
+}
+
+// same reports whether two records stand for the same routes.
+func (r igpInstalled) same(o igpInstalled) bool {
+	if r.lsa == nil || o.lsa == nil {
+		return r.lsa == o.lsa
+	}
+	return r.nh == o.nh && slices.Equal(r.lsa.prefixes, o.lsa.prefixes)
+}
+
 // igpAdj is one adjacency derived from an NM-created pipe (keyed by
 // the pipe id in IGP.adjs).
 type igpAdj struct {
 	nbr core.ModuleRef // neighbouring IGP module
+	// fresh marks a pipe attached since the last RequestDone: its
+	// neighbour is owed a database summary.
+	fresh bool
 }
 
 // IPRouteToken is the dependency token linking the IP module's transit
 // switching state to a routing control module, mirroring IPSecKeyToken.
 const IPRouteToken = "ipv4-routes"
 
-// igpUpdate is the convey body: a batch of LSAs, like a real IGP's
-// Link State Update packet. Batching matters — a database sync or a
-// multi-LSA reflood costs one management-channel round trip instead of
-// one per LSA, which keeps the flooding traffic linear in what actually
-// changed.
+// The convey kinds: a summary opens an adjacency; an update carries LSAs
+// and may ask for more.
+const (
+	igpKindSummary = "igp-dd"
+	igpKindUpdate  = "igp-lsa"
+)
+
+// igpUpdate is the convey body of both kinds: a batch of LSAs, like a
+// real IGP's Link State Update packet, so a push or a multi-LSA reflood
+// costs one management-channel round trip instead of one per LSA. A
+// summary also carries Have, the (origin, seq) of every other LSA its
+// sender holds; an update answering one may carry Want, the origins its
+// sender asks to be sent.
 type igpUpdate struct {
-	LSAs []*igpLSA `json:"lsas"`
+	LSAs []*igpLSA         `json:"lsas,omitempty"`
+	Have map[string]uint64 `json:"have,omitempty"`
+	Want []string          `json:"want,omitempty"`
 }
 
 // igpLSA is the flooded link-state advertisement.
@@ -134,10 +193,9 @@ func NewIGP(svc device.Services, id core.ModuleID) *IGP {
 			ModRef: core.Ref(core.NameIGP, svc.Device(), id),
 			Svc:    svc,
 		},
-		adjs:      make(map[core.PipeID]*igpAdj),
-		origins:   make(map[string]int32),
-		installed: make(map[routeKey]struct{}),
-		desired:   make(map[routeKey]struct{}),
+		adjs:    make(map[core.PipeID]*igpAdj),
+		origins: make(map[string]int32),
+		routes:  make(map[routeKey]int32),
 	}
 }
 
@@ -209,41 +267,27 @@ func (g *IGP) neighborsLocked() []core.ModuleRef {
 	return out
 }
 
-// reoriginate bumps this module's sequence number, stores the fresh LSA
-// and floods it to every neighbour, then recomputes routes.
-func (g *IGP) reoriginate() {
-	g.mu.Lock()
-	lsa := g.originateLocked()
-	nbrs := g.neighborsLocked()
-	g.mu.Unlock()
-	for _, nbr := range nbrs {
-		g.sendUpdate(nbr, []*igpLSA{lsa})
-	}
-	g.recompute()
-}
-
 // sendUpdate conveys a batch of LSAs to a neighbouring IGP module,
 // omitting the ones the neighbour originated itself. Never called with
 // g.mu held: the in-process channel delivers synchronously and the
 // receiver may flood back into us.
 func (g *IGP) sendUpdate(to core.ModuleRef, lsas []*igpLSA) {
 	var out []*igpLSA
+	dst := to.String()
 	for _, lsa := range lsas {
-		if lsa.Origin != to.String() {
+		if lsa.Origin != dst {
 			out = append(out, lsa)
 		}
 	}
 	if len(out) == 0 {
 		return
 	}
-	_ = g.Svc.Convey(g.Ref(), to, "igp-lsa", igpUpdate{LSAs: out})
+	_ = g.Svc.Convey(g.Ref(), to, igpKindUpdate, igpUpdate{LSAs: out})
 }
 
 // PipeAttached implements device.Module. The IGP end of an adjacency
-// pipe is the upper end; forming the adjacency re-originates our LSA and
-// synchronises the full database to the new neighbour (so a late joiner
-// converges no matter the order the NM's concurrent executor created the
-// pipes in).
+// pipe is the upper end; the adjacency is recorded here and advertised
+// by RequestDone, once for the whole request.
 func (g *IGP) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 	if side != device.SideUpper {
 		return nil
@@ -253,60 +297,70 @@ func (g *IGP) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 		return fmt.Errorf("%s: adjacency pipe %s has no IGP peer", g.Ref(), p.ID)
 	}
 	g.mu.Lock()
-	g.adjs[p.ID] = &igpAdj{nbr: nbr}
-	own := g.originateLocked()
-	db := g.heldLocked()
-	sort.Slice(db, func(i, j int) bool { return db[i].Origin < db[j].Origin })
-	var others []core.ModuleRef
-	for _, n := range g.neighborsLocked() {
-		if n != nbr {
-			others = append(others, n)
-		}
-	}
+	g.adjs[p.ID] = &igpAdj{nbr: nbr, fresh: true}
+	g.unsent = true
 	g.mu.Unlock()
-	// One batched database sync to the new neighbour (including the
-	// fresh self-LSA that now lists it), and the self-LSA alone to the
-	// established ones so the rest of the network learns the new edge.
-	g.sendUpdate(nbr, db)
-	for _, n := range others {
-		g.sendUpdate(n, []*igpLSA{own})
-	}
-	g.recompute()
 	return nil
 }
 
-// PipeDeleted implements device.Module: losing an adjacency
-// re-originates (so the rest of the network drops the edge), and losing
-// the last adjacency withdraws every owned route and clears the
-// database — the module's entire footprint goes with its pipes, which
-// is what lets Withdraw/Destroy reconcile IGP state like any other
-// component.
+// PipeDeleted implements device.Module: losing an adjacency is advertised
+// by RequestDone, but losing the last one withdraws every owned route and
+// clears the database at once — the module's entire footprint goes with
+// its pipes, which is what lets Withdraw/Destroy reconcile IGP state like
+// any other component.
 func (g *IGP) PipeDeleted(p *device.Pipe, side device.PipeSide) error {
 	if side != device.SideUpper {
 		return nil
 	}
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	delete(g.adjs, p.ID)
-	last := len(g.adjs) == 0
-	if last {
-		for key := range g.installed {
-			g.withdrawLocked(key)
-		}
+	g.unsent = len(g.adjs) > 0
+	if !g.unsent {
+		g.withdrawAllLocked()
 		g.origins, g.lsdb = make(map[string]int32), nil
-	}
-	g.mu.Unlock()
-	if !last {
-		g.reoriginate()
 	}
 	return nil
 }
 
-// withdrawLocked removes one owned route from the kernel and the set.
-func (g *IGP) withdrawLocked(key routeKey) {
-	g.Svc.Kernel().DelRouteWhere("main", func(r kernel.Route) bool {
-		return r.Dst == key.dst && r.Via == key.via && r.Dev == key.dev
-	})
-	delete(g.installed, key)
+// RequestDone implements device.Module: it advertises the request's
+// adjacency changes with one origination — a database summary to each
+// neighbour a new pipe leads to, the fresh LSA alone to the others — and
+// then recomputes routes.
+func (g *IGP) RequestDone() {
+	g.mu.Lock()
+	if !g.unsent {
+		g.mu.Unlock()
+		return
+	}
+	g.unsent = false
+	own := g.originateLocked()
+	fresh := map[core.ModuleRef]bool{}
+	for _, adj := range g.adjs {
+		if adj.fresh {
+			fresh[adj.nbr], adj.fresh = true, false
+		}
+	}
+	nbrs := g.neighborsLocked()
+	g.mu.Unlock()
+	for _, nbr := range nbrs {
+		if !fresh[nbr] {
+			g.sendUpdate(nbr, []*igpLSA{own})
+			continue
+		}
+		// Summarise afresh for each new neighbour: a push answering the
+		// previous summary may have landed meanwhile.
+		g.mu.Lock()
+		have := make(map[string]uint64, len(g.lsdb))
+		for _, lsa := range g.lsdb {
+			if lsa != nil && lsa != own {
+				have[lsa.Origin] = lsa.Seq
+			}
+		}
+		g.mu.Unlock()
+		_ = g.Svc.Convey(g.Ref(), nbr, igpKindSummary, igpUpdate{LSAs: []*igpLSA{own}, Have: have})
+	}
+	g.recompute()
 }
 
 // internLocked returns ref's dense index, assigning the next one on
@@ -372,11 +426,12 @@ func (g *IGP) flipsLocked(at int32, a, b *igpLSA) bool {
 }
 
 // HandleConvey implements device.Module: accept every LSA in the batch
-// that is news (higher sequence number than what we hold), re-flood the
-// accepted ones — as one batch per neighbour — and recompute routes
-// once, if storing any of them can have changed the answer.
+// that is news (higher sequence number than what we hold), answer a
+// summary or a request, re-flood the accepted LSAs — as one batch per
+// neighbour — and recompute routes once, if storing any of them can have
+// changed the answer.
 func (g *IGP) HandleConvey(from core.ModuleRef, kind string, body []byte) error {
-	if kind != "igp-lsa" {
+	if kind != igpKindUpdate && kind != igpKindSummary {
 		return nil
 	}
 	var upd igpUpdate
@@ -397,31 +452,79 @@ func (g *IGP) HandleConvey(from core.ModuleRef, kind string, body []byte) error 
 		accepted = append(accepted, lsa)
 	}
 	g.lsasAccepted += len(accepted)
-	if len(accepted) == 0 {
-		g.mu.Unlock()
-		return nil
+	var answer igpUpdate
+	if kind == igpKindSummary {
+		answer = g.answerLocked(from, upd.Have)
+	} else {
+		for _, origin := range upd.Want {
+			if lsa := g.lsaLocked(origin); lsa != nil {
+				answer.LSAs = append(answer.LSAs, lsa)
+			}
+		}
 	}
 	var flood []core.ModuleRef
-	for _, nbr := range g.neighborsLocked() {
-		if nbr != from {
-			flood = append(flood, nbr)
+	if len(accepted) > 0 {
+		for _, nbr := range g.neighborsLocked() {
+			if nbr != from {
+				flood = append(flood, nbr)
+			}
 		}
 	}
 	g.mu.Unlock()
+	if len(answer.LSAs) > 0 || len(answer.Want) > 0 {
+		_ = g.Svc.Convey(g.Ref(), from, igpKindUpdate, answer)
+	}
 	for _, nbr := range flood {
 		g.sendUpdate(nbr, accepted)
 	}
 	if compute {
 		g.recompute()
 	}
-	g.Svc.Kick()
+	if len(accepted) > 0 {
+		g.Svc.Kick()
+	}
 	return nil
+}
+
+// answerLocked builds the reply to from's database summary: the held
+// LSAs the summary lacks or holds at an older seq (bar from's own, which
+// came with it), and the origins the summary is ahead on — asked for
+// only when no push from from is coming, that is, when every adjacency to
+// from has already sent its own summary.
+func (g *IGP) answerLocked(from core.ModuleRef, have map[string]uint64) igpUpdate {
+	var out igpUpdate
+	sender := from.String()
+	for _, lsa := range g.lsdb {
+		if lsa != nil && lsa.Origin != sender && lsa.Seq > have[lsa.Origin] {
+			out.LSAs = append(out.LSAs, lsa)
+		}
+	}
+	synced := false
+	for _, adj := range g.adjs {
+		if adj.nbr == from {
+			if adj.fresh {
+				return out
+			}
+			synced = true
+		}
+	}
+	if !synced {
+		return out
+	}
+	for origin, seq := range have {
+		if cur := g.lsaLocked(origin); cur == nil || cur.Seq < seq {
+			out.Want = append(out.Want, origin)
+		}
+	}
+	sort.Strings(out.Want)
+	return out
 }
 
 // recompute runs the shortest-path computation over the LSDB and
 // reconciles the kernel's main table with the result: routes to every
-// reachable remote subnet via the first-hop neighbour, installed and
-// withdrawn incrementally so the module owns exactly the routes the
+// reachable remote subnet via the first-hop neighbour. Only the origins
+// whose next hop or prefixes changed since the last computation
+// withdraw and add routes, so the module owns exactly the routes the
 // current topology wants.
 func (g *IGP) recompute() {
 	g.mu.Lock()
@@ -458,40 +561,57 @@ func (g *IGP) recompute() {
 		}
 	}
 
-	// Desired routes: every reachable remote subnet (local ones are
-	// directly connected, never routed) via the next-hop address — the
-	// first-hop neighbour's address inside one of our connected subnets.
-	k := g.Svc.Kernel()
-	clear(g.desired)
+	// Local subnets are directly connected, never routed, so a change to
+	// our own prefixes changes every origin's routes: start over.
+	withdrawn := 0
+	if g.local == nil || !slices.Equal(g.local.prefixes, own.prefixes) {
+		withdrawn = g.withdrawAllLocked()
+	}
+	g.local = own
 	local := make([]netip.Prefix, 0, len(own.prefixes))
 	for _, p := range own.prefixes {
 		local = append(local, p.Masked())
 	}
+
+	// Per origin, the wanted record: every reachable remote origin's
+	// prefixes via the next-hop address — the first-hop neighbour's
+	// address inside one of our connected subnets. An origin whose record
+	// differs from the installed one gives up its old routes now; the new
+	// ones are counted once every old one is, so a route that passes from
+	// one origin to another in this computation stays installed.
+	k := g.Svc.Kernel()
+	g.installed = append(g.installed, make([]igpInstalled, len(g.lsdb)-len(g.installed))...)
 	nextHops := map[int32]routeKey{}
+	var changed []int
+	var emptied []routeKey
 	for o, lsa := range g.lsdb {
-		hop := firstHop[o]
-		if lsa == nil || hop < 0 || int32(o) == self {
+		var want igpInstalled
+		if hop := firstHop[o]; lsa != nil && hop >= 0 && int32(o) != self {
+			nh, resolved := nextHops[hop]
+			if !resolved {
+				for _, p := range g.lsdb[hop].prefixes {
+					if iface, _, ok := k.IfaceForSubnet(p.Addr()); ok {
+						nh = routeKey{via: p.Addr(), dev: iface}
+						break
+					}
+				}
+				nextHops[hop] = nh
+			}
+			if nh.via.IsValid() { // else: adjacency formed but no shared subnet yet
+				want = igpInstalled{lsa: lsa, nh: nh}
+			}
+		}
+		if g.installed[o].same(want) {
+			g.installed[o].lsa = want.lsa // let a superseded LSA go
 			continue
 		}
-		nh, resolved := nextHops[hop]
-		if !resolved {
-			for _, p := range g.lsdb[hop].prefixes {
-				if iface, _, ok := k.IfaceForSubnet(p.Addr()); ok {
-					nh = routeKey{via: p.Addr(), dev: iface}
-					break
-				}
-			}
-			nextHops[hop] = nh
-		}
-		if !nh.via.IsValid() {
-			continue // adjacency formed but no shared subnet yet
-		}
-		for _, p := range lsa.prefixes {
-			nh.dst = p.Masked()
-			if !slices.Contains(local, nh.dst) {
-				g.desired[nh] = struct{}{}
-			}
-		}
+		emptied = g.countLocked(g.installed[o], local, -1, emptied)
+		g.installed[o] = want
+		changed = append(changed, o)
+	}
+	var added []routeKey
+	for _, o := range changed {
+		added = g.countLocked(g.installed[o], local, +1, added)
 	}
 
 	// Reconcile the kernel under the module lock (kernel calls never
@@ -499,33 +619,69 @@ func (g *IGP) recompute() {
 	// every module method uses), so two concurrent recomputations cannot
 	// interleave their installs and withdrawals. New routes go in sorted
 	// by their dst|via|dev string, the only place it is built.
+	if len(emptied) > 0 {
+		withdrawn += g.flushLocked()
+	}
 	type namedRoute struct {
 		name string
 		key  routeKey
 	}
-	var add []namedRoute
-	for key := range g.desired {
-		if _, have := g.installed[key]; !have {
-			add = append(add, namedRoute{key.String(), key})
-		}
+	named := make([]namedRoute, len(added))
+	for i, key := range added {
+		named[i] = namedRoute{key.String(), key}
 	}
-	changed := len(add) > 0
-	for key := range g.installed {
-		if _, keep := g.desired[key]; !keep {
-			g.withdrawLocked(key)
-			changed = true
-		}
-	}
-	sort.Slice(add, func(i, j int) bool { return add[i].name < add[j].name })
-	for _, a := range add {
+	sort.Slice(named, func(i, j int) bool { return named[i].name < named[j].name })
+	for _, a := range named {
 		_ = k.AddRoute("", kernel.Route{Dst: a.key.dst, Via: a.key.via, Dev: a.key.dev, MPLSKey: -1})
-		g.installed[a.key] = struct{}{}
 	}
 	g.mu.Unlock()
 
-	if changed {
+	if withdrawn > 0 || len(added) > 0 {
 		g.Svc.Kick()
 	}
+}
+
+// countLocked adds delta to the count of every route rec stands for and
+// appends to touched each route that enters the set or drops to zero.
+// A route at zero stays in the set until flushLocked withdraws it.
+func (g *IGP) countLocked(rec igpInstalled, local []netip.Prefix, delta int32, touched []routeKey) []routeKey {
+	if rec.lsa == nil {
+		return touched
+	}
+	key := rec.nh
+	for _, p := range rec.lsa.prefixes {
+		key.dst = p.Masked()
+		if slices.Contains(local, key.dst) {
+			continue
+		}
+		n, held := g.routes[key]
+		g.routes[key] = n + delta
+		if !held || n+delta == 0 {
+			touched = append(touched, key)
+		}
+	}
+	return touched
+}
+
+// flushLocked withdraws every owned route whose count is zero, in one
+// pass over the kernel table, and reports how many went.
+func (g *IGP) flushLocked() int {
+	n := g.Svc.Kernel().DelRouteWhere("main", func(r kernel.Route) bool {
+		count, owned := g.routes[routeKey{dst: r.Dst, via: r.Via, dev: r.Dev}]
+		return owned && count == 0
+	})
+	maps.DeleteFunc(g.routes, func(_ routeKey, count int32) bool { return count == 0 })
+	return n
+}
+
+// withdrawAllLocked withdraws every owned route, forgets what was
+// installed for each origin, and reports how many routes went.
+func (g *IGP) withdrawAllLocked() int {
+	for key := range g.routes {
+		g.routes[key] = 0
+	}
+	g.installed, g.local = nil, nil
+	return g.flushLocked()
 }
 
 // RouteCount reports how many kernel routes the module currently owns
@@ -533,7 +689,7 @@ func (g *IGP) recompute() {
 func (g *IGP) RouteCount() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.installed)
+	return len(g.routes)
 }
 
 // summaryLocked is the O(1)-sized convergence status showActual pushes.
@@ -541,7 +697,7 @@ func (g *IGP) summaryLocked() map[string]string {
 	return map[string]string{
 		"lsdb-size":   fmt.Sprint(len(g.heldLocked())),
 		"adjacencies": fmt.Sprint(len(g.adjs)),
-		"routes":      fmt.Sprint(len(g.installed)),
+		"routes":      fmt.Sprint(len(g.routes)),
 	}
 }
 
@@ -559,7 +715,7 @@ func (g *IGP) ListFields(component string) (map[string]string, error) {
 			out["lsa:"+lsa.Origin] = fmt.Sprintf("seq=%d addrs=%d nbrs=%d", lsa.Seq, len(lsa.Addrs), len(lsa.Nbrs))
 		}
 	case "routes":
-		for key := range g.installed {
+		for key := range g.routes {
 			out["route:"+key.String()] = "installed"
 		}
 	default:

@@ -135,8 +135,8 @@ func lsdbOf(g *IGP) (lsdb map[string]*igpLSA, adjs int) {
 func ownedRoutes(g *IGP) []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	keys := make([]string, 0, len(g.installed))
-	for key := range g.installed {
+	keys := make([]string, 0, len(g.routes))
+	for key := range g.routes {
 		keys = append(keys, key.String())
 	}
 	sort.Strings(keys)
@@ -240,37 +240,47 @@ func newIGPNet(t *testing.T, seed int64, n, chords int) (*igpNet, [][2]int) {
 	return net, links
 }
 
-// attach creates node a's adjacency pipe toward node b, as the NM's
-// createPipe on a's device would.
-func (net *igpNet) attach(a, b int) {
-	net.t.Helper()
-	na, nb := net.nodes[a], net.nodes[b]
-	net.pipes++
-	p := &device.Pipe{
-		ID:        core.PipeID(fmt.Sprintf("P%d", net.pipes)),
-		Upper:     na.g.Ref(),
-		Lower:     core.Ref(core.NameIPv4, na.dev, "ip"),
-		UpperPeer: nb.g.Ref(),
-		LowerPeer: core.Ref(core.NameIPv4, nb.dev, "ip"),
-	}
-	na.pipes[p.ID], na.adj[b] = p, p.ID
-	if err := na.g.PipeAttached(p, device.SideUpper); err != nil {
-		net.t.Fatal(err)
-	}
-	net.check(na, "attach")
-}
-
-// detach deletes node a's adjacency pipe toward node b.
-func (net *igpNet) detach(a, b int) {
+// request is one MA request on node a: for each of bs it deletes a's
+// adjacency pipe toward that node if there is one and creates it if not,
+// as the NM's command batch would, then runs the end-of-request hook the
+// MA runs after every batch, and checks the module.
+func (net *igpNet) request(a int, bs ...int) {
 	net.t.Helper()
 	na := net.nodes[a]
-	p := na.pipes[na.adj[b]]
-	delete(na.pipes, p.ID)
-	delete(na.adj, b)
-	if err := na.g.PipeDeleted(p, device.SideUpper); err != nil {
-		net.t.Fatal(err)
+	for _, b := range bs {
+		if id, up := na.adj[b]; up {
+			p := na.pipes[id]
+			delete(na.pipes, id)
+			delete(na.adj, b)
+			if err := na.g.PipeDeleted(p, device.SideUpper); err != nil {
+				net.t.Fatal(err)
+			}
+			continue
+		}
+		nb := net.nodes[b]
+		net.pipes++
+		p := &device.Pipe{
+			ID:        core.PipeID(fmt.Sprintf("P%d", net.pipes)),
+			Upper:     na.g.Ref(),
+			Lower:     core.Ref(core.NameIPv4, na.dev, "ip"),
+			UpperPeer: nb.g.Ref(),
+			LowerPeer: core.Ref(core.NameIPv4, nb.dev, "ip"),
+		}
+		na.pipes[p.ID], na.adj[b] = p, p.ID
+		if err := na.g.PipeAttached(p, device.SideUpper); err != nil {
+			net.t.Fatal(err)
+		}
 	}
-	net.check(na, "detach")
+	na.g.RequestDone()
+	net.check(na, "request")
+}
+
+// deliverSome delivers up to max-1 queued conveys, a seeded number.
+func (net *igpNet) deliverSome(max int) {
+	net.t.Helper()
+	for k := net.rng.Intn(max); k > 0 && len(net.queue) > 0; k-- {
+		net.deliver()
+	}
 }
 
 // deliver hands one queued convey, chosen at random, to its module and
@@ -330,11 +340,49 @@ func (net *igpNet) check(node *igpNode, when string) {
 	}
 }
 
+// sidesOf lists the far ends of node a's sides that are, or are not, up.
+func (net *igpNet) sidesOf(a int, sides [][2]int, up bool) []int {
+	var out []int
+	for _, s := range sides {
+		if _, ok := net.nodes[a].adj[s[1]]; s[0] == a && ok == up {
+			out = append(out, s[1])
+		}
+	}
+	return out
+}
+
+// converged requires every module to hold one LSA per router, each at
+// the newest seq any module holds for that router, and to own routes.
+func (net *igpNet) converged(when string) {
+	net.t.Helper()
+	newest := map[string]uint64{}
+	for _, node := range net.nodes {
+		lsdb, _ := lsdbOf(node.g)
+		for origin, lsa := range lsdb {
+			newest[origin] = max(newest[origin], lsa.Seq)
+		}
+	}
+	for _, node := range net.nodes {
+		lsdb, _ := lsdbOf(node.g)
+		if len(lsdb) != len(net.nodes) || node.g.RouteCount() == 0 {
+			net.t.Fatalf("%s did not converge after %s: %d LSAs, %d routes", node.dev, when, len(lsdb), node.g.RouteCount())
+		}
+		for origin, lsa := range lsdb {
+			if lsa.Seq != newest[origin] {
+				net.t.Fatalf("%s after %s holds %s at seq %d, another module at %d", node.dev, when, origin, lsa.Seq, newest[origin])
+			}
+		}
+	}
+}
+
 // TestIGPRoutesMatchFromScratchOracle brings random ring+chords
 // networks up side by side in random order, then churns adjacencies,
 // delivering conveys in shuffled order throughout; after every delivered
-// message and event the module it touched, and at quiescence every
-// module, agrees with referenceRoutes.
+// message and request the module it touched, and at quiescence every
+// module, agrees with referenceRoutes. A request may change several
+// adjacencies before its one end-of-request hook, as an NM command batch
+// does. Finally every missing side is attached again, and the databases
+// must agree.
 func TestIGPRoutesMatchFromScratchOracle(t *testing.T) {
 	sizes := []int{6, 12, 24}
 	if testing.Short() {
@@ -343,18 +391,26 @@ func TestIGPRoutesMatchFromScratchOracle(t *testing.T) {
 	for _, n := range sizes {
 		for seed := int64(1); seed <= 8; seed++ {
 			net, links := newIGPNet(t, seed*100+int64(n), n, n/3)
-			// Bring-up: every side of every link, in random order, with
-			// deliveries interleaved.
+			// Bring-up: every side of every link, in random order, up to
+			// three sides of one router per request, with deliveries
+			// interleaved.
 			var sides [][2]int
 			for _, l := range links {
 				sides = append(sides, l, [2]int{l[1], l[0]})
 			}
 			net.rng.Shuffle(len(sides), func(i, j int) { sides[i], sides[j] = sides[j], sides[i] })
 			for _, s := range sides {
-				net.attach(s[0], s[1])
-				for k := net.rng.Intn(4); k > 0 && len(net.queue) > 0; k-- {
-					net.deliver()
+				if _, up := net.nodes[s[0]].adj[s[1]]; up {
+					continue
 				}
+				batch := []int{s[1]}
+				for _, b := range net.sidesOf(s[0], sides, false) {
+					if b != s[1] && len(batch) < 1+net.rng.Intn(3) {
+						batch = append(batch, b)
+					}
+				}
+				net.request(s[0], batch...)
+				net.deliverSome(4)
 			}
 			net.drain()
 			for _, node := range net.nodes {
@@ -362,41 +418,60 @@ func TestIGPRoutesMatchFromScratchOracle(t *testing.T) {
 					t.Fatalf("n=%d seed=%d: %s did not converge after bring-up: %d LSAs, %d routes", n, seed, node.dev, len(lsdb), node.g.RouteCount())
 				}
 			}
-			// Churn: flip random sides (delete an attached one, attach a
-			// missing one) while earlier floods are still in flight; one
-			// event in four first gives the router a new stub LAN, so its
-			// next LSA changes prefixes as well as neighbours.
+			// Churn, while earlier floods are still in flight: flip a
+			// random side (delete an attached one, attach a missing one),
+			// or make a router lose every adjacency in one request and
+			// regain them in a later one — one-sidedly, as the
+			// neighbours' pipes toward it never went away. One event in
+			// four first gives the router a new stub LAN, so its next LSA
+			// changes prefixes as well as neighbours; one in eight instead
+			// gives it an address in another router's LAN, which turns a
+			// routed subnet local.
 			for ev := 0; ev < 3*n; ev++ {
 				s := sides[net.rng.Intn(len(sides))]
-				if net.rng.Intn(4) == 0 {
+				switch net.rng.Intn(8) {
+				case 0, 1:
 					net.nodes[s[0]].k.AddLAN(fmt.Sprintf("lan%d", ev+1), netip.MustParsePrefix(fmt.Sprintf("172.17.%d.1/24", ev)))
+				case 2:
+					other := net.rng.Intn(n)
+					net.nodes[s[0]].k.AddLAN(fmt.Sprintf("lan%d", ev+1), netip.MustParsePrefix(fmt.Sprintf("172.16.%d.%d/24", other, 10+ev)))
+				case 3:
+					if up := net.sidesOf(s[0], sides, true); len(up) > 0 {
+						net.request(s[0], up...)
+						net.deliverSome(6)
+						net.request(s[0], up...)
+						net.deliverSome(6)
+						continue
+					}
 				}
-				if _, up := net.nodes[s[0]].adj[s[1]]; up {
-					net.detach(s[0], s[1])
-				} else {
-					net.attach(s[0], s[1])
-				}
-				for k := net.rng.Intn(6); k > 0 && len(net.queue) > 0; k-- {
-					net.deliver()
+				net.request(s[0], s[1])
+				net.deliverSome(6)
+			}
+			net.drain()
+			for r := range net.nodes {
+				if missing := net.sidesOf(r, sides, false); len(missing) > 0 {
+					net.request(r, missing...)
+					net.deliverSome(6)
 				}
 			}
 			net.drain()
+			net.converged(fmt.Sprintf("n=%d seed=%d heal", n, seed))
 		}
 	}
 }
 
 // TestIGPSPFRunsOnlyWhenRoutesCanChange walks one module through the
 // skip rule: every accepted LSA is re-flooded, but SPF runs only for the
-// ones that flip a confirmed edge or change prefixes; losing the last
+// ones that flip a confirmed edge or change prefixes; one request that
+// forms two adjacencies originates and computes once; losing the last
 // adjacency empties routes, database and intern table.
 func TestIGPSPFRunsOnlyWhenRoutesCanChange(t *testing.T) {
 	net, _ := newIGPNet(t, 1, 4, 0) // ring A(0)—B(1)—C(2)—D(3)—A
 	a, b, c, d := net.nodes[0], net.nodes[1], net.nodes[2], net.nodes[3]
 	ref := func(n *igpNode) string { return n.g.Ref().String() }
-	net.attach(0, 1)
-	net.attach(0, 3)
-	if a.g.spfRuns != 2 {
-		t.Fatalf("two own originations ran SPF %d times, want 2", a.g.spfRuns)
+	net.request(0, 1, 3)
+	if a.g.spfRuns != 1 || a.g.seq != 1 {
+		t.Fatalf("one request forming two adjacencies: %d SPF runs at seq %d, want one of each", a.g.spfRuns, a.g.seq)
 	}
 
 	bAddrs := []string{"10.0.0.2/30", "10.0.1.1/30", "172.16.1.1/24"}
@@ -437,14 +512,14 @@ func TestIGPSPFRunsOnlyWhenRoutesCanChange(t *testing.T) {
 	}
 
 	fields, err := a.g.ListFields("self")
-	if err != nil || fields["spf-runs"] != "6" || fields["lsas-accepted"] != "6" || fields["lsdb-size"] != "3" {
-		t.Errorf("ListFields(self) = %v, %v; want spf-runs 6, lsas-accepted 6, lsdb-size 3", fields, err)
+	if err != nil || fields["spf-runs"] != "5" || fields["lsas-accepted"] != "6" || fields["lsdb-size"] != "3" {
+		t.Errorf("ListFields(self) = %v, %v; want spf-runs 5, lsas-accepted 6, lsdb-size 3", fields, err)
 	}
-	net.detach(0, 1)
+	net.request(0, 1)
 	if a.g.RouteCount() != 0 {
 		t.Errorf("with edge A—B gone A still owns %v", ownedRoutes(a.g))
 	}
-	net.detach(0, 3)
+	net.request(0, 3)
 	if lsdb, _ := lsdbOf(a.g); len(lsdb) != 0 || len(a.g.lsdb) != 0 || len(a.g.origins) != 0 || a.g.RouteCount() != 0 {
 		t.Errorf("after the last adjacency: %d LSAs, %d database slots, %d interned origins, %d routes; want none", len(lsdb), len(a.g.lsdb), len(a.g.origins), a.g.RouteCount())
 	}
