@@ -83,8 +83,13 @@ func runIntent(cmd string, args []string) error {
 	if cmd != "destroy" {
 		return nil
 	}
+	// Teardown is a withdrawal: the next pass deletes every component no
+	// registered intent wants.
+	if err := tb.NM.Withdraw(intent.Name); err != nil {
+		return err
+	}
 	if dryRun {
-		down, err := tb.NM.PlanDestroy(intent)
+		down, err := tb.NM.PlanStore()
 		if err != nil {
 			return err
 		}
@@ -92,7 +97,7 @@ func runIntent(cmd string, args []string) error {
 		fmt.Println("dry run: teardown not executed")
 		return nil
 	}
-	down, err := tb.NM.Destroy(intent)
+	down, err := tb.NM.Reconcile()
 	if err != nil {
 		return err
 	}

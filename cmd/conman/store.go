@@ -71,7 +71,7 @@ func runStore(cmd string, args []string) error {
 		fmt.Println("dry run: no commands sent")
 		return nil
 	}
-	if err := tb.NM.ApplyStore(plan); err != nil {
+	if err := tb.NM.Apply(plan); err != nil {
 		return err
 	}
 

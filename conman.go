@@ -29,50 +29,40 @@
 // The NM's public surface is declarative, mirroring the paper's model of
 // a manager that holds high-level goals and (re)derives configuration
 // from them (§II, §IV). An Intent names a connectivity Goal plus
-// tradeoffs; the lifecycle is:
+// tradeoffs. The NM keeps every intent in one store — the paper's "NM
+// holds all the goals" (§III) — and configures the network from their
+// union, through one lifecycle:
 //
-//	plan, err := nm.Plan(intent)   // diff desired vs observed state
+//	plan, err := nm.Plan(intent)   // register or replace intent; diff vs live state
 //	fmt.Print(plan.Render())       // dry run: every pending command
 //	err = nm.Apply(plan)           // reconcile: delete stale, create missing
-//	_, err = nm.Destroy(intent)    // tear the configuration back down
+//	err = nm.Withdraw(intent.Name) // unregister; the next pass prunes it
+//	down, err := nm.Reconcile()    // PlanStore + Apply in one call
 //
-// Plan compiles the intent's chosen path into per-device scripts, reads
-// the actual state of every device on the path (showActual) and keeps
-// only the difference: missing pipes and switch rules become create
-// batches, stale components (from an earlier intent, or a pipe whose
-// endpoints changed) become delete batches via the delete() primitive.
-// A per-intent plan owns every device it touches: whatever it observes
-// there and does not want is stale, and Destroy clears those devices.
-// Planning sends no configuration commands, so a Plan doubles as a dry
-// run. Apply is idempotent — after a successful Apply, a fresh Plan for
-// the same intent is empty and re-applying it sends zero commands. The
-// same loop heals partial failure (kill a pipe: the next Plan recreates
-// it and its dependent rules) and expresses A->B->A reconfiguration
-// between path flavours (GRE <-> MPLS), which the previous one-shot
-// DiscoverAll/FindPaths/Compile/Execute chain could not. Compile and
-// Execute remain available as the underlying engine.
+// Plan sends no configuration commands: it registers or replaces the
+// named intent (Submit or Update), recompiles it, re-reads every
+// occupied device (showActual) and returns the store-wide diff. Missing
+// pipes and switch rules become create batches; components no
+// registered intent wants (a pipe whose endpoints changed, a withdrawn
+// or rerouted goal's leftovers) become delete batches via the delete()
+// primitive. Submit + PlanStore is the same diff without the forced
+// re-read. Apply is idempotent — after a successful Apply, a fresh Plan
+// for the same intent is empty and re-applying it sends zero commands.
+// The same loop heals partial failure (kill a pipe: the next Plan
+// recreates it and its dependent rules) and switches path flavour when
+// the same intent is re-planned with another Prefer (GRE <-> MPLS),
+// which the previous one-shot DiscoverAll/FindPaths/Compile/Execute
+// chain could not. Compile and Execute remain available as the
+// underlying engine.
 //
-// # The intent store
-//
-// The intent store is the second entry point to the same diff engine —
-// the paper's "NM holds all the goals" model, for goals that share
-// devices:
-//
-//	err = nm.Submit(intentA)       // register goals; sends nothing
-//	err = nm.Submit(intentB)
-//	plan, err := nm.PlanStore()    // dry run of the union of all goals
-//	splan, err := nm.Reconcile()   // reconcile the network to the union
-//	err = nm.Withdraw("intent-a")  // unregister; next Reconcile prunes
-//
-// Reconcile compiles every registered intent, merges the desired
-// configuration per device — pipes and switch rules are deduplicated by
-// content and refcounted across goals — and diffs the union against
-// observed state in a single sweep. Components shared between goals
-// (two VPNs crossing the same transit switches) are configured once and
-// survive until their last owner is withdrawn; withdrawing one goal
-// removes exactly its unshared components. Reconcile is idempotent:
-// reconciling again immediately sends zero commands. See
-// examples/multi-intent and `conman submit|reconcile|withdraw`.
+// Goals that share devices coexist: pipes and switch rules are
+// deduplicated by content and refcounted across goals, so components
+// two goals share (two VPNs crossing the same transit switches) are
+// configured once and survive until their last owner is withdrawn, and
+// withdrawing one goal removes exactly its unshared components. Two
+// differently named intents for one goal are two goals; if their rules
+// steer the same traffic differently, PlanStore returns a ConflictError.
+// See examples/multi-intent and `conman submit|reconcile|withdraw`.
 //
 // # Concurrency
 //
@@ -162,12 +152,10 @@ type (
 	NM = nm.NM
 	// Intent is a declarative connectivity intent (desired state).
 	Intent = nm.Intent
-	// Plan is the reconciliation diff computed by NM.Plan.
+	// Plan is the store-wide reconciliation diff computed by NM.Plan,
+	// NM.PlanStore and NM.Reconcile.
 	Plan = nm.Plan
-	// StorePlan is the store-wide reconciliation diff computed by
-	// NM.PlanStore over every registered intent.
-	StorePlan = nm.StorePlan
-	// IntentView is one intent's slice of a StorePlan.
+	// IntentView is one intent's slice of a Plan.
 	IntentView = nm.IntentView
 	// Goal is a high-level connectivity goal.
 	Goal = nm.Goal

@@ -1,6 +1,6 @@
 // Command intent-lifecycle walks the declarative API end to end on the
 // paper's Fig 4 testbed: dry-run plan, apply, idempotent re-plan,
-// failure repair, and destroy.
+// failure repair, and teardown by withdrawal.
 package main
 
 import (
@@ -17,7 +17,8 @@ func main() {
 	}
 	intent := conman.VPNIntent(conman.Fig4Goal(), "GRE-IP tunnel")
 
-	// 1. Plan is a dry run: nothing is sent until Apply.
+	// 1. Plan registers the intent in the NM's store and diffs it against
+	// the live network. It is a dry run: nothing is sent until Apply.
 	plan, err := tb.NM.Plan(intent)
 	if err != nil {
 		log.Fatal(err)
@@ -56,10 +57,14 @@ func main() {
 	}
 	fmt.Println("healed.")
 
-	// 5. Destroy tears the whole path back down.
-	down, err := tb.NM.Destroy(intent)
+	// 5. Withdrawing the intent and reconciling tears the whole path back
+	// down: nothing registered wants its components any more.
+	if err := tb.NM.Withdraw(intent.Name); err != nil {
+		log.Fatal(err)
+	}
+	down, err := tb.NM.Reconcile()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("destroyed %d device batches; path gone.\n", len(down.Deletes))
+	fmt.Printf("withdrawn: %d device batches deleted; path gone.\n", len(down.Deletes))
 }

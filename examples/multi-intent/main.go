@@ -37,7 +37,7 @@ func main() {
 	fmt.Print(plan.Render())
 
 	// Reconcile: shared pipes and switch rules are configured once.
-	if err := tb.NM.ApplyStore(plan); err != nil {
+	if err := tb.NM.Apply(plan); err != nil {
 		log.Fatal(err)
 	}
 	for _, p := range pairs {

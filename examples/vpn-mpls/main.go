@@ -18,6 +18,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The NM's event feed carries what modules report unsolicited;
+	// subscribe before configuring so nothing is missed.
+	events, cancel := tb.NM.Subscribe(0)
+	defer cancel()
 
 	path, scripts, err := conman.ConfigureVPN(tb, conman.Fig4Goal(), "MPLS")
 	if err != nil {
@@ -44,7 +48,14 @@ func main() {
 	fmt.Println("\nverified: site S1 <-> S2 traffic rides the LSP, label-swapped at B")
 
 	// The far-end LSR reported establishment to the NM unsolicited.
-	for _, n := range tb.NM.Notifies() {
-		fmt.Printf("notification: %s from %s\n", n.Kind, n.Module)
+	for {
+		select {
+		case ev := <-events:
+			if ev.Kind.String() == "notify" {
+				fmt.Printf("notification: %s from %s\n", ev.What, ev.Module)
+			}
+		default:
+			return
+		}
 	}
 }

@@ -279,7 +279,7 @@ func TestTopoPlanLevelScale(t *testing.T) {
 			if err != nil {
 				t.Fatalf("plan on %d devices: %v", len(w.Devices), err)
 			}
-			if plan.Empty() || plan.Path == nil {
+			if plan.Empty() || plan.Views[0].Path == nil {
 				t.Fatalf("plan on %d devices compiled to nothing", len(w.Devices))
 			}
 			t.Logf("%s: build %v, plan %v, %d create batches", tc.name, build, time.Since(start), len(plan.Creates))

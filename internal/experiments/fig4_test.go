@@ -141,6 +141,8 @@ func TestFig8MPLSConfigurationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	events, cancel := tb.NM.Subscribe(0)
+	defer cancel()
 	if err := tb.NM.Execute(scripts); err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +169,8 @@ func TestFig8MPLSConfigurationEndToEnd(t *testing.T) {
 	}
 	// The paper's Table VI notification: the far-end LSR reports the LSP.
 	found := false
-	for _, note := range tb.NM.Notifies() {
-		if note.Kind == "lsp-established" {
+	for len(events) > 0 {
+		if ev := <-events; ev.Kind == nm.EventNotify && ev.What == "lsp-established" {
 			found = true
 		}
 	}

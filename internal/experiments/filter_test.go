@@ -3,10 +3,12 @@ package experiments
 import (
 	"net/netip"
 	"testing"
+	"time"
 
 	"conman/internal/core"
 	"conman/internal/modules"
 	"conman/internal/msg"
+	"conman/internal/nm"
 )
 
 // TestFilterResolutionAndDependencyMaintenance reproduces §II-E: the NM
@@ -82,27 +84,32 @@ func TestFilterResolutionAndDependencyMaintenance(t *testing.T) {
 	}
 
 	// Dependency maintenance: watch the app, re-resolve on change.
+	events, cancel := tb.NM.Subscribe(0)
+	defer cancel()
 	if _, err := tb.NM.InstallTrigger(foo.Ref(), "self"); err != nil {
 		t.Fatal(err)
 	}
-	reResolved := make(chan struct{}, 1)
-	tb.NM.SetOnTrigger(func(tr msg.Trigger) {
-		// The NM's dependency tracker re-resolves the dependent filter.
-		k, _ := tb.Devices["C"].MA.LocalModule("k")
-		if ipMod, ok := k.(*modules.IP); ok {
-			if err := ipMod.ReResolveFilter(ruleID); err == nil {
-				reResolved <- struct{}{}
-			}
-		}
-	})
 
 	// The application moves to port 593 — without maintenance the old
 	// filter would now miss it.
 	foo.SetPort(593)
-	select {
-	case <-reResolved:
-	default:
-		t.Fatal("trigger did not fire or filter was not re-resolved")
+	fired := false
+	for !fired {
+		select {
+		case ev := <-events:
+			fired = ev.Kind == nm.EventTrigger && ev.Module == foo.Ref()
+		case <-time.After(time.Second):
+			t.Fatal("trigger did not fire")
+		}
+	}
+	// The NM's dependency tracker re-resolves the dependent filter.
+	k, _ := tb.Devices["C"].MA.LocalModule("k")
+	ipMod, ok := k.(*modules.IP)
+	if !ok {
+		t.Fatalf("module k on C is %T, not *modules.IP", k)
+	}
+	if err := ipMod.ReResolveFilter(ruleID); err != nil {
+		t.Fatalf("filter was not re-resolved: %v", err)
 	}
 	if err := tb.Customer["E"].SendUDP(ip("192.168.1.1"), appAddr, 4000, 593, []byte("after-move")); err != nil {
 		t.Fatal(err)

@@ -34,15 +34,22 @@ func VPNIntent(goal nm.Goal, prefer string) nm.Intent {
 // ConfigureVPN is the one-call high-level API the examples use: plan the
 // goal as an intent and apply the reconciliation. On a fresh testbed the
 // plan is pure creation, so this behaves exactly like the old one-shot
-// pipeline; on a partially (or differently) configured one it heals or
-// reconfigures. Returns the chosen path and the create batches applied.
+// pipeline; on a partially configured one it heals. Returns the intent's
+// chosen path and the create batches applied.
 func ConfigureVPN(tb *Testbed, goal nm.Goal, prefer string) (*nm.Path, []nm.DeviceScript, error) {
-	plan, err := tb.NM.Plan(VPNIntent(goal, prefer))
+	intent := VPNIntent(goal, prefer)
+	plan, err := tb.NM.Plan(intent)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := tb.NM.Apply(plan); err != nil {
 		return nil, nil, err
 	}
-	return plan.Path, plan.Creates, nil
+	var path *nm.Path
+	for _, v := range plan.Views {
+		if v.Intent.Name == intent.Name {
+			path = v.Path
+		}
+	}
+	return path, plan.Creates, nil
 }

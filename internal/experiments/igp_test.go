@@ -238,13 +238,13 @@ func TestGREIGPRerouteConverges(t *testing.T) {
 	}
 	greSelfTest(t, tb, "EL")
 
-	on := pathDevices(plan.Path)
+	on := pathDevices(plan.Views[0].Path)
 	used, spare := core.DeviceID("B1"), core.DeviceID("B2")
 	if on["B2"] {
 		used, spare = "B2", "B1"
 	}
 	if !on[used] || on[spare] {
-		t.Fatalf("initial path should cross exactly one arm, got %s", plan.Path.Modules())
+		t.Fatalf("initial path should cross exactly one arm, got %s", plan.Views[0].Path.Modules())
 	}
 
 	// Cut the wire on the used arm; the affected devices re-report.
@@ -261,8 +261,8 @@ func TestGREIGPRerouteConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on := pathDevices(replan.Path); on[used] || !on[spare] {
-		t.Fatalf("expected reroute via %s, got %s", spare, replan.Path.Modules())
+	if on := pathDevices(replan.Views[0].Path); on[used] || !on[spare] {
+		t.Fatalf("expected reroute via %s, got %s", spare, replan.Views[0].Path.Modules())
 	}
 	prunes := false
 	for _, ds := range replan.Deletes {

@@ -70,9 +70,10 @@ func TestApplyIdempotent(t *testing.T) {
 	}
 }
 
-// TestDestroyThenReapply proves full teardown: Destroy removes the
-// intent's components (probes stop being delivered, self-test reports
-// the path gone), and a following Apply restores delivery end to end.
+// TestDestroyThenReapply proves full teardown: withdrawing the only
+// intent and reconciling removes its components (probes stop being
+// delivered, self-test reports the path gone), and a following Plan and
+// Apply restore delivery end to end.
 func TestDestroyThenReapply(t *testing.T) {
 	for i, fx := range intentFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
@@ -92,7 +93,10 @@ func TestDestroyThenReapply(t *testing.T) {
 				t.Fatalf("before destroy: %v", err)
 			}
 
-			down, err := tb.NM.Destroy(fx.intent)
+			if err := tb.NM.Withdraw(fx.intent.Name); err != nil {
+				t.Fatal(err)
+			}
+			down, err := tb.NM.Reconcile()
 			if err != nil {
 				t.Fatalf("destroy: %v", err)
 			}
@@ -201,16 +205,17 @@ func TestApplyHealsPartialFailure(t *testing.T) {
 }
 
 // TestReconfigureBetweenFlavours drives the A->B->A scenario the
-// one-shot API could not express: the same Fig 4 testbed is reconciled
-// from the GRE intent to the MPLS intent and back, with stale
-// components pruned at each step.
+// one-shot API could not express: one intent on the Fig 4 testbed is
+// re-planned from GRE to MPLS and back by flipping its Prefer, with the
+// previous flavour's components pruned at each step.
 func TestReconfigureBetweenFlavours(t *testing.T) {
 	tb, err := BuildFig4()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gre := VPNIntent(Fig4Goal(), "GRE-IP tunnel")
-	mpls := VPNIntent(Fig4Goal(), "MPLS")
+	gre := nm.Intent{Name: "vpn", Goal: Fig4Goal(), Prefer: "GRE-IP tunnel"}
+	mpls := gre
+	mpls.Prefer = "MPLS"
 
 	step := func(intent nm.Intent, wantDeletes bool, token uint32) {
 		t.Helper()
@@ -219,21 +224,21 @@ func TestReconfigureBetweenFlavours(t *testing.T) {
 			t.Fatal(err)
 		}
 		if wantDeletes && len(plan.Deletes) == 0 {
-			t.Fatalf("reconfigure to %q pruned nothing:\n%s", intent.Name, plan.Render())
+			t.Fatalf("reconfigure to %q pruned nothing:\n%s", intent.Prefer, plan.Render())
 		}
 		if err := tb.NM.Apply(plan); err != nil {
-			t.Fatalf("apply %q: %v", intent.Name, err)
+			t.Fatalf("apply %q: %v", intent.Prefer, err)
 		}
 		if err := tb.VerifyConnectivity(token); err != nil {
-			t.Fatalf("after %q: %v", intent.Name, err)
+			t.Fatalf("after %q: %v", intent.Prefer, err)
 		}
 	}
 	step(gre, false, 93000)
 	step(mpls, true, 93100)
 	step(gre, true, 93200)
 
-	// After the final flip the MPLS intent's state must be gone: its
-	// plan is non-trivial again.
+	// After the final flip the MPLS flavour's state must be gone: planning
+	// it is non-trivial again.
 	p, err := tb.NM.Plan(mpls)
 	if err != nil {
 		t.Fatal(err)
@@ -280,9 +285,9 @@ func TestPlanIsDryRun(t *testing.T) {
 
 // planLines flattens a plan's batches into "device: command" lines,
 // deletes first, and fails the test if a phase carries two scripts for
-// one device: both diff entry points emit at most one batch per device
-// per phase, which is what lets the chain executor treat script order as
-// chain order.
+// one device: the diff emits at most one batch per device per phase,
+// which is what lets the chain executor treat script order as chain
+// order.
 func planLines(t *testing.T, deletes, creates []nm.DeviceScript) []string {
 	t.Helper()
 	var lines []string
@@ -299,108 +304,6 @@ func planLines(t *testing.T, deletes, creates []nm.DeviceScript) []string {
 		}
 	}
 	return lines
-}
-
-// TestPlanMatchesOneIntentStorePlan is the differential check that the
-// per-intent Plan is a view over the store's diff engine: on every
-// evaluation topology, NM.Plan(intent) renders exactly the commands a
-// fresh NM's one-intent Submit + PlanStore renders — from scratch, and
-// on the diamond after a wire cut strands a configured device.
-func TestPlanMatchesOneIntentStorePlan(t *testing.T) {
-	type scenario struct {
-		name  string
-		build func() (*Testbed, nm.Intent, error)
-		// cut, when set, names a wire to cut (and the devices that
-		// re-report topology) after the intent was first configured; the
-		// comparison is then made on the re-plan.
-		cut      string
-		reporter []core.DeviceID
-	}
-	var cases []scenario
-	for _, fx := range intentFixtures() {
-		fx := fx
-		cases = append(cases, scenario{name: "fig/" + fx.name, build: func() (*Testbed, nm.Intent, error) {
-			tb, err := fx.build()
-			return tb, fx.intent, err
-		}})
-	}
-	for _, sc := range LinearScenarios() {
-		sc := sc
-		cases = append(cases, scenario{name: "linear16/" + sc.Name, build: func() (*Testbed, nm.Intent, error) {
-			tb, err := sc.Build(16)
-			return tb, sc.Intent(16), err
-		}})
-	}
-	cases = append(cases, scenario{
-		name: "diamond/wire-cut", cut: "A-B1", reporter: []core.DeviceID{"A", "B1"},
-		build: func() (*Testbed, nm.Intent, error) {
-			tb, pairs, err := BuildDiamondShared(1)
-			if err != nil {
-				return nil, nm.Intent{}, err
-			}
-			return tb, pairs[0].Intent("VLAN tunnel"), nil
-		},
-	})
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			per, intent, err := c.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			store, _, err := c.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := store.NM.Submit(intent); err != nil {
-				t.Fatal(err)
-			}
-			if c.cut != "" {
-				first, err := per.NM.Plan(intent)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := per.NM.Apply(first); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := store.NM.Reconcile(); err != nil {
-					t.Fatal(err)
-				}
-				for _, tb := range []*Testbed{per, store} {
-					if err := tb.Net.SetMediumUp(c.cut, false); err != nil {
-						t.Fatal(err)
-					}
-					for _, id := range c.reporter {
-						if err := tb.Devices[id].MA.ReportTopology(); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-			}
-			plan, err := per.NM.Plan(intent)
-			if err != nil {
-				t.Fatal(err)
-			}
-			splan, err := store.NM.PlanStore()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := planLines(t, plan.Deletes, plan.Creates)
-			want := planLines(t, splan.Deletes, splan.Creates)
-			if len(got) == 0 {
-				t.Fatal("per-intent plan is empty")
-			}
-			if c.cut != "" && len(plan.Deletes) == 0 {
-				t.Error("re-plan after the cut deletes nothing")
-			}
-			if strings.Join(got, "\n") != strings.Join(want, "\n") {
-				t.Errorf("per-intent plan differs from the one-intent store plan:\n--- Plan ---\n%s\n--- PlanStore ---\n%s",
-					strings.Join(got, "\n"), strings.Join(want, "\n"))
-			}
-			if plan.InPlace != splan.InPlace {
-				t.Errorf("in place: Plan %d, PlanStore %d", plan.InPlace, splan.InPlace)
-			}
-		})
-	}
 }
 
 // TestMessageLogDeterministicUnderConcurrency pins the per-device

@@ -344,10 +344,8 @@ func TestResolvedValueDriftReplan(t *testing.T) {
 		t.Fatalf("plan after drift apply not empty (err=%v):\n%s", err, again.Render())
 	}
 
-	// Gateway drift is detected the same way, through the store tier.
-	if err := tb.NM.Submit(intent); err != nil {
-		t.Fatal(err)
-	}
+	// Gateway drift is detected the same way by a plain store pass (Plan
+	// already registered the intent).
 	if plan, err := tb.NM.Reconcile(); err != nil || !plan.Empty() {
 		t.Fatalf("first store reconcile not clean (err=%v)", err)
 	}

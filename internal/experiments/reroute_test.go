@@ -53,8 +53,8 @@ func TestReroutePrunesStrandedDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on := pathDevices(plan.Path); !on["B1"] || on["B2"] {
-		t.Fatalf("expected initial path via B1 only, got %s", plan.Path.Modules())
+	if on := pathDevices(plan.Views[0].Path); !on["B1"] || on["B2"] {
+		t.Fatalf("expected initial path via B1 only, got %s", plan.Views[0].Path.Modules())
 	}
 	if err := tb.NM.Apply(plan); err != nil {
 		t.Fatal(err)
@@ -78,8 +78,8 @@ func TestReroutePrunesStrandedDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on := pathDevices(replan.Path); on["B1"] || !on["B2"] {
-		t.Fatalf("expected rerouted path via B2, got %s", replan.Path.Modules())
+	if on := pathDevices(replan.Views[0].Path); on["B1"] || !on["B2"] {
+		t.Fatalf("expected rerouted path via B2, got %s", replan.Views[0].Path.Modules())
 	}
 	prunesB1 := false
 	for _, ds := range replan.Deletes {
@@ -108,13 +108,17 @@ func TestReroutePrunesStrandedDevice(t *testing.T) {
 		t.Errorf("plan after reroute not empty:\n%s", again.Render())
 	}
 
-	// Destroy clears the intent record and every remaining device.
-	if _, err := tb.NM.Destroy(intent); err != nil {
+	// Withdrawing the intent clears its record and every remaining
+	// device.
+	if err := tb.NM.Withdraw(intent.Name); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.NM.Reconcile(); err != nil {
 		t.Fatal(err)
 	}
 	for _, dev := range []core.DeviceID{"A", "B2", "C"} {
 		if deviceConfigured(t, tb, dev) {
-			t.Errorf("device %s still configured after destroy", dev)
+			t.Errorf("device %s still configured after withdraw", dev)
 		}
 	}
 }

@@ -129,7 +129,7 @@ func TestWithdrawRemovesOnlyUnshared(t *testing.T) {
 		}
 	}
 
-	// Withdrawing the last intent clears everything (Destroy parity).
+	// Withdrawing the last intent clears everything.
 	if err := tb.NM.Withdraw("vpn-c2"); err != nil {
 		t.Fatal(err)
 	}
@@ -143,31 +143,13 @@ func TestWithdrawRemovesOnlyUnshared(t *testing.T) {
 	}
 }
 
-// TestWithdrawLastIsDestroyParity pins Destroy-vs-Withdraw equivalence
-// on the Fig 4 routed testbed: withdrawing the only registered intent
-// and reconciling leaves the network exactly as Destroy does — the GRE
-// self-test reports the path gone, probes stop, and re-submitting plans
-// pure creation again.
-func TestWithdrawLastIsDestroyParity(t *testing.T) {
+// TestWithdrawLastTearsDown pins teardown on the Fig 4 routed testbed:
+// withdrawing the only registered intent and reconciling deletes its
+// whole path — the GRE self-test reports the path gone, probes stop, no
+// device keeps an NM-created component — and re-submitting plans pure
+// creation again.
+func TestWithdrawLastTearsDown(t *testing.T) {
 	intent := VPNIntent(Fig4Goal(), "GRE-IP tunnel")
-
-	// Reference run: the per-intent lifecycle's Destroy.
-	ref, err := BuildFig4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := ref.NM.Plan(intent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.NM.Apply(plan); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.NM.Destroy(intent); err != nil {
-		t.Fatal(err)
-	}
-
-	// Store run: Submit + Reconcile, then Withdraw + Reconcile.
 	tb, err := BuildFig4()
 	if err != nil {
 		t.Fatal(err)
@@ -192,19 +174,16 @@ func TestWithdrawLastIsDestroyParity(t *testing.T) {
 		t.Fatal("withdraw reconcile deleted nothing")
 	}
 
-	// Both testbeds must agree the path is gone.
-	for name, b := range map[string]*Testbed{"destroy": ref, "withdraw": tb} {
-		ok, detail, err := b.NM.SelfTest(core.Ref(core.NameGRE, "A", "l"), "P1")
-		if err != nil {
-			t.Fatalf("%s selfTest: %v", name, err)
-		}
-		if ok {
-			t.Errorf("%s: GRE self-test still passes: %s", name, detail)
-		}
-		for _, dev := range []core.DeviceID{"A", "B", "C"} {
-			if deviceConfigured(t, b, dev) {
-				t.Errorf("%s: device %s still configured", name, dev)
-			}
+	ok, detail, err := tb.NM.SelfTest(core.Ref(core.NameGRE, "A", "l"), "P1")
+	if err != nil {
+		t.Fatalf("selfTest: %v", err)
+	}
+	if ok {
+		t.Errorf("GRE self-test still passes: %s", detail)
+	}
+	for _, dev := range []core.DeviceID{"A", "B", "C"} {
+		if deviceConfigured(t, tb, dev) {
+			t.Errorf("device %s still configured", dev)
 		}
 	}
 	d, e := tb.Customer["D"], tb.Customer["E"]
@@ -233,25 +212,22 @@ func TestWithdrawLastIsDestroyParity(t *testing.T) {
 	}
 }
 
-// TestDestroyRetiresStoreOccupancy is the regression for the occupancy
-// leak between the two lifecycles: an intent configured through the
-// store, torn down through the per-intent Destroy and then withdrawn
-// must leave no occupancy record behind — otherwise every later
-// Reconcile keeps re-observing the devices it once occupied as
-// "stranded", forever.
+// TestDestroyRetiresStoreOccupancy pins that tearing an intent down
+// leaves no occupancy record behind — otherwise every later Reconcile
+// keeps re-observing the devices it once occupied as "stranded",
+// forever. The intent goes in through Plan+Apply and out through
+// Withdraw+Reconcile.
 func TestDestroyRetiresStoreOccupancy(t *testing.T) {
 	tb, err := BuildFig4()
 	if err != nil {
 		t.Fatal(err)
 	}
 	intent := VPNIntent(Fig4Goal(), "GRE-IP tunnel")
-	if err := tb.NM.Submit(intent); err != nil {
+	plan, err := tb.NM.Plan(intent)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.NM.Reconcile(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb.NM.Destroy(intent); err != nil {
+	if err := tb.NM.Apply(plan); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.NM.Withdraw(intent.Name); err != nil {
@@ -262,8 +238,11 @@ func TestDestroyRetiresStoreOccupancy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !plan.Empty() {
-			t.Errorf("pass %d after destroy + withdraw is not empty:\n%s", pass, plan.Render())
+		if pass == 1 && len(plan.Deletes) == 0 {
+			t.Errorf("pass 1 after withdraw deletes nothing:\n%s", plan.Render())
+		}
+		if pass == 2 && !plan.Empty() {
+			t.Errorf("pass 2 after withdraw is not empty:\n%s", plan.Render())
 		}
 		if pass == 2 && plan.Stats.Observed != 0 {
 			t.Errorf("pass %d observed %d devices of an empty store (leaked occupancy)", pass, plan.Stats.Observed)
@@ -273,6 +252,46 @@ func TestDestroyRetiresStoreOccupancy(t *testing.T) {
 		if got := tb.NM.IntentsOn(dev); len(got) != 0 {
 			t.Errorf("device %s still recorded as occupied by %v", dev, got)
 		}
+	}
+}
+
+// TestPlanKeepsStoreIntentsOnSharedDevices is the regression for the
+// blackhole two configuration lifecycles caused: pair 1 is submitted and
+// reconciled, then pair 2 goes through Plan+Apply on the same shared
+// devices. Plan must treat pair 1's components as wanted, not stale, so
+// both pairs deliver and a following Reconcile has nothing to flip back.
+func TestPlanKeepsStoreIntentsOnSharedDevices(t *testing.T) {
+	tb, pairs, err := BuildDiamondShared(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.NM.Submit(pairs[0].Intent("VLAN tunnel")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.NM.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := tb.NM.Plan(pairs[1].Intent("VLAN tunnel"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Deletes) != 0 {
+		t.Errorf("planning pair 2 deletes pair 1's components:\n%s", plan.Render())
+	}
+	if err := tb.NM.Apply(plan); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pairs {
+		if err := tb.VerifyPair(p, uint32(98500+100*i)); err != nil {
+			t.Errorf("pair %d after pair 2's Plan+Apply: %v", p.Index, err)
+		}
+	}
+	again, err := tb.NM.Reconcile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Empty() {
+		t.Errorf("reconcile after Plan+Apply is not empty:\n%s", again.Render())
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 // decision for the IP route is exactly what the §II-E handle tracking
 // exists to get right: delivery must resume with the route rewritten
 // to the regenerated NHLFE key, with zero test-initiated Reconciles
-// and no full Destroy/Apply.
+// and no full teardown and re-apply.
 func TestDaemonHealsStaleNHLFE(t *testing.T) {
 	tb, err := BuildFig4()
 	if err != nil {

@@ -21,7 +21,7 @@ import (
 // sortedPlanLines is planLines in sorted order: the delta pass emits
 // work in pending order and the rematch in union order, so the two are
 // compared as sets of "device: command" lines (wire ids included).
-func sortedPlanLines(t *testing.T, plan *nm.StorePlan) string {
+func sortedPlanLines(t *testing.T, plan *nm.Plan) string {
 	t.Helper()
 	lines := planLines(t, plan.Deletes, plan.Creates)
 	sort.Strings(lines)
@@ -68,7 +68,7 @@ func liteChurn(t *testing.T, tb *Testbed, rng *rand.Rand, live map[int]bool, k, 
 
 // settle reconciles until a pass sends nothing (a create that answered
 // Pending costs one confirming observe) and returns that empty plan.
-func settle(t *testing.T, tb *Testbed) *nm.StorePlan {
+func settle(t *testing.T, tb *Testbed) *nm.Plan {
 	t.Helper()
 	for i := 0; i < 4; i++ {
 		plan, err := tb.NM.Reconcile()
@@ -93,7 +93,7 @@ func settle(t *testing.T, tb *Testbed) *nm.StorePlan {
 // churn, re-merging in whatever order updates and failed passes left.
 // Their per-intent views must nevertheless agree line for line — order,
 // paths, exclusive and shared tallies — and follow Registered().
-func threePlans(t *testing.T, tb *Testbed, tag string) (delta, cached, fresh *nm.StorePlan) {
+func threePlans(t *testing.T, tb *Testbed, tag string) (delta, cached, fresh *nm.Plan) {
 	t.Helper()
 	var err error
 	if delta, err = tb.NM.PlanStore(); err != nil {
@@ -118,7 +118,7 @@ func threePlans(t *testing.T, tb *Testbed, tag string) (delta, cached, fresh *nm
 		registered = append(registered, in.Name)
 	}
 	want := viewLines(cached)
-	for name, p := range map[string]*nm.StorePlan{"delta": delta, "fresh full": fresh} {
+	for name, p := range map[string]*nm.Plan{"delta": delta, "fresh full": fresh} {
 		if got := viewLines(p); got != want {
 			t.Fatalf("%s: %s plan's views differ from the rebuilt store's:\n%s\n--- rebuilt ---\n%s", tag, name, got, want)
 		}
@@ -134,7 +134,7 @@ func threePlans(t *testing.T, tb *Testbed, tag string) (delta, cached, fresh *nm
 }
 
 // viewLines is the per-intent half of a rendered store plan.
-func viewLines(plan *nm.StorePlan) string {
+func viewLines(plan *nm.Plan) string {
 	var lines []string
 	for _, line := range strings.Split(plan.Render(), "\n") {
 		if strings.HasPrefix(line, "  intent ") {
@@ -170,7 +170,7 @@ func TestFullRematchAgreesWithDelta(t *testing.T) {
 					settle(t, tb)
 					tag := fmt.Sprintf("seed %d step %d", seed, step)
 					delta, cached, fresh := threePlans(t, tb, tag)
-					for name, p := range map[string]*nm.StorePlan{"delta": delta, "cached full": cached, "fresh full": fresh} {
+					for name, p := range map[string]*nm.Plan{"delta": delta, "cached full": cached, "fresh full": fresh} {
 						if !p.Empty() {
 							t.Fatalf("%s: %s re-plan of a converged store is not empty:\n%s", tag, name, p.Render())
 						}
@@ -209,7 +209,7 @@ func TestFullRematchAgreesWithDelta(t *testing.T) {
 				tag := fmt.Sprintf("seed %d round %d", seed, round)
 				delta, cached, fresh := threePlans(t, tb, tag)
 				want := sortedPlanLines(t, delta)
-				for name, p := range map[string]*nm.StorePlan{"cached full": cached, "fresh full": fresh} {
+				for name, p := range map[string]*nm.Plan{"cached full": cached, "fresh full": fresh} {
 					if got := sortedPlanLines(t, p); got != want {
 						t.Fatalf("%s: %s plan differs from the delta plan:\n--- delta ---\n%s\n--- %s ---\n%s", tag, name, want, name, got)
 					}
@@ -217,7 +217,7 @@ func TestFullRematchAgreesWithDelta(t *testing.T) {
 						t.Errorf("%s: %s plan has %d in place, delta %d", tag, name, p.InPlace, delta.InPlace)
 					}
 				}
-				if err := tb.NM.ApplyStore(fresh); err != nil {
+				if err := tb.NM.Apply(fresh); err != nil {
 					t.Fatal(err)
 				}
 				settle(t, tb)

@@ -183,7 +183,7 @@ func TestDiamondLiteCrashRecovery(t *testing.T) {
 	}
 
 	// Third intent: plan it, then crash mid-apply. The armed endpoint
-	// swallows the batch acknowledgements, so ApplyStore journals its
+	// swallows the batch acknowledgements, so Apply journals its
 	// apply-begin bracket, the devices execute the creates, and the NM
 	// times out before any response — then "dies".
 	if err := tb.NM.Submit(LiteIntent(3)); err != nil {
@@ -198,8 +198,8 @@ func TestDiamondLiteCrashRecovery(t *testing.T) {
 	}
 	lossy.arm()
 	tb.NM.CallTimeout = 100 * time.Millisecond
-	if err := tb.NM.ApplyStore(plan); err == nil {
-		t.Fatal("mid-apply crash simulation: ApplyStore unexpectedly succeeded")
+	if err := tb.NM.Apply(plan); err == nil {
+		t.Fatal("mid-apply crash simulation: Apply unexpectedly succeeded")
 	}
 
 	// Restart: a fresh NM on the same channel and state directory.

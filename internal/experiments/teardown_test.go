@@ -107,9 +107,10 @@ func nmComponents(t *testing.T, tb *Testbed, dev core.DeviceID) []string {
 }
 
 // TestTeardownRestoresKernel runs the oracle over every teardown path:
-// per-intent Destroy on the paper's three VPN flavours and on a GRE+IGP
-// chain (whose IGP adjacencies are NM-created pipes too), and the
-// store's Withdraw+Reconcile on a shared core, one pair at a time.
+// Plan+Apply then Withdraw+Reconcile of the only intent on the paper's
+// three VPN flavours and on a GRE+IGP chain (whose IGP adjacencies are
+// NM-created pipes too), and Withdraw+Reconcile on a shared core, one
+// pair at a time.
 func TestTeardownRestoresKernel(t *testing.T) {
 	destroy := func(build func() (*Testbed, error), intent func() nm.Intent) func(t *testing.T) (*Testbed, map[core.DeviceID][]string) {
 		return func(t *testing.T) (*Testbed, map[core.DeviceID][]string) {
@@ -132,8 +133,11 @@ func TestTeardownRestoresKernel(t *testing.T) {
 			if len(fingerprintDiff(before, kernelFingerprint(tb))) == 0 {
 				t.Fatal("apply left every kernel untouched: the oracle would be vacuous")
 			}
-			if _, err := tb.NM.Destroy(in); err != nil {
-				t.Fatalf("destroy: %v", err)
+			if err := tb.NM.Withdraw(in.Name); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tb.NM.Reconcile(); err != nil {
+				t.Fatalf("teardown: %v", err)
 			}
 			return tb, before
 		}

@@ -306,7 +306,7 @@ func (g *IGP) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 // PipeDeleted implements device.Module: losing an adjacency is advertised
 // by RequestDone, but losing the last one withdraws every owned route and
 // clears the database at once — the module's entire footprint goes with
-// its pipes, which is what lets Withdraw/Destroy reconcile IGP state like
+// its pipes, which is what lets Withdraw + Reconcile remove IGP state like
 // any other component.
 func (g *IGP) PipeDeleted(p *device.Pipe, side device.PipeSide) error {
 	if side != device.SideUpper {

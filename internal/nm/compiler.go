@@ -161,13 +161,13 @@ func (n *NM) Compile(path *Path, goal Goal) ([]DeviceScript, error) {
 
 		switch {
 		case i == startEdge:
-			prefix, _ := n.ResolveDomain(goal.ToDomain)
-			gw, _ := n.ResolveGateway(goal.FromGateway)
+			prefix, _ := n.resolveDomain(goal.ToDomain)
+			gw, _ := n.resolveGateway(goal.FromGateway)
 			n.emitClassified(ds, hop.Node.Ref, entryRef, exitRef,
 				goal.ToDomain, prefix, goal.FromGateway, gw)
 		case i == goalEdge:
-			prefix, _ := n.ResolveDomain(goal.FromDomain)
-			gw, _ := n.ResolveGateway(goal.ToGateway)
+			prefix, _ := n.resolveDomain(goal.FromDomain)
+			gw, _ := n.resolveGateway(goal.ToGateway)
 			n.emitClassified(ds, hop.Node.Ref, exitRef, entryRef,
 				goal.FromDomain, prefix, goal.ToGateway, gw)
 		case hop.Node.Ref.Name == core.NameETH && (i == 0 || i == len(path.Hops)-1):

@@ -1,25 +1,23 @@
 package nm
 
-// Management-channel events as a consumable feed. The NM always
-// received unsolicited traffic — module notifications, dependency
-// triggers (§II-E), topology re-reports — but used to drop it into
-// append-only slices nobody read. This file turns that traffic into
-// bounded queues: a short retained tail for inspection (Notifies /
-// Triggers) and live subscriber channels (Subscribe) that the
+// Management-channel events as a consumable feed. The NM receives
+// unsolicited traffic — module notifications, dependency triggers
+// (§II-E), topology re-reports — and publishes it on one surface: live,
+// bounded subscriber channels (Subscribe) such as the one the
 // reconciliation daemon drains. Publishing never blocks the channel
-// handler; a subscriber that falls behind loses the oldest events and
-// the loss is counted, which for a level-triggered consumer (the
-// daemon re-reconciles from observed state, not from event payloads)
-// only costs an extra reconcile pass, never correctness.
+// handler; an event published while a subscriber's buffer is full is
+// dropped for that subscriber and the loss is counted, which for a
+// level-triggered consumer (the daemon re-reconciles from observed
+// state, not from event payloads) only costs an extra reconcile pass,
+// never correctness.
 
 import (
 	"conman/internal/core"
 	"conman/internal/msg"
 )
 
-// eventRetain bounds the notify/trigger tails kept for inspection and
-// is the default Subscribe buffer.
-const eventRetain = 1024
+// defaultEventBuffer is the Subscribe buffer when the caller names none.
+const defaultEventBuffer = 1024
 
 // EventKind classifies an NM event.
 type EventKind uint8
@@ -64,13 +62,15 @@ type Event struct {
 }
 
 // Subscribe returns a live event feed and its cancel function. The
-// channel is buffered (buf <= 0 selects eventRetain); events published
-// while the buffer is full are dropped and counted in EventsDropped.
+// channel is buffered (buf <= 0 selects defaultEventBuffer); an event
+// published while the buffer is full is dropped and counted in
+// EventsDropped. Only events published after Subscribe returns arrive,
+// so subscribe before the action whose events you want.
 // Cancel unregisters the subscriber; the channel is never closed, so a
 // consumer selecting on it must also select on its own done signal.
 func (n *NM) Subscribe(buf int) (<-chan Event, func()) {
 	if buf <= 0 {
-		buf = eventRetain
+		buf = defaultEventBuffer
 	}
 	ch := make(chan Event, buf)
 	n.mu.Lock()
@@ -94,15 +94,6 @@ func (n *NM) EventsDropped() uint64 {
 	return n.eventsDropped
 }
 
-// SetOnTrigger registers (or, with nil, clears) the dependency-trigger
-// callback. Registration synchronises with dispatch: the call returns
-// only once no in-flight trigger is still running the previous handler.
-func (n *NM) SetOnTrigger(fn func(t msg.Trigger)) {
-	n.triggerMu.Lock()
-	n.onTrigger = fn
-	n.triggerMu.Unlock()
-}
-
 // publishLocked fans an event out to every subscriber. Caller holds
 // n.mu.
 func (n *NM) publishLocked(ev Event) {
@@ -115,16 +106,6 @@ func (n *NM) publishLocked(ev Event) {
 			n.eventsDropped++
 		}
 	}
-}
-
-// appendBounded appends to a retained-tail slice, discarding the
-// oldest entries beyond eventRetain.
-func appendBounded[T any](s []T, v T) []T {
-	s = append(s, v)
-	if len(s) > eventRetain {
-		s = s[len(s)-eventRetain:]
-	}
-	return s
 }
 
 // topologyEqual reports whether two topology reports describe the same

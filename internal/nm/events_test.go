@@ -2,7 +2,6 @@ package nm
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -106,66 +105,9 @@ func TestSubscribeDropsWhenFull(t *testing.T) {
 	if got := n.EventsDropped(); got != 3 {
 		t.Errorf("EventsDropped = %d, want 3", got)
 	}
-	// The retained tail is unaffected by subscriber overflow.
-	if got := len(n.Notifies()); got != 4 {
-		t.Errorf("Notifies tail = %d, want 4", got)
-	}
-}
-
-// TestEventTailsBounded pins the fix for the unbounded NM.notifies /
-// NM.triggers growth: the retained tails cap at eventRetain and keep
-// the newest entries.
-func TestEventTailsBounded(t *testing.T) {
-	n, dev := eventNM(t)
-	total := eventRetain + 57
-	for i := 0; i < total; i++ {
-		sendNotify(t, dev, fmt.Sprintf("n-%d", i))
-	}
-	notes := n.Notifies()
-	if len(notes) != eventRetain {
-		t.Fatalf("Notifies tail = %d, want %d", len(notes), eventRetain)
-	}
-	if got, want := notes[len(notes)-1].Detail, fmt.Sprintf("n-%d", total-1); got != want {
-		t.Errorf("newest notify = %q, want %q", got, want)
-	}
-	if got, want := notes[0].Detail, fmt.Sprintf("n-%d", total-eventRetain); got != want {
-		t.Errorf("oldest kept notify = %q, want %q", got, want)
-	}
-}
-
-// TestSetOnTriggerConcurrent races handler swaps against trigger
-// dispatch; under -race this pins the fix for the unsynchronised
-// OnTrigger field (a handler could be swapped mid-dispatch).
-func TestSetOnTriggerConcurrent(t *testing.T) {
-	n, dev := eventNM(t)
-	var calls sync.Map
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			id := i
-			n.SetOnTrigger(func(tr msg.Trigger) { calls.Store(id, tr.Component) })
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			sendTrigger(t, dev, fmt.Sprintf("pipe:P%d", i))
-		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	n.SetOnTrigger(nil)
-	if got := len(n.Triggers()); got != 500 {
-		t.Errorf("trigger tail = %d, want 500", got)
+	// The full buffer kept the first event; the later ones were dropped.
+	if ev := <-events; ev.Detail != "burst-0" {
+		t.Errorf("buffered event = %q, want burst-0", ev.Detail)
 	}
 }
 

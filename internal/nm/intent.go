@@ -1,9 +1,9 @@
 package nm
 
 import (
+	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"conman/internal/core"
 	"conman/internal/msg"
@@ -13,10 +13,11 @@ import (
 // state and can (re)derive device configuration from it at any time —
 // the paper's model of a manager that keeps high-level goals and
 // re-invokes configuration after failures (§II, §IV). An Intent is
-// side-effect free; Plan computes what would change and Apply reconciles
-// the network toward it.
+// side-effect free; Plan (or Submit + PlanStore) registers it and
+// computes what would change, and Apply reconciles the network toward it.
 type Intent struct {
-	// Name identifies the intent in plan renderings.
+	// Name identifies the intent in the store and in plan renderings; it
+	// is required.
 	Name string
 	// Goal is the high-level connectivity goal (§III-C).
 	Goal Goal
@@ -32,94 +33,6 @@ type Intent struct {
 	// infeasible on long L2 chains, where the enumeration cap truncates
 	// the variant space).
 	Exhaustive bool
-}
-
-// Plan is the diff between an intent's desired configuration and the
-// device state the NM observed via showActual: per-device delete batches
-// for stale components and create batches for missing ones. A Plan is
-// inert until Apply executes it, so it doubles as the dry-run rendering.
-type Plan struct {
-	Intent Intent
-	// Path is the chosen module-level path (nil for destroy plans the
-	// intent could no longer resolve).
-	Path *Path
-	// Deletes are per-device batches removing stale components (switch
-	// rules first, then pipes). Executed before Creates.
-	Deletes []DeviceScript
-	// Creates are per-device batches creating missing components, in
-	// compiler order.
-	Creates []DeviceScript
-	// InPlace counts desired components that were already configured and
-	// therefore appear in neither batch.
-	InPlace int
-	// Unreachable lists stranded devices (previously touched, off the
-	// current path) that could not be observed — killed or partitioned.
-	// Their stale state cannot be pruned this pass; the NM remembers
-	// them and retries when they answer again.
-	Unreachable []core.DeviceID
-
-	// touched is the device set of the intent's current path; a
-	// successful Apply records it so later Plans prune devices the path
-	// migrated away from. Destroy plans leave it nil, which retires the
-	// record.
-	touched []core.DeviceID
-	// pruned lists devices that were observed and diffed against an empty
-	// union (stranded ones, and every device of a destroy plan); Apply
-	// clears their stale mark.
-	pruned []core.DeviceID
-	// handleDeps are the (provider, component) pairs desired rules embed
-	// resolved handles from; Apply installs triggers for them (§II-E).
-	handleDeps []handleDep
-}
-
-// Empty reports whether applying the plan would send no commands.
-func (p *Plan) Empty() bool { return len(p.Deletes) == 0 && len(p.Creates) == 0 }
-
-// Render prints the plan in the dry-run style of declarative tooling:
-// every command that Apply would send, per device, plus a summary line.
-func (p *Plan) Render() string {
-	var b strings.Builder
-	title := p.Intent.Name
-	if title == "" {
-		title = "(unnamed)"
-	}
-	fmt.Fprintf(&b, "plan for intent %q", title)
-	if p.Path != nil {
-		fmt.Fprintf(&b, " — path %s: %s", p.Path.Describe(), p.Path.Modules())
-	}
-	b.WriteString("\n")
-	renderBatches(&b, p.Deletes, p.Creates, p.InPlace, "")
-	return b.String()
-}
-
-// batchCounts counts the commands in a plan's create and delete batches.
-func batchCounts(creates, deletes []DeviceScript) (nc, nd int) {
-	for _, ds := range creates {
-		nc += len(ds.Items)
-	}
-	for _, ds := range deletes {
-		nd += len(ds.Items)
-	}
-	return nc, nd
-}
-
-// renderBatches is the body every plan rendering shares: each command of
-// the delete batches, then of the create batches, one "device: command"
-// line apiece, and the summary line (tally, when set, extends it with a
-// plan-specific count).
-func renderBatches(b *strings.Builder, deletes, creates []DeviceScript, inPlace int, tally string) {
-	for _, scripts := range [][]DeviceScript{deletes, creates} {
-		for _, ds := range scripts {
-			for _, line := range ds.Rendered {
-				fmt.Fprintf(b, "  %s: %s\n", ds.Device, line)
-			}
-		}
-	}
-	if nc, nd := batchCounts(creates, deletes); nc+nd == 0 {
-		fmt.Fprintf(b, "  no changes (%d components in place%s)\n", inPlace, tally)
-	} else {
-		fmt.Fprintf(b, "  %d to create, %d to delete, %d in place%s\n", nc, nd, inPlace, tally)
-	}
 }
 
 // graph returns the potential-connectivity graph for the NM's current
@@ -335,156 +248,29 @@ func scriptDevices(scripts []DeviceScript) []core.DeviceID {
 	return out
 }
 
-// strandedDevices returns the devices a previous Apply of this intent
-// touched that the current path no longer visits, in sorted order.
-func (n *NM) strandedDevices(intentName string, current []core.DeviceID) []core.DeviceID {
-	if intentName == "" {
-		return nil
-	}
-	cur := make(map[core.DeviceID]bool, len(current))
-	for _, d := range current {
-		cur[d] = true
-	}
-	set := make(map[core.DeviceID]bool)
-	n.mu.Lock()
-	for d := range n.intentDevs[intentName] {
-		if !cur[d] {
-			set[d] = true
-		}
-	}
-	// Devices that were unreachable when a previous pass wanted to prune
-	// them: keep trying until they answer.
-	for d := range n.staleDevs {
-		if !cur[d] {
-			set[d] = true
-		}
-	}
-	n.mu.Unlock()
-	return sortedKeys(set)
-}
-
 // deleteItem builds one delete command plus its rendering.
 func deleteItem(req core.DeleteRequest) (msg.CommandItem, string) {
 	return msg.CommandItem{Delete: &msg.DeleteReq{Req: req}},
 		fmt.Sprintf("delete (%s, %s, %s)", req.Kind, req.Module, req.ID)
 }
 
-// Plan computes the reconciliation diff for an intent: it compiles the
-// desired configuration, observes the actual state of every device on
-// the chosen path — plus any device a previous Apply of this intent
-// touched that the path has since migrated away from — and returns
-// per-device batches that create what is missing and delete what is
-// stale. It is the store's own pass over a scratch one-intent store —
-// the same merge, the same rematch (deviceUnion.diff) — so the
-// per-intent contract is ownership: the intent owns every device it
-// touches, and anything observed there that it does not want is stale.
-// Installed pipes are matched by content and keep their wire ids.
-// Planning sends no configuration commands;
-// Apply(plan) twice in a row therefore sends zero commands on the
-// second pass.
-func (n *NM) Plan(intent Intent) (*Plan, error) { return n.planIntent(intent, false) }
-
-// PlanDestroy computes the teardown plan for an intent: the same
-// rematch with nothing merged, so every switch rule and NM-created pipe
-// observed on the intent's devices is deleted (rules first, then pipes).
-// Planning sends no configuration commands.
-func (n *NM) PlanDestroy(intent Intent) (*Plan, error) { return n.planIntent(intent, true) }
-
-func (n *NM) planIntent(intent Intent, destroy bool) (*Plan, error) {
-	path, desired, err := n.compileIntent(intent)
+// Plan is the operator's dry run for one intent, and the store's own
+// entry point: it registers the intent (Submit, or Update when the name
+// is already registered), discards every cached observation, and returns
+// PlanStore's diff. The intent is therefore recompiled and every
+// occupied device re-read, so the plan reflects the live network rather
+// than the cache. Other registered intents stay in the union: their
+// components on shared devices are not stale. Planning sends no
+// configuration commands; Apply executes the plan.
+func (n *NM) Plan(intent Intent) (*Plan, error) {
+	err := n.Submit(intent)
+	var dup *DuplicateIntentError
+	if errors.As(err, &dup) {
+		err = n.Update(intent)
+	}
 	if err != nil {
 		return nil, err
 	}
-	devs := scriptDevices(desired)
-	// Devices a previous Apply of this intent touched but the current
-	// path avoids (e.g. rerouted around a failure): everything on them
-	// is stale. Unreachable ones are skipped and remembered.
-	stranded := n.strandedDevices(intent.Name, devs)
-	all := append(append([]core.DeviceID(nil), stranded...), devs...)
-	obs, unreachable, err := n.observe(all, optionalSet(stranded))
-	if err != nil {
-		return nil, err
-	}
-	plan := &Plan{Intent: intent, Path: path, Unreachable: unreachable}
-	ss := newStoreState()
-	if !destroy {
-		if err := ss.merge(intent.Name, desired); err != nil {
-			return nil, err
-		}
-		plan.touched = devs
-	}
-	var diff StorePlan
-	for _, dev := range all {
-		o := obs[dev]
-		if o == nil {
-			continue
-		}
-		du := ss.unions[dev]
-		if du == nil {
-			du = &deviceUnion{dev: dev}
-			plan.pruned = append(plan.pruned, dev)
-		}
-		du.diff(n, o, &diff, true)
-	}
-	plan.Deletes, plan.Creates = diff.Deletes, diff.Creates
-	plan.InPlace, plan.handleDeps = diff.InPlace, diff.handleDeps
-	return plan, nil
-}
-
-// Apply reconciles the network toward the plan's intent: stale
-// components are deleted first, then missing ones created, both through
-// the chain executor (one batch per device per phase, concurrently
-// across devices unless n.Sequential). Applying an empty plan sends
-// nothing; applying the same intent's fresh Plan right after a
-// successful Apply is therefore a no-op.
-func (n *NM) Apply(plan *Plan) error {
-	// The per-intent path writes device state behind the store's
-	// observation cache, so every touched device's generation is bumped
-	// and the next store pass observes it fresh.
-	touched := make(map[core.DeviceID]bool)
-	for _, ds := range plan.Deletes {
-		touched[ds.Device] = true
-	}
-	for _, ds := range plan.Creates {
-		touched[ds.Device] = true
-	}
-	defer n.invalidateDevices(touched)
-	if len(plan.Deletes) > 0 {
-		if err := n.Execute(plan.Deletes); err != nil {
-			return fmt.Errorf("nm: apply %q (teardown phase): %w", plan.Intent.Name, err)
-		}
-	}
-	if len(plan.Creates) > 0 {
-		if err := n.Execute(plan.Creates); err != nil {
-			return fmt.Errorf("nm: apply %q: %w", plan.Intent.Name, err)
-		}
-	}
-	// Dependency maintenance (§II-E): watch every provider component a
-	// desired rule embeds handles from, so churn fires a Trigger.
-	if err := n.installHandleTriggers(plan.handleDeps); err != nil {
-		return fmt.Errorf("nm: apply %q (triggers): %w", plan.Intent.Name, err)
-	}
-	n.markStale(plan.pruned, plan.Unreachable)
-	if plan.Intent.Name != "" {
-		n.planMu.Lock()
-		n.mu.Lock()
-		n.recordOccupancyLocked(plan.Intent.Name, plan.touched)
-		n.mu.Unlock()
-		n.planMu.Unlock()
-	}
-	return nil
-}
-
-// Destroy tears an intent's configuration back down: it plans the
-// teardown against observed state and applies it, returning the plan
-// that was executed.
-func (n *NM) Destroy(intent Intent) (*Plan, error) {
-	plan, err := n.PlanDestroy(intent)
-	if err != nil {
-		return nil, err
-	}
-	if err := n.Apply(plan); err != nil {
-		return plan, err
-	}
-	return plan, nil
+	n.InvalidateObservations()
+	return n.PlanStore()
 }

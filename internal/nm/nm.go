@@ -25,26 +25,25 @@
 //
 // # The intent store
 //
-// The NM's public surface is declarative, with two entry points to one
-// merge (storeState.merge) and one diff (deviceUnion.diff, whose full
-// rematch is its pending-work pass run from empty). Per intent, Plan /
-// Apply / Destroy compile one Intent (a named connectivity Goal), merge
-// it into a scratch one-intent store, rematch that against observed
-// device state, and reconcile; that plan owns every device it touches,
-// so Destroy clears them. The intent store
-// implements the paper's "NM holds all the goals" model (§III): Submit
-// and Withdraw register and remove goals, and Reconcile compiles the
-// union of every registered intent, deduplicates the desired pipes and
-// switch rules by content with per-intent ownership (refcounting),
-// observes every relevant device once, and sends create/delete batches
-// that only remove components no registered intent wants. Goals whose
-// paths cross the same transit devices therefore coexist — their
-// shared components are configured once and survive until the last
-// owner is withdrawn — and withdrawing one goal removes exactly its
-// unshared components. PlanStore is the dry-run form of Reconcile.
-// Pipe identity is structural in both (endpoint modules, remote peers,
-// dependency choices), so reconciliation adopts the wire ids of
-// matching installed pipes instead of churning them.
+// The NM's public surface is declarative, with one configuration
+// lifecycle: the intent store, the paper's "NM holds all the goals"
+// model (§III). Submit, Update and Withdraw register, replace and remove
+// goals (named connectivity Goals); PlanStore compiles the union of
+// every registered intent, deduplicates the desired pipes and switch
+// rules by content with per-intent ownership (refcounting), diffs that
+// union against observed device state in one merge (storeState.merge)
+// and one diff (deviceUnion.diff, whose full rematch is its pending-work
+// pass run from empty), and Apply sends create/delete batches that only
+// remove components no registered intent wants. Reconcile is PlanStore
+// plus Apply under one lock. Goals whose paths cross the same transit
+// devices therefore coexist — their shared components are configured
+// once and survive until the last owner is withdrawn — and withdrawing
+// one goal removes exactly its unshared components. Plan(intent) is the
+// one-intent way in: it sends no commands, registers or replaces the
+// intent, recompiles it and re-reads every occupied device before
+// returning PlanStore's diff. Pipe identity is structural (endpoint
+// modules, remote peers, dependency choices), so reconciliation adopts
+// the wire ids of matching installed pipes instead of churning them.
 //
 // The store is incremental and persistent. Reconcile recompiles only
 // intents dirtied since the last pass (cached compilations are reused,
@@ -162,9 +161,9 @@ type NM struct {
 	gateways map[string]string // guarded by mu
 
 	// intentDevs remembers, per applied intent name, the devices its
-	// configuration touched, so a later Plan or Reconcile can prune
-	// state from devices a re-chosen path no longer traverses (reroute
-	// after failure) or that only a withdrawn intent occupied.
+	// configuration touched, so a later pass can prune state from
+	// devices a re-chosen path no longer traverses (reroute after
+	// failure) or that only a withdrawn intent occupied.
 	intentDevs map[string]map[core.DeviceID]bool // guarded by mu
 
 	// store holds the registered goals of the intent store
@@ -172,11 +171,6 @@ type NM struct {
 	// order so Reconcile compiles and renders deterministically.
 	store      map[string]Intent // guarded by mu
 	storeOrder seqList[string]   // guarded by mu
-
-	// notifies/triggers retain the most recent unsolicited events for
-	// inspection (bounded to eventRetain; live consumers use Subscribe).
-	notifies []msg.Notify  // guarded by mu
-	triggers []msg.Trigger // guarded by mu
 
 	// subs are the live event subscribers (Subscribe); publishes that
 	// find a subscriber's buffer full are counted in eventsDropped
@@ -240,13 +234,6 @@ type NM struct {
 	logEnabled bool
 	msgLog     []logEntry        // guarded by mu
 	logSeq     map[string]uint64 // guarded by mu
-
-	// onTrigger, when set via SetOnTrigger, is invoked for
-	// dependency-maintenance triggers (§II-E). It has its own lock so
-	// registration waits out any in-flight dispatch instead of racing
-	// with it.
-	triggerMu sync.RWMutex
-	onTrigger func(t msg.Trigger) // guarded by triggerMu
 
 	// CallTimeout bounds request/response calls.
 	CallTimeout time.Duration
@@ -332,16 +319,16 @@ func (n *NM) SetGateway(token, addr string) {
 	n.compileGen++
 }
 
-// ResolveDomain returns the prefix for a domain name.
-func (n *NM) ResolveDomain(name string) (string, bool) {
+// resolveDomain returns the prefix for a domain name.
+func (n *NM) resolveDomain(name string) (string, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	p, ok := n.domains[name]
 	return p, ok
 }
 
-// ResolveGateway returns the address for a gateway token.
-func (n *NM) ResolveGateway(token string) (string, bool) {
+// resolveGateway returns the address for a gateway token.
+func (n *NM) resolveGateway(token string) (string, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	a, ok := n.gateways[token]
@@ -447,20 +434,6 @@ func (n *NM) IntentsOn(dev core.DeviceID) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Notifies returns the unsolicited notifications received so far.
-func (n *NM) Notifies() []msg.Notify {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]msg.Notify(nil), n.notifies...)
-}
-
-// Triggers returns fired dependency triggers.
-func (n *NM) Triggers() []msg.Trigger {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]msg.Trigger(nil), n.triggers...)
 }
 
 func (n *NM) deviceInfoLocked(id core.DeviceID) *DeviceInfo {
@@ -581,7 +554,6 @@ func (n *NM) handle(env msg.Envelope) {
 		}
 		n.mu.Lock()
 		n.counters.NotifyRecv++
-		n.notifies = appendBounded(n.notifies, note)
 		n.logfLocked("notify:"+note.Module.String(), "notify (%s: %s)", note.Module, note.Kind)
 		// A notify the NM's own reconcile deletes caused (e.g. the lower
 		// module reporting pipe-deleted) does not invalidate the cached
@@ -607,21 +579,12 @@ func (n *NM) handle(env msg.Envelope) {
 		}
 		n.mu.Lock()
 		n.counters.TriggerRecv++
-		n.triggers = appendBounded(n.triggers, t)
 		n.bumpObsLocked(t.Module.Device)
 		n.publishLocked(Event{
 			Kind: EventTrigger, Device: t.Module.Device,
 			Module: t.Module, Component: t.Component,
 		})
 		n.mu.Unlock()
-		// The callback is invoked under triggerMu (not n.mu), so
-		// SetOnTrigger waits out an in-flight dispatch instead of
-		// swapping the handler mid-call.
-		n.triggerMu.RLock()
-		if cb := n.onTrigger; cb != nil {
-			cb(t)
-		}
-		n.triggerMu.RUnlock()
 
 	case msg.TypeError:
 		// Could be a failed relay or an answer to one of our requests.

@@ -316,13 +316,13 @@ func TestDomainAndGatewayResolution(t *testing.T) {
 	n := New()
 	n.SetDomain("C1-S2", "10.0.2.0/24")
 	n.SetGateway("S1-gateway", "192.168.0.1")
-	if p, ok := n.ResolveDomain("C1-S2"); !ok || p != "10.0.2.0/24" {
+	if p, ok := n.resolveDomain("C1-S2"); !ok || p != "10.0.2.0/24" {
 		t.Fatalf("domain %q %v", p, ok)
 	}
-	if a, ok := n.ResolveGateway("S1-gateway"); !ok || a != "192.168.0.1" {
+	if a, ok := n.resolveGateway("S1-gateway"); !ok || a != "192.168.0.1" {
 		t.Fatalf("gateway %q %v", a, ok)
 	}
-	if _, ok := n.ResolveDomain("nope"); ok {
+	if _, ok := n.resolveDomain("nope"); ok {
 		t.Error("unknown domain resolved")
 	}
 }

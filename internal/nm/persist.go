@@ -1,12 +1,11 @@
 package nm
 
-// Persistence for the intent store (ISSUE 7): every Submit/Update/
-// Withdraw appends to a datastore journal, ApplyStore brackets its
-// device writes with apply-begin/commit records, and Checkpoint writes
-// a full snapshot (intents, NM knowledge, observation cache). Persist
-// restores all of it on restart, so a recovered daemon reaches the same
-// StorePlan without re-observing devices that did not change while it
-// was down.
+// Persistence for the intent store: every Submit/Update/Withdraw
+// appends to a datastore journal, Apply brackets its device writes with
+// apply-begin/commit records, and Checkpoint writes a full snapshot
+// (intents, NM knowledge, observation cache). Persist restores all of it
+// on restart, so a recovered daemon reaches the same Plan without
+// re-observing devices that did not change while it was down.
 
 import (
 	"encoding/json"
@@ -19,7 +18,7 @@ import (
 )
 
 // autoSnapshotEvery is the entry floor of the checkpoint cadence:
-// ApplyStore checkpoints once at least this many entries and at least the
+// Apply checkpoints once at least this many entries and at least the
 // last snapshot's size in bytes were journaled past it (the why is on
 // datastore.Log.SnapshotDue); small stores only ever meet the floor.
 const autoSnapshotEvery = 128

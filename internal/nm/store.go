@@ -13,8 +13,9 @@ package nm
 // moved re-observe, and every mutation is journaled through the
 // datastore package when persistence is attached. The diff itself
 // (deviceUnion.diff, storestate.go) has one body: a full rematch is the
-// delta pass run from empty. NM.Plan / NM.PlanDestroy (intent.go) run it
-// over a scratch one-intent store and an empty one.
+// delta pass run from empty. NM.Plan (intent.go) is the one-intent way
+// in: it registers the intent and runs PlanStore over a fresh
+// observation.
 
 import (
 	"fmt"
@@ -122,7 +123,7 @@ func (n *NM) Registered() []Intent {
 	return out
 }
 
-// IntentView is one intent's slice of a StorePlan: the path chosen for
+// IntentView is one intent's slice of a Plan: the path chosen for
 // it, the devices its desired configuration occupies, and how much of
 // that configuration it shares with other registered intents.
 type IntentView struct {
@@ -140,12 +141,12 @@ type IntentView struct {
 	Shared int
 }
 
-// StorePlan is the store-wide reconciliation diff: the union of every
+// Plan is the store-wide reconciliation diff: the union of every
 // registered intent's desired configuration, compared against observed
-// device state in a single sweep. Like a Plan it is inert — computing
-// it sends no configuration commands — and it doubles as the dry-run
-// rendering of what Reconcile would do.
-type StorePlan struct {
+// device state in a single sweep. It is inert — computing it sends no
+// configuration commands — so it doubles as the dry-run rendering of
+// what Apply (or Reconcile) would do.
+type Plan struct {
 	// Views holds the per-intent breakdown, in submission order. The
 	// slice and its elements are shared, immutable snapshots (the store
 	// mutates copy-on-write): read freely, never write through them.
@@ -172,29 +173,34 @@ type StorePlan struct {
 
 	// records is the device occupancy of intents whose contributions
 	// changed this pass (a delta, not the whole store); a successful
-	// ApplyStore merges it into the NM's memory.
+	// Apply merges it into the NM's memory.
 	records map[string][]core.DeviceID
 	// removedIntents are withdrawn intents whose occupancy records a
-	// successful ApplyStore retires.
+	// successful Apply retires.
 	removedIntents []string
 	// pruned lists stranded devices that were observed (and cleaned)
-	// this pass; ApplyStore clears their stale mark.
+	// this pass; Apply clears their stale mark.
 	pruned []core.DeviceID
 	// handleDeps are the (provider, component) pairs desired rules embed
-	// resolved handles from; ApplyStore installs triggers for them
-	// (§II-E).
+	// resolved handles from; Apply installs triggers for them (§II-E).
 	handleDeps []handleDep
 	// createBinds aligns, per device, with that device's Creates items:
-	// the union components each created item realises, so ApplyStore can
+	// the union components each created item realises, so Apply can
 	// bind them to the ids the device reports (write-through instead of
 	// a re-observe).
 	createBinds map[core.DeviceID][]bindTarget
 	// pass ties the plan to the storeState generation it was computed
-	// from; ApplyStore refuses a plan superseded by a newer PlanStore.
+	// from; Apply refuses a plan superseded by a newer PlanStore.
 	pass uint64
 	// applied guards against executing the same plan's batches twice.
 	applied bool
 }
+
+// StorePlan is Plan's former name, kept only because the benchmark
+// module (bench/storechurn.go) still spells it.
+//
+// Deprecated: use Plan.
+type StorePlan = Plan
 
 // StoreStats quantifies one PlanStore pass.
 type StoreStats struct {
@@ -224,13 +230,14 @@ type bindTarget struct {
 	other *unionOther
 }
 
-// Empty reports whether applying the store plan would send no commands.
-func (p *StorePlan) Empty() bool { return len(p.Deletes) == 0 && len(p.Creates) == 0 }
+// Empty reports whether applying the plan would send no commands.
+func (p *Plan) Empty() bool { return len(p.Deletes) == 0 && len(p.Creates) == 0 }
 
-// Render prints the store plan dry-run style: every intent's chosen
-// path, every command Reconcile would send (shared components annotated
-// with their owning intents), and a summary line.
-func (p *StorePlan) Render() string {
+// Render prints the plan dry-run style: every intent's chosen path,
+// every command Apply would send, one "device: command" line apiece
+// (deletes first, shared components annotated with their owning
+// intents), and a summary line.
+func (p *Plan) Render() string {
 	var b strings.Builder
 	noun := "intents"
 	if len(p.Views) == 1 {
@@ -244,8 +251,30 @@ func (p *StorePlan) Render() string {
 		}
 		fmt.Fprintf(&b, " (%d exclusive, %d shared components)\n", v.Exclusive, v.Shared)
 	}
-	renderBatches(&b, p.Deletes, p.Creates, p.InPlace, fmt.Sprintf(", %d shared", p.Shared))
+	for _, scripts := range [][]DeviceScript{p.Deletes, p.Creates} {
+		for _, ds := range scripts {
+			for _, line := range ds.Rendered {
+				fmt.Fprintf(&b, "  %s: %s\n", ds.Device, line)
+			}
+		}
+	}
+	if nc, nd := batchCounts(p.Creates, p.Deletes); nc+nd == 0 {
+		fmt.Fprintf(&b, "  no changes (%d components in place, %d shared)\n", p.InPlace, p.Shared)
+	} else {
+		fmt.Fprintf(&b, "  %d to create, %d to delete, %d in place, %d shared\n", nc, nd, p.InPlace, p.Shared)
+	}
 	return b.String()
+}
+
+// batchCounts counts the commands in a plan's create and delete batches.
+func batchCounts(creates, deletes []DeviceScript) (nc, nd int) {
+	for _, ds := range creates {
+		nc += len(ds.Items)
+	}
+	for _, ds := range deletes {
+		nd += len(ds.Items)
+	}
+	return nc, nd
 }
 
 // unionPipe is one desired pipe in the union of all registered intents.

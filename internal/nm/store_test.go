@@ -128,7 +128,7 @@ func TestUnionMergeDedupesSharedComponents(t *testing.T) {
 	if len(du.rules) != 3 {
 		t.Fatalf("union holds %d rules, want 3 (2 exclusive + 1 shared)", len(du.rules))
 	}
-	plan := &StorePlan{}
+	plan := &Plan{}
 	du.diff(New(), &observed{pipes: map[core.PipeID]obsPipe{}}, plan, true)
 	if len(plan.Creates) != 1 {
 		t.Fatalf("want one create batch, got %d", len(plan.Creates))
@@ -173,7 +173,7 @@ func TestDiffAdoptsObservedPipeIDs(t *testing.T) {
 			{id: "r2", module: vlan, from: "P7", to: "Phy-dead"},
 		},
 	}
-	plan := &StorePlan{}
+	plan := &Plan{}
 	ss.unions[dev].diff(New(), o, plan, true)
 	if len(plan.Creates) != 0 {
 		t.Errorf("in-place pipe churned:\n%s", plan.Render())
@@ -311,14 +311,14 @@ func TestDroppedRematchKeepsQueuedStateSpokenFor(t *testing.T) {
 	}
 	n, ss := New(), newStoreState()
 	mustMerge(t, ss, "a", mk("Phy-a"))
-	dropped := &StorePlan{}
+	dropped := &Plan{}
 	ss.unions[dev].diff(n, o, dropped, true)
 	if len(dropped.Deletes) != 1 || !strings.Contains(dropped.Deletes[0].Rendered[0], "r2") {
 		t.Fatalf("rematch did not queue the stale rule:\n%s", dropped.Render())
 	}
 
 	mustMerge(t, ss, "b", mk("Phy-b"))
-	plan := &StorePlan{}
+	plan := &Plan{}
 	ss.unions[dev].diff(n, o, plan, false)
 	if !plan.Empty() || plan.InPlace != 3 {
 		t.Errorf("delta pass after the dropped rematch: %d in place, want 3 and no commands:\n%s",

@@ -94,7 +94,7 @@ type storeState struct {
 	// views/viewIdx are the per-intent sharing summaries, maintained on
 	// ownership transitions instead of a full-store tally per pass, in
 	// registration order: viewIdx holds each view's number in views.
-	// Every StorePlan captures views.items as-is (copying 10k views per
+	// Every Plan captures views.items as-is (copying 10k views per
 	// pass would defeat O(changed)), so it is copy-on-write: once
 	// viewsShared is set, mutators clone the slice — and bumpView the
 	// element — before writing, leaving captured snapshots untouched.
@@ -114,11 +114,11 @@ type storeState struct {
 	// stranded devices).
 	recordedCount map[core.DeviceID]int
 	// removedIntents / recordsDirty stage occupancy-record changes for
-	// the next successful ApplyStore commit.
+	// the next successful Apply commit.
 	removedIntents map[string]bool
 	recordsDirty   map[string]bool
 	// passSeq ties plans to the state generation they were computed
-	// from; an ApplyStore of a superseded plan is refused.
+	// from; an Apply of a superseded plan is refused.
 	passSeq uint64
 }
 
@@ -193,7 +193,7 @@ func (ss *storeState) bumpView(name string, dExclusive, dShared int) {
 	}
 }
 
-// ownViews makes the views slice writable, cloning it if a StorePlan
+// ownViews makes the views slice writable, cloning it if a Plan
 // snapshot captured it. The clone copies pointers only; elements are
 // cloned individually by their mutators.
 func (ss *storeState) ownViews() {
@@ -523,7 +523,7 @@ func (o *observed) matchUnclaimed(req core.PipeRequest) (best core.PipeID, found
 
 // allocPipeID allocates the lowest wire id that is neither observed on
 // the device nor handed out since the last rematch. A pipe this pass
-// deletes is still observed until ApplyStore writes the deletion
+// deletes is still observed until Apply writes the deletion
 // through, so a delete and a create of the same shape in one pass cannot
 // collide; the rematch forgets the handed-out ids (forgetBindings), so
 // it numbers missing pipes the same whether or not dry runs preceded it.
@@ -615,7 +615,7 @@ func pipesReady(r *unionRule) bool {
 // and queued for deletion too. Either way newItems and pendingDel* hold
 // exactly the emitted work on return, so a plan that is never applied
 // re-emits it next pass.
-func (du *deviceUnion) diff(n *NM, o *observed, plan *StorePlan, rematch bool) {
+func (du *deviceUnion) diff(n *NM, o *observed, plan *Plan, rematch bool) {
 	o.ensureIndex()
 	if rematch {
 		du.forgetBindings(o)
@@ -696,9 +696,9 @@ func (du *deviceUnion) queueUnclaimed(o *observed) {
 // once every NM-created pipe it references is in place (a rule on a
 // freshly created pipe resolves to a fresh id no installed rule can
 // match). What cannot bind gets a create command, in first-appearance
-// order across the intents, and stays pending until ApplyStore binds it
+// order across the intents, and stays pending until Apply binds it
 // to what the device reports.
-func (du *deviceUnion) bindPending(n *NM, o *observed, plan *StorePlan) {
+func (du *deviceUnion) bindPending(n *NM, o *observed, plan *Plan) {
 	// Everything bound before this pass is in place by definition.
 	plan.InPlace += du.bound
 	creates := DeviceScript{Device: du.dev}
@@ -737,7 +737,7 @@ func (du *deviceUnion) bindPending(n *NM, o *observed, plan *StorePlan) {
 				continue
 			}
 			// A rule that embeds exported handles registers the dependency,
-			// so ApplyStore installs a trigger on the provider.
+			// so Apply installs a trigger on the provider.
 			provider := n.handleProvider(r)
 			if !provider.IsZero() {
 				plan.handleDeps = append(plan.handleDeps, handleDep{provider, "pipe:" + string(r.toPipe.id)})
@@ -780,7 +780,7 @@ func (du *deviceUnion) bindPending(n *NM, o *observed, plan *StorePlan) {
 }
 
 // ---------------------------------------------------------------------------
-// PlanStore / ApplyStore / Reconcile
+// PlanStore / Apply / Reconcile
 
 // PlanStore computes the store-wide reconciliation diff incrementally:
 // only intents whose goals changed since the last pass recompile, only
@@ -791,13 +791,13 @@ func (du *deviceUnion) bindPending(n *NM, o *observed, plan *StorePlan) {
 // union rebuild, still rematching against cached observations.
 // Planning sends no configuration commands. The plan is tied to the
 // store state it was computed from; a newer PlanStore supersedes it.
-func (n *NM) PlanStore() (*StorePlan, error) {
+func (n *NM) PlanStore() (*Plan, error) {
 	n.planMu.Lock()
 	defer n.planMu.Unlock()
 	return n.planStoreLocked()
 }
 
-func (n *NM) planStoreLocked() (*StorePlan, error) {
+func (n *NM) planStoreLocked() (*Plan, error) {
 	ss := n.ss
 
 	// Drain the mutation marks and snapshot the generations.
@@ -832,7 +832,7 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 		ss.reset()
 		ss.compiledGen = curGen
 	}
-	plan := &StorePlan{records: make(map[string][]core.DeviceID)}
+	plan := &Plan{records: make(map[string][]core.DeviceID)}
 	plan.Stats.FullRebuild = full
 
 	// Withdrawals first: drop the leaving intents' shares (queueing
@@ -999,7 +999,7 @@ func sortedKeys[K ~string, V any](set map[K]V) []K {
 }
 
 // planDevices is the sorted union of devices a plan touches.
-func planDevices(plan *StorePlan) []core.DeviceID {
+func planDevices(plan *Plan) []core.DeviceID {
 	set := make(map[core.DeviceID]bool)
 	for _, ds := range plan.Deletes {
 		set[ds.Device] = true
@@ -1033,7 +1033,7 @@ func (n *NM) invalidateDevices(devs map[core.DeviceID]bool) {
 }
 
 // recordOccupancyLocked is the single writer of the occupancy memory,
-// shared by Apply, ApplyStore and Persist's restore: it replaces the
+// shared by Apply and Persist's restore: it replaces the
 // named intent's recorded device set (an empty set retires the record)
 // and keeps ss.recordedCount, the per-device count of records, in step.
 // Caller holds planMu and mu.
@@ -1067,19 +1067,20 @@ func (n *NM) clearExpected() {
 	n.mu.Unlock()
 }
 
-// ApplyStore executes a store plan — stale components deleted first,
-// missing ones created — then binds the created components to the ids
-// the devices reported, writing them through the observation cache so
-// the next pass needs no re-observe. On success it commits the plan's
-// occupancy-record delta and journals the apply (when persistence is
-// attached). A plan superseded by a newer PlanStore is refused.
-func (n *NM) ApplyStore(plan *StorePlan) error {
+// Apply executes a plan — stale components deleted first, missing ones
+// created — then binds the created components to the ids the devices
+// reported, writing them through the observation cache so the next pass
+// needs no re-observe. On success it commits the plan's occupancy-record
+// delta and journals the apply (when persistence is attached). A plan
+// superseded by a newer PlanStore (or Plan) is refused, and applying an
+// empty plan sends nothing.
+func (n *NM) Apply(plan *Plan) error {
 	n.planMu.Lock()
 	defer n.planMu.Unlock()
-	return n.applyStoreLocked(plan)
+	return n.applyLocked(plan)
 }
 
-func (n *NM) applyStoreLocked(plan *StorePlan) error {
+func (n *NM) applyLocked(plan *Plan) error {
 	ss := n.ss
 	if plan.pass != ss.passSeq {
 		return fmt.Errorf("nm: apply: plan superseded by a newer PlanStore (recompute and retry)")
@@ -1288,20 +1289,20 @@ func (n *NM) bindCreatesLocked(ds DeviceScript, resp msg.CommandBatchResp, binds
 }
 
 // Reconcile moves the network to the union of all registered intents:
-// PlanStore followed by ApplyStore under one lock, returning the plan
+// PlanStore followed by Apply under one lock, returning the plan
 // that was executed. Reconcile treats the store as the complete desired
 // state — components no registered intent wants are pruned, and
 // components two goals share are configured once and survive until the
 // last owner is withdrawn. Reconcile is idempotent: immediately
 // reconciling again sends zero commands.
-func (n *NM) Reconcile() (*StorePlan, error) {
+func (n *NM) Reconcile() (*Plan, error) {
 	n.planMu.Lock()
 	defer n.planMu.Unlock()
 	plan, err := n.planStoreLocked()
 	if err != nil {
 		return nil, err
 	}
-	if err := n.applyStoreLocked(plan); err != nil {
+	if err := n.applyLocked(plan); err != nil {
 		return plan, err
 	}
 	return plan, nil
