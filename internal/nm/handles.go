@@ -31,9 +31,9 @@ type handleDep struct {
 	component string
 }
 
-// handleExporter reports whether the module advertises exported handle
+// exportsHandles reports whether the module advertises exported handle
 // fields in its abstraction (Table II's listFieldsAndValues contract).
-func (n *NM) handleExporter(ref core.ModuleRef) bool {
+func (n *NM) exportsHandles(ref core.ModuleRef) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	d := n.devices[ref.Device]
@@ -46,18 +46,6 @@ func (n *NM) handleExporter(ref core.ModuleRef) bool {
 		}
 	}
 	return false
-}
-
-// handleProvider returns the module whose exported handle fields a
-// desired rule embeds, or the zero ref: the module below the rule's To
-// pipe when that is a *different* module advertising HandleFields (an
-// egress rule's To pipe has the rule's own module below it — nothing is
-// embedded).
-func (n *NM) handleProvider(r *unionRule) core.ModuleRef {
-	if tp := r.toPipe; tp != nil && tp.req.Lower != r.rule.Module && n.handleExporter(tp.req.Lower) {
-		return tp.req.Lower
-	}
-	return core.ModuleRef{}
 }
 
 // handleFresh probes the provider's current fields for the component and

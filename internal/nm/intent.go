@@ -3,7 +3,6 @@ package nm
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"conman/internal/core"
 	"conman/internal/msg"
@@ -95,149 +94,6 @@ func (n *NM) compileIntent(intent Intent) (*Path, []DeviceScript, error) {
 		return nil, nil, err
 	}
 	return chosen, scripts, nil
-}
-
-// observed is the NM's per-device view of configured components, built
-// from showActual.
-type observed struct {
-	// pipes maps a pipe id to the (upper, lower) modules it connects
-	// and their remote peers. Physical pipes are excluded: the NM
-	// cannot create or delete them.
-	pipes map[core.PipeID]obsPipe
-	// rules lists installed switch rules across the device's modules.
-	rules []obsRule
-
-	// The remaining fields are the diff's binding indexes, lazily built
-	// by ensureIndex (storestate.go); a bare observed as observe() or a
-	// test constructs it carries none of them.
-
-	// claimed marks observed pipes that are spoken for: bound to a desired
-	// union pipe, or queued for deletion.
-	claimed map[core.PipeID]bool
-	// usedIDs holds the wire ids handed out for the device since the last
-	// rematch; with the observed ids they are what allocPipeID skips.
-	usedIDs map[core.PipeID]bool
-	// ruleIdx indexes rules by binding identity (obsRule.key) and
-	// ruleByID by installed id; tombstoned rules (id=="") are unindexed.
-	ruleIdx  map[string][]int
-	ruleByID map[string]int
-}
-
-type obsPipe struct {
-	upper, lower         core.ModuleRef
-	upperPeer, lowerPeer core.ModuleRef
-}
-
-// matches reports whether the observed pipe satisfies a desired pipe
-// request: same modules AND same remote peers — a pipe whose far-end
-// peer changed must be recreated so the modules renegotiate (VID,
-// keys, labels) with the new peer.
-func (o obsPipe) matches(req core.PipeRequest) bool {
-	return o.upper == req.Upper && o.lower == req.Lower &&
-		o.upperPeer == req.UpperPeer && o.lowerPeer == req.LowerPeer
-}
-
-type obsRule struct {
-	id       string
-	module   core.ModuleRef
-	from, to core.PipeID
-	match    string
-	via      string
-	// matchResolved/viaResolved are the concrete values the rule was
-	// installed with; a rule whose fresh resolution differs has drifted
-	// and must be replaced even though its abstract form still matches.
-	matchResolved string
-	viaResolved   string
-	// handle is the low-level handle the rule embeds from the module
-	// below its To pipe (core.CanonicalHandle form), as the installing
-	// module reported it; stale handles force replacement (§II-E).
-	handle string
-	used   bool
-}
-
-func classifierKey(c *core.Classifier) string {
-	if c == nil {
-		return ""
-	}
-	return c.Kind + "=" + c.Value
-}
-
-// observe fetches showActual for every device and condenses it into the
-// diffable view. Devices are queried on the NM's worker pool. Devices in
-// the optional set (stranded: previously touched, off every current
-// path) may fail to answer — a killed device must not wedge
-// reconciliation of the survivors — and are returned as unreachable
-// with no entry in the map.
-func (n *NM) observe(devs []core.DeviceID, optional map[core.DeviceID]bool) (map[core.DeviceID]*observed, []core.DeviceID, error) {
-	out := make([]*observed, len(devs))
-	unreach := make([]bool, len(devs))
-	err := n.forEach(len(devs), func(i int) error {
-		states, err := n.ShowActual(devs[i])
-		if err != nil {
-			if optional[devs[i]] {
-				unreach[i] = true
-				return nil
-			}
-			return err
-		}
-		o := &observed{pipes: make(map[core.PipeID]obsPipe)}
-		for _, st := range states {
-			for _, ps := range st.Pipes {
-				// The module below a pipe reports it as an up pipe (Other
-				// = the module above, Peer = its own remote peer); the
-				// module above reports the same pipe as a down pipe
-				// carrying the upper-side peer. Physical pipes are not
-				// diffable.
-				switch ps.End {
-				case core.EndUp:
-					op := o.pipes[ps.ID]
-					op.upper, op.lower, op.lowerPeer = ps.Other, st.Ref, ps.Peer
-					o.pipes[ps.ID] = op
-				case core.EndDown:
-					op := o.pipes[ps.ID]
-					op.upperPeer = ps.Peer
-					o.pipes[ps.ID] = op
-				}
-			}
-			for _, r := range st.SwitchRules {
-				o.rules = append(o.rules, obsRule{
-					id: r.ID, module: st.Ref,
-					from: r.From, to: r.To,
-					match: classifierKey(r.Match), via: r.Via,
-					matchResolved: r.MatchResolved, viaResolved: r.ViaResolved,
-					handle: r.HandleResolved,
-				})
-			}
-		}
-		out[i] = o
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	m := make(map[core.DeviceID]*observed, len(devs))
-	var unreachable []core.DeviceID
-	for i, d := range devs {
-		if unreach[i] {
-			unreachable = append(unreachable, d)
-			continue
-		}
-		m[d] = out[i]
-	}
-	sort.Slice(unreachable, func(i, j int) bool { return unreachable[i] < unreachable[j] })
-	return m, unreachable, nil
-}
-
-// optionalSet builds the observe() optional set from a stranded list.
-func optionalSet(stranded []core.DeviceID) map[core.DeviceID]bool {
-	if len(stranded) == 0 {
-		return nil
-	}
-	set := make(map[core.DeviceID]bool, len(stranded))
-	for _, d := range stranded {
-		set[d] = true
-	}
-	return set
 }
 
 func scriptDevices(scripts []DeviceScript) []core.DeviceID {

@@ -189,22 +189,23 @@ func (n *NM) Persist(b datastore.Backend) (int, error) {
 		if live[os.Device] {
 			continue // it rebooted or re-announced; observe it fresh
 		}
-		o := &observed{pipes: make(map[core.PipeID]obsPipe, len(os.Pipes))}
+		pipes := make(map[core.PipeID]obsPipe, len(os.Pipes))
 		for _, p := range os.Pipes {
-			o.pipes[p.ID] = obsPipe{
+			pipes[p.ID] = obsPipe{
 				upper: p.Upper, lower: p.Lower,
 				upperPeer: p.UpperPeer, lowerPeer: p.LowerPeer,
 			}
 		}
+		var rules []obsRule
 		for _, r := range os.Rules {
-			o.rules = append(o.rules, obsRule{
+			rules = append(rules, obsRule{
 				id: r.ID, module: r.Module, from: r.From, to: r.To,
 				match: r.Match, via: r.Via,
 				matchResolved: r.MatchResolved, viaResolved: r.ViaResolved,
 				handle: r.Handle,
 			})
 		}
-		ss.cache[os.Device] = &obsEntry{gen: os.Gen, o: o}
+		ss.cache[os.Device] = &obsEntry{gen: os.Gen, o: newObserved(pipes, rules)}
 		if n.obsGens[os.Device] < os.Gen {
 			n.obsGens[os.Device] = os.Gen
 		}

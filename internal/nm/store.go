@@ -8,12 +8,13 @@ package nm
 // state, and sends create/delete batches that only remove components
 // *no* registered intent wants. Intents sharing transit devices
 // therefore coexist, and withdrawing one goal removes exactly its
-// unshared components. The work is incremental (storestate.go): only
-// dirty intents recompile, only devices whose observation generation
-// moved re-observe, and every mutation is journaled through the
-// datastore package when persistence is attached. The diff itself
-// (deviceUnion.diff, storestate.go) has one body: a full rematch is the
-// delta pass run from empty. NM.Plan (intent.go) is the one-intent way
+// unshared components. The union and its merge live in union.go, the
+// observed state in observed.go, and the one diff (deviceUnion.diff) in
+// diff.go: a full rematch is the delta pass run from empty. The work is
+// incremental (storestate.go): only dirty intents recompile, only
+// devices whose observation generation moved re-observe, and every
+// mutation is journaled through the datastore package when persistence
+// is attached. NM.Plan (intent.go) is the one-intent way
 // in: it registers the intent and runs PlanStore over a fresh
 // observation.
 
@@ -22,7 +23,6 @@ import (
 	"strings"
 
 	"conman/internal/core"
-	"conman/internal/msg"
 	"conman/internal/nm/datastore"
 )
 
@@ -188,7 +188,7 @@ type Plan struct {
 	// the union components each created item realises, so Apply can
 	// bind them to the ids the device reports (write-through instead of
 	// a re-observe).
-	createBinds map[core.DeviceID][]bindTarget
+	createBinds map[core.DeviceID][]unionItem
 	// pass ties the plan to the storeState generation it was computed
 	// from; Apply refuses a plan superseded by a newer PlanStore.
 	pass uint64
@@ -220,14 +220,6 @@ type StoreStats struct {
 	// FullRebuild reports that compile inputs changed (topology, module
 	// discovery, domain bindings) and the whole union was rebuilt.
 	FullRebuild bool
-}
-
-// bindTarget is the union component a created batch item realises.
-// Exactly one field is set.
-type bindTarget struct {
-	pipe  *unionPipe
-	rule  *unionRule
-	other *unionOther
 }
 
 // Empty reports whether applying the plan would send no commands.
@@ -275,275 +267,4 @@ func batchCounts(creates, deletes []DeviceScript) (nc, nd int) {
 		nd += len(ds.Items)
 	}
 	return nc, nd
-}
-
-// unionPipe is one desired pipe in the union of all registered intents.
-// Its identity is its content — endpoint modules, remote peers and
-// dependency choices — not a compiled pipe id: intents compiled in
-// isolation number their pipes independently, so the store matches
-// pipes structurally and assigns wire ids afterwards (adopting the id
-// of a matching observed pipe, or allocating a fresh one).
-type unionPipe struct {
-	req    core.PipeRequest
-	owners seqList[string]
-	// id is the resolved wire id: the observed pipe's id when the pipe
-	// is already in place, a freshly allocated one otherwise.
-	id      core.PipeID
-	inPlace bool
-	// key caches pipeKey(req); gone tombstones a pipe whose last owner
-	// withdrew (the incremental store never reslices items).
-	key  string
-	gone bool
-}
-
-// unionRule is one desired switch rule in the union. From/To referring
-// to NM-created pipes are tracked through the unionPipe they resolve
-// against (fromPipe/toPipe non-nil); physical pipe references stay
-// literal.
-type unionRule struct {
-	rule             core.SwitchRule
-	fromPipe, toPipe *unionPipe
-	matchResolved    string
-	viaResolved      string
-	owners           seqList[string]
-	kept             bool
-	// boundID is the installed rule id this desired rule is bound to
-	// while kept, so a later withdrawal can delete it without an
-	// observation sweep.
-	boundID string
-	// key caches ruleUnionKey; gone tombstones a withdrawn rule.
-	key  string
-	gone bool
-}
-
-// resolved returns the rule with From/To rewritten to the final wire
-// ids of the union pipes it references.
-func (r *unionRule) resolved() core.SwitchRule {
-	rr := r.rule
-	if r.fromPipe != nil {
-		rr.From = r.fromPipe.id
-	}
-	if r.toPipe != nil {
-		rr.To = r.toPipe.id
-	}
-	return rr
-}
-
-// unionItem keeps the per-device first-appearance order of desired
-// components, so create batches read like a from-scratch script.
-// Exactly one field is set.
-type unionItem struct {
-	pipe  *unionPipe
-	rule  *unionRule
-	other *unionOther
-}
-
-// unionOther is a non-diffed desired item (filters and future command
-// kinds); it executes once, attributed to the intent that wants it.
-type unionOther struct {
-	item     msg.CommandItem
-	rendered string
-	owner    string
-	done     bool
-	gone     bool
-}
-
-// deviceUnion is the merged desired configuration of one device across
-// every registered intent, with ownership per component. items, pipes
-// and rules carry the union itself; the rest is the pending work and the
-// binding tallies the diff consumes.
-type deviceUnion struct {
-	dev   core.DeviceID
-	items []unionItem
-	pipes map[string]*unionPipe
-	rules map[string]*unionRule
-
-	// newItems are the pending components — merged since the last diff
-	// resolved them, or all live ones once a rematch forgot the bindings:
-	// each is still waiting to be bound to an observed component or
-	// created on the device.
-	newItems []unionItem
-	// pendingDelRules/pendingDelPipes are installed components queued
-	// for deletion (rules before pipes): bound ones whose last owner
-	// withdrew, and observed state a rematch found nobody claiming.
-	pendingDelRules []core.DeleteRequest
-	pendingDelPipes []core.DeleteRequest
-	// classes indexes value-carrying classifier rules by (module, entry,
-	// classifier, resolution) for conflict detection as intents merge.
-	classes map[string][]*unionRule
-	// bound counts desired components currently bound to device state;
-	// live counts non-tombstoned items; dead counts tombstones awaiting
-	// compaction.
-	bound int
-	live  int
-	dead  int
-}
-
-// hasWork reports whether the diff has pending work on this device.
-func (du *deviceUnion) hasWork() bool {
-	return len(du.newItems) > 0 || len(du.pendingDelRules) > 0 || len(du.pendingDelPipes) > 0
-}
-
-// gone reports whether an item is tombstoned.
-func (it unionItem) isGone() bool {
-	switch {
-	case it.pipe != nil:
-		return it.pipe.gone
-	case it.rule != nil:
-		return it.rule.gone
-	case it.other != nil:
-		return it.other.gone
-	}
-	return true
-}
-
-// pipeKey is the canonical content identity of a desired pipe.
-func pipeKey(req core.PipeRequest) string {
-	var b strings.Builder
-	b.WriteString(req.Upper.String())
-	b.WriteByte('|')
-	b.WriteString(req.Lower.String())
-	b.WriteByte('|')
-	b.WriteString(req.UpperPeer.String())
-	b.WriteByte('|')
-	b.WriteString(req.LowerPeer.String())
-	for _, d := range req.Satisfy {
-		b.WriteByte('|')
-		b.WriteString(d.Token + "/" + d.Tradeoff + "/" + d.Value + "/" + d.Provider)
-	}
-	return b.String()
-}
-
-// ruleUnionKey is the canonical identity of a desired switch rule, with
-// pipe references lifted into content space so two intents' rules over
-// the same (structurally identical) pipes unify.
-func ruleUnionKey(r *msg.CreateSwitchReq, fp, tp *unionPipe) string {
-	from, to := string(r.Rule.From), string(r.Rule.To)
-	if fp != nil {
-		from = "pipe:" + pipeKey(fp.req)
-	}
-	if tp != nil {
-		to = "pipe:" + pipeKey(tp.req)
-	}
-	return r.Rule.Module.String() + "|" + from + "|" + to + "|" +
-		classifierKey(r.Rule.Match) + "|" + r.Rule.Via + "|" +
-		fmt.Sprint(r.Rule.Bidirectional) + "|" + r.MatchResolved + "|" + r.ViaResolved
-}
-
-// ConflictError reports two registered intents whose desired switch
-// rules classify the same traffic at the same module but steer it to
-// different targets — a packet cannot obey both, so reconciliation
-// refuses to install either and names the colliding goals instead of
-// leaving the outcome to rule-installation order.
-type ConflictError struct {
-	// Device and Module locate the collision.
-	Device core.DeviceID
-	Module core.ModuleRef
-	// IntentA/IntentB name one owner of each colliding rule, and
-	// RuleA/RuleB are the rules as those intents compiled them.
-	IntentA, IntentB string
-	RuleA, RuleB     core.SwitchRule
-	// TargetA/TargetB describe where each rule steers the traffic in
-	// structural terms (compile-local pipe ids like P1 collide across
-	// intents, so the rendered rules alone can look identical).
-	TargetA, TargetB string
-}
-
-func (e *ConflictError) Error() string {
-	return fmt.Sprintf("nm: reconcile: conflicting switch rules on %s: intent %q wants %s (into %s), intent %q wants %s (into %s)",
-		e.Module, e.IntentA, renderSwitchCreate(e.RuleA), e.TargetA, e.IntentB, renderSwitchCreate(e.RuleB), e.TargetB)
-}
-
-// merge folds one intent's compiled device scripts into the per-device
-// unions: every component gains the intent as an owner (refcounting),
-// the intent's contribution refs record its share (so a later withdraw
-// or update removes exactly that), the sharing tallies and the per-device
-// conflict-class index follow, and new components queue as pending work
-// for the next diff. A classifier conflict aborts the merge with this
-// intent's partial contributions removed and a *ConflictError returned.
-func (ss *storeState) merge(name string, scripts []DeviceScript) error {
-	contrib := ss.contribs[name]
-	if contrib == nil {
-		contrib = &intentContrib{}
-		ss.contribs[name] = contrib
-	}
-	for _, ds := range scripts {
-		du := ss.unions[ds.Device]
-		if du == nil {
-			du = &deviceUnion{
-				dev:   ds.Device,
-				pipes: make(map[string]*unionPipe),
-				rules: make(map[string]*unionRule),
-			}
-			ss.unions[ds.Device] = du
-			ss.order = append(ss.order, ds.Device)
-		}
-		add := func(it unionItem) {
-			du.items = append(du.items, it)
-			du.newItems = append(du.newItems, it)
-			du.live++
-		}
-		own := func(owners *seqList[string], it unionItem) {
-			// merge(name) only ever follows removeContribs(name), so name
-			// owns nothing when it starts and can only be the newest owner
-			// of a component its scripts already named: no scan.
-			if k := len(owners.items); k > 0 && owners.items[k-1] == name {
-				return
-			}
-			seq := owners.push(name)
-			ss.ownerAdded(owners.items)
-			contrib.refs = append(contrib.refs, contribRef{du: du, it: it, seq: seq})
-		}
-		// local maps this intent's compile-time pipe ids (device-scoped
-		// P0, P1, ...) to their union pipes.
-		local := make(map[core.PipeID]*unionPipe)
-		for i, item := range ds.Items {
-			switch {
-			case item.Pipe != nil:
-				key := pipeKey(item.Pipe.Req)
-				up := du.pipes[key]
-				if up == nil {
-					up = &unionPipe{req: item.Pipe.Req, key: key}
-					du.pipes[key] = up
-					add(unionItem{pipe: up})
-				}
-				own(&up.owners, unionItem{pipe: up})
-				local[item.Pipe.ID] = up
-			case item.Switch != nil:
-				fp, tp := local[item.Switch.Rule.From], local[item.Switch.Rule.To]
-				key := ruleUnionKey(item.Switch, fp, tp)
-				ur := du.rules[key]
-				if ur == nil {
-					ur = &unionRule{
-						rule: item.Switch.Rule, fromPipe: fp, toPipe: tp,
-						matchResolved: item.Switch.MatchResolved,
-						viaResolved:   item.Switch.ViaResolved,
-						key:           key,
-					}
-					if err := du.classAdd(ur, name); err != nil {
-						ss.removeContribs(name)
-						return err
-					}
-					du.rules[key] = ur
-					add(unionItem{rule: ur})
-				}
-				own(&ur.owners, unionItem{rule: ur})
-			default:
-				uo := unionItem{other: &unionOther{item: item, rendered: ds.Rendered[i], owner: name}}
-				add(uo)
-				ss.ownerAdded([]string{name})
-				contrib.refs = append(contrib.refs, contribRef{du: du, it: uo})
-			}
-		}
-	}
-	return nil
-}
-
-// ownersSuffix annotates a rendered create line with the owning intents
-// when a component is shared.
-func ownersSuffix(owners []string) string {
-	if len(owners) < 2 {
-		return ""
-	}
-	return "  [shared: " + strings.Join(owners, ", ") + "]"
 }

@@ -3,7 +3,6 @@ package nm
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -129,7 +128,7 @@ func TestUnionMergeDedupesSharedComponents(t *testing.T) {
 		t.Fatalf("union holds %d rules, want 3 (2 exclusive + 1 shared)", len(du.rules))
 	}
 	plan := &Plan{}
-	du.diff(New(), &observed{pipes: map[core.PipeID]obsPipe{}}, plan, true)
+	du.diff(fakeProbe{}, newObserved(map[core.PipeID]obsPipe{}, nil), plan, true)
 	if len(plan.Creates) != 1 {
 		t.Fatalf("want one create batch, got %d", len(plan.Creates))
 	}
@@ -143,49 +142,131 @@ func TestUnionMergeDedupesSharedComponents(t *testing.T) {
 	}
 }
 
+// fakeProbe answers the diff's §II-E questions from fixed tables:
+// exporters lists the modules that export handles, and current maps
+// "provider|pipe" to the provider's current canonical handle.
+type fakeProbe struct {
+	exporters map[core.ModuleRef]bool
+	current   map[string]string
+}
+
+func (p fakeProbe) exportsHandles(ref core.ModuleRef) bool { return p.exporters[ref] }
+
+func (p fakeProbe) handleFresh(provider core.ModuleRef, pipe core.PipeID, recorded string) bool {
+	cur, ok := p.current[provider.String()+"|"+string(pipe)]
+	return ok && cur == recorded
+}
+
+// handleFixture is one device's handle-embedding ingress: the IP module
+// classifies customer traffic into a pipe over MPLS, whose NHLFE key the
+// installed rule embeds. The pipe is observed as P8 and the provider's
+// current handle there is "nhlfe=2"; an installed copy recording
+// anything else is stale.
+type handleFixture struct {
+	ipm, mpls core.ModuleRef
+	req       core.PipeRequest
+	probe     fakeProbe
+}
+
+func newHandleFixture(dev core.DeviceID) handleFixture {
+	ipm, mpls := core.Ref(core.NameIPv4, dev, "g"), core.Ref(core.NameMPLS, dev, "o")
+	return handleFixture{
+		ipm: ipm, mpls: mpls,
+		req: core.PipeRequest{Upper: ipm, Lower: mpls},
+		probe: fakeProbe{
+			exporters: map[core.ModuleRef]bool{mpls: true},
+			current:   map[string]string{mpls.String() + "|P8": "nhlfe=2"},
+		},
+	}
+}
+
+// items are the desired pipe (compiled as P1) and the ingress rule into it.
+func (h handleFixture) items() []func() (msg.CommandItem, string) {
+	return []func() (msg.CommandItem, string){
+		func() (msg.CommandItem, string) { return pipeItem("P1", h.req) },
+		func() (msg.CommandItem, string) {
+			return ruleItem(core.SwitchRule{Module: h.ipm, From: "Phy-cust", To: "P1"})
+		},
+	}
+}
+
+// observe builds the device's observed state: pipes and rules plus the
+// fixture's pipe, installed as P8, and an ingress rule recording handle.
+func (h handleFixture) observe(pipes map[core.PipeID]obsPipe, rules []obsRule, handle string) *observed {
+	pipes["P8"] = obsPipe{upper: h.ipm, lower: h.mpls}
+	rules = append(rules, obsRule{id: "r8", module: h.ipm, from: "Phy-cust", to: "P8", handle: handle})
+	return newObserved(pipes, rules)
+}
+
 // TestDiffAdoptsObservedPipeIDs pins the content-based matching that
 // makes reconciliation stable across intent withdrawal: the desired
 // pipe was compiled as P0 but is observed installed as P7 — the diff
 // must adopt P7 (no churn), keep the installed rule referencing it, and
-// delete only the truly stale rule.
+// delete only the truly stale rule. A rule embedding an exported handle
+// (§II-E) is kept only while the handle it recorded is still current: a
+// stale one is deleted and created again.
 func TestDiffAdoptsObservedPipeIDs(t *testing.T) {
-	dev := core.DeviceID("X")
-	eth := core.Ref(core.NameETH, dev, "e")
-	vlan := core.Ref(core.NameVLAN, dev, "v")
-	req := core.PipeRequest{Upper: eth, Lower: vlan, LowerPeer: core.Ref(core.NameVLAN, "Y", "v")}
+	for _, tc := range []struct {
+		handle  string
+		inPlace int
+		deletes []string
+		creates int
+	}{
+		{handle: "nhlfe=2", inPlace: 4, deletes: []string{"r2"}},
+		{handle: "nhlfe=1", inPlace: 3, deletes: []string{"r2", "r8"}, creates: 1},
+	} {
+		t.Run(tc.handle, func(t *testing.T) {
+			dev := core.DeviceID("X")
+			eth := core.Ref(core.NameETH, dev, "e")
+			vlan := core.Ref(core.NameVLAN, dev, "v")
+			req := core.PipeRequest{Upper: eth, Lower: vlan, LowerPeer: core.Ref(core.NameVLAN, "Y", "v")}
+			h := newHandleFixture(dev)
 
-	ds := DeviceScript{Device: dev}
-	appendItems(&ds,
-		func() (msg.CommandItem, string) { return pipeItem("P0", req) },
-		func() (msg.CommandItem, string) {
-			return ruleItem(core.SwitchRule{Module: vlan, From: "P0", To: "Phy-trunk", Bidirectional: true})
-		},
-	)
-	ss := newStoreState()
-	mustMerge(t, ss, "vpn-a", ds)
+			ds := DeviceScript{Device: dev}
+			appendItems(&ds,
+				func() (msg.CommandItem, string) { return pipeItem("P0", req) },
+				func() (msg.CommandItem, string) {
+					return ruleItem(core.SwitchRule{Module: vlan, From: "P0", To: "Phy-trunk", Bidirectional: true})
+				},
+			)
+			appendItems(&ds, h.items()...)
+			ss := newStoreState()
+			mustMerge(t, ss, "vpn-a", ds)
 
-	o := &observed{
-		pipes: map[core.PipeID]obsPipe{
-			"P7": {upper: eth, lower: vlan, lowerPeer: core.Ref(core.NameVLAN, "Y", "v")},
-		},
-		rules: []obsRule{
-			{id: "r1", module: vlan, from: "P7", to: "Phy-trunk"},
-			{id: "r2", module: vlan, from: "P7", to: "Phy-dead"},
-		},
+			o := h.observe(map[core.PipeID]obsPipe{
+				"P7": {upper: eth, lower: vlan, lowerPeer: core.Ref(core.NameVLAN, "Y", "v")},
+			}, []obsRule{
+				{id: "r1", module: vlan, from: "P7", to: "Phy-trunk"},
+				{id: "r2", module: vlan, from: "P7", to: "Phy-dead"},
+			}, tc.handle)
+			plan := &Plan{}
+			ss.unions[dev].diff(h.probe, o, plan, true)
+			checkPlan(t, plan, tc.inPlace, tc.deletes, tc.creates)
+			if len(plan.handleDeps) != 1 || plan.handleDeps[0] != (handleDep{h.mpls, "pipe:P8"}) {
+				t.Errorf("handle dependencies %v, want the ingress rule's on %s pipe:P8", plan.handleDeps, h.mpls)
+			}
+		})
 	}
-	plan := &Plan{}
-	ss.unions[dev].diff(New(), o, plan, true)
-	if len(plan.Creates) != 0 {
-		t.Errorf("in-place pipe churned:\n%s", plan.Render())
+}
+
+// checkPlan holds a one-device plan to its in-place count, the ids it
+// deletes (in order) and the number of components it creates.
+func checkPlan(t *testing.T, plan *Plan, inPlace int, deletes []string, creates int) {
+	t.Helper()
+	if plan.InPlace != inPlace {
+		t.Errorf("InPlace = %d, want %d:\n%s", plan.InPlace, inPlace, plan.Render())
 	}
-	if plan.InPlace != 2 {
-		t.Errorf("InPlace = %d, want 2 (pipe + kept rule)", plan.InPlace)
+	var got []string
+	for _, ds := range plan.Deletes {
+		for _, item := range ds.Items {
+			got = append(got, item.Delete.Req.ID)
+		}
 	}
-	if len(plan.Deletes) != 1 || len(plan.Deletes[0].Items) != 1 {
-		t.Fatalf("want exactly one stale-rule delete, got:\n%s", plan.Render())
+	if strings.Join(got, " ") != strings.Join(deletes, " ") {
+		t.Errorf("deletes %v, want %v:\n%s", got, deletes, plan.Render())
 	}
-	if !strings.Contains(plan.Deletes[0].Rendered[0], "r2") {
-		t.Errorf("wrong rule deleted: %s", plan.Deletes[0].Rendered[0])
+	if nc, _ := batchCounts(plan.Creates, nil); nc != creates {
+		t.Errorf("%d creates, want %d:\n%s", nc, creates, plan.Render())
 	}
 }
 
@@ -281,188 +362,56 @@ func TestStoreConflictTolerates(t *testing.T) {
 }
 
 // TestDroppedRematchKeepsQueuedStateSpokenFor pins what a rematch leaves
-// behind for the delta pass: an installed rule the rematch found stale is
+// behind for the delta pass: installed rules the rematch found stale are
 // queued for deletion, the plan is dropped, and then an intent that wants
-// exactly that rule merges. The delta pass must cancel the deletion and
-// re-adopt the rule — not bind it and delete it in the same plan.
+// exactly those rules merges. The delta pass must cancel the deletions
+// and re-adopt the rules — not bind them and delete them in the same
+// plan — except a rule whose embedded handle (§II-E) went stale meanwhile,
+// whose deletion stands and which is created again.
 func TestDroppedRematchKeepsQueuedStateSpokenFor(t *testing.T) {
-	dev := core.DeviceID("X")
-	eth := core.Ref(core.NameETH, dev, "e")
-	vlan := core.Ref(core.NameVLAN, dev, "v")
-	req := core.PipeRequest{Upper: eth, Lower: vlan, LowerPeer: core.Ref(core.NameVLAN, "Y", "v")}
-	mk := func(port core.PipeID) DeviceScript {
-		ds := DeviceScript{Device: dev}
-		appendItems(&ds,
-			func() (msg.CommandItem, string) { return pipeItem("P0", req) },
-			func() (msg.CommandItem, string) {
-				return ruleItem(core.SwitchRule{Module: vlan, From: "P0", To: port})
-			},
-		)
-		return ds
-	}
-	o := &observed{
-		pipes: map[core.PipeID]obsPipe{
-			"P7": {upper: eth, lower: vlan, lowerPeer: core.Ref(core.NameVLAN, "Y", "v")},
-		},
-		rules: []obsRule{
-			{id: "r1", module: vlan, from: "P7", to: "Phy-a"},
-			{id: "r2", module: vlan, from: "P7", to: "Phy-b"},
-		},
-	}
-	n, ss := New(), newStoreState()
-	mustMerge(t, ss, "a", mk("Phy-a"))
-	dropped := &Plan{}
-	ss.unions[dev].diff(n, o, dropped, true)
-	if len(dropped.Deletes) != 1 || !strings.Contains(dropped.Deletes[0].Rendered[0], "r2") {
-		t.Fatalf("rematch did not queue the stale rule:\n%s", dropped.Render())
-	}
+	for _, tc := range []struct {
+		handle  string
+		inPlace int
+		deletes []string
+		creates int
+	}{
+		{handle: "nhlfe=2", inPlace: 5},
+		{handle: "nhlfe=1", inPlace: 4, deletes: []string{"r8"}, creates: 1},
+	} {
+		t.Run(tc.handle, func(t *testing.T) {
+			dev := core.DeviceID("X")
+			eth := core.Ref(core.NameETH, dev, "e")
+			vlan := core.Ref(core.NameVLAN, dev, "v")
+			req := core.PipeRequest{Upper: eth, Lower: vlan, LowerPeer: core.Ref(core.NameVLAN, "Y", "v")}
+			h := newHandleFixture(dev)
+			mk := func(port core.PipeID) DeviceScript {
+				ds := DeviceScript{Device: dev}
+				appendItems(&ds,
+					func() (msg.CommandItem, string) { return pipeItem("P0", req) },
+					func() (msg.CommandItem, string) {
+						return ruleItem(core.SwitchRule{Module: vlan, From: "P0", To: port})
+					},
+				)
+				return ds
+			}
+			o := h.observe(map[core.PipeID]obsPipe{
+				"P7": {upper: eth, lower: vlan, lowerPeer: core.Ref(core.NameVLAN, "Y", "v")},
+			}, []obsRule{
+				{id: "r1", module: vlan, from: "P7", to: "Phy-a"},
+				{id: "r2", module: vlan, from: "P7", to: "Phy-b"},
+			}, tc.handle)
+			ss := newStoreState()
+			mustMerge(t, ss, "a", mk("Phy-a"))
+			dropped := &Plan{}
+			ss.unions[dev].diff(h.probe, o, dropped, true)
+			checkPlan(t, dropped, 2, []string{"r2", "r8", "P8"}, 0)
 
-	mustMerge(t, ss, "b", mk("Phy-b"))
-	plan := &Plan{}
-	ss.unions[dev].diff(n, o, plan, false)
-	if !plan.Empty() || plan.InPlace != 3 {
-		t.Errorf("delta pass after the dropped rematch: %d in place, want 3 and no commands:\n%s",
-			plan.InPlace, plan.Render())
-	}
-}
-
-// checkSeqList fails unless the list's numbers are strictly increasing
-// and pair up with its items.
-func checkSeqList[T any](t *testing.T, what string, l seqList[T]) {
-	t.Helper()
-	if len(l.seqs) != len(l.items) {
-		t.Fatalf("%s: %d numbers for %d items", what, len(l.seqs), len(l.items))
-	}
-	for i := 1; i < len(l.seqs); i++ {
-		if l.seqs[i] <= l.seqs[i-1] {
-			t.Fatalf("%s: numbers not strictly increasing: %v", what, l.seqs)
-		}
-	}
-}
-
-// TestOrderBookkeepingUnderChurn drives the store state the way reconcile
-// passes do — first merges, re-merges (update), withdrawals, and an older
-// intent whose first merge comes after a newer one's — against a plain
-// model, and holds the sequence-ordered lists to it: every owner list is
-// the component's owners in merge order with no name twice (merge's
-// last-owner test relies on removeContribs having run), views are in
-// registration order, and nothing is ever renumbered.
-func TestOrderBookkeepingUnderChurn(t *testing.T) {
-	dev := core.DeviceID("X")
-	eth := core.Ref(core.NameETH, dev, "e")
-	vlan := core.Ref(core.NameVLAN, dev, "v")
-	trunk := core.PipeRequest{Upper: eth, Lower: vlan, LowerPeer: core.Ref(core.NameVLAN, "Y", "v")}
-	script := func(port int) DeviceScript {
-		ds := DeviceScript{Device: dev}
-		appendItems(&ds,
-			func() (msg.CommandItem, string) { return pipeItem("P0", trunk) },
-			func() (msg.CommandItem, string) {
-				return ruleItem(core.SwitchRule{
-					Module: eth, From: core.PipeID(fmt.Sprintf("Phy-c%d", port)), To: "P0",
-					Match: &core.Classifier{Kind: "tagged"},
-				})
-			},
-			func() (msg.CommandItem, string) {
-				return ruleItem(core.SwitchRule{Module: vlan, From: "P0", To: "Phy-trunk", Bidirectional: true})
-			},
-			// Named twice by one script: the second must not add a second ref.
-			func() (msg.CommandItem, string) { return pipeItem("P1", trunk) },
-		)
-		return ds
-	}
-
-	ss := newStoreState()
-	rng := rand.New(rand.NewSource(31))
-	const names = 24
-	var nextReg uint64
-	regSeq := map[string]uint64{}    // registered name -> registration number
-	merged := map[string]int{}       // merged name -> customer port
-	var mergeOrder, pending []string // model: trunk owners; registered but never merged
-	without := func(list []string, name string) []string {
-		out := list[:0:0]
-		for _, s := range list {
-			if s != name {
-				out = append(out, s)
-			}
-		}
-		return out
-	}
-	lateFirstMerges := 0
-	merge := func(name string, port int) {
-		if k := len(ss.views.seqs); k > 0 && regSeq[name] < ss.views.seqs[k-1] {
-			if _, has := ss.viewIdx[name]; !has {
-				lateFirstMerges++
-			}
-		}
-		ss.removeContribs(name)
-		ss.contribs[name] = &intentContrib{}
-		ss.setView(regSeq[name], IntentView{Intent: Intent{Name: name}})
-		mustMerge(t, ss, name, script(port))
-		merged[name] = port
-		mergeOrder = append(without(mergeOrder, name), name)
-	}
-	for step := 0; step < 2000; step++ {
-		name := fmt.Sprintf("vpn-%d", rng.Intn(names))
-		_, registered := regSeq[name]
-		switch r := rng.Intn(10); {
-		case !registered:
-			nextReg++
-			regSeq[name] = nextReg
-			if r < 2 {
-				// Its compile fails for now: registered, merged later — after
-				// intents registered after it.
-				pending = append(pending, name)
-			} else {
-				merge(name, rng.Intn(4))
-			}
-		case r < 3:
-			pending = without(pending, name)
-			merge(name, rng.Intn(4)) // update, or the late first merge
-		case r < 6:
-			ss.removeContribs(name)
-			delete(ss.contribs, name)
-			ss.removeView(name)
-			delete(regSeq, name)
-			delete(merged, name)
-			mergeOrder, pending = without(mergeOrder, name), without(pending, name)
-		}
-
-		du := ss.unions[dev]
-		if du == nil {
-			continue
-		}
-		if p := du.pipes[pipeKey(trunk)]; p != nil {
-			checkSeqList(t, "trunk pipe owners", p.owners)
-			if got := strings.Join(p.owners.items, ","); got != strings.Join(mergeOrder, ",") {
-				t.Fatalf("step %d: trunk pipe owners %s, want merge order %s", step, got, strings.Join(mergeOrder, ","))
-			}
-		} else if len(mergeOrder) > 0 {
-			t.Fatalf("step %d: trunk pipe gone with owners %v", step, mergeOrder)
-		}
-		for key, r := range du.rules {
-			checkSeqList(t, "owners of rule "+key, r.owners)
-			seen := map[string]bool{}
-			for _, o := range r.owners.items {
-				if seen[o] {
-					t.Fatalf("step %d: rule %s owned twice by %s: %v", step, key, o, r.owners.items)
-				}
-				seen[o] = true
-			}
-		}
-		checkSeqList(t, "views", ss.views)
-		if len(ss.views.items) != len(merged) {
-			t.Fatalf("step %d: %d views for %d merged intents", step, len(ss.views.items), len(merged))
-		}
-		for i, v := range ss.views.items {
-			if ss.views.seqs[i] != regSeq[v.Intent.Name] || ss.viewIdx[v.Intent.Name] != regSeq[v.Intent.Name] {
-				t.Fatalf("step %d: view %d (%s) sits at number %d, registered as %d", step, i, v.Intent.Name, ss.views.seqs[i], regSeq[v.Intent.Name])
-			}
-			if v.Exclusive+v.Shared != 3 {
-				t.Fatalf("step %d: view %s tallies %d exclusive + %d shared components, want 3 in all", step, v.Intent.Name, v.Exclusive, v.Shared)
-			}
-		}
-	}
-	if lateFirstMerges == 0 {
-		t.Error("no older intent ever first merged after a newer one: the sorted insert went untested")
+			b := mk("Phy-b")
+			appendItems(&b, h.items()...)
+			mustMerge(t, ss, "b", b)
+			plan := &Plan{}
+			ss.unions[dev].diff(h.probe, o, plan, false)
+			checkPlan(t, plan, tc.inPlace, tc.deletes, tc.creates)
+		})
 	}
 }

@@ -2,22 +2,23 @@ package nm
 
 // The incremental store engine (ROADMAP: persistent, incremental intent
 // datastore). storeState lives across reconcile passes, guarded by
-// NM.planMu: the merged per-device unions, each intent's contribution
-// refs into them, per-intent sharing views, and the observed-state
-// cache. A pass only pays for what changed — dirty intents recompile,
-// devices whose observation generation moved re-observe, and devices
-// with a valid, fully bound cache entry diff in O(pending work) or are
-// skipped outright. There is one diff (deviceUnion.diff below): a
-// rematch is the same pass over pending work, run from empty.
+// NM.planMu: the merged per-device unions (union.go), each intent's
+// contribution refs into them, per-intent sharing views, and the
+// observed-state cache (observed.go). A pass only pays for what changed
+// — dirty intents recompile, devices whose observation generation moved
+// re-observe, and devices with a valid, fully bound cache entry diff in
+// O(pending work) or are skipped outright. There is one diff
+// (deviceUnion.diff, diff.go): a rematch is the same pass over pending
+// work, run from empty. This file is the NM's side: PlanStore, Apply and
+// Reconcile, which hold the locks, fetch observations, journal, execute
+// and invalidate the cache; and the occupancy records.
 
 import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"conman/internal/core"
-	"conman/internal/msg"
 	"conman/internal/nm/datastore"
 )
 
@@ -31,58 +32,6 @@ type obsEntry struct {
 	gen    uint64
 	o      *observed
 	synced bool
-}
-
-// intentContrib is one registered intent's share of the union: the path
-// it compiled to, the devices it occupies, and a ref per union
-// component it co-owns (so Withdraw/Update removes exactly this share).
-type intentContrib struct {
-	path    *Path
-	devices []core.DeviceID
-	refs    []contribRef
-}
-
-type contribRef struct {
-	du *deviceUnion
-	it unionItem
-	// seq is the intent's number in the component's owner list.
-	seq uint64
-}
-
-// seqList keeps items in the order of the strictly increasing sequence
-// numbers they were added under — registration order for the store's
-// intents and views, merge order for a component's owners — so a
-// membership change renumbers nothing: an item is found and removed by
-// binary search on its number, O(log k) plus one copy.
-type seqList[T any] struct {
-	seqs  []uint64
-	items []T
-	next  uint64
-}
-
-// push appends v under the list's own next number and returns it.
-func (l *seqList[T]) push(v T) uint64 {
-	l.next++
-	l.put(l.next, v)
-	return l.next
-}
-
-// put inserts v at the sorted position of a number the caller owns: the
-// end, unless an older intent first merges after a newer one.
-func (l *seqList[T]) put(seq uint64, v T) {
-	i, dup := slices.BinarySearch(l.seqs, seq)
-	if dup {
-		panic(fmt.Sprintf("nm: sequence number %d used twice", seq))
-	}
-	l.seqs, l.items = slices.Insert(l.seqs, i, seq), slices.Insert(l.items, i, v)
-}
-
-func (l *seqList[T]) remove(seq uint64) bool {
-	i, ok := slices.BinarySearch(l.seqs, seq)
-	if ok {
-		l.seqs, l.items = slices.Delete(l.seqs, i, i+1), slices.Delete(l.items, i, i+1)
-	}
-	return ok
 }
 
 // storeState is the incremental heart of the intent store.
@@ -222,563 +171,6 @@ func (ss *storeState) removeView(name string) {
 	}
 }
 
-// removeContribs drops one intent's share of every union component it
-// contributed to. Components whose last owner leaves are tombstoned;
-// ones bound to installed device state queue their deletion for the
-// next pass (no observation sweep — the binding already knows the
-// installed ids). The departing intent's own view is left to the caller
-// (deleted on withdraw, replaced on update).
-func (ss *storeState) removeContribs(name string) {
-	contrib := ss.contribs[name]
-	if contrib == nil {
-		return
-	}
-	for _, ref := range contrib.refs {
-		du := ref.du
-		switch {
-		case ref.it.pipe != nil:
-			p := ref.it.pipe
-			if !p.owners.remove(ref.seq) {
-				continue
-			}
-			switch len(p.owners.items) {
-			case 0:
-				du.killPipe(p)
-			case 1:
-				ss.unshared(p.owners.items[0])
-			}
-		case ref.it.rule != nil:
-			r := ref.it.rule
-			if !r.owners.remove(ref.seq) {
-				continue
-			}
-			switch len(r.owners.items) {
-			case 0:
-				du.killRule(r)
-			case 1:
-				ss.unshared(r.owners.items[0])
-			}
-		case ref.it.other != nil:
-			du.killOther(ref.it.other)
-		}
-		du.maybeCompact()
-	}
-	contrib.refs = nil
-}
-
-// ---------------------------------------------------------------------------
-// Union component lifecycle (kill + compaction + conflict classes)
-
-func (du *deviceUnion) killPipe(p *unionPipe) {
-	p.gone = true
-	delete(du.pipes, p.key)
-	du.live--
-	du.dead++
-	if p.inPlace {
-		p.inPlace = false
-		du.bound--
-		du.pendingDelPipes = append(du.pendingDelPipes, core.DeleteRequest{
-			Kind: core.ComponentPipe, Module: p.req.Lower, ID: string(p.id),
-		})
-	}
-}
-
-func (du *deviceUnion) killRule(r *unionRule) {
-	r.gone = true
-	delete(du.rules, r.key)
-	du.classRemove(r)
-	du.live--
-	du.dead++
-	if r.kept {
-		r.kept = false
-		du.bound--
-		du.pendingDelRules = append(du.pendingDelRules, core.DeleteRequest{
-			Kind: core.ComponentSwitchRule, Module: r.rule.Module, ID: r.boundID,
-		})
-		r.boundID = ""
-	}
-}
-
-func (du *deviceUnion) killOther(o *unionOther) {
-	o.gone = true
-	du.live--
-	du.dead++
-}
-
-// maybeCompact drops tombstoned items once they outnumber the live ones
-// (amortised O(1) per kill), so long-lived unions do not accrete every
-// component ever withdrawn.
-func (du *deviceUnion) maybeCompact() {
-	if du.dead <= 16 || du.dead <= du.live {
-		return
-	}
-	keepItems := du.items[:0]
-	for _, it := range du.items {
-		if !it.isGone() {
-			keepItems = append(keepItems, it)
-		}
-	}
-	du.items = keepItems
-	keepNew := du.newItems[:0]
-	for _, it := range du.newItems {
-		if !it.isGone() {
-			keepNew = append(keepNew, it)
-		}
-	}
-	du.newItems = keepNew
-	du.dead = 0
-}
-
-// pipeIdent is the structural identity of a rule's pipe reference: two
-// intents compile the same pipe under different local ids, so NM-created
-// pipes compare by content, physical references by literal id.
-func pipeIdent(lit core.PipeID, up *unionPipe) string {
-	if up != nil {
-		return "pipe:" + pipeKey(up.req)
-	}
-	return string(lit)
-}
-
-// describeTarget renders a rule target for a conflict message: the
-// pipe's structural endpoints rather than a compile-local id.
-func describeTarget(lit core.PipeID, up *unionPipe, via string) string {
-	out := string(lit)
-	if up != nil {
-		out = fmt.Sprintf("the %s~%s pipe", up.req.Upper, up.req.Lower)
-	}
-	if i := strings.IndexByte(via, '/'); i > 0 {
-		out += " via " + via[:i]
-	}
-	return out
-}
-
-// ruleClassKey identifies the traffic a value-carrying classifier rule
-// claims: module, entry pipe (structural), classifier and resolution.
-// Rules sharing it must agree on the target or they conflict.
-func ruleClassKey(r *unionRule) string {
-	return r.rule.Module.String() + "|" + pipeIdent(r.rule.From, r.fromPipe) + "|" +
-		classifierKey(r.rule.Match) + "|" + r.matchResolved
-}
-
-// classAdd indexes a new value-carrying classifier rule and reports a
-// typed conflict if an existing rule claims the same traffic for a
-// different target; detection happens as each intent merges. Only
-// value-carrying classifiers are exclusive: dst-domain routes a prefix
-// exactly one way, so divergent targets clash. Valueless classifiers
-// ("Tagged") select a traffic class that L2 delivery further
-// discriminates — the multi-tenant edge legitimately fans one trunk out
-// to several customer ports. Rules that unified into one union entry are
-// by construction conflict-free.
-func (du *deviceUnion) classAdd(r *unionRule, owner string) error {
-	if r.rule.Match == nil || r.rule.Match.Value == "" {
-		return nil
-	}
-	if du.classes == nil {
-		du.classes = make(map[string][]*unionRule)
-	}
-	key := ruleClassKey(r)
-	to, via := pipeIdent(r.rule.To, r.toPipe), r.rule.Via+"/"+r.viaResolved
-	for _, prev := range du.classes[key] {
-		if prev.gone {
-			continue
-		}
-		prevVia := prev.rule.Via + "/" + prev.viaResolved
-		if pipeIdent(prev.rule.To, prev.toPipe) != to || prevVia != via {
-			return &ConflictError{
-				Device: du.dev, Module: r.rule.Module,
-				IntentA: prev.owners.items[0], IntentB: owner,
-				RuleA: prev.rule, RuleB: r.rule,
-				TargetA: describeTarget(prev.rule.To, prev.toPipe, prevVia),
-				TargetB: describeTarget(r.rule.To, r.toPipe, via),
-			}
-		}
-	}
-	du.classes[key] = append(du.classes[key], r)
-	return nil
-}
-
-func (du *deviceUnion) classRemove(r *unionRule) {
-	if du.classes == nil || r.rule.Match == nil || r.rule.Match.Value == "" {
-		return
-	}
-	key := ruleClassKey(r)
-	list := du.classes[key]
-	for i, e := range list {
-		if e == r {
-			du.classes[key] = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(du.classes[key]) == 0 {
-		delete(du.classes, key)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Observation-cache binding indexes
-
-// ensureIndex lazily builds the binding indexes a bare observed (as
-// tests construct it, or as observe() returns it) does not carry.
-func (o *observed) ensureIndex() {
-	if o.claimed == nil {
-		o.claimed = make(map[core.PipeID]bool)
-	}
-	if o.usedIDs == nil {
-		o.usedIDs = make(map[core.PipeID]bool)
-	}
-	if o.ruleIdx == nil {
-		o.rebuildRuleIndex()
-	}
-}
-
-func (o *observed) rebuildRuleIndex() {
-	o.ruleIdx = make(map[string][]int, len(o.rules))
-	o.ruleByID = make(map[string]int, len(o.rules))
-	for j := range o.rules {
-		or := &o.rules[j]
-		if or.id == "" { // tombstone
-			continue
-		}
-		o.ruleIdx[or.key()] = append(o.ruleIdx[or.key()], j)
-		o.ruleByID[or.id] = j
-	}
-}
-
-// key is the binding identity of an installed rule — exactly the fields
-// the diff compares when deciding whether a desired rule is kept.
-func (or *obsRule) key() string {
-	return or.module.String() + "|" + string(or.from) + "|" + string(or.to) + "|" +
-		or.match + "|" + or.via + "|" + or.matchResolved + "|" + or.viaResolved
-}
-
-// desiredRuleKey is the same identity computed from a desired rule's
-// resolved form.
-func desiredRuleKey(rr core.SwitchRule, matchResolved, viaResolved string) string {
-	return rr.Module.String() + "|" + string(rr.From) + "|" + string(rr.To) + "|" +
-		classifierKey(rr.Match) + "|" + rr.Via + "|" + matchResolved + "|" + viaResolved
-}
-
-// addRule write-through-appends a just-installed rule.
-func (o *observed) addRule(or obsRule) {
-	j := len(o.rules)
-	o.rules = append(o.rules, or)
-	o.ruleIdx[or.key()] = append(o.ruleIdx[or.key()], j)
-	o.ruleByID[or.id] = j
-}
-
-// tombstoneRule write-through-removes a just-deleted rule.
-func (o *observed) tombstoneRule(id string) {
-	j, ok := o.ruleByID[id]
-	if !ok {
-		return
-	}
-	or := &o.rules[j]
-	key := or.key()
-	idx := o.ruleIdx[key]
-	for k, v := range idx {
-		if v == j {
-			o.ruleIdx[key] = append(idx[:k], idx[k+1:]...)
-			break
-		}
-	}
-	if len(o.ruleIdx[key]) == 0 {
-		delete(o.ruleIdx, key)
-	}
-	delete(o.ruleByID, id)
-	or.id = ""
-}
-
-// compactRules drops tombstones before a rematch.
-func (o *observed) compactRules() {
-	dead := false
-	for j := range o.rules {
-		if o.rules[j].id == "" {
-			dead = true
-			break
-		}
-	}
-	if !dead {
-		return
-	}
-	keep := o.rules[:0]
-	for _, or := range o.rules {
-		if or.id != "" {
-			keep = append(keep, or)
-		}
-	}
-	o.rules = keep
-	o.rebuildRuleIndex()
-}
-
-// matchUnclaimed finds the lowest-id unclaimed observed pipe matching a
-// desired request.
-func (o *observed) matchUnclaimed(req core.PipeRequest) (best core.PipeID, found bool) {
-	for id, op := range o.pipes {
-		if !o.claimed[id] && (!found || id < best) && op.matches(req) {
-			best, found = id, true
-		}
-	}
-	return best, found
-}
-
-// allocPipeID allocates the lowest wire id that is neither observed on
-// the device nor handed out since the last rematch. A pipe this pass
-// deletes is still observed until Apply writes the deletion
-// through, so a delete and a create of the same shape in one pass cannot
-// collide; the rematch forgets the handed-out ids (forgetBindings), so
-// it numbers missing pipes the same whether or not dry runs preceded it.
-func (o *observed) allocPipeID() core.PipeID {
-	for next := 0; ; next++ {
-		cand := core.PipeID(fmt.Sprintf("P%d", next))
-		if o.usedIDs[cand] {
-			continue
-		}
-		if _, exists := o.pipes[cand]; exists {
-			continue
-		}
-		o.usedIDs[cand] = true
-		return cand
-	}
-}
-
-// ---------------------------------------------------------------------------
-// The diff
-
-// adoptPendingPipe cancels a queued pipe deletion whose installed pipe
-// matches a re-merged desired pipe (the update/resubmit path), so an
-// unchanged component is re-adopted instead of churned.
-func (du *deviceUnion) adoptPendingPipe(o *observed, req core.PipeRequest) (core.PipeID, bool) {
-	for i, dr := range du.pendingDelPipes {
-		id := core.PipeID(dr.ID)
-		op, ok := o.pipes[id]
-		if !ok || !op.matches(req) {
-			continue
-		}
-		du.pendingDelPipes = append(du.pendingDelPipes[:i], du.pendingDelPipes[i+1:]...)
-		return id, true
-	}
-	return "", false
-}
-
-// bindRule finds an installed rule with the desired rule's binding
-// identity that nothing else holds: an unused observed one, else one
-// whose deletion is queued (the update/resubmit path: the deletion is
-// cancelled and the unchanged rule re-adopted instead of churned). The
-// identity carries module, endpoints, classifier and the concrete
-// resolutions, so resolved-value drift (SetDomain / SetGateway changed
-// since install) simply fails to match and the rule is replaced. A
-// non-zero provider is the module below the To pipe whose exported
-// fields the rule embeds.
-func (du *deviceUnion) bindRule(n *NM, o *observed, key string, provider core.ModuleRef, to core.PipeID) (string, bool) {
-	// Stale embedded handle (§II-E): the provider regenerated its exported
-	// fields since the rule was installed (e.g. an NHLFE renumbered by
-	// pipe churn), so the installed rule's embedded copy points at dead
-	// state even though its abstract and resolved forms still match —
-	// replace it.
-	fresh := func(or *obsRule) bool {
-		return provider.IsZero() || n.handleFresh(provider, to, or.handle)
-	}
-	for _, j := range o.ruleIdx[key] {
-		if or := &o.rules[j]; !or.used && or.id != "" && fresh(or) {
-			or.used = true
-			return or.id, true
-		}
-	}
-	for i, dr := range du.pendingDelRules {
-		j, ok := o.ruleByID[dr.ID]
-		if !ok {
-			continue
-		}
-		if or := &o.rules[j]; or.key() == key && fresh(or) {
-			du.pendingDelRules = append(du.pendingDelRules[:i], du.pendingDelRules[i+1:]...)
-			or.used = true
-			return or.id, true
-		}
-	}
-	return "", false
-}
-
-func pipesReady(r *unionRule) bool {
-	return (r.fromPipe == nil || r.fromPipe.inPlace) && (r.toPipe == nil || r.toPipe.inPlace)
-}
-
-// diff reconciles one device's union against its observed state,
-// appending delete/create batches to the plan. There is one matcher,
-// bindPending, and it only ever looks at pending work: on a device whose
-// cached observation is valid and already bound (synced) that is the
-// newly merged components and the queued deletions of withdrawn ones, so
-// the cost is O(pending), independent of union and store size — the
-// incremental store's fast path. A rematch (the observation is fresh, or
-// the unions were rebuilt, or the caller holds a scratch union) is the
-// same pass run from empty: forgetBindings makes every live component
-// pending, and whatever observed state nobody claimed afterwards is stale
-// and queued for deletion too. Either way newItems and pendingDel* hold
-// exactly the emitted work on return, so a plan that is never applied
-// re-emits it next pass.
-func (du *deviceUnion) diff(n *NM, o *observed, plan *Plan, rematch bool) {
-	o.ensureIndex()
-	if rematch {
-		du.forgetBindings(o)
-	}
-	du.bindPending(n, o, plan)
-	if rematch {
-		du.queueUnclaimed(o)
-	}
-	// Deletes after adoption so cancelled ones never hit the wire; the
-	// executor still runs all Deletes before any Creates.
-	if len(du.pendingDelRules)+len(du.pendingDelPipes) > 0 {
-		del := DeviceScript{Device: du.dev}
-		for _, reqs := range [][]core.DeleteRequest{du.pendingDelRules, du.pendingDelPipes} {
-			for _, req := range reqs {
-				di, rendered := deleteItem(req)
-				del.Items = append(del.Items, di)
-				del.Rendered = append(del.Rendered, rendered)
-			}
-		}
-		plan.Deletes = append(plan.Deletes, del)
-	}
-}
-
-// forgetBindings resets the device to "nothing matched yet": no observed
-// pipe or rule is claimed, no wire id has been handed out, no deletion is
-// queued, and every live desired component is pending again, in
-// first-appearance order.
-func (du *deviceUnion) forgetBindings(o *observed) {
-	o.compactRules()
-	o.claimed = make(map[core.PipeID]bool)
-	o.usedIDs = make(map[core.PipeID]bool)
-	for j := range o.rules {
-		o.rules[j].used = false
-	}
-	du.bound = 0
-	du.pendingDelRules, du.pendingDelPipes = nil, nil
-	du.newItems = du.newItems[:0]
-	for _, it := range du.items {
-		switch {
-		case it.isGone():
-			continue
-		case it.pipe != nil:
-			it.pipe.inPlace, it.pipe.id = false, ""
-		case it.rule != nil:
-			it.rule.kept, it.rule.boundID = false, ""
-		}
-		du.newItems = append(du.newItems, it)
-	}
-}
-
-// queueUnclaimed queues the deletion of every observed rule no desired
-// rule kept, then every observed pipe no desired pipe claimed (rules
-// before the pipes they reference). Queued state counts as spoken for,
-// like the bound components killRule/killPipe queue: only bindRule /
-// adoptPendingPipe, which cancel the deletion, can hand it out again.
-func (du *deviceUnion) queueUnclaimed(o *observed) {
-	for j := range o.rules {
-		if or := &o.rules[j]; !or.used && or.id != "" {
-			or.used = true
-			du.pendingDelRules = append(du.pendingDelRules, core.DeleteRequest{
-				Kind: core.ComponentSwitchRule, Module: or.module, ID: or.id,
-			})
-		}
-	}
-	for _, id := range sortedKeys(o.pipes) {
-		if op := o.pipes[id]; !o.claimed[id] && !op.lower.IsZero() {
-			o.claimed[id] = true
-			du.pendingDelPipes = append(du.pendingDelPipes, core.DeleteRequest{
-				Kind: core.ComponentPipe, Module: op.lower, ID: string(id),
-			})
-		}
-	}
-}
-
-// bindPending resolves each pending component: a pipe binds to an
-// observed pipe of the same content, adopting its wire id so surviving
-// configuration is untouched; a rule binds to an identical installed rule
-// once every NM-created pipe it references is in place (a rule on a
-// freshly created pipe resolves to a fresh id no installed rule can
-// match). What cannot bind gets a create command, in first-appearance
-// order across the intents, and stays pending until Apply binds it
-// to what the device reports.
-func (du *deviceUnion) bindPending(n *NM, o *observed, plan *Plan) {
-	// Everything bound before this pass is in place by definition.
-	plan.InPlace += du.bound
-	creates := DeviceScript{Device: du.dev}
-	var binds []bindTarget
-	keep := du.newItems[:0]
-	for _, it := range du.newItems {
-		switch {
-		case it.pipe != nil && !it.pipe.gone:
-			p := it.pipe
-			if p.inPlace {
-				continue
-			}
-			id, ok := du.adoptPendingPipe(o, p.req)
-			if !ok {
-				id, ok = o.matchUnclaimed(p.req)
-			}
-			if ok {
-				p.id, p.inPlace, o.claimed[id] = id, true, true
-				du.bound++
-				plan.InPlace++
-				continue
-			}
-			if p.id == "" {
-				p.id = o.allocPipeID()
-			}
-			creates.Items = append(creates.Items, msg.CommandItem{
-				Pipe: &msg.CreatePipeItem{ID: p.id, Req: p.req},
-			})
-			creates.Rendered = append(creates.Rendered,
-				renderPipeCreate(p.id, p.req)+ownersSuffix(p.owners.items))
-			binds = append(binds, bindTarget{pipe: p})
-			keep = append(keep, it)
-		case it.rule != nil && !it.rule.gone:
-			r := it.rule
-			if r.kept {
-				continue
-			}
-			// A rule that embeds exported handles registers the dependency,
-			// so Apply installs a trigger on the provider.
-			provider := n.handleProvider(r)
-			if !provider.IsZero() {
-				plan.handleDeps = append(plan.handleDeps, handleDep{provider, "pipe:" + string(r.toPipe.id)})
-			}
-			rr := r.resolved()
-			if pipesReady(r) {
-				if id, ok := du.bindRule(n, o, desiredRuleKey(rr, r.matchResolved, r.viaResolved), provider, rr.To); ok {
-					r.kept, r.boundID = true, id
-					du.bound++
-					plan.InPlace++
-					continue
-				}
-			}
-			creates.Items = append(creates.Items, msg.CommandItem{
-				Switch: &msg.CreateSwitchReq{
-					Rule:          rr,
-					MatchResolved: r.matchResolved,
-					ViaResolved:   r.viaResolved,
-				},
-			})
-			creates.Rendered = append(creates.Rendered,
-				renderSwitchCreate(rr)+ownersSuffix(r.owners.items))
-			binds = append(binds, bindTarget{rule: r})
-			keep = append(keep, it)
-		case it.other != nil && !it.other.gone && !it.other.done:
-			creates.Items = append(creates.Items, it.other.item)
-			creates.Rendered = append(creates.Rendered, it.other.rendered)
-			binds = append(binds, bindTarget{other: it.other})
-			keep = append(keep, it)
-		}
-	}
-	du.newItems = keep
-	if len(creates.Items) > 0 {
-		plan.Creates = append(plan.Creates, creates)
-		if plan.createBinds == nil {
-			plan.createBinds = make(map[core.DeviceID][]bindTarget)
-		}
-		plan.createBinds[du.dev] = binds
-	}
-}
-
 // ---------------------------------------------------------------------------
 // PlanStore / Apply / Reconcile
 
@@ -856,7 +248,7 @@ func (n *NM) planStoreLocked() (*Plan, error) {
 		plan.Stats.Recompiled++
 		devs := scriptDevices(scripts)
 		ss.removeContribs(name)
-		ss.contribs[name] = &intentContrib{path: path, devices: devs}
+		ss.contribs[name] = &intentContrib{devices: devs}
 		ss.setView(regSeq[name], IntentView{Intent: intent, Path: path, Devices: devs})
 		if err := ss.merge(name, scripts); err != nil {
 			delete(ss.contribs, name)
@@ -925,7 +317,7 @@ func (n *NM) planStoreLocked() (*Plan, error) {
 
 	obs, unreachable, err := n.observe(
 		append(append([]core.DeviceID(nil), required...), stranded...),
-		optionalSet(stranded))
+		strandedSet)
 	if err != nil {
 		return nil, err
 	}
@@ -974,6 +366,43 @@ func (n *NM) planStoreLocked() (*Plan, error) {
 	ss.passSeq++
 	plan.pass = ss.passSeq
 	return plan, nil
+}
+
+// observe fetches showActual for every device on the NM's worker pool
+// and condenses it into the diffable view (observedFrom). Devices in the
+// optional set (stranded: previously touched, off every current path)
+// may fail to answer — a killed device must not wedge reconciliation of
+// the survivors — and are returned as unreachable with no entry in the
+// map.
+func (n *NM) observe(devs []core.DeviceID, optional map[core.DeviceID]bool) (map[core.DeviceID]*observed, []core.DeviceID, error) {
+	out := make([]*observed, len(devs))
+	unreach := make([]bool, len(devs))
+	err := n.forEach(len(devs), func(i int) error {
+		states, err := n.ShowActual(devs[i])
+		if err != nil {
+			if optional[devs[i]] {
+				unreach[i] = true
+				return nil
+			}
+			return err
+		}
+		out[i] = observedFrom(states)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	m := make(map[core.DeviceID]*observed, len(devs))
+	var unreachable []core.DeviceID
+	for i, d := range devs {
+		if unreach[i] {
+			unreachable = append(unreachable, d)
+			continue
+		}
+		m[d] = out[i]
+	}
+	sort.Slice(unreachable, func(i, j int) bool { return unreachable[i] < unreachable[j] })
+	return m, unreachable, nil
 }
 
 // requeueDirty re-marks still-registered intents dirty after a failed
@@ -1121,20 +550,7 @@ func (n *NM) applyLocked(plan *Plan) error {
 		// the queued work they came from.
 		for _, ds := range plan.Deletes {
 			if ce := ss.cache[ds.Device]; ce != nil && ce.o != nil {
-				ce.o.ensureIndex()
-				for _, item := range ds.Items {
-					if item.Delete == nil {
-						continue
-					}
-					switch item.Delete.Req.Kind {
-					case core.ComponentSwitchRule:
-						ce.o.tombstoneRule(item.Delete.Req.ID)
-					case core.ComponentPipe:
-						id := core.PipeID(item.Delete.Req.ID)
-						delete(ce.o.pipes, id)
-						delete(ce.o.claimed, id)
-					}
-				}
+				ce.o.forgetDeleted(ds.Items)
 			}
 			if du := ss.unions[ds.Device]; du != nil {
 				du.pendingDelRules, du.pendingDelPipes = nil, nil
@@ -1149,8 +565,15 @@ func (n *NM) applyLocked(plan *Plan) error {
 			n.clearExpected()
 			return fmt.Errorf("nm: reconcile: %w", err)
 		}
+		// Bind what each batch created, writing it through the cache; a
+		// device whose results cannot be taken at face value is observed
+		// fresh next pass.
 		for i, ds := range plan.Creates {
-			n.bindCreatesLocked(ds, resps[i], plan.createBinds[ds.Device])
+			ce, du := ss.cache[ds.Device], ss.unions[ds.Device]
+			if ce == nil || ce.o == nil || du == nil ||
+				du.bindCreated(n, ce.o, resps[i].Results, plan.createBinds[ds.Device]) {
+				n.invalidateDevice(ds.Device)
+			}
 		}
 	}
 
@@ -1204,88 +627,6 @@ func (n *NM) applyLocked(plan *Plan) error {
 		}
 	}
 	return nil
-}
-
-// bindCreates binds the union components a create batch realised to the
-// identifiers the device reported, writing them through the observation
-// cache — the plan's components are in place without a re-observe. Any
-// shape mismatch, or a result the NM cannot take at face value (a
-// pending rule, or one embedding an exported handle the NM never saw),
-// falls back to invalidating the device so the next pass observes it
-// fresh.
-func (n *NM) bindCreatesLocked(ds DeviceScript, resp msg.CommandBatchResp, binds []bindTarget) {
-	ss := n.ss
-	ce := ss.cache[ds.Device]
-	du := ss.unions[ds.Device]
-	if ce == nil || ce.o == nil || du == nil ||
-		len(binds) != len(ds.Items) || len(resp.Results) != len(ds.Items) {
-		n.invalidateDevice(ds.Device)
-		return
-	}
-	o := ce.o
-	o.ensureIndex()
-	invalidate := false
-	for i := range ds.Items {
-		b := binds[i]
-		res := resp.Results[i]
-		switch {
-		case b.pipe != nil:
-			p := b.pipe
-			if p.gone || p.inPlace {
-				continue
-			}
-			if res.PipeID != "" && res.PipeID != p.id {
-				invalidate = true
-				continue
-			}
-			p.inPlace = true
-			du.bound++
-			o.pipes[p.id] = obsPipe{
-				upper: p.req.Upper, lower: p.req.Lower,
-				upperPeer: p.req.UpperPeer, lowerPeer: p.req.LowerPeer,
-			}
-			o.claimed[p.id] = true
-			o.usedIDs[p.id] = true
-		case b.rule != nil:
-			r := b.rule
-			if r.gone || r.kept {
-				continue
-			}
-			if !n.handleProvider(r).IsZero() || res.Pending || res.RuleID == "" {
-				// The installed form embeds state the NM did not see (an
-				// exported handle) or is not installed yet: observe it
-				// for real next pass.
-				invalidate = true
-				continue
-			}
-			rr := r.resolved()
-			r.kept, r.boundID = true, res.RuleID
-			du.bound++
-			o.addRule(obsRule{
-				id: res.RuleID, module: rr.Module, from: rr.From, to: rr.To,
-				match: classifierKey(rr.Match), via: rr.Via,
-				matchResolved: r.matchResolved, viaResolved: r.viaResolved,
-				used: true,
-			})
-		case b.other != nil:
-			b.other.done = true
-		}
-	}
-	keep := du.newItems[:0]
-	for _, it := range du.newItems {
-		if it.isGone() {
-			continue
-		}
-		if (it.pipe != nil && it.pipe.inPlace) || (it.rule != nil && it.rule.kept) ||
-			(it.other != nil && it.other.done) {
-			continue
-		}
-		keep = append(keep, it)
-	}
-	du.newItems = keep
-	if invalidate {
-		n.invalidateDevice(ds.Device)
-	}
 }
 
 // Reconcile moves the network to the union of all registered intents:
