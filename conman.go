@@ -44,16 +44,15 @@
 // occupied device (showActual) and returns the store-wide diff. Missing
 // pipes and switch rules become create batches; components no
 // registered intent wants (a pipe whose endpoints changed, a withdrawn
-// or rerouted goal's leftovers) become delete batches via the delete()
-// primitive. Submit + PlanStore is the same diff without the forced
-// re-read. Apply is idempotent — after a successful Apply, a fresh Plan
-// for the same intent is empty and re-applying it sends zero commands.
-// The same loop heals partial failure (kill a pipe: the next Plan
-// recreates it and its dependent rules) and switches path flavour when
-// the same intent is re-planned with another Prefer (GRE <-> MPLS),
-// which the previous one-shot DiscoverAll/FindPaths/Compile/Execute
-// chain could not. Compile and Execute remain available as the
-// underlying engine.
+// or rerouted goal's leftovers) become delete batches. Creates and
+// deletes alike are items of one command batch per device, the only
+// message the NM configures a device with. Submit + PlanStore is the
+// same diff without the forced re-read. Apply is idempotent — after a
+// successful Apply, a fresh Plan for the same intent is empty and
+// re-applying it sends zero commands. The same loop heals partial
+// failure (kill a pipe: the next Plan recreates it and its dependent
+// rules) and switches path flavour when the same intent is re-planned
+// with another Prefer (GRE <-> MPLS).
 //
 // Goals that share devices coexist: pipes and switch rules are
 // deduplicated by content and refcounted across goals, so components
@@ -98,7 +97,6 @@
 package conman
 
 import (
-	"conman/internal/channel"
 	"conman/internal/core"
 	"conman/internal/experiments"
 	"conman/internal/nm"
@@ -121,7 +119,8 @@ type (
 	SwitchRule = core.SwitchRule
 	// FilterRule is an abstract filter specification.
 	FilterRule = core.FilterRule
-	// DeleteRequest identifies a component for NM.Delete.
+	// DeleteRequest identifies a component to delete: a command-batch
+	// item, or an out-of-band fault through the device's MA.Delete.
 	DeleteRequest = core.DeleteRequest
 )
 
@@ -161,18 +160,10 @@ type (
 	Goal = nm.Goal
 	// Path is a protocol-sane module-level path.
 	Path = nm.Path
-	// Graph is the potential-connectivity graph.
-	Graph = nm.Graph
 	// DeviceScript is a compiled per-device command batch.
 	DeviceScript = nm.DeviceScript
 	// Counters is the NM's Table VI message accounting.
 	Counters = nm.Counters
-	// FindSpec describes a path search (endpoints, traffic domain,
-	// preferred flavour, engine selection).
-	FindSpec = nm.FindSpec
-	// PruneStats counts why the path search abandoned branches and how
-	// many states it expanded.
-	PruneStats = nm.PruneStats
 	// ConflictError reports two registered intents whose rules classify
 	// the same traffic to different targets (returned by Reconcile).
 	ConflictError = nm.ConflictError
@@ -198,35 +189,6 @@ type Testbed = experiments.Testbed
 // ready-made connectivity goal (customer edge ports pinned).
 type SharedPair = experiments.SharedPair
 
-// NewNM creates a network manager.
-func NewNM() *NM { return nm.New() }
-
-// NewDaemon builds an autonomous reconciliation daemon over an NM.
-// Call Run to start the control loop (Testbed.StartDaemon wraps both).
-func NewDaemon(n *NM, cfg DaemonConfig) *Daemon { return nm.NewDaemon(n, cfg) }
-
-// NewHub creates an in-process management channel.
-func NewHub() *channel.Hub { return channel.NewHub() }
-
-// BuildGraph constructs the NM's potential-connectivity graph from
-// discovered topology and abstractions.
-func BuildGraph(n *NM) (*Graph, error) { return nm.BuildGraph(n) }
-
-// SelectPath applies the paper's path selector (minimise pipes, prefer
-// fast forwarding).
-func SelectPath(paths []*Path) *Path { return nm.SelectPath(paths) }
-
-// FindBest runs the goal-directed best-first path search: the single
-// best path under the paper's selection metric (or the best of the
-// spec's preferred flavour) without materialising the variant space.
-// spec.Exhaustive reroutes through the legacy enumerator for A/B runs.
-func FindBest(g *Graph, spec FindSpec) (*Path, PruneStats, error) { return g.FindBest(spec) }
-
-// PreferRecognized reports whether a preference string belongs to a
-// flavour family the goal-directed pruner understands; unrecognised
-// strings run undirected and are flagged via PruneStats.PreferUnknown.
-func PreferRecognized(prefer string) bool { return nm.PreferRecognized(prefer) }
-
 // BuildFig4 constructs the paper's Fig 4 VPN testbed.
 func BuildFig4() (*Testbed, error) { return experiments.BuildFig4() }
 
@@ -241,22 +203,6 @@ func BuildFig9() (*Testbed, error) { return experiments.BuildFig9() }
 func BuildDiamondShared(k int) (*Testbed, []SharedPair, error) {
 	return experiments.BuildDiamondShared(k)
 }
-
-// BuildLinearGREIGP constructs the GRE chain of n routers with an IGP
-// routing control module (§II-F) on every router: the compiled
-// configuration includes one pipe per IGP adjacency, the modules flood
-// link state and install the transit routes, and the tunnel forwards
-// end-to-end at any n (the plain chain only delivers at n=3).
-func BuildLinearGREIGP(n int) (*Testbed, error) { return experiments.BuildLinearGREIGP(n) }
-
-// BuildDiamondGRE constructs the routed diamond of the GRE reroute
-// scenarios: two edge routers, two equivalent transit arms, IGP control
-// modules throughout. Cutting the active arm's wire reroutes the tunnel
-// over the other arm and the IGP re-converges.
-func BuildDiamondGRE() (*Testbed, error) { return experiments.BuildDiamondGRE() }
-
-// DiamondGREGoal returns the site-to-site goal across the GRE diamond.
-func DiamondGREGoal() Goal { return experiments.DiamondGREGoal() }
 
 // Fig4Goal returns the §III-C site-to-site connectivity goal.
 func Fig4Goal() Goal { return experiments.Fig4Goal() }
@@ -284,23 +230,9 @@ type Wiring = topo.Wiring
 // TopoPair is one intent endpoint pair of a generated fabric.
 type TopoPair = topo.Pair
 
-// FatTree generates a k-ary fat-tree/Clos fabric (k even): k pods of
-// edge and aggregation switches under (k/2)^2 cores.
-func FatTree(k int) (*Wiring, error) { return topo.FatTree(k) }
-
 // Ring generates a cycle of n switches; intents pair diametrically
 // opposite devices.
 func Ring(n int) (*Wiring, error) { return topo.Ring(n) }
-
-// Torus generates a rows x cols 2D torus with wraparound, degree 4
-// everywhere.
-func Torus(rows, cols int) (*Wiring, error) { return topo.Torus(rows, cols) }
-
-// Waxman generates a connected random graph with the classic Waxman
-// edge probability, deterministic per seed.
-func Waxman(n int, alpha, beta float64, seed int64) (*Wiring, error) {
-	return topo.Waxman(n, alpha, beta, seed)
-}
 
 // BuildTopoVLAN realises a generated wiring as a full switched testbed
 // carrying pairsN customer pairs, each with sites, QinQ edge ports and

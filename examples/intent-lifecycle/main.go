@@ -40,7 +40,7 @@ func main() {
 
 	// 4. Kill a component out of band (the g/l pipe carrying the GRE
 	// tunnel on router A); the next cycle heals exactly the damage.
-	if err := tb.NM.Delete(conman.DeleteRequest{
+	if err := tb.Devices["A"].MA.Delete(conman.DeleteRequest{
 		Kind:   conman.ComponentPipe,
 		Module: conman.Ref(conman.NameGRE, "A", "l"),
 		ID:     "P1",

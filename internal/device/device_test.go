@@ -3,10 +3,12 @@ package device_test
 import (
 	"errors"
 	"net/netip"
+	"strings"
 	"sync"
 	"testing"
 
 	"conman/internal/channel"
+	"conman/internal/channel/channeltest"
 	"conman/internal/core"
 	"conman/internal/device"
 	"conman/internal/kernel"
@@ -17,7 +19,7 @@ import (
 )
 
 // rig: one managed router with ETH + IP modules, a hub channel and an NM.
-func rig(t *testing.T) (*device.Device, *nm.NM) {
+func rig(t *testing.T) (*device.Device, *nm.NM, *channel.Hub) {
 	t.Helper()
 	net := netsim.New()
 	hub := channel.NewHub()
@@ -48,11 +50,11 @@ func rig(t *testing.T) (*device.Device, *nm.NM) {
 	if err := d.MA.Start(); err != nil {
 		t.Fatal(err)
 	}
-	return d, manager
+	return d, manager, hub
 }
 
 func TestHelloAndTopologyReachNM(t *testing.T) {
-	_, manager := rig(t)
+	_, manager, _ := rig(t)
 	devs := manager.Devices()
 	if len(devs) != 1 || devs[0] != "X" {
 		t.Fatalf("devices = %v", devs)
@@ -72,7 +74,7 @@ func TestHelloAndTopologyReachNM(t *testing.T) {
 }
 
 func TestShowPotentialOverChannel(t *testing.T) {
-	_, manager := rig(t)
+	_, manager, _ := rig(t)
 	abs, err := manager.ShowPotential("X")
 	if err != nil {
 		t.Fatal(err)
@@ -87,92 +89,58 @@ func TestShowPotentialOverChannel(t *testing.T) {
 }
 
 func TestCreatePipeValidation(t *testing.T) {
-	d, manager := rig(t)
-	_ = d
+	_, _, hub := rig(t)
+	pipe := func(id core.PipeID, upper, lower core.ModuleRef) msg.CommandBatchResp {
+		return channeltest.Batch(t, hub, "X", msg.CommandItem{
+			Pipe: &msg.CreatePipeItem{ID: id, Req: core.PipeRequest{Upper: upper, Lower: lower}},
+		})
+	}
 	// Valid: IP over ETH.
-	resp, err := manager.ExecuteBatch("X", []msg.CommandItem{{
-		Pipe: &msg.CreatePipeItem{ID: "P0", Req: core.PipeRequest{
-			Upper: core.Ref(core.NameIPv4, "X", "g"),
-			Lower: core.Ref(core.NameETH, "X", "a"),
-		}},
-	}})
-	if err != nil || !resp.OK() {
-		t.Fatalf("valid pipe rejected: %v %v", err, resp)
+	if resp := pipe("P0", core.Ref(core.NameIPv4, "X", "g"), core.Ref(core.NameETH, "X", "a")); !resp.OK() {
+		t.Fatalf("valid pipe rejected: %v", resp)
 	}
 	// Invalid: ETH cannot sit above IP on a router.
-	resp, err = manager.ExecuteBatch("X", []msg.CommandItem{{
-		Pipe: &msg.CreatePipeItem{ID: "P9", Req: core.PipeRequest{
-			Upper: core.Ref(core.NameETH, "X", "b"),
-			Lower: core.Ref(core.NameIPv4, "X", "g"),
-		}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK() {
+	if pipe("P9", core.Ref(core.NameETH, "X", "b"), core.Ref(core.NameIPv4, "X", "g")).OK() {
 		t.Fatal("connectable-module validation missing")
 	}
 	// Invalid: GRE up pipe without satisfying the trade-off dependency.
-	resp, err = manager.ExecuteBatch("X", []msg.CommandItem{{
-		Pipe: &msg.CreatePipeItem{ID: "P1", Req: core.PipeRequest{
-			Upper: core.Ref(core.NameIPv4, "X", "g"),
-			Lower: core.Ref(core.NameGRE, "X", "l"),
-		}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK() {
+	if pipe("P1", core.Ref(core.NameIPv4, "X", "g"), core.Ref(core.NameGRE, "X", "l")).OK() {
 		t.Fatal("unsatisfied dependency accepted")
 	}
 	// Duplicate pipe id.
-	resp, _ = manager.ExecuteBatch("X", []msg.CommandItem{{
-		Pipe: &msg.CreatePipeItem{ID: "P0", Req: core.PipeRequest{
-			Upper: core.Ref(core.NameIPv4, "X", "g"),
-			Lower: core.Ref(core.NameETH, "X", "b"),
-		}},
-	}})
-	if resp.OK() {
+	if pipe("P0", core.Ref(core.NameIPv4, "X", "g"), core.Ref(core.NameETH, "X", "b")).OK() {
 		t.Fatal("duplicate pipe id accepted")
 	}
 	// Unknown module.
-	resp, _ = manager.ExecuteBatch("X", []msg.CommandItem{{
-		Pipe: &msg.CreatePipeItem{ID: "P2", Req: core.PipeRequest{
-			Upper: core.Ref(core.NameIPv4, "X", "ghost"),
-			Lower: core.Ref(core.NameETH, "X", "a"),
-		}},
-	}})
-	if resp.OK() {
+	if pipe("P2", core.Ref(core.NameIPv4, "X", "ghost"), core.Ref(core.NameETH, "X", "a")).OK() {
 		t.Fatal("unknown module accepted")
 	}
 }
 
 func TestSwitchRuleUnknownPipeRejected(t *testing.T) {
-	_, manager := rig(t)
-	resp, err := manager.ExecuteBatch("X", []msg.CommandItem{{
+	_, _, hub := rig(t)
+	resp := channeltest.Batch(t, hub, "X", msg.CommandItem{
 		Switch: &msg.CreateSwitchReq{Rule: core.SwitchRule{
 			Module: core.Ref(core.NameIPv4, "X", "g"), From: "Pnope", To: "Phy-eth0",
 		}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if resp.OK() {
 		t.Fatal("rule with unknown pipe accepted")
 	}
 }
 
+// deleteItem is a command-batch item deleting one component.
+func deleteItem(kind core.ComponentKind, module core.ModuleRef, id string) msg.CommandItem {
+	return msg.CommandItem{Delete: &msg.DeleteReq{Req: core.DeleteRequest{Kind: kind, Module: module, ID: id}}}
+}
+
 func TestPhysicalPipeVisibleAndUndeletable(t *testing.T) {
-	d, manager := rig(t)
+	d, _, hub := rig(t)
 	if _, ok := d.MA.PipeByID("Phy-eth0"); !ok {
 		t.Fatal("physical pipe not registered")
 	}
-	err := manager.Delete(core.DeleteRequest{
-		Kind:   core.ComponentPipe,
-		Module: core.Ref(core.NameETH, "X", "a"),
-		ID:     "Phy-eth0",
-	})
-	if err == nil {
+	resp := channeltest.Batch(t, hub, "X", deleteItem(core.ComponentPipe, core.Ref(core.NameETH, "X", "a"), "Phy-eth0"))
+	if resp.OK() {
 		t.Fatal("physical pipe deletion must fail (NM can only disable them)")
 	}
 }
@@ -191,7 +159,7 @@ func TestTradeoffParsingOnPipe(t *testing.T) {
 }
 
 func TestListFieldsAcrossChannel(t *testing.T) {
-	_, manager := rig(t)
+	_, manager, _ := rig(t)
 	// The NM-side API is exercised indirectly; here query a module via
 	// the MA's service interface used by modules.
 	states, err := manager.ShowActual("X")
@@ -215,13 +183,31 @@ func TestListFieldsAcrossChannel(t *testing.T) {
 }
 
 func TestErrorEnvelopeForBadBatch(t *testing.T) {
-	_, manager := rig(t)
-	resp, err := manager.ExecuteBatch("X", []msg.CommandItem{{}})
-	if err != nil {
+	_, _, hub := rig(t)
+	if channeltest.Batch(t, hub, "X", msg.CommandItem{}).OK() {
+		t.Fatal("empty command item accepted")
+	}
+}
+
+// TestUnknownRequestAnswersError: a request the MA does not know fails
+// fast with an error reply naming its type, rather than leaving the
+// caller to time out; unknown fire-and-forget traffic (ID 0) is dropped.
+func TestUnknownRequestAnswersError(t *testing.T) {
+	_, _, hub := rig(t)
+	env := channeltest.Call(t, hub, "X", "bogus", nil)
+	var body msg.Error
+	if env.Type != msg.TypeError || env.Decode(&body) != nil || !strings.Contains(body.Message, `"bogus"`) {
+		t.Fatalf("reply = %s %s, want an error naming \"bogus\"", env.Type, env.Body)
+	}
+
+	replies := 0
+	ep := hub.Endpoint("probe")
+	ep.SetHandler(func(msg.Envelope) { replies++ }) // hub delivery is synchronous
+	if err := ep.Send(msg.MustNew("bogus", "probe", "X", 0, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK() {
-		t.Fatal("empty command item accepted")
+	if replies != 0 {
+		t.Fatalf("%d replies to unknown ID-0 traffic, want none", replies)
 	}
 }
 
@@ -339,7 +325,7 @@ func (f *fakeMod) set(mode error) {
 
 // fakeRig registers two fake modules, u over l, joined by pipes P0 and
 // P1.
-func fakeRig(t *testing.T) (*device.Device, *nm.NM, *fakeMod) {
+func fakeRig(t *testing.T) (*device.Device, *channel.Hub, *fakeMod) {
 	t.Helper()
 	hub := channel.NewHub()
 	manager := nm.New()
@@ -361,10 +347,10 @@ func fakeRig(t *testing.T) (*device.Device, *nm.NM, *fakeMod) {
 			Upper: core.Ref(nameFake, "X", "u"), Lower: core.Ref(nameFake, "X", "l"),
 		}}})
 	}
-	if resp, err := manager.ExecuteBatch("X", items); err != nil || !resp.OK() {
-		t.Fatalf("pipes: %v %v", err, resp)
+	if resp := channeltest.Batch(t, hub, "X", items...); !resp.OK() {
+		t.Fatalf("pipes: %v", resp)
 	}
-	return d, manager, u
+	return d, hub, u
 }
 
 func switchItems(n int, from, to core.PipeID) []msg.CommandItem {
@@ -382,15 +368,15 @@ func switchItems(n int, from, to core.PipeID) []msg.CommandItem {
 // failure log, nor installed against the missing pipe — and the failure
 // log keeps only a bounded tail.
 func TestPendingRulesDieWithTheirPipe(t *testing.T) {
-	d, manager, u := fakeRig(t)
-	if resp, err := manager.ExecuteBatch("X", switchItems(3, "P0", "P1")); err != nil || !resp.OK() || !resp.Results[0].Pending {
-		t.Fatalf("rules: %v %+v", err, resp)
+	d, hub, u := fakeRig(t)
+	if resp := channeltest.Batch(t, hub, "X", switchItems(3, "P0", "P1")...); !resp.OK() || !resp.Results[0].Pending {
+		t.Fatalf("rules: %+v", resp)
 	}
 	if n := d.MA.PendingRules(); n != 3 {
 		t.Fatalf("%d pending rules, want 3", n)
 	}
-	if err := manager.Delete(core.DeleteRequest{Kind: core.ComponentPipe, Module: core.Ref(nameFake, "X", "l"), ID: "P1"}); err != nil {
-		t.Fatal(err)
+	if resp := channeltest.Batch(t, hub, "X", deleteItem(core.ComponentPipe, core.Ref(nameFake, "X", "l"), "P1")); !resp.OK() {
+		t.Fatal(resp.Errors)
 	}
 	if n := d.MA.PendingRules(); n != 0 {
 		t.Fatalf("%d pending rules survived their pipe", n)
@@ -403,9 +389,7 @@ func TestPendingRulesDieWithTheirPipe(t *testing.T) {
 
 	// Terminal failures keep a bounded tail.
 	u.set(device.ErrPending)
-	if _, err := manager.ExecuteBatch("X", switchItems(600, "P0", "P0")); err != nil {
-		t.Fatal(err)
-	}
+	channeltest.Batch(t, hub, "X", switchItems(600, "P0", "P0")...)
 	u.set(errors.New("boom"))
 	d.MA.Kick()
 	if f := d.MA.FailedRules(); len(f) == 0 || len(f) > 300 {
@@ -418,18 +402,18 @@ func TestPendingRulesDieWithTheirPipe(t *testing.T) {
 // or that another module owns, and runs a rule's undo once when its pipe
 // goes.
 func TestRuleRegistry(t *testing.T) {
-	_, manager, u := fakeRig(t)
+	_, hub, u := fakeRig(t)
 	u.set(nil)
-	resp, err := manager.ExecuteBatch("X", switchItems(1, "P0", "P1"))
-	if err != nil || !resp.OK() {
-		t.Fatalf("rule: %v %v", err, resp)
+	resp := channeltest.Batch(t, hub, "X", switchItems(1, "P0", "P1")...)
+	if !resp.OK() {
+		t.Fatalf("rule: %v", resp)
 	}
 	id := resp.Results[0].RuleID
-	states, err := manager.ShowActual("X")
-	if err != nil {
+	var actual msg.ShowActualResp
+	if err := channeltest.Call(t, hub, "X", msg.TypeShowActualReq, nil).Decode(&actual); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range states {
+	for _, st := range actual.Modules {
 		switch st.Ref.Module {
 		case "u":
 			if len(st.SwitchRules) != 1 || st.SwitchRules[0].ID != id {
@@ -444,21 +428,21 @@ func TestRuleRegistry(t *testing.T) {
 			}
 		}
 	}
-	for _, req := range []core.DeleteRequest{
-		{Kind: core.ComponentSwitchRule, Module: core.Ref(nameFake, "X", "u"), ID: "X-sw99"},
-		{Kind: core.ComponentSwitchRule, Module: core.Ref(nameFake, "X", "l"), ID: id},
+	for _, item := range []msg.CommandItem{
+		deleteItem(core.ComponentSwitchRule, core.Ref(nameFake, "X", "u"), "X-sw99"),
+		deleteItem(core.ComponentSwitchRule, core.Ref(nameFake, "X", "l"), id),
 	} {
-		if err := manager.Delete(req); err == nil {
-			t.Errorf("delete %+v accepted", req)
+		if channeltest.Batch(t, hub, "X", item).OK() {
+			t.Errorf("delete %+v accepted", item.Delete.Req)
 		}
 	}
-	if err := manager.Delete(core.DeleteRequest{Kind: core.ComponentPipe, Module: core.Ref(nameFake, "X", "l"), ID: "P0"}); err != nil {
-		t.Fatal(err)
+	if resp := channeltest.Batch(t, hub, "X", deleteItem(core.ComponentPipe, core.Ref(nameFake, "X", "l"), "P0")); !resp.OK() {
+		t.Fatal(resp.Errors)
 	}
 	if u.undos != 1 {
 		t.Fatalf("undo ran %d times, want 1", u.undos)
 	}
-	if err := manager.Delete(core.DeleteRequest{Kind: core.ComponentSwitchRule, Module: core.Ref(nameFake, "X", "u"), ID: id}); err == nil {
+	if channeltest.Batch(t, hub, "X", deleteItem(core.ComponentSwitchRule, core.Ref(nameFake, "X", "u"), id)).OK() {
 		t.Error("rule outlived its pipe")
 	}
 }

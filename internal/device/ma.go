@@ -476,7 +476,7 @@ func cacheableRequest(env msg.Envelope) bool {
 		return false
 	}
 	switch env.Type {
-	case msg.TypeCommandBatchReq, msg.TypeCreateFilterReq, msg.TypeDeleteReq, msg.TypeInstallTriggerReq:
+	case msg.TypeCommandBatchReq, msg.TypeInstallTriggerReq:
 		return true
 	}
 	return false
@@ -573,33 +573,6 @@ func (a *MA) handle(env msg.Envelope) {
 		a.requestDone()
 		a.reply(env, msg.TypeCommandBatchResp, resp)
 
-	case msg.TypeCreateFilterReq:
-		var body msg.CreateFilterReq
-		if err := env.Decode(&body); err != nil {
-			a.replyErr(env, "bad create.filter: %v", err)
-			return
-		}
-		id, err := a.createFilter(body)
-		if err != nil {
-			a.replyErr(env, "%v", err)
-			return
-		}
-		a.reply(env, msg.TypeCreateFilterResp, msg.CreateFilterResp{RuleID: id})
-
-	case msg.TypeDeleteReq:
-		var body msg.DeleteReq
-		if err := env.Decode(&body); err != nil {
-			a.replyErr(env, "bad delete: %v", err)
-			return
-		}
-		err := a.deleteComponent(body.Req)
-		a.requestDone()
-		if err != nil {
-			a.replyErr(env, "%v", err)
-			return
-		}
-		a.reply(env, msg.TypeDeleteResp, msg.DeleteResp{})
-
 	case msg.TypeConvey:
 		var body msg.Convey
 		if err := env.Decode(&body); err != nil {
@@ -681,7 +654,25 @@ func (a *MA) handle(env msg.Envelope) {
 		}
 		ok2, detail := m.SelfTest(body.Pipe)
 		a.reply(env, msg.TypeSelfTestResp, msg.SelfTestResp{OK: ok2, Detail: detail})
+
+	default:
+		// An unknown request fails fast instead of leaving its caller to
+		// time out; unknown fire-and-forget traffic (ID 0) is dropped.
+		if env.ID != 0 {
+			a.replyErr(env, "unknown request type %q", env.Type)
+		}
 	}
+}
+
+// Delete removes one component outside any command batch, as an
+// out-of-band fault would (a crashed process, an operator's manual
+// change). The modules see it exactly as a batch's delete item,
+// RequestDone included; the NM hears of it only from their notifies and
+// its own next observation.
+func (a *MA) Delete(req core.DeleteRequest) error {
+	err := a.deleteComponent(req)
+	a.requestDone()
+	return err
 }
 
 // requestDone runs every module's end-of-request hook, before the reply

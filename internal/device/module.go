@@ -173,9 +173,9 @@ type Module interface {
 	// PipeDeleted notifies the module that a pipe was removed, after the
 	// MA has run the undos of every rule on it.
 	PipeDeleted(p *Pipe, side PipeSide) error
-	// RequestDone is called after the MA has executed one request from
-	// the NM — a command batch or a delete — so a module can act once on
-	// everything the request changed rather than once per pipe.
+	// RequestDone is called after the MA has executed one command batch
+	// from the NM, or one out-of-band MA.Delete, so a module can act once
+	// on everything the request changed rather than once per pipe.
 	RequestDone()
 	// InstallSwitchRule directs packet switching between two pipes and
 	// returns the undo that takes the rule's state back out (nil when it

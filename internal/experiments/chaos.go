@@ -216,7 +216,7 @@ func (tb *Testbed) RunChaos(d *nm.Daemon, w *topo.Wiring, protect []topo.Pair, s
 		wg.Add(1)
 		go func(req core.DeleteRequest) {
 			defer wg.Done()
-			errs <- tb.NM.Delete(req)
+			errs <- tb.Devices[req.Module.Device].MA.Delete(req)
 		}(req)
 	}
 	wg.Wait()

@@ -223,7 +223,7 @@ func TestDaemonHealsKilledPipe(t *testing.T) {
 
 	notifyBefore := counterValue(t, d.Metrics(), "conman_events_notify_total")
 	gen := d.ConvergeGen()
-	if err := tb.NM.Delete(core.DeleteRequest{
+	if err := tb.Devices["A"].MA.Delete(core.DeleteRequest{
 		Kind: core.ComponentPipe, Module: core.Ref(core.NameGRE, "A", "l"), ID: "P1",
 	}); err != nil {
 		t.Fatal(err)

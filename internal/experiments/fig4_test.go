@@ -94,136 +94,85 @@ func TestFig4SelectorPrefersMPLS(t *testing.T) {
 	}
 }
 
-func TestFig7GREConfigurationEndToEnd(t *testing.T) {
-	tb, err := BuildFig4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths := findPaths(t, tb)
-	gre := pathByDescription(t, paths, "GRE-IP tunnel")
-	scripts, err := tb.NM.Compile(gre, Fig4Goal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.NM.Execute(scripts); err != nil {
-		t.Fatal(err)
-	}
-	for id, dev := range tb.Devices {
-		if n := dev.MA.PendingRules(); n != 0 {
-			t.Fatalf("device %s still has %d pending rules; failed: %v", id, n, dev.MA.FailedRules())
-		}
-		if f := dev.MA.FailedRules(); len(f) != 0 {
-			t.Fatalf("device %s failed rules: %v", id, f)
-		}
-	}
-	if err := tb.VerifyConnectivity(1000); err != nil {
-		t.Fatal(err)
-	}
-	// The generated device-level configuration on A must contain the
-	// same command the paper shows (§III-B): a keyed GRE tunnel with
-	// sequence numbers and checksums.
-	log := strings.Join(tb.Devices["A"].Kernel.ExecLog(), "\n")
-	for _, want := range []string{"ip tunnel add name gre-", "ikey", "okey", "iseq oseq", "icsum ocsum"} {
-		if !strings.Contains(log, want) {
-			t.Errorf("device A exec log missing %q:\n%s", want, log)
-		}
-	}
-}
-
-func TestFig8MPLSConfigurationEndToEnd(t *testing.T) {
-	tb, err := BuildFig4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths := findPaths(t, tb)
-	mpls := pathByDescription(t, paths, "MPLS")
-	scripts, err := tb.NM.Compile(mpls, Fig4Goal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, cancel := tb.NM.Subscribe(0)
-	defer cancel()
-	if err := tb.NM.Execute(scripts); err != nil {
-		t.Fatal(err)
-	}
-	for id, dev := range tb.Devices {
-		if n := dev.MA.PendingRules(); n != 0 {
-			t.Fatalf("device %s still has %d pending rules; failed: %v", id, n, dev.MA.FailedRules())
-		}
-	}
-	if err := tb.VerifyConnectivity(2000); err != nil {
-		t.Fatal(err)
-	}
-	// Fig 8a fidelity: A's device-level config uses ilm 10001 (in-label
-	// from B) and pushes 2001 (B's in-label).
-	log := strings.Join(tb.Devices["A"].Kernel.ExecLog(), "\n")
-	for _, want := range []string{
-		"mpls labelspace set dev eth2 labelspace 0",
-		"mpls ilm add label gen 10001 labelspace 0",
-		"push gen 2001 nexthop eth2 ipv4 204.9.168.2",
-		"ip route add 10.0.2.0/24 via 204.9.168.2 mpls",
+// TestFig7Fig8Fig9ConfigurationEndToEnd configures each of the paper's
+// three VPN flavours through the intent lifecycle (Plan + Apply) on a
+// fresh testbed, then checks that every rule installed, that the data
+// plane delivers, and that the device-level configuration on A carries
+// the commands the paper's figures show.
+func TestFig7Fig8Fig9ConfigurationEndToEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		build  func() (*Testbed, error)
+		goal   nm.Goal
+		prefer string
+		token  uint32
+		// notify, when set, is a module event the NM must receive.
+		notify string
+		// want lists commands device A's exec log must contain.
+		want []string
+	}{
+		// §III-B: a keyed GRE tunnel with sequence numbers and checksums.
+		{"Fig7-GRE", BuildFig4, Fig4Goal(), "GRE-IP tunnel", 1000, "",
+			[]string{"ip tunnel add name gre-", "ikey", "okey", "iseq oseq", "icsum ocsum"}},
+		// Fig 8a: A uses ilm 10001 (in-label from B) and pushes 2001
+		// (B's in-label); the far-end LSR reports the LSP (Table VI).
+		{"Fig8-MPLS", BuildFig4, Fig4Goal(), "MPLS", 2000, "lsp-established", []string{
+			"mpls labelspace set dev eth2 labelspace 0",
+			"mpls ilm add label gen 10001 labelspace 0",
+			"push gen 2001 nexthop eth2 ipv4 204.9.168.2",
+			"ip route add 10.0.2.0/24 via 204.9.168.2 mpls",
+		}},
+		// Fig 9a on switch A.
+		{"Fig9-VLAN", BuildFig9, Fig9Goal(), "VLAN tunnel", 3000, "", []string{
+			"set vlan 22 name C1 mtu 1504",
+			"switchport access vlan 22",
+			"switchport mode dot1q-tunnel",
+			"set vlan 22 gigabitethernet0/9",
+		}},
 	} {
-		if !strings.Contains(log, want) {
-			t.Errorf("device A exec log missing %q:\n%s", want, log)
-		}
-	}
-	// The paper's Table VI notification: the far-end LSR reports the LSP.
-	found := false
-	for len(events) > 0 {
-		if ev := <-events; ev.Kind == nm.EventNotify && ev.What == "lsp-established" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no lsp-established notification received by the NM")
-	}
-}
-
-func TestFig9VLANConfigurationEndToEnd(t *testing.T) {
-	tb, err := BuildFig9()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := nm.BuildGraph(tb.NM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	goal := Fig9Goal()
-	paths, _, err := g.FindPaths(nm.FindSpec{
-		From: goal.From, To: goal.To, TrafficDomain: goal.TrafficDomain,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) == 0 {
-		t.Fatal("no VLAN path found")
-	}
-	vlan := pathByDescription(t, paths, "VLAN tunnel")
-	scripts, err := tb.NM.Compile(vlan, goal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.NM.Execute(scripts); err != nil {
-		t.Fatal(err)
-	}
-	for id, dev := range tb.Devices {
-		if n := dev.MA.PendingRules(); n != 0 {
-			t.Fatalf("switch %s still has %d pending rules; failed: %v", id, n, dev.MA.FailedRules())
-		}
-	}
-	if err := tb.VerifyConnectivity(3000); err != nil {
-		t.Fatal(err)
-	}
-	// Fig 9a fidelity on switch A.
-	log := strings.Join(tb.Devices["A"].Kernel.ExecLog(), "\n")
-	for _, want := range []string{
-		"set vlan 22 name C1 mtu 1504",
-		"switchport access vlan 22",
-		"switchport mode dot1q-tunnel",
-		"set vlan 22 gigabitethernet0/9",
-	} {
-		if !strings.Contains(log, want) {
-			t.Errorf("switch A exec log missing %q:\n%s", want, log)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			tb, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			events, cancel := tb.NM.Subscribe(0)
+			defer cancel()
+			path, _, err := ConfigureVPN(tb, tc.goal, tc.prefer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if path == nil || path.Describe() != tc.prefer {
+				t.Fatalf("configured path %v, want %q", path, tc.prefer)
+			}
+			for id, dev := range tb.Devices {
+				if n := dev.MA.PendingRules(); n != 0 {
+					t.Fatalf("device %s still has %d pending rules; failed: %v", id, n, dev.MA.FailedRules())
+				}
+				if f := dev.MA.FailedRules(); len(f) != 0 {
+					t.Fatalf("device %s failed rules: %v", id, f)
+				}
+			}
+			if err := tb.VerifyConnectivity(tc.token); err != nil {
+				t.Fatal(err)
+			}
+			log := strings.Join(tb.Devices["A"].Kernel.ExecLog(), "\n")
+			for _, want := range tc.want {
+				if !strings.Contains(log, want) {
+					t.Errorf("device A exec log missing %q:\n%s", want, log)
+				}
+			}
+			if tc.notify == "" {
+				return
+			}
+			found := false
+			for len(events) > 0 {
+				if ev := <-events; ev.Kind == nm.EventNotify && ev.What == tc.notify {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("no %s notification received by the NM", tc.notify)
+			}
+		})
 	}
 }

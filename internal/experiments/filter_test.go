@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"conman/internal/channel/channeltest"
 	"conman/internal/core"
 	"conman/internal/modules"
 	"conman/internal/msg"
@@ -43,18 +44,19 @@ func TestFilterResolutionAndDependencyMaintenance(t *testing.T) {
 		t.Fatalf("app received %v", got)
 	}
 
-	// The NM asks the inspecting IP module on C to drop traffic to the
-	// app — in abstract terms only.
+	// The inspecting IP module on C is asked to drop traffic to the
+	// app — in abstract terms only, as a command-batch item.
 	target := foo.Ref()
 	rule := core.FilterRule{
 		Module:   core.Ref(core.NameIPv4, "C", "k"),
 		ToModule: &target,
 		Action:   core.ActionDrop,
 	}
-	ruleID, err := tb.NM.CreateFilter(rule)
-	if err != nil {
-		t.Fatal(err)
+	resp := channeltest.Batch(t, tb.Hub, "C", msg.CommandItem{Filter: &msg.CreateFilterReq{Rule: rule}})
+	if !resp.OK() {
+		t.Fatal(resp.Errors)
 	}
+	ruleID := resp.Results[0].RuleID
 	if ruleID == "" {
 		t.Fatal("no rule id")
 	}
@@ -86,8 +88,10 @@ func TestFilterResolutionAndDependencyMaintenance(t *testing.T) {
 	// Dependency maintenance: watch the app, re-resolve on change.
 	events, cancel := tb.NM.Subscribe(0)
 	defer cancel()
-	if _, err := tb.NM.InstallTrigger(foo.Ref(), "self"); err != nil {
-		t.Fatal(err)
+	if env := channeltest.Call(t, tb.Hub, "C", msg.TypeInstallTriggerReq, msg.InstallTriggerReq{
+		Module: foo.Ref(), Component: "self",
+	}); env.Type != msg.TypeInstallTriggerResp {
+		t.Fatalf("installTrigger answered %s: %s", env.Type, env.Body)
 	}
 
 	// The application moves to port 593 — without maintenance the old
@@ -119,10 +123,10 @@ func TestFilterResolutionAndDependencyMaintenance(t *testing.T) {
 	}
 
 	// Deleting the filter restores delivery.
-	if err := tb.NM.Delete(core.DeleteRequest{
+	if resp := channeltest.Batch(t, tb.Hub, "C", msg.CommandItem{Delete: &msg.DeleteReq{Req: core.DeleteRequest{
 		Kind: core.ComponentFilterRule, Module: rule.Module, ID: ruleID,
-	}); err != nil {
-		t.Fatal(err)
+	}}}); !resp.OK() {
+		t.Fatal(resp.Errors)
 	}
 	if err := tb.Customer["E"].SendUDP(ip("192.168.1.1"), appAddr, 4000, 593, []byte("open-again")); err != nil {
 		t.Fatal(err)
@@ -225,7 +229,7 @@ func TestPipeDeletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delete the GRE up-pipe on A: the module removes its tunnel.
-	if err := tb.NM.Delete(core.DeleteRequest{
+	if err := tb.Devices["A"].MA.Delete(core.DeleteRequest{
 		Kind:   core.ComponentPipe,
 		Module: core.Ref(core.NameGRE, "A", "l"),
 		ID:     "P1",

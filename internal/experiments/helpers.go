@@ -2,24 +2,6 @@ package experiments
 
 import "conman/internal/nm"
 
-// nmBuild builds the NM's potential graph for a testbed.
-func nmBuild(tb *Testbed) (*nm.Graph, error) { return nm.BuildGraph(tb.NM) }
-
-// nmSpec turns a goal into a path-finder spec.
-func nmSpec(goal nm.Goal) nm.FindSpec {
-	return nm.FindSpec{From: goal.From, To: goal.To, TrafficDomain: goal.TrafficDomain}
-}
-
-// pathWith selects the first path with the given description.
-func pathWith(paths []*nm.Path, desc string) *nm.Path {
-	for _, p := range paths {
-		if p.Describe() == desc {
-			return p
-		}
-	}
-	return nil
-}
-
 // VPNIntent wraps a goal as a named intent; prefer pins a path flavour
 // by description ("MPLS", "GRE-IP tunnel", "VLAN tunnel") or "" for the
 // paper's automatic selector.

@@ -183,7 +183,7 @@ func TestIGPRegainsLastAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 	igpRef, pipe := igpPipeOf(t, tb, rid(1))
-	if err := tb.NM.Delete(core.DeleteRequest{Kind: core.ComponentPipe, Module: igpRef, ID: string(pipe)}); err != nil {
+	if err := tb.Devices[igpRef.Device].MA.Delete(core.DeleteRequest{Kind: core.ComponentPipe, Module: igpRef, ID: string(pipe)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sc.ConfigureLinear(tb, n); err != nil {

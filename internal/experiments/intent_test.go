@@ -166,7 +166,7 @@ func TestApplyHealsPartialFailure(t *testing.T) {
 
 	// Kill the g/l pipe on router A: the GRE tunnel and the rules built
 	// on the pipe vanish with it.
-	if err := tb.NM.Delete(core.DeleteRequest{
+	if err := tb.Devices["A"].MA.Delete(core.DeleteRequest{
 		Kind: core.ComponentPipe, Module: core.Ref(core.NameGRE, "A", "l"), ID: "P1",
 	}); err != nil {
 		t.Fatal(err)

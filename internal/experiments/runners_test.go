@@ -209,24 +209,7 @@ func TestTable6DataPlaneAtPaperScale(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
-		g, err := nmBuild(tb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		goal := LinearGoal(3, sc.tag)
-		paths, _, err := g.FindPaths(nmSpec(goal))
-		if err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
-		}
-		var chosen = pathWith(paths, sc.desc)
-		if chosen == nil {
-			t.Fatalf("%s: no %q path", sc.name, sc.desc)
-		}
-		scripts, err := tb.NM.Compile(chosen, goal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.NM.Execute(scripts); err != nil {
+		if _, _, err := ConfigureVPN(tb, LinearGoal(3, sc.tag), sc.desc); err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
 		if err := tb.VerifyConnectivity(60000); err != nil {

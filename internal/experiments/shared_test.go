@@ -314,7 +314,7 @@ func TestStoreHealsKilledPipe(t *testing.T) {
 	if err := tb.VerifyConnectivity(99000); err != nil {
 		t.Fatalf("before failure: %v", err)
 	}
-	if err := tb.NM.Delete(core.DeleteRequest{
+	if err := tb.Devices["A"].MA.Delete(core.DeleteRequest{
 		Kind: core.ComponentPipe, Module: core.Ref(core.NameGRE, "A", "l"), ID: "P1",
 	}); err != nil {
 		t.Fatal(err)

@@ -82,7 +82,7 @@ func TestDaemonHealsStaleNHLFE(t *testing.T) {
 	// rule (deleting its NHLFEs) and the §II-E trigger plus the
 	// pipe-deleted notify reach the daemon; nobody calls Reconcile.
 	gen := d.ConvergeGen()
-	if err := tb.NM.Delete(core.DeleteRequest{
+	if err := tb.Devices[mplsRef.Device].MA.Delete(core.DeleteRequest{
 		Kind: core.ComponentPipe, Module: mplsRef, ID: string(downPipe),
 	}); err != nil {
 		t.Fatal(err)

@@ -313,7 +313,7 @@ func TestDaemonPushVsPollRepair(t *testing.T) {
 			t.Fatalf("before fault: %v", err)
 		}
 		start := time.Now()
-		if err := tb.NM.Delete(core.DeleteRequest{
+		if err := tb.Devices["A"].MA.Delete(core.DeleteRequest{
 			Kind: core.ComponentPipe, Module: core.Ref(core.NameGRE, "A", "l"), ID: "P1",
 		}); err != nil {
 			t.Fatal(err)

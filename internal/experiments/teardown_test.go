@@ -221,7 +221,7 @@ func TestTeardownOutOfBandPipeDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.NM.EnableMessageLog()
-	if err := tb.NM.Delete(core.DeleteRequest{
+	if err := tb.Devices["A"].MA.Delete(core.DeleteRequest{
 		Kind:   core.ComponentPipe,
 		Module: core.Ref(core.NameGRE, "A", "l"),
 		ID:     "P1",

@@ -33,7 +33,7 @@ import (
 // set of adjacent IGP modules. It originates once per MA request, not
 // once per pipe: PipeAttached and PipeDeleted only record the adjacency
 // change, and RequestDone, which the MA calls after every command batch
-// and delete request, advertises it. LSAs flood reliably over the
+// and every out-of-band delete, advertises it. LSAs flood reliably over the
 // adjacency graph with duplicate suppression on (origin, seq);
 // convergence is deterministic because acceptance depends only on
 // sequence numbers, never on arrival order. Route computation is a

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"conman/internal/channel"
+	"conman/internal/channel/channeltest"
 	"conman/internal/core"
 	"conman/internal/device"
 	"conman/internal/kernel"
@@ -77,8 +78,8 @@ func TestIPSecIKEControlModuleDependency(t *testing.T) {
 
 	// Create the IPSec pipes on both devices, naming the provider.
 	mkPipe := func(dev core.DeviceID, peerDev core.DeviceID, prov core.ModuleRef) string {
-		resp, err := manager.ExecuteBatch(dev, []msg.CommandItem{
-			{Pipe: &msg.CreatePipeItem{ID: "P0", Req: core.PipeRequest{
+		resp := channeltest.Batch(t, hub, dev,
+			msg.CommandItem{Pipe: &msg.CreatePipeItem{ID: "P0", Req: core.PipeRequest{
 				Upper:     core.Ref(core.NameIPv4, dev, "ip"),
 				Lower:     core.Ref(core.NameIPSec, dev, "sec"),
 				LowerPeer: core.Ref(core.NameIPSec, peerDev, "sec"),
@@ -86,17 +87,14 @@ func TestIPSecIKEControlModuleDependency(t *testing.T) {
 					Token: modules.IPSecKeyToken, Provider: prov.String(),
 				}},
 			}}},
-			{Pipe: &msg.CreatePipeItem{ID: "P1", Req: core.PipeRequest{
+			msg.CommandItem{Pipe: &msg.CreatePipeItem{ID: "P1", Req: core.PipeRequest{
 				Upper: core.Ref(core.NameIPSec, dev, "sec"),
 				Lower: core.Ref(core.NameIPv4, dev, "ip"),
 			}}},
-			{Switch: &msg.CreateSwitchReq{Rule: core.SwitchRule{
+			msg.CommandItem{Switch: &msg.CreateSwitchReq{Rule: core.SwitchRule{
 				Module: core.Ref(core.NameIPSec, dev, "sec"), From: "P0", To: "P1",
 			}}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		)
 		for i, e := range resp.Errors {
 			if e != "" {
 				t.Fatalf("%s item %d: %s", dev, i, e)
@@ -144,13 +142,17 @@ func TestIPSecIKEControlModuleDependency(t *testing.T) {
 	if want := []string{"sec:" + ruleA}; !slices.Equal(rules, want) {
 		t.Errorf("showActual rules = %v, want %v", rules, want)
 	}
+	var deletes []msg.CommandItem
 	for _, req := range []core.DeleteRequest{
 		{Kind: core.ComponentSwitchRule, Module: secRef, ID: ruleA},
 		{Kind: core.ComponentPipe, Module: secRef, ID: "P0"},
 		{Kind: core.ComponentPipe, Module: core.Ref(core.NameIPv4, "A", "ip"), ID: "P1"},
 	} {
-		if err := manager.Delete(req); err != nil {
-			t.Fatalf("delete %s %s: %v", req.Kind, req.ID, err)
+		deletes = append(deletes, msg.CommandItem{Delete: &msg.DeleteReq{Req: req}})
+	}
+	for i, e := range channeltest.Batch(t, hub, "A", deletes...).Errors {
+		if e != "" {
+			t.Fatalf("delete %s %s: %s", deletes[i].Delete.Req.Kind, deletes[i].Delete.Req.ID, e)
 		}
 	}
 	if pipes, rules := listed(); len(pipes) != 0 || len(rules) != 0 {
@@ -187,16 +189,13 @@ func TestIPSecPipeRequiresProvider(t *testing.T) {
 	if err := d.MA.Start(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := manager.ExecuteBatch("A", []msg.CommandItem{
-		{Pipe: &msg.CreatePipeItem{ID: "P0", Req: core.PipeRequest{
+	resp := channeltest.Batch(t, hub, "A", msg.CommandItem{
+		Pipe: &msg.CreatePipeItem{ID: "P0", Req: core.PipeRequest{
 			Upper:     core.Ref(core.NameIPv4, "A", "ip"),
 			Lower:     core.Ref(core.NameIPSec, "A", "sec"),
 			LowerPeer: core.Ref(core.NameIPSec, "B", "sec"),
-		}}},
+		}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if resp.OK() {
 		t.Fatal("IPSec pipe without a key provider must be rejected")
 	}

@@ -26,15 +26,12 @@ const (
 	TypeNotify   Type = "notify"   // module event (e.g. lsp-established)
 	TypeTrigger  Type = "trigger"  // installed trigger fired (§II-E)
 
-	// NM -> device requests and their responses.
+	// NM -> device requests and their responses. Configuration (create
+	// and delete) rides only in a command batch (TypeCommandBatchReq).
 	TypeShowPotentialReq   Type = "showPotential"
 	TypeShowPotentialResp  Type = "showPotential.resp"
 	TypeShowActualReq      Type = "showActual"
 	TypeShowActualResp     Type = "showActual.resp"
-	TypeCreateFilterReq    Type = "create.filter"
-	TypeCreateFilterResp   Type = "create.filter.resp"
-	TypeDeleteReq          Type = "delete"
-	TypeDeleteResp         Type = "delete.resp"
 	TypeInstallTriggerReq  Type = "installTrigger"
 	TypeInstallTriggerResp Type = "installTrigger.resp"
 	TypeSelfTestReq        Type = "selfTest"
@@ -144,23 +141,17 @@ type CreateSwitchReq struct {
 	ViaResolved   string          `json:"via_resolved,omitempty"`
 }
 
-// CreateFilterReq installs an abstract filter rule (§II-E).
+// CreateFilterReq is the batch item body (CommandItem.Filter) that
+// installs an abstract filter rule (§II-E).
 type CreateFilterReq struct {
 	Rule core.FilterRule `json:"rule"`
 }
 
-// CreateFilterResp acknowledges a filter rule.
-type CreateFilterResp struct {
-	RuleID string `json:"rule_id"`
-}
-
-// DeleteReq deletes a component.
+// DeleteReq is the batch item body (CommandItem.Delete) that deletes a
+// component.
 type DeleteReq struct {
 	Req core.DeleteRequest `json:"req"`
 }
-
-// DeleteResp acknowledges a delete.
-type DeleteResp struct{}
 
 // Convey is a module-to-module message relayed via the NM (§II-D.1.d).
 type Convey struct {

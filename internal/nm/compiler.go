@@ -408,8 +408,11 @@ func tradeoffGetName(key string) string {
 	return parts[1]
 }
 
-// Execute runs compiled device scripts, one batch per device (Table VI's
-// "commands to each router along the path").
+// executeCollect runs compiled device scripts, one batch per device
+// (Table VI's "commands to each router along the path"), and returns the
+// per-script batch responses, aligned with scripts, so callers can bind
+// desired state to the component ids the devices actually created.
+// Entries for scripts not reached before an error are zero-valued.
 //
 // By default scripts are grouped into per-device chains that run
 // concurrently, each chain strictly in order: a device that appears more
@@ -425,15 +428,6 @@ func tradeoffGetName(key string) string {
 // chains one at a time on the caller's goroutine — with one script per
 // device (what the compiler and both diff entry points emit) that is
 // strict script order, the paper's accounting mode.
-func (n *NM) Execute(scripts []DeviceScript) error {
-	_, err := n.executeCollect(scripts)
-	return err
-}
-
-// executeCollect runs scripts like Execute and additionally returns the
-// per-script batch responses, aligned with scripts, so callers can bind
-// desired state to the component ids the devices actually created.
-// Entries for scripts not reached before an error are zero-valued.
 func (n *NM) executeCollect(scripts []DeviceScript) ([]msg.CommandBatchResp, error) {
 	resps := make([]msg.CommandBatchResp, len(scripts))
 	chains := executionChains(scripts)
@@ -473,11 +467,20 @@ func executionChains(scripts []DeviceScript) [][]int {
 	return chains
 }
 
-// runScript sends one device's batch and surfaces per-item errors.
+// runScript sends one device's command batch (the Table VI "command to
+// each router") and surfaces per-item errors.
 func (n *NM) runScript(ds *DeviceScript) (msg.CommandBatchResp, error) {
-	resp, err := n.ExecuteBatch(ds.Device, ds.Items)
+	n.mu.Lock()
+	n.counters.CmdSent++
+	n.logfLocked("cmd:"+string(ds.Device), "command batch -> %s (%d items)", ds.Device, len(ds.Items))
+	n.mu.Unlock()
+	env, err := n.call(msg.TypeCommandBatchReq, ds.Device, msg.CommandBatchReq{Items: ds.Items})
+	var resp msg.CommandBatchResp
+	if err == nil {
+		err = env.Decode(&resp)
+	}
 	if err != nil {
-		return resp, fmt.Errorf("nm: batch on %s: %w", ds.Device, err)
+		return msg.CommandBatchResp{}, fmt.Errorf("nm: batch on %s: %w", ds.Device, err)
 	}
 	for i, e := range resp.Errors {
 		if e != "" {

@@ -743,59 +743,6 @@ func (n *NM) ShowActual(dev core.DeviceID) ([]core.ModuleState, error) {
 	return body.Modules, nil
 }
 
-// ExecuteBatch sends one configuration command batch to a device (the
-// Table VI "command to each router").
-func (n *NM) ExecuteBatch(dev core.DeviceID, items []msg.CommandItem) (msg.CommandBatchResp, error) {
-	n.mu.Lock()
-	n.counters.CmdSent++
-	n.logfLocked("cmd:"+string(dev), "command batch -> %s (%d items)", dev, len(items))
-	n.mu.Unlock()
-	resp, err := n.call(msg.TypeCommandBatchReq, dev, msg.CommandBatchReq{Items: items})
-	if err != nil {
-		return msg.CommandBatchResp{}, err
-	}
-	var body msg.CommandBatchResp
-	if err := resp.Decode(&body); err != nil {
-		return msg.CommandBatchResp{}, err
-	}
-	return body, nil
-}
-
-// CreateFilter installs an abstract filter rule on its inspecting module.
-func (n *NM) CreateFilter(rule core.FilterRule) (string, error) {
-	resp, err := n.call(msg.TypeCreateFilterReq, rule.Module.Device, msg.CreateFilterReq{Rule: rule})
-	if err != nil {
-		return "", err
-	}
-	var body msg.CreateFilterResp
-	if err := resp.Decode(&body); err != nil {
-		return "", err
-	}
-	return body.RuleID, nil
-}
-
-// Delete removes a component.
-func (n *NM) Delete(req core.DeleteRequest) error {
-	_, err := n.call(msg.TypeDeleteReq, req.Module.Device, msg.DeleteReq{Req: req})
-	return err
-}
-
-// InstallTrigger asks a module to report low-level value changes for a
-// component (§II-E dependency maintenance).
-func (n *NM) InstallTrigger(module core.ModuleRef, component string) (string, error) {
-	resp, err := n.call(msg.TypeInstallTriggerReq, module.Device, msg.InstallTriggerReq{
-		Module: module, Component: component,
-	})
-	if err != nil {
-		return "", err
-	}
-	var body msg.InstallTriggerResp
-	if err := resp.Decode(&body); err != nil {
-		return "", err
-	}
-	return body.TriggerID, nil
-}
-
 // ListFields resolves an abstract component of a module to its current
 // low-level fields (listFieldsAndValues issued by the NM itself,
 // §II-E). It is how the NM checks whether a handle another component
@@ -814,8 +761,9 @@ func (n *NM) ListFields(target core.ModuleRef, component string) (map[string]str
 	return body.Fields, nil
 }
 
-// ensureTrigger installs a dependency-maintenance trigger once per
-// (module, component): repeated Applies of the same plan stay quiet.
+// ensureTrigger asks a module to report low-level value changes for a
+// component (§II-E dependency maintenance), once per (module, component):
+// repeated Applies of the same plan stay quiet.
 func (n *NM) ensureTrigger(module core.ModuleRef, component string) error {
 	key := module.String() + "|" + component
 	n.mu.Lock()
@@ -824,7 +772,9 @@ func (n *NM) ensureTrigger(module core.ModuleRef, component string) error {
 	if done {
 		return nil
 	}
-	if _, err := n.InstallTrigger(module, component); err != nil {
+	if _, err := n.call(msg.TypeInstallTriggerReq, module.Device, msg.InstallTriggerReq{
+		Module: module, Component: component,
+	}); err != nil {
 		return err
 	}
 	n.mu.Lock()

@@ -2,6 +2,8 @@ package nm
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"conman/internal/channel"
@@ -394,7 +396,7 @@ func TestExecuteConcurrentCountsMatchSequential(t *testing.T) {
 		n := buildTwoRouterNM(t)
 		n.Sequential = sequential
 		n.ResetCounters()
-		if err := n.Execute(scripts); err != nil {
+		if _, err := n.executeCollect(scripts); err != nil {
 			t.Fatalf("sequential=%v: %v", sequential, err)
 		}
 		return n.Counters()
@@ -405,5 +407,28 @@ func TestExecuteConcurrentCountsMatchSequential(t *testing.T) {
 	}
 	if seq.CmdSent != 2 || seq.AckRecv != 2 {
 		t.Errorf("unexpected accounting: %+v", seq)
+	}
+}
+
+// TestNMSurface pins *NM's exported methods. The NM configures a device
+// only through the command batches Apply sends; a new exported way to
+// reach a device, or anything else, must be added to this list on
+// purpose.
+func TestNMSurface(t *testing.T) {
+	want := []string{
+		"Apply", "AttachChannel", "CallRetries", "Checkpoint", "Compile",
+		"Counters", "Device", "Devices", "DiscoverAll", "EnableMessageLog",
+		"EventsDropped", "IntentsOn", "InvalidateObservations", "JournalStatus",
+		"ListFields", "MessageLog", "Persist", "Plan", "PlanStore", "Reconcile",
+		"Registered", "ResetCounters", "SelfTest", "SetDomain", "SetGateway",
+		"ShowActual", "ShowPotential", "Submit", "Subscribe", "Update", "Withdraw",
+	}
+	typ := reflect.TypeOf(&NM{})
+	got := make([]string, typ.NumMethod())
+	for i := range got {
+		got[i] = typ.Method(i).Name
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("exported *NM methods (%d):\n%v\nwant (%d):\n%v", len(got), got, len(want), want)
 	}
 }
