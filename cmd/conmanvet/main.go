@@ -1,11 +1,10 @@
 // Command conmanvet is the repo's static-analysis suite: a vet-style
-// multichecker enforcing CONMan's module-invariant contracts.
+// driver for the one module-invariant contract no test can see.
 //
-// It bundles three analyzers (see docs/analysis.md):
-//
-//	clonecheck  — Clone() methods must deep-copy every reference field
-//	lockcheck   — `guarded by mu` fields and no blocking under locks
-//	pairedstate — kernel installers need removers on a delete path
+// It runs a single analyzer, lockcheck (see docs/analysis.md): fields
+// commented `guarded by mu` are only touched under that mutex, and
+// nothing blocks while a lock is held — a rule the race detector cannot
+// test.
 //
 // Run it either way:
 //
@@ -19,15 +18,9 @@ package main
 
 import (
 	"conman/internal/analysis"
-	"conman/internal/analysis/clonecheck"
 	"conman/internal/analysis/lockcheck"
-	"conman/internal/analysis/pairedstate"
 )
 
 func main() {
-	analysis.Main(
-		clonecheck.Analyzer,
-		lockcheck.Analyzer,
-		pairedstate.Analyzer,
-	)
+	analysis.Main(lockcheck.Analyzer)
 }

@@ -1,8 +1,7 @@
 // Package analysis is a minimal, dependency-free reimplementation of
 // the golang.org/x/tools/go/analysis vocabulary, just large enough to
-// host conman's repo-specific invariant checkers (clonecheck,
-// lockcheck, pairedstate) and to drive them through `go vet
-// -vettool=conmanvet`.
+// host conman's repo-specific invariant checker (lockcheck) and to
+// drive it through `go vet -vettool=conmanvet`.
 //
 // The build environment deliberately has no module proxy access, so
 // instead of depending on x/tools this package implements the three

@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -122,28 +124,135 @@ func TestPipeSpecCanConnect(t *testing.T) {
 	}
 }
 
+// TestAbstractionClone is a property test over every field reachable
+// from Abstraction: fill each with a non-zero value, clone, overwrite
+// everything the clone reaches through a slice, map or pointer, and
+// require the original to be untouched. A reference field added to
+// Abstraction (or to any struct inside it) without a matching Clone
+// edit fails here with no test edit; a field of a kind the walk does
+// not know (interface, chan, func) fails it too, until the walk learns
+// that kind.
 func TestAbstractionClone(t *testing.T) {
-	a := Abstraction{
-		Ref:      Ref(NameGRE, "A", "l"),
-		Up:       PipeSpec{Connectable: []ModuleName{NameIPv4}},
-		Peerable: []ModuleName{NameGRE},
-		Switch:   SwitchSpec{Modes: []SwitchMode{SwUpDown}},
-		Tradeoffs: []Tradeoff{{
-			Give: []Metric{MetricLossRate}, Get: []Metric{MetricErrorRate}, Scope: EndUp,
-		}},
-		Security:   SecuritySpec{StateDependency: &Dependency{Kind: DepExternalState, Token: "keys"}},
-		Attributes: map[string]string{"k": "v"},
+	if err := checkClone(Abstraction.Clone); err != nil {
+		t.Error(err)
 	}
-	b := a.Clone()
-	b.Up.Connectable[0] = NameETH
-	b.Switch.Modes[0] = SwPhyPhy
-	b.Tradeoffs[0].Get[0] = MetricDelay
-	b.Security.StateDependency.Token = "changed"
-	b.Attributes["k"] = "changed"
-	if a.Up.Connectable[0] != NameIPv4 || a.Switch.Modes[0] != SwUpDown ||
-		a.Tradeoffs[0].Get[0] != MetricErrorRate ||
-		a.Security.StateDependency.Token != "keys" || a.Attributes["k"] != "v" {
-		t.Error("Clone aliases original state")
+	// Negative control: the historical bug, a Clone that copies
+	// Switch.StateDependency's pointer instead of its target, must be
+	// caught, or the property proves nothing.
+	shallow := func(a Abstraction) Abstraction {
+		b := a.Clone()
+		b.Switch.StateDependency = a.Switch.StateDependency
+		return b
+	}
+	if checkClone(shallow) == nil {
+		t.Error("property test missed a shallow Switch.StateDependency copy")
+	}
+}
+
+// checkClone reports how clone fails to deep-copy a fully filled
+// Abstraction: a lost field, or state the copy shares with the
+// original.
+func checkClone(clone func(Abstraction) Abstraction) error {
+	var orig, want Abstraction
+	fill(reflect.ValueOf(&orig).Elem(), 1)
+	fill(reflect.ValueOf(&want).Elem(), 1)
+	c := clone(orig)
+	if d := differingFields(c, want); d != nil {
+		return fmt.Errorf("clone lost fields %v of the original", d)
+	}
+	scribble(reflect.ValueOf(&c).Elem(), false)
+	if d := differingFields(orig, want); d != nil {
+		return fmt.Errorf("writing through the clone changed the original's %v", d)
+	}
+	return nil
+}
+
+// differingFields names the top-level fields where a and b differ.
+func differingFields(a, b Abstraction) []string {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	var out []string
+	for i := 0; i < va.NumField(); i++ {
+		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			out = append(out, va.Type().Field(i).Name)
+		}
+	}
+	return out
+}
+
+// fill sets v to a value derived from seed in which every slice has
+// one element, every map one entry and every pointer a fresh target,
+// all filled recursively. Distinct seeds give distinct leaves.
+func fill(v reflect.Value, seed int) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(v.Field(i), seed)
+		}
+	case reflect.Pointer:
+		p := reflect.New(v.Type().Elem())
+		fill(p.Elem(), seed)
+		v.Set(p)
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 1, 1)
+		fill(s.Index(0), seed)
+		v.Set(s)
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		m.SetMapIndex(filled(v.Type().Key(), seed), filled(v.Type().Elem(), seed))
+		v.Set(m)
+	case reflect.String:
+		v.SetString(fmt.Sprint("s", seed))
+	case reflect.Bool:
+		v.SetBool(seed%2 == 1)
+	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
+		v.SetUint(uint64(seed))
+	case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int:
+		v.SetInt(int64(seed))
+	default:
+		panic(fmt.Sprintf("fill: %s has kind %s; teach fill and scribble about it", v.Type(), v.Kind()))
+	}
+}
+
+func filled(t reflect.Type, seed int) reflect.Value {
+	v := reflect.New(t).Elem()
+	fill(v, seed)
+	return v
+}
+
+// scribble overwrites, in place, every value v reaches through a
+// reference: slice elements, map entries (plus one new entry) and
+// pointer targets, recursing into the references they hold rather than
+// replacing them, so sharing at any depth shows up in the original.
+// through says whether v itself was reached through a reference.
+func scribble(v reflect.Value, through bool) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			scribble(v.Field(i), through)
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			scribble(v.Elem(), true)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			scribble(v.Index(i), true)
+		}
+	case reflect.Map:
+		if v.IsNil() {
+			return
+		}
+		for _, k := range v.MapKeys() {
+			e := reflect.New(v.Type().Elem()).Elem()
+			e.Set(v.MapIndex(k))
+			scribble(e, true)
+			v.SetMapIndex(k, e)
+		}
+		v.SetMapIndex(filled(v.Type().Key(), 2), filled(v.Type().Elem(), 2))
+	default:
+		if through {
+			fill(v, 2)
+		}
 	}
 }
 

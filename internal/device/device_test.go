@@ -156,6 +156,15 @@ func TestTradeoffParsingOnPipe(t *testing.T) {
 	if p.TradeoffChosen(core.MetricBandwidth) {
 		t.Error("unchosen trade-off detected")
 	}
+	// A key as core.Tradeoff renders it, with two gets and no gives.
+	key := core.Tradeoff{Get: []core.Metric{core.MetricOrdering, core.MetricDelay}, Scope: core.EndUp}.Key()
+	p = &device.Pipe{Satisfy: []core.DependencyChoice{{Tradeoff: key}}}
+	if !p.TradeoffChosen(core.MetricOrdering) || !p.TradeoffChosen(core.MetricDelay) {
+		t.Errorf("gets of %q not detected", key)
+	}
+	if p.TradeoffChosen(core.MetricJitter) {
+		t.Errorf("%q: metric outside the get list detected", key)
+	}
 }
 
 func TestListFieldsAcrossChannel(t *testing.T) {

@@ -14,6 +14,7 @@ package device
 
 import (
 	"errors"
+	"strings"
 
 	"conman/internal/core"
 	"conman/internal/kernel"
@@ -55,70 +56,20 @@ type Pipe struct {
 // selected a trade-off obtaining the given metric.
 func (p *Pipe) TradeoffChosen(get core.Metric) bool {
 	for _, c := range p.Satisfy {
-		if c.Tradeoff == "" {
+		// c.Tradeoff is a core.Tradeoff.Key(): "give, ...|get, ...|scope".
+		parts := strings.Split(c.Tradeoff, "|")
+		if len(parts) != 3 {
 			continue
 		}
-		for _, t := range parseTradeoffGets(c.Tradeoff) {
-			if t == get {
+		for _, name := range strings.Split(parts[1], ",") {
+			// An empty item (an empty get list) names no metric: ParseMetric
+			// rejects it, so it is skipped.
+			if m, err := core.ParseMetric(strings.TrimSpace(name)); err == nil && m == get {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// parseTradeoffGets extracts the "get" metrics from a Tradeoff.Key().
-func parseTradeoffGets(key string) []core.Metric {
-	// Key format: "give1, give2|get1, get2|scope".
-	var gets []core.Metric
-	parts := splitKey(key)
-	if len(parts) != 3 {
-		return nil
-	}
-	for _, name := range splitList(parts[1]) {
-		if m, err := core.ParseMetric(name); err == nil {
-			gets = append(gets, m)
-		}
-	}
-	return gets
-}
-
-func splitKey(s string) []string {
-	var parts []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '|' {
-			parts = append(parts, s[start:i])
-			start = i + 1
-		}
-	}
-	parts = append(parts, s[start:])
-	return parts
-}
-
-func splitList(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			item := trimSpace(s[start:i])
-			if item != "" {
-				out = append(out, item)
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
-
-func trimSpace(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
-	}
-	return s
 }
 
 // SwitchRuleInstance is an installed (or installing) switch rule with the

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
 	"conman/internal/channel/channeltest"
 	"conman/internal/core"
+	"conman/internal/kernel"
 	"conman/internal/modules"
 	"conman/internal/msg"
 	"conman/internal/nm"
@@ -45,7 +47,9 @@ func TestFilterResolutionAndDependencyMaintenance(t *testing.T) {
 	}
 
 	// The inspecting IP module on C is asked to drop traffic to the
-	// app — in abstract terms only, as a command-batch item.
+	// app — in abstract terms only, as a command-batch item. Creating
+	// and deleting the filter must leave every kernel as it was.
+	before := kernelFingerprint(tb)
 	target := foo.Ref()
 	rule := core.FilterRule{
 		Module:   core.Ref(core.NameIPv4, "C", "k"),
@@ -115,6 +119,17 @@ func TestFilterResolutionAndDependencyMaintenance(t *testing.T) {
 	if err := ipMod.ReResolveFilter(ruleID); err != nil {
 		t.Fatalf("filter was not re-resolved: %v", err)
 	}
+	// The fresh kernel filter replaces the stale one rather than joining
+	// it.
+	var installed []kernel.FilterEntry
+	for _, f := range tb.Devices["C"].Kernel.Filters() {
+		if f.ID == ruleID {
+			installed = append(installed, f)
+		}
+	}
+	if len(installed) != 1 || installed[0].DstPort != 593 {
+		t.Fatalf("kernel filters for %s after re-resolve: %+v", ruleID, installed)
+	}
 	if err := tb.Customer["E"].SendUDP(ip("192.168.1.1"), appAddr, 4000, 593, []byte("after-move")); err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +148,16 @@ func TestFilterResolutionAndDependencyMaintenance(t *testing.T) {
 	}
 	if got := foo.Received(); len(got) != 2 || string(got[1]) != "open-again" {
 		t.Fatalf("after delete: %v", got)
+	}
+	if diff := fingerprintDiff(before, kernelFingerprint(tb)); len(diff) > 0 {
+		t.Fatalf("filter create+delete left kernel state behind:\n%s", strings.Join(diff, "\n"))
+	}
+	// The app moved: nothing listens on its old port any more.
+	if err := tb.Customer["E"].SendUDP(ip("192.168.1.1"), appAddr, 4000, 592, []byte("old-port")); err != nil {
+		t.Fatal(err)
+	}
+	if got := foo.Received(); len(got) != 2 {
+		t.Fatalf("app still receives on its old port: %q", got)
 	}
 }
 

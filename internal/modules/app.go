@@ -46,7 +46,7 @@ func (a *App) bind() {
 	// The socket is module-lifetime state: App modules are never torn
 	// down, and SetPort rebinds (UnregisterUDP + bind) rather than
 	// deletes.
-	a.Svc.Kernel().RegisterUDP(port, func(src netip.Addr, sport uint16, payload []byte) { //conmanvet:owned-elsewhere
+	a.Svc.Kernel().RegisterUDP(port, func(src netip.Addr, sport uint16, payload []byte) {
 		a.mu.Lock()
 		a.received = append(a.received, append([]byte(nil), payload...))
 		a.mu.Unlock()

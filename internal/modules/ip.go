@@ -71,7 +71,7 @@ func NewIP(svc device.Services, id core.ModuleID, domain string, addrs map[strin
 	for iface, p := range addrs {
 		// NM-assigned interface addresses are device-lifetime state:
 		// they outlive every rule and pipe this module will manage.
-		if err := svc.Kernel().AddAddr(iface, p); err != nil { //conmanvet:owned-elsewhere
+		if err := svc.Kernel().AddAddr(iface, p); err != nil {
 			return nil, err
 		}
 		m.addrs[iface] = p
