@@ -31,11 +31,7 @@ func pathSig(p *nm.Path) string {
 // exhaustive enumerator (uncapped, so small scenarios enumerate fully).
 func findBoth(t *testing.T, g *nm.Graph, goal nm.Goal, prefer string) (best, exhaustive *nm.Path) {
 	t.Helper()
-	spec := nm.FindSpec{
-		From: goal.From, To: goal.To, TrafficDomain: goal.TrafficDomain,
-		FromPipe: goal.FromPipe, ToPipe: goal.ToPipe,
-		Prefer: prefer,
-	}
+	spec := findSpecFor(goal, prefer)
 	best, _, err := g.FindBest(spec)
 	if err != nil {
 		t.Fatalf("best-first (%q): %v", prefer, err)

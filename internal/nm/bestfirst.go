@@ -7,16 +7,19 @@ package nm
 // DefaultMaxPaths cap truncates it, making selection over the result
 // unreliable. FindBest instead keeps a priority queue of partial paths
 // ordered by the paper's selection metric — pipes instantiated, then
-// forwarding speed, then hop count — and a dominance table keyed on
-// (module, entry, open peer-group stack, flavour) so only promising
-// prefixes expand. The best path pops first, without the variant space
-// ever being built; the number of expanded states is linear in path
-// length on the chains where enumeration explodes.
+// forwarding speed, then hop count — and a dominance table keyed on a
+// plain comparable value, bfKey: the module and mode, the entry pipe,
+// and the open header stack (interned per search, so its pointer
+// identifies it). Only a search that asks for a flavour (FindSpec.Prefer)
+// adds the flavour features of flavour.go to the key; an unflavoured one
+// partitions on nothing but that state. The best path pops first,
+// without the variant space ever being built; the number of expanded
+// states is linear in path length on the chains where enumeration
+// explodes.
 
 import (
 	"container/heap"
 	"fmt"
-	"strings"
 
 	"conman/internal/core"
 )
@@ -28,86 +31,33 @@ const bfMaxExpand = 1 << 20
 
 // DefaultMaxStack is the open-header bound applied when
 // FindSpec.MaxStack is zero: comfortably above the paper's deepest
-// stack (GRE-over-MPLS opens five) while keeping the best-first state
-// space linear in chain length.
+// stack (a tunnel over a label-switched core opens five) while keeping
+// the best-first state space linear in chain length.
 const DefaultMaxStack = 8
 
 // bfStack is one open protocol header on a partial path's stack, as an
 // immutable linked list shared between the partial paths that diverge
-// above it (top points down). Nodes are immutable, so the rendered
-// dominance-key signature is computed once at construction (pushes are
-// frequent; signature reads happen on every frontier insertion).
+// above it (below points down). Stacks are interned per search
+// (bfFinder.pushStack), so two equal stacks are one pointer and the
+// dominance key compares stacks by identity.
 type bfStack struct {
-	below     *bfStack
-	protocol  core.ModuleName
-	domain    string
-	external  bool
-	depth     int    // headers open including this one
-	cachedSig string // this header's rendering + everything below
+	below    *bfStack
+	protocol core.ModuleName
+	domain   string
+	external bool
+	depth    int // headers open including this one
 }
 
-// pushStack opens a header above s, caching the combined signature.
-func pushStack(s *bfStack, protocol core.ModuleName, domain string, external bool) *bfStack {
-	n := &bfStack{below: s, protocol: protocol, domain: domain, external: external, depth: 1}
-	if s != nil {
-		n.depth = s.depth + 1
-	}
-	var b strings.Builder
-	// %q quoting keeps the signature injective for arbitrary operator
-	// domain strings.
-	fmt.Fprintf(&b, "%s/%q", protocol, domain)
-	if external {
-		b.WriteByte('!')
-	}
-	b.WriteByte(';')
-	if s != nil {
-		b.WriteString(s.cachedSig)
-	}
-	n.cachedSig = b.String()
-	return n
-}
-
-// sig renders the open-header stack, top first, for the dominance key.
-func (s *bfStack) sig() string {
-	if s == nil {
-		return ""
-	}
-	return s.cachedSig
-}
-
-// bfFlavor accumulates the Describe()-relevant features of a partial
-// path. It is part of the dominance key so a cheap prefix of one path
-// flavour never prunes the prefix of another: FindBest must be able to
-// return the best path of the *preferred* flavour, and the features
-// below are exactly what Describe derives a flavour from.
-type bfFlavor struct {
-	hasGRE     bool
-	ipGroups   uint8 // internal IPv4 groups pushed (capped)
-	vlanGroups uint8 // VLAN groups pushed (capped)
-	vlanUsed   bool
-	plainDev   bool // a fully traversed device had no VLAN hop
-	ipOffMPLS  bool // a fully traversed device had IPv4 hops but no MPLS
-	firstMPLS  core.DeviceID
-	lastMPLS   core.DeviceID
-}
-
-func (f bfFlavor) sig() string {
-	var b strings.Builder
-	if f.hasGRE {
-		b.WriteByte('g')
-	}
-	if f.vlanUsed {
-		b.WriteByte('v')
-	}
-	if f.plainDev {
-		b.WriteByte('t')
-	}
-	if f.ipOffMPLS {
-		b.WriteByte('i')
-	}
-	// %q quoting keeps the signature injective for arbitrary device ids.
-	fmt.Fprintf(&b, "%d.%d.%q%q", f.ipGroups, f.vlanGroups, string(f.firstMPLS), string(f.lastMPLS))
-	return b.String()
+// bfKey is the dominance state of a partial path. Two prefixes with the
+// same key have the same admissible suffixes, except for the per-module
+// visit limit, which the key leaves out (see the completeness net in
+// FindBest).
+type bfKey struct {
+	node      *Node
+	mode      core.SwitchMode
+	entryPhys core.PipeID
+	stack     *bfStack
+	flav      bfFlavor // zero unless the search has a Prefer
 }
 
 // bfNode is one hop of a partial path on the best-first frontier. Hops
@@ -132,10 +82,7 @@ type bfNode struct {
 	fast  bool
 
 	stack *bfStack
-	flav  bfFlavor
-	// Per-device flavour accumulators, folded into flav when the path
-	// leaves the device over a wire (or accepted).
-	devVLAN, devIPv4, devMPLS bool
+	flav  bfFlavor // tracked only when the search has a Prefer
 
 	// mods/modes mirror Path.Modules() / modeString incrementally; they
 	// are the deterministic tie-breaks matching the enumerator's sort.
@@ -205,7 +152,8 @@ type bfFinder struct {
 	spec     FindSpec
 	stats    PruneStats
 	queue    bfHeap
-	seen     map[string][]*bfNode
+	seen     map[bfKey][]*bfNode
+	stacks   map[bfStack]*bfStack // the interned header stacks
 	seq      int
 	max      int // accepted-pop safety valve
 	maxDepth int
@@ -220,11 +168,15 @@ type bfFinder struct {
 // and never materialises the variant space; spec.Exhaustive reroutes
 // through the legacy enumerate-then-filter engine for A/B comparison.
 // A nil path with a nil error means no protocol-sane path (or none of
-// the preferred flavour) exists.
+// the preferred flavour) exists; a Prefer that Describe never returns
+// gets one at once, with PruneStats.PreferUnknown set and no state
+// expanded.
 func (g *Graph) FindBest(spec FindSpec) (*Path, PruneStats, error) {
+	if spec.Prefer != "" && !PreferRecognized(spec.Prefer) {
+		return nil, PruneStats{PreferUnknown: true}, nil
+	}
 	if spec.Exhaustive {
 		paths, stats, err := g.FindPaths(spec)
-		stats.PreferUnknown = spec.Prefer != "" && !PreferRecognized(spec.Prefer)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -246,27 +198,22 @@ func (g *Graph) FindBest(spec FindSpec) (*Path, PruneStats, error) {
 	f := &bfFinder{
 		g:        g,
 		spec:     spec,
-		seen:     make(map[string][]*bfNode),
+		seen:     make(map[bfKey][]*bfNode),
+		stacks:   make(map[bfStack]*bfStack),
 		max:      spec.MaxPaths,
-		maxDepth: spec.MaxDepth,
+		maxDepth: 2 * len(g.nodes), // the visit rule's own bound
 		maxStack: spec.MaxStack,
-		// The customer frame arrives with an Ethernet header around an
-		// IP packet in the customer's address domain (same premise as
-		// the enumerator).
-		initial: pushStack(
-			pushStack(nil, core.NameIPv4, spec.TrafficDomain, true),
-			core.NameETH, "", true),
 	}
+	// The customer frame arrives with an Ethernet header around an IP
+	// packet in the customer's address domain (same premise as the
+	// enumerator).
+	f.initial = f.pushStack(f.pushStack(nil, core.NameIPv4, spec.TrafficDomain, true), core.NameETH, "", true)
 	if f.max == 0 {
 		f.max = DefaultMaxPaths
-	}
-	if f.maxDepth == 0 {
-		f.maxDepth = 2 * len(g.nodes)
 	}
 	if f.maxStack == 0 {
 		f.maxStack = DefaultMaxStack
 	}
-	f.stats.PreferUnknown = spec.Prefer != "" && !PreferRecognized(spec.Prefer)
 	heap.Init(&f.queue)
 	f.enter(nil, from, core.EndPhy, nil, entryPipe, "")
 
@@ -307,21 +254,22 @@ func (g *Graph) FindBest(spec FindSpec) (*Path, PruneStats, error) {
 	if held != nil {
 		return heldPath, f.stats, nil
 	}
-	// Completeness net: the dominance key deliberately omits the set of
-	// modules a prefix has visited, so in a topology where equal-scored
-	// arms reconverge, the surviving arm could later be blocked by the
-	// per-module visit limit while the pruned one would have completed.
-	// No built-in scenario triggers this, but FindBest is the default
-	// compile engine for arbitrary topologies — so an empty result that
-	// was not caused by an explicit valve (MaxStack prune, accepted-pop
-	// cap) is re-checked against the exhaustive enumerator before "no
-	// path" is reported. The cost is paid only on the no-path error
-	// path (including a Prefer flavour that genuinely does not exist),
-	// bounded by the enumerator's own MaxPaths cap. Known residual of
-	// the same hole: if the blocked survivor completes via a *worse*
-	// suffix instead of not at all, the returned path can be
-	// metric-suboptimal — accepted as the price of a visited-set-free
-	// dominance key (tracked in ROADMAP's finder follow-ups).
+	// Completeness net: the dominance key leaves out the modules a
+	// prefix has visited, so a prefix that survives on a key can later
+	// be blocked by the per-module visit limit where the prefix it
+	// pruned would have completed. Paths that leave a device and come
+	// back to it hit this: on the L2 fabric over the n=4 Waxman graph
+	// with seed 56, the only transparent-core tunnel runs wx0000 →
+	// wx0002 → wx0001 → wx0002, and the search alone finds no path
+	// (TestFindBestNetCoversDeviceRevisit). So an empty result that
+	// no explicit valve caused (MaxStack prune, accepted-pop cap) is
+	// re-checked against the exhaustive enumerator before "no path" is
+	// reported. The cost is paid only on the no-path path (including a
+	// Prefer flavour that genuinely does not exist), bounded by the
+	// enumerator's own MaxPaths cap. Known residual of the same hole: if
+	// the blocked survivor completes via a *worse* suffix instead of not
+	// at all, the returned path can be metric-suboptimal; the net goes
+	// only when the visit state is in the key (ROADMAP item 4(c)).
 	if f.stats.StackCap == 0 && acceptedPops < f.max {
 		exh := spec
 		exh.Exhaustive = true
@@ -336,19 +284,11 @@ func (g *Graph) FindBest(spec FindSpec) (*Path, PruneStats, error) {
 func (f *bfFinder) expand(b *bfNode) {
 	switch b.mode.To {
 	case core.EndUp:
-		ups := f.g.Above(b.node)
-		if len(ups) == 0 {
-			f.stats.DeadEnd++
-		}
-		for _, up := range ups {
+		for _, up := range f.g.Above(b.node) {
 			f.enter(b, up, core.EndDown, b.node, "", "")
 		}
 	case core.EndDown:
-		downs := f.g.Below(b.node)
-		if len(downs) == 0 {
-			f.stats.DeadEnd++
-		}
-		for _, down := range downs {
+		for _, down := range f.g.Below(b.node) {
 			f.enter(b, down, core.EndUp, b.node, "", "")
 		}
 	case core.EndPhy:
@@ -418,10 +358,9 @@ func (f *bfFinder) makeChild(parent *bfNode, node *Node, mode core.SwitchMode, e
 	switch mode.Effect() {
 	case core.EffectPop, core.EffectProcess:
 		if stack == nil {
-			f.stats.StackUnderflow++
 			return nil
 		}
-		if !f.spec.DisableSanityPruning && canon(stack.protocol) != canon(node.Ref.Name) {
+		if canon(stack.protocol) != canon(node.Ref.Name) {
 			f.stats.NameMismatch++
 			return nil
 		}
@@ -447,7 +386,7 @@ func (f *bfFinder) makeChild(parent *bfNode, node *Node, mode core.SwitchMode, e
 			f.stats.StackCap++
 			return nil
 		}
-		newStack = pushStack(stack, node.Ref.Name, node.Domain, false)
+		newStack = f.pushStack(stack, node.Ref.Name, node.Domain, false)
 	}
 
 	child := &bfNode{
@@ -462,16 +401,8 @@ func (f *bfFinder) makeChild(parent *bfNode, node *Node, mode core.SwitchMode, e
 			child.pipes++ // the parent exits through an up-down pipe
 		}
 		child.fast = parent.fast
-		child.flav = parent.flav
 		child.mods = parent.mods + ", " + string(node.Ref.Module)
 		child.modes = parent.modes + mode.String()
-		if entryPhys == "" {
-			child.devVLAN, child.devIPv4, child.devMPLS = parent.devVLAN, parent.devIPv4, parent.devMPLS
-		} else {
-			// Crossing a wire completes the parent's device traversal:
-			// fold its flavour accumulators and start fresh.
-			foldDevice(&child.flav, parent)
-		}
 	} else {
 		child.mods = string(node.Ref.Module)
 		child.modes = mode.String()
@@ -479,115 +410,41 @@ func (f *bfFinder) makeChild(parent *bfNode, node *Node, mode core.SwitchMode, e
 	if node.Abs.Attributes["forwarding"] == "fast" {
 		child.fast = true
 	}
-	applyFlavor(child, node, mode)
-	if f.spec.Prefer != "" && !flavorViable(f.spec.Prefer, child.flav) {
-		f.stats.PreferMismatch++
-		return nil
+	if f.spec.Prefer != "" {
+		if parent != nil {
+			child.flav = parent.flav
+			if entryPhys != "" {
+				child.flav.leaveDevice() // crossing a wire completes the parent's device
+			}
+		}
+		child.flav.add(node, mode)
+		if !child.flav.viable(f.spec.Prefer) {
+			return nil
+		}
 	}
 	return child
 }
 
-// PreferRecognized reports whether a preference string belongs to one
-// of the flavour families the goal-directed pruner understands (the
-// Describe() vocabulary: VLAN tunnel variants, plain, MPLS, GRE-IP and
-// IP-IP tunnels, with or without qualifiers). An unrecognised string
-// never matches any built-in Describe() output, so the search runs
-// undirected and finds nothing of that flavour; FindBest flags it via
-// PruneStats.PreferUnknown so callers can warn instead of reporting a
-// bare "no path".
-func PreferRecognized(prefer string) bool {
-	switch {
-	case strings.HasPrefix(prefer, "VLAN"),
-		prefer == "plain",
-		prefer == "MPLS",
-		strings.HasPrefix(prefer, "GRE-IP tunnel"),
-		strings.HasPrefix(prefer, "IP-IP tunnel"):
-		return true
+// pushStack opens a header above s, returning the search's one copy of
+// the resulting stack.
+func (f *bfFinder) pushStack(s *bfStack, protocol core.ModuleName, domain string, external bool) *bfStack {
+	n := bfStack{below: s, protocol: protocol, domain: domain, external: external, depth: 1}
+	if s != nil {
+		n.depth = s.depth + 1
 	}
-	return false
-}
-
-// flavorViable reports whether a partial path's flavour features can
-// still complete into the preferred Describe() string — the
-// goal-direction of the search. Only monotone features are consulted
-// (hasGRE, vlanUsed, group counts, plainDev and firstMPLS never revert
-// once set), so a false here is definitive; unrecognised preference
-// strings (see PreferRecognized) disable the filter rather than risk
-// hiding the preferred path, costing only extra expansions.
-func flavorViable(prefer string, fl bfFlavor) bool {
-	switch {
-	case prefer == "VLAN tunnel":
-		// One tag spanning every switch: no transparently bridged
-		// device, no second tag group.
-		return !fl.plainDev && fl.vlanGroups <= 1
-	case prefer == "VLAN tunnel (segmented)":
-		return !fl.plainDev
-	case strings.HasPrefix(prefer, "VLAN"):
-		return true
-	case prefer == "plain":
-		return !fl.hasGRE && !fl.vlanUsed && fl.ipGroups == 0 && fl.firstMPLS == ""
-	case prefer == "MPLS":
-		return !fl.hasGRE && !fl.vlanUsed && fl.ipGroups == 0
-	case strings.HasPrefix(prefer, "GRE-IP tunnel"):
-		if fl.vlanUsed {
-			return false
-		}
-		return prefer != "GRE-IP tunnel" || fl.firstMPLS == ""
-	case strings.HasPrefix(prefer, "IP-IP tunnel"):
-		if fl.vlanUsed || fl.hasGRE {
-			return false
-		}
-		return prefer != "IP-IP tunnel" || fl.firstMPLS == ""
-	default:
-		return true
+	if p, ok := f.stacks[n]; ok {
+		return p
 	}
-}
-
-// foldDevice folds a left device's accumulators into the flavour.
-func foldDevice(fl *bfFlavor, b *bfNode) {
-	if !b.devVLAN {
-		fl.plainDev = true
-	}
-	if b.devIPv4 && !b.devMPLS {
-		fl.ipOffMPLS = true
-	}
-}
-
-// applyFlavor records one hop's contribution to the flavour signature.
-func applyFlavor(b *bfNode, node *Node, mode core.SwitchMode) {
-	name := canon(node.Ref.Name)
-	push := mode.Effect() == core.EffectPush
-	switch name {
-	case core.NameGRE:
-		b.flav.hasGRE = true
-	case core.NameVLAN:
-		b.flav.vlanUsed = true
-		b.devVLAN = true
-		if push && b.flav.vlanGroups < 3 {
-			b.flav.vlanGroups++
-		}
-	case core.NameIPv4:
-		b.devIPv4 = true
-		if push && b.flav.ipGroups < 3 {
-			b.flav.ipGroups++
-		}
-	case core.NameMPLS:
-		b.devMPLS = true
-		if b.flav.firstMPLS == "" {
-			b.flav.firstMPLS = node.Ref.Device
-		}
-		b.flav.lastMPLS = node.Ref.Device
-	}
+	p := &n
+	f.stacks[n] = p
+	return p
 }
 
 // push inserts a child into the frontier unless a recorded arrival at
 // the same dominance state makes it redundant; recorded arrivals the
 // child supersedes are dropped (skipped when they pop).
 func (f *bfFinder) push(child *bfNode) {
-	key := fmt.Sprintf("%s|%s|%q|%s|%s|%v%v%v",
-		child.node.Ref, child.mode, string(child.entryPhys),
-		child.stack.sig(), child.flav.sig(),
-		child.devVLAN, child.devIPv4, child.devMPLS)
+	key := bfKey{node: child.node, mode: child.mode, entryPhys: child.entryPhys, stack: child.stack, flav: child.flav}
 	recs := f.seen[key]
 	for _, r := range recs {
 		if r.dominates(child) {

@@ -149,12 +149,13 @@ func TestFindBestMaxStack(t *testing.T) {
 	}
 }
 
-// TestPreferUnknownFlag pins the satellite fix for exotic preference
-// strings: Prefer only understands the Describe() vocabulary, and a
-// string outside it used to fall back to undirected search silently.
-// Both engines must now raise PruneStats.PreferUnknown so callers can
-// tell a typo ("GRE tunnel") from a genuinely missing path, while known
-// flavours and unpinned searches leave the flag clear.
+// TestPreferUnknownFlag pins how exotic preference strings fail: Prefer
+// accepts exactly the strings Describe can return, and anything else
+// (a typo such as "GRE tunnel" or "VLAN tunnels") raises
+// PruneStats.PreferUnknown in both engines, at once, with no state
+// expanded — no path could match it, so searching would only burn the
+// expansion valve. Known flavours and unpinned searches leave the flag
+// clear.
 func TestPreferUnknownFlag(t *testing.T) {
 	n := buildTwoRouterNM(t)
 	g, err := BuildGraph(n)
@@ -168,15 +169,19 @@ func TestPreferUnknownFlag(t *testing.T) {
 	}
 
 	for _, known := range []string{
-		"plain", "MPLS", "GRE-IP tunnel", "GRE-IP tunnel over MPLS (A-B)",
-		"IP-IP tunnel", "VLAN tunnel", "VLAN tunnel (segmented)",
-		"VLAN tunnel (transparent core)",
+		"plain", "MPLS", "GRE-IP tunnel", "GRE-IP tunnel over MPLS",
+		"GRE-IP tunnel over MPLS (A-B)", "IP-IP tunnel", "IP-IP tunnel over MPLS (R1-R2)",
+		"VLAN tunnel", "VLAN tunnel (segmented)", "VLAN tunnel (transparent core)",
 	} {
 		if !PreferRecognized(known) {
 			t.Errorf("PreferRecognized(%q) = false, want true", known)
 		}
 	}
-	for _, exotic := range []string{"GRE tunnel", "carrier pigeon", "mpls"} {
+	exotics := []string{
+		"GRE tunnel", "carrier pigeon", "mpls", "VLAN tunnels", "GRE-IP tunnelx",
+		"VLAN", "IP-IP tunnel over MPLS ()", "GRE-IP tunnel over MPLS (A)",
+	}
+	for _, exotic := range exotics {
 		if PreferRecognized(exotic) {
 			t.Errorf("PreferRecognized(%q) = true, want false", exotic)
 		}
@@ -194,26 +199,24 @@ func TestPreferUnknownFlag(t *testing.T) {
 		t.Fatalf("recognised flavour: PreferUnknown=%v err=%v, want false, nil", stats.PreferUnknown, err)
 	}
 
-	// An exotic string (a plausible typo of "GRE-IP tunnel"): nil path,
-	// flag raised, and the search still ran — undirected, not aborted.
-	sp.Prefer = "GRE tunnel"
-	got, stats, err := g.FindBest(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != nil {
-		t.Fatalf("exotic flavour returned a %q path", got.Describe())
-	}
-	if !stats.PreferUnknown {
-		t.Error("exotic flavour did not raise PreferUnknown")
-	}
-	if stats.Expanded == 0 {
-		t.Error("exotic flavour expanded no states: search should run undirected")
-	}
-
-	// The legacy engine raises it too.
-	sp.Exhaustive = true
-	if _, stats, err := g.FindBest(sp); err != nil || !stats.PreferUnknown {
-		t.Fatalf("exhaustive engine: PreferUnknown=%v err=%v, want true, nil", stats.PreferUnknown, err)
+	// An exotic string: nil path, flag raised, and no state expanded, in
+	// both engines.
+	for _, exhaustive := range []bool{false, true} {
+		for _, exotic := range exotics {
+			sp.Prefer, sp.Exhaustive = exotic, exhaustive
+			got, stats, err := g.FindBest(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != nil {
+				t.Fatalf("exhaustive=%v: exotic flavour %q returned a %q path", exhaustive, exotic, got.Describe())
+			}
+			if !stats.PreferUnknown {
+				t.Errorf("exhaustive=%v: exotic flavour %q did not raise PreferUnknown", exhaustive, exotic)
+			}
+			if stats.Expanded != 0 {
+				t.Errorf("exhaustive=%v: exotic flavour %q expanded %d states, want 0", exhaustive, exotic, stats.Expanded)
+			}
+		}
 	}
 }

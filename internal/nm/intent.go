@@ -82,7 +82,7 @@ func (n *NM) compileIntent(intent Intent) (*Path, []DeviceScript, error) {
 	}
 	if chosen == nil {
 		if stats.PreferUnknown {
-			return nil, nil, fmt.Errorf("nm: intent %q: no %q path found — %q is not a path flavour the finder recognises (want a Describe() string such as \"GRE-IP tunnel\", \"MPLS\" or \"VLAN tunnel\"), so the search ran undirected", intent.Name, intent.Prefer, intent.Prefer)
+			return nil, nil, fmt.Errorf("nm: intent %q: %q is not a path flavour (want a Describe() string such as \"GRE-IP tunnel\", \"MPLS\" or \"VLAN tunnel\"), so no path can match it", intent.Name, intent.Prefer)
 		}
 		if intent.Prefer != "" {
 			return nil, nil, fmt.Errorf("nm: intent %q: no %q path found", intent.Name, intent.Prefer)

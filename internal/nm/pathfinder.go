@@ -62,91 +62,6 @@ func (p *Path) Pipes() int {
 	return n
 }
 
-// uses reports whether any hop's module has the given name.
-func (p *Path) uses(name core.ModuleName) bool {
-	for _, h := range p.Hops {
-		if h.Node.Ref.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// Describe classifies the path in the paper's §III-C.1 vocabulary, e.g.
-// "MPLS", "GRE-IP tunnel", "IP-IP over MPLS (A-B)".
-func (p *Path) Describe() string {
-	var tunnel string
-	hasGRE := p.uses(core.NameGRE)
-	ipGroups := 0
-	for _, g := range p.Groups {
-		if g.Protocol == core.NameIPv4 && !g.External {
-			ipGroups++
-		}
-	}
-	switch {
-	case hasGRE:
-		tunnel = "GRE-IP tunnel"
-	case ipGroups > 0:
-		tunnel = "IP-IP tunnel"
-	}
-	var mplsDevs []string
-	seen := map[string]bool{}
-	for _, h := range p.Hops {
-		if h.Node.Ref.Name == core.NameMPLS && !seen[string(h.Node.Ref.Device)] {
-			seen[string(h.Node.Ref.Device)] = true
-			mplsDevs = append(mplsDevs, string(h.Node.Ref.Device))
-		}
-	}
-	if p.uses(core.NameVLAN) {
-		// Distinguish the canonical configuration (one VLAN spanning
-		// every switch, Fig 9) from variants where a transit switch
-		// bridges tagged frames with [phy => phy] only, or where the
-		// tag is popped and re-pushed mid-path (segmented tunnels).
-		withVLAN := map[core.DeviceID]bool{}
-		all := map[core.DeviceID]bool{}
-		for _, h := range p.Hops {
-			all[h.Node.Ref.Device] = true
-			if h.Node.Ref.Name == core.NameVLAN {
-				withVLAN[h.Node.Ref.Device] = true
-			}
-		}
-		vlanGroups := 0
-		for _, g := range p.Groups {
-			if g.Protocol == core.NameVLAN {
-				vlanGroups++
-			}
-		}
-		switch {
-		case len(withVLAN) < len(all):
-			return "VLAN tunnel (transparent core)"
-		case vlanGroups > 1:
-			return "VLAN tunnel (segmented)"
-		default:
-			return "VLAN tunnel"
-		}
-	}
-	switch {
-	case len(mplsDevs) == 0 && tunnel == "":
-		return "plain"
-	case len(mplsDevs) == 0:
-		return tunnel
-	case tunnel == "":
-		return "MPLS"
-	default:
-		span := fmt.Sprintf("%s-%s", mplsDevs[0], mplsDevs[len(mplsDevs)-1])
-		all := true
-		for _, h := range p.Hops {
-			if h.Node.Ref.Name == core.NameIPv4 && !seen[string(h.Node.Ref.Device)] {
-				all = false
-			}
-		}
-		if all {
-			return fmt.Sprintf("%s over MPLS", tunnel)
-		}
-		return fmt.Sprintf("%s over MPLS (%s)", tunnel, span)
-	}
-}
-
 // PruneStats counts why the search abandoned branches (Fig 6's
 // examples), plus how many states it expanded — the cost metric the
 // exhaustive-vs-best-first benchmark compares.
@@ -154,19 +69,14 @@ type PruneStats struct {
 	NameMismatch   int // header/protocol mismatch ("protocol sanity")
 	DomainMismatch int // peers in different address domains (Fig 6b)
 	Visited        int // cycle avoidance
-	DeadEnd        int
-	StackUnderflow int
 	ExternalLeak   int // customer L2 header handled off the endpoints
 	StackCap       int // encapsulation deeper than MaxStack (best-first)
-	PreferMismatch int // prefixes that can no longer match Prefer (best-first)
 	Expanded       int // module entries explored (DFS visits / queue pops)
-	// PreferUnknown reports that FindSpec.Prefer was set to a string the
-	// finder does not recognise as a Describe() flavour family. The
-	// search still runs — goal-direction is disabled rather than risking
-	// hiding the preferred path — but no built-in flavour can ever match
-	// such a string, so a nil result usually means a typo (e.g.
-	// "GRE tunnel" instead of "GRE-IP tunnel") rather than a missing
-	// path. Callers surface it as a warning; see PreferRecognized.
+	// PreferUnknown reports that FindSpec.Prefer was set to a string
+	// Describe never returns (e.g. "GRE tunnel" instead of "GRE-IP
+	// tunnel"). No path can match it, so FindBest returned a nil path at
+	// once without expanding a state. Callers surface it as a typo
+	// rather than a missing path; see PreferRecognized.
 	PreferUnknown bool
 }
 
@@ -206,11 +116,6 @@ type FindSpec struct {
 	// the goal-directed best-first search — kept for A/B testing and the
 	// equivalence suite.
 	Exhaustive bool
-	// MaxDepth bounds path length in hops. Zero derives the bound from
-	// the graph: twice the node count, the upper limit the per-module
-	// visit rule already implies, so large linear topologies (n=128 and
-	// beyond) enumerate without an artificial ceiling.
-	MaxDepth int
 	// MaxStack bounds how many protocol headers a partial path may have
 	// open at once in the best-first search (0 = DefaultMaxStack). Real
 	// encapsulation stacks are shallow — the paper's deepest,
@@ -224,9 +129,6 @@ type FindSpec struct {
 	// DisableDomainPruning turns off the Fig 6(b) rule (for the ablation
 	// benchmark).
 	DisableDomainPruning bool
-	// DisableSanityPruning turns off header-name matching (ablation;
-	// paths found this way are not usable, only counted).
-	DisableSanityPruning bool
 }
 
 type finder struct {
@@ -263,17 +165,17 @@ func (g *Graph) FindPaths(spec FindSpec) ([]*Path, PruneStats, error) {
 		return nil, PruneStats{}, err
 	}
 	f := &finder{
-		g:        g,
-		spec:     spec,
-		visited:  make(map[string]int),
-		max:      spec.MaxPaths,
-		maxDepth: spec.MaxDepth,
+		g:       g,
+		spec:    spec,
+		visited: make(map[string]int),
+		max:     spec.MaxPaths,
+		// Twice the node count: the bound the per-module visit rule
+		// already implies, so long chains enumerate without an
+		// artificial ceiling.
+		maxDepth: 2 * len(g.nodes),
 	}
 	if f.max == 0 {
 		f.max = DefaultMaxPaths
-	}
-	if f.maxDepth == 0 {
-		f.maxDepth = 2 * len(g.nodes)
 	}
 	// The customer frame arrives with an Ethernet header (pushed by the
 	// customer's equipment) around an IP packet in the customer's
@@ -404,12 +306,11 @@ func (f *finder) tryMode(node *Node, mode core.SwitchMode, entryVia *Node, entry
 	switch effect {
 	case core.EffectPop, core.EffectProcess:
 		if len(f.stack) == 0 {
-			f.stats.StackUnderflow++
 			return
 		}
 		groupIdx = f.stack[0]
 		grp := &f.groups[groupIdx]
-		if !f.spec.DisableSanityPruning && canon(grp.Protocol) != canon(node.Ref.Name) {
+		if canon(grp.Protocol) != canon(node.Ref.Name) {
 			f.stats.NameMismatch++
 			return
 		}
@@ -475,21 +376,13 @@ func (f *finder) explore(node *Node, mode core.SwitchMode) {
 	hopIdx := len(f.hops) - 1
 	switch mode.To {
 	case core.EndUp:
-		ups := f.g.Above(node)
-		if len(ups) == 0 {
-			f.stats.DeadEnd++
-		}
-		for _, up := range ups {
+		for _, up := range f.g.Above(node) {
 			f.hops[hopIdx].ExitVia = up
 			f.visit(up, core.EndDown, node, "")
 		}
 		f.hops[hopIdx].ExitVia = nil
 	case core.EndDown:
-		downs := f.g.Below(node)
-		if len(downs) == 0 {
-			f.stats.DeadEnd++
-		}
-		for _, down := range downs {
+		for _, down := range f.g.Below(node) {
 			f.hops[hopIdx].ExitVia = down
 			f.visit(down, core.EndUp, node, "")
 		}
