@@ -71,17 +71,12 @@
 // run concurrently, while a device appearing more than once keeps its
 // batches in order. Module peering is unaffected because the initiator
 // rule keys on module references, not arrival order, so the message
-// Counters (Table VI) are byte-identical to sequential execution. Two
-// knobs control this:
-//
-//   - NM.Sequential: set true to restore strict one-device-at-a-time
-//     operation (the paper's original accounting mode, and a fallback
-//     for channels that cannot carry concurrent traffic).
-//   - NM.Workers: bounds the concurrent fan-out; zero selects
-//     nm.DefaultWorkers (16).
-//
-// Both are read without locking and must be set before the first
-// DiscoverAll/Plan/Apply call. The whole stack (channel hub, device MAs,
+// Counters (Table VI) are byte-identical to sequential execution. The
+// pool holds nm.DefaultWorkers (16) workers. One knob controls this:
+// NM.Sequential, set true, restores strict one-device-at-a-time
+// operation (the paper's original accounting mode, and a fallback for
+// channels that cannot carry concurrent traffic). It is read without
+// locking and must be set before the first DiscoverAll/Plan/Apply call. The whole stack (channel hub, device MAs,
 // protocol modules, kernels, netsim) is safe under `go test -race` with
 // concurrent NM calls; netsim.Network.Flush provides a quiescence
 // barrier for concurrent data-plane probes. For experiments,

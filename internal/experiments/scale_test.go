@@ -215,7 +215,6 @@ func TestConcurrentFasterOnLatentChannel(t *testing.T) {
 			t.Fatal(err)
 		}
 		tb.NM.Sequential = sequential
-		tb.NM.Workers = n
 		plan, err := sc.PlanLinear(tb, n)
 		if err != nil {
 			t.Fatal(err)
@@ -232,4 +231,53 @@ func TestConcurrentFasterOnLatentChannel(t *testing.T) {
 		t.Errorf("concurrent execute %v not at least 2x faster than sequential %v", conc, seq)
 	}
 	t.Logf("n=%d latency=%v: sequential %v, concurrent %v (%.1fx)", n, latency, seq, conc, float64(seq)/float64(conc))
+}
+
+// TestHubChainExactCounters pins the hub-coldstart job's traffic: the
+// GRE+IGP chain at n=128 on the in-process hub, configured
+// sequentially. After Plan, a counter reset, Apply and a delivered
+// probe, the NM has exchanged exactly 17 656 messages, 128 of them
+// command batches, and the kernels have executed 21 operations. The
+// numbers are the same at every GOMAXPROCS, so a change to the
+// compiler, the IGP or the device MA that moves one re-pins it here
+// and says why.
+func TestHubChainExactCounters(t *testing.T) {
+	const (
+		n           = 128
+		wantMsgs    = 17656 // Counters().Sent() + Received()
+		wantCmdSent = 128
+		wantExecOps = 21 // Σ kernel ExecLog over every device
+	)
+	sc := GREIGPScenario()
+	tb, err := sc.Build(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	tb.NM.Sequential = true
+	plan, err := sc.PlanLinear(tb, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.NM.ResetCounters()
+	if err := tb.NM.Apply(plan); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.VerifyConnectivity(10002); err != nil {
+		t.Fatalf("data plane: %v", err)
+	}
+	c := tb.NM.Counters()
+	if got := c.Sent() + c.Received(); got != wantMsgs {
+		t.Errorf("messages sent+received = %d, want %d", got, wantMsgs)
+	}
+	if c.CmdSent != wantCmdSent {
+		t.Errorf("command batches = %d, want %d", c.CmdSent, wantCmdSent)
+	}
+	ops := 0
+	for _, dev := range tb.Devices {
+		ops += len(dev.Kernel.ExecLog())
+	}
+	if ops != wantExecOps {
+		t.Errorf("kernel operations = %d, want %d", ops, wantExecOps)
+	}
 }

@@ -84,11 +84,8 @@ type bfNode struct {
 	stack *bfStack
 	flav  bfFlavor // tracked only when the search has a Prefer
 
-	// mods/modes mirror Path.Modules() / modeString incrementally; they
-	// are the deterministic tie-breaks matching the enumerator's sort.
-	mods, modes string
-	seq         int  // insertion order, the final tie-break
-	dropped     bool // superseded on its dominance frontier; skip on pop
+	seq     int  // insertion order, the final tie-break
+	dropped bool // superseded on its dominance frontier; skip on pop
 }
 
 // dominates reports whether a recorded arrival makes the candidate
@@ -105,10 +102,7 @@ func (r *bfNode) dominates(c *bfNode) bool {
 	if r.pipes < c.pipes || r.depth < c.depth || (r.fast && !c.fast) {
 		return true
 	}
-	if r.mods != c.mods {
-		return r.mods < c.mods
-	}
-	return r.modes <= c.modes
+	return tieOrder(r, c) <= 0
 }
 
 // bfLess is the frontier (and final-answer) ordering: the selection
@@ -123,14 +117,43 @@ func bfLess(a, b *bfNode) bool {
 	if a.depth != b.depth {
 		return a.depth < b.depth
 	}
-	if a.mods != b.mods {
-		return a.mods < b.mods
-	}
-	if a.modes != b.modes {
-		return a.modes < b.modes
+	if c := tieOrder(a, b); c != 0 {
+		return c < 0
 	}
 	return a.seq < b.seq
 }
+
+// tieOrder compares two partial paths of equal depth (both callers
+// compare depth first) in the enumerator's sort order: the module-id
+// sequence as Path.Modules() joins it, then the mode sequence as
+// modeString concatenates it. It walks both parent chains up to their
+// common ancestor; the module-id difference nearest the first hop
+// decides, and only with no module difference the mode difference
+// nearest the first hop. Ids compare by their per-graph rank, which is
+// the joined strings' order as long as no id holds a byte below ','.
+func tieOrder(a, b *bfNode) int {
+	mods, modes := 0, 0
+	for ; a != b; a, b = a.parent, b.parent {
+		if d := a.node.idRank - b.node.idRank; d != 0 {
+			mods = d
+		}
+		if d := modeOrder(a.mode) - modeOrder(b.mode); d != 0 {
+			modes = d
+		}
+	}
+	if mods != 0 {
+		return mods
+	}
+	return modes
+}
+
+// endOrder ranks pipe ends by name ("down" < "phy" < "up"), the order in
+// which two "[from => to]" mode strings that first differ at an end
+// compare.
+var endOrder = [...]int{core.EndDown: 0, core.EndPhy: 1, core.EndUp: 2}
+
+// modeOrder ranks a switching mode the way its String() sorts.
+func modeOrder(m core.SwitchMode) int { return 3*endOrder[m.From] + endOrder[m.To] }
 
 type bfHeap []*bfNode
 
@@ -148,7 +171,6 @@ func (h *bfHeap) Pop() any {
 }
 
 type bfFinder struct {
-	g        *Graph
 	spec     FindSpec
 	stats    PruneStats
 	queue    bfHeap
@@ -196,7 +218,6 @@ func (g *Graph) FindBest(spec FindSpec) (*Path, PruneStats, error) {
 		return nil, PruneStats{}, err
 	}
 	f := &bfFinder{
-		g:        g,
 		spec:     spec,
 		seen:     make(map[bfKey][]*bfNode),
 		stacks:   make(map[bfStack]*bfStack),
@@ -284,11 +305,11 @@ func (g *Graph) FindBest(spec FindSpec) (*Path, PruneStats, error) {
 func (f *bfFinder) expand(b *bfNode) {
 	switch b.mode.To {
 	case core.EndUp:
-		for _, up := range f.g.Above(b.node) {
+		for _, up := range b.node.above {
 			f.enter(b, up, core.EndDown, b.node, "", "")
 		}
 	case core.EndDown:
-		for _, down := range f.g.Below(b.node) {
+		for _, down := range b.node.below {
 			f.enter(b, down, core.EndUp, b.node, "", "")
 		}
 	case core.EndPhy:
@@ -299,18 +320,18 @@ func (f *bfFinder) expand(b *bfNode) {
 		// of customer ports.
 		if b.node.Ref == f.spec.To {
 			if f.spec.ToPipe != "" {
-				if pa, ok := f.g.PhysAt(b.node, f.spec.ToPipe); ok && pa.External && pa.Pipe != b.entryPhys {
+				if pa, ok := b.node.physAt[f.spec.ToPipe]; ok && pa.External && pa.Pipe != b.entryPhys {
 					f.maybeAccept(b, pa.Pipe)
 				}
 			} else {
-				for _, pa := range f.g.Externals(b.node) {
+				for _, pa := range b.node.externals {
 					if pa.Pipe != b.entryPhys {
 						f.maybeAccept(b, pa.Pipe)
 					}
 				}
 			}
 		}
-		for _, pa := range f.g.Wires(b.node) {
+		for _, pa := range b.node.wires {
 			if pa.Pipe != b.entryPhys { // never exit the pipe we entered on
 				f.enter(b, pa.Peer, core.EndPhy, nil, pa.PeerPipe, pa.Pipe)
 			}
@@ -401,11 +422,6 @@ func (f *bfFinder) makeChild(parent *bfNode, node *Node, mode core.SwitchMode, e
 			child.pipes++ // the parent exits through an up-down pipe
 		}
 		child.fast = parent.fast
-		child.mods = parent.mods + ", " + string(node.Ref.Module)
-		child.modes = parent.modes + mode.String()
-	} else {
-		child.mods = string(node.Ref.Module)
-		child.modes = mode.String()
 	}
 	if node.Abs.Attributes["forwarding"] == "fast" {
 		child.fast = true

@@ -1,6 +1,8 @@
 package nm
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"conman/internal/core"
@@ -218,5 +220,93 @@ func TestPreferUnknownFlag(t *testing.T) {
 				t.Errorf("exhaustive=%v: exotic flavour %q expanded %d states, want 0", exhaustive, exotic, stats.Expanded)
 			}
 		}
+	}
+}
+
+// TestTieOrderMatchesJoinedStrings holds the best-first tie-break to
+// the order it stands in for: the module ids joined by ", " as
+// Path.Modules() prints them, then the concatenated switching modes as
+// modeString renders them. Seeded random pairs of equal-depth hop
+// chains share a random prefix; ids include proper prefixes of one
+// another ("e"/"e0"), every switching mode occurs, and a third of the
+// pairs differ only in their modes.
+func TestTieOrderMatchesJoinedStrings(t *testing.T) {
+	ids := []core.ModuleID{"a", "b", "e", "e0", "e01", "eth", "eth0", "f", "vlan", "vlan1"}
+	modes := []core.SwitchMode{
+		core.SwDownUp, core.SwUpDown, core.SwDownDown, core.SwUpUp, core.SwUpPhy,
+		core.SwPhyUp, core.SwPhyPhy, core.SwPhyDown, core.SwDownPhy,
+	}
+	nodes := make([]*Node, len(ids))
+	for i, id := range ids {
+		nodes[i] = &Node{Ref: core.Ref(core.NameETH, "d", id)}
+	}
+	rankModuleIDs(nodes)
+
+	type hop struct {
+		node *Node
+		mode core.SwitchMode
+	}
+	chain := func(parent *bfNode, hops []hop) *bfNode {
+		for _, h := range hops {
+			parent = &bfNode{parent: parent, node: h.node, mode: h.mode}
+		}
+		return parent
+	}
+	joined := func(b *bfNode) (mods, modes string) {
+		var ms []string
+		for ; b != nil; b = b.parent {
+			ms = append([]string{string(b.node.Ref.Module)}, ms...)
+			modes = b.mode.String() + modes
+		}
+		return strings.Join(ms, ", "), modes
+	}
+	sign := func(x int) int {
+		switch {
+		case x < 0:
+			return -1
+		case x > 0:
+			return 1
+		}
+		return 0
+	}
+
+	rng := rand.New(rand.NewSource(39))
+	randHops := func(n int) []hop {
+		hs := make([]hop, n)
+		for i := range hs {
+			hs[i] = hop{nodes[rng.Intn(len(nodes))], modes[rng.Intn(len(modes))]}
+		}
+		return hs
+	}
+	modesOnly := 0
+	for trial := 0; trial < 20000; trial++ {
+		prefix := chain(nil, randHops(rng.Intn(5)))
+		depth := 1 + rng.Intn(6)
+		as, bs := randHops(depth), randHops(depth)
+		if trial%3 == 0 {
+			for i := range bs {
+				bs[i].node = as[i].node
+				if rng.Intn(2) == 0 {
+					bs[i].mode = as[i].mode
+				}
+			}
+		}
+		a, b := chain(prefix, as), chain(prefix, bs)
+		am, amodes := joined(a)
+		bm, bmodes := joined(b)
+		want := strings.Compare(am, bm)
+		if want == 0 {
+			want = strings.Compare(amodes, bmodes)
+			if amodes != bmodes {
+				modesOnly++
+			}
+		}
+		if got := sign(tieOrder(a, b)); got != want {
+			t.Fatalf("trial %d: tieOrder = %d, joined strings compare %d\n a: %s %s\n b: %s %s",
+				trial, got, want, am, amodes, bm, bmodes)
+		}
+	}
+	if modesOnly < 1000 {
+		t.Fatalf("only %d pairs differed in modes alone", modesOnly)
 	}
 }

@@ -2,17 +2,32 @@ package nm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"conman/internal/core"
 )
 
-// Node is one module in the potential-connectivity graph.
+// Node is one module in the potential-connectivity graph. Its edges are
+// its own fields, so a Path (whose hops point at nodes) keeps the graph
+// it was found on reachable.
 type Node struct {
 	Ref    core.ModuleRef
 	Abs    core.Abstraction
 	Domain string // address domain, for IP modules (§III-C pruning)
+
+	above, below []*Node // potential up-down neighbours, sorted by Ref
+	phys         []PhysAttachment
+	// Partitions of phys, built once so the finders do not rescan every
+	// customer port per expansion on an edge switch with thousands of
+	// external attachments: wires carries only resolved device-to-device
+	// links, externals only external ports, physAt indexes by pipe id.
+	wires, externals []PhysAttachment
+	physAt           map[core.PipeID]PhysAttachment
+	// idRank is Ref.Module's place among the graph's module ids in
+	// string order, so the best-first tie-break compares integers.
+	idRank int
 }
 
 // String renders the node as its module reference.
@@ -30,32 +45,14 @@ type PhysAttachment struct {
 // Graph is the NM's potential-connectivity graph: modules as nodes,
 // potential up-down pipes and discovered physical pipes as edges (Fig 5).
 type Graph struct {
-	nodes   map[string]*Node
+	nodes   map[core.ModuleRef]*Node
 	ordered []*Node
-	above   map[string][]*Node
-	below   map[string][]*Node
-	phys    map[string][]PhysAttachment
-	// Partitions of phys, built once so the finders do not rescan every
-	// customer port per expansion on an edge switch with thousands of
-	// external attachments: wires carries only resolved device-to-device
-	// links, externals only external ports, physAt indexes by pipe id.
-	wires     map[string][]PhysAttachment
-	externals map[string][]PhysAttachment
-	physAt    map[string]map[core.PipeID]PhysAttachment
 }
 
 // BuildGraph constructs the graph from everything the NM has learnt
 // through topology reports and showPotential.
 func BuildGraph(n *NM) (*Graph, error) {
-	g := &Graph{
-		nodes:     make(map[string]*Node),
-		above:     make(map[string][]*Node),
-		below:     make(map[string][]*Node),
-		phys:      make(map[string][]PhysAttachment),
-		wires:     make(map[string][]PhysAttachment),
-		externals: make(map[string][]PhysAttachment),
-		physAt:    make(map[string]map[core.PipeID]PhysAttachment),
-	}
+	g := &Graph{nodes: make(map[core.ModuleRef]*Node)}
 	// Nodes.
 	type portTop struct {
 		peerDev  core.DeviceID
@@ -83,10 +80,11 @@ func BuildGraph(n *NM) (*Graph, error) {
 	for _, dm := range devs {
 		for _, abs := range dm.mods {
 			node := &Node{Ref: abs.Ref, Abs: abs.Clone(), Domain: abs.Attributes["address-domain"]}
-			g.nodes[node.Ref.String()] = node
+			g.nodes[node.Ref] = node
 			g.ordered = append(g.ordered, node)
 		}
 	}
+	rankModuleIDs(g.ordered)
 	// Potential up-down edges within each device.
 	for _, dm := range devs {
 		for _, upper := range dm.mods {
@@ -95,10 +93,9 @@ func BuildGraph(n *NM) (*Graph, error) {
 					continue
 				}
 				if upper.Down.CanConnect(lower.Ref.Name) && lower.Up.CanConnect(upper.Ref.Name) {
-					u := g.nodes[upper.Ref.String()]
-					l := g.nodes[lower.Ref.String()]
-					g.below[u.Ref.String()] = append(g.below[u.Ref.String()], l)
-					g.above[l.Ref.String()] = append(g.above[l.Ref.String()], u)
+					u, l := g.nodes[upper.Ref], g.nodes[lower.Ref]
+					u.below = append(u.below, l)
+					l.above = append(l.above, u)
 				}
 			}
 		}
@@ -110,13 +107,13 @@ func BuildGraph(n *NM) (*Graph, error) {
 		for _, abs := range dm.mods {
 			for _, pp := range abs.Physical {
 				port := strings.TrimPrefix(string(pp.Pipe), "Phy-")
-				portOwner[string(dm.dev)+"/"+port] = g.nodes[abs.Ref.String()]
+				portOwner[string(dm.dev)+"/"+port] = g.nodes[abs.Ref]
 			}
 		}
 	}
 	for _, dm := range devs {
 		for _, abs := range dm.mods {
-			node := g.nodes[abs.Ref.String()]
+			node := g.nodes[abs.Ref]
 			for _, pp := range abs.Physical {
 				port := strings.TrimPrefix(string(pp.Pipe), "Phy-")
 				t, ok := dm.top[port]
@@ -129,59 +126,53 @@ func BuildGraph(n *NM) (*Graph, error) {
 						att.PeerPipe = core.PipeID("Phy-" + t.peerPort)
 					}
 				}
-				key := node.Ref.String()
-				g.phys[key] = append(g.phys[key], att)
+				node.phys = append(node.phys, att)
 				switch {
 				case att.External:
-					g.externals[key] = append(g.externals[key], att)
+					node.externals = append(node.externals, att)
 				case att.Peer != nil:
-					g.wires[key] = append(g.wires[key], att)
+					node.wires = append(node.wires, att)
 				}
-				if g.physAt[key] == nil {
-					g.physAt[key] = make(map[core.PipeID]PhysAttachment)
+				if node.physAt == nil {
+					node.physAt = make(map[core.PipeID]PhysAttachment)
 				}
-				g.physAt[key][att.Pipe] = att
+				node.physAt[att.Pipe] = att
 			}
 		}
 	}
 	// Deterministic neighbour ordering.
-	for _, m := range []map[string][]*Node{g.above, g.below} {
-		for k := range m {
-			sort.Slice(m[k], func(i, j int) bool { return m[k][i].Ref.String() < m[k][j].Ref.String() })
-		}
+	byRef := func(ns []*Node) {
+		sort.Slice(ns, func(i, j int) bool { return ns[i].Ref.String() < ns[j].Ref.String() })
+	}
+	for _, node := range g.ordered {
+		byRef(node.above)
+		byRef(node.below)
 	}
 	return g, nil
 }
 
+// rankModuleIDs sets every node's idRank: the position of its module id
+// among the distinct ids in string order.
+func rankModuleIDs(nodes []*Node) {
+	ids := make([]string, 0, len(nodes))
+	for _, n := range nodes {
+		ids = append(ids, string(n.Ref.Module))
+	}
+	sort.Strings(ids)
+	ids = slices.Compact(ids)
+	for _, n := range nodes {
+		n.idRank, _ = slices.BinarySearch(ids, string(n.Ref.Module))
+	}
+}
+
 // Node fetches a node by reference.
 func (g *Graph) Node(ref core.ModuleRef) (*Node, bool) {
-	n, ok := g.nodes[ref.String()]
+	n, ok := g.nodes[ref]
 	return n, ok
 }
 
 // Nodes returns all nodes.
 func (g *Graph) Nodes() []*Node { return append([]*Node(nil), g.ordered...) }
-
-// Above returns the modules that can sit above n.
-func (g *Graph) Above(n *Node) []*Node { return g.above[n.Ref.String()] }
-
-// Below returns the modules that can sit below n.
-func (g *Graph) Below(n *Node) []*Node { return g.below[n.Ref.String()] }
-
-// Phys returns n's physical attachments.
-func (g *Graph) Phys(n *Node) []PhysAttachment { return g.phys[n.Ref.String()] }
-
-// Wires returns n's resolved device-to-device attachments only.
-func (g *Graph) Wires(n *Node) []PhysAttachment { return g.wires[n.Ref.String()] }
-
-// Externals returns n's external attachments only.
-func (g *Graph) Externals(n *Node) []PhysAttachment { return g.externals[n.Ref.String()] }
-
-// PhysAt fetches one attachment of n by pipe id.
-func (g *Graph) PhysAt(n *Node, pipe core.PipeID) (PhysAttachment, bool) {
-	pa, ok := g.physAt[n.Ref.String()][pipe]
-	return pa, ok
-}
 
 // DeviceSubgraph renders the potential-connectivity sub-graph of one
 // device as an edge list (the paper's Fig 5).
@@ -191,7 +182,7 @@ func (g *Graph) DeviceSubgraph(dev core.DeviceID) []string {
 		if n.Ref.Device != dev {
 			continue
 		}
-		for _, b := range g.Below(n) {
+		for _, b := range n.below {
 			lines = append(lines, fmt.Sprintf("%s -- down/up pipe -- %s", n.Ref, b.Ref))
 		}
 		for _, m := range n.Abs.Switch.Modes {
@@ -199,7 +190,7 @@ func (g *Graph) DeviceSubgraph(dev core.DeviceID) []string {
 				lines = append(lines, fmt.Sprintf("%s has %s switching", n.Ref, m))
 			}
 		}
-		for _, pa := range g.Phys(n) {
+		for _, pa := range n.phys {
 			if pa.External {
 				lines = append(lines, fmt.Sprintf("%s -- physical pipe %s -- (external)", n.Ref, pa.Pipe))
 			} else if pa.Peer != nil {
@@ -239,7 +230,7 @@ func (g *Graph) DOT(dev core.DeviceID) string {
 		if n.Ref.Device != dev {
 			continue
 		}
-		for _, lower := range g.Below(n) {
+		for _, lower := range n.below {
 			key := n.Ref.String() + "--" + lower.Ref.String()
 			if seen[key] {
 				continue
@@ -247,7 +238,7 @@ func (g *Graph) DOT(dev core.DeviceID) string {
 			seen[key] = true
 			fmt.Fprintf(&b, "  %q -- %q;\n", lower.Ref.String(), n.Ref.String())
 		}
-		for _, pa := range g.Phys(n) {
+		for _, pa := range n.phys {
 			if pa.External {
 				fmt.Fprintf(&b, "  %q -- %q [style=dashed,label=%q];\n", n.Ref.String(), "external:"+string(pa.Pipe), string(pa.Pipe))
 			}

@@ -70,9 +70,9 @@ import (
 	"conman/internal/nm/datastore"
 )
 
-// DefaultWorkers bounds the NM's concurrent device fan-out when
-// NM.Workers is unset. Per-device management work is dominated by
-// channel round trips, so a pool larger than GOMAXPROCS still pays off.
+// DefaultWorkers bounds the NM's concurrent device fan-out. Per-device
+// management work is dominated by channel round trips, so a pool larger
+// than GOMAXPROCS still pays off.
 const DefaultWorkers = 16
 
 // Counters tracks the NM's management-channel traffic in the categories
@@ -256,11 +256,6 @@ type NM struct {
 	// traffic). The default is concurrent fan-out. Set before the first
 	// DiscoverAll/Execute call; it is read without locking.
 	Sequential bool
-
-	// Workers bounds the concurrent fan-out of DiscoverAll and of
-	// Execute's device chains. Zero or negative selects DefaultWorkers. Set before
-	// the first DiscoverAll/Execute call; it is read without locking.
-	Workers int
 }
 
 // relayIDBase keeps relay envelope ids disjoint from the NM's own call
@@ -809,20 +804,12 @@ func (n *NM) DiscoverAll() error {
 	})
 }
 
-// workerCount resolves the effective fan-out bound.
-func (n *NM) workerCount() int {
-	if n.Workers > 0 {
-		return n.Workers
-	}
-	return DefaultWorkers
-}
-
 // forEach runs fn(0..count-1) on a bounded worker pool (or in order when
 // n.Sequential is set). All indexes run even if some fail; the returned
 // error is the lowest-index one, so failures are reported
 // deterministically regardless of goroutine scheduling.
 func (n *NM) forEach(count int, fn func(i int) error) error {
-	workers := n.workerCount()
+	workers := DefaultWorkers
 	if workers > count {
 		workers = count
 	}

@@ -136,17 +136,17 @@ func TestGraphConstruction(t *testing.T) {
 		t.Fatalf("domain = %q", gNode.Domain)
 	}
 	// g can sit above both ETH modules and the other IP module.
-	if len(g.Below(gNode)) != 3 {
-		t.Fatalf("below(g) = %v", g.Below(gNode))
+	if len(gNode.below) != 3 {
+		t.Fatalf("below(g) = %v", gNode.below)
 	}
 	// Physical edge resolution across the R1-R2 wire.
 	bNode, _ := g.Node(core.Ref(core.NameETH, "R1", "b"))
-	phys := g.Phys(bNode)
+	phys := bNode.phys
 	if len(phys) != 1 || phys[0].Peer == nil || phys[0].Peer.Ref.Module != "c" {
 		t.Fatalf("phys(b) = %+v", phys)
 	}
 	aNode, _ := g.Node(core.Ref(core.NameETH, "R1", "a"))
-	if pa := g.Phys(aNode); len(pa) != 1 || !pa[0].External {
+	if pa := aNode.phys; len(pa) != 1 || !pa[0].External {
 		t.Fatalf("phys(a) = %+v", pa)
 	}
 }
@@ -357,7 +357,6 @@ func TestExecutionChains(t *testing.T) {
 
 func TestForEachDeterministicError(t *testing.T) {
 	n := New()
-	n.Workers = 8
 	// Two failures: the lowest index must win no matter how goroutines
 	// are scheduled.
 	for trial := 0; trial < 20; trial++ {

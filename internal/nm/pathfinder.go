@@ -132,10 +132,9 @@ type FindSpec struct {
 }
 
 type finder struct {
-	g        *Graph
 	spec     FindSpec
 	stats    PruneStats
-	visited  map[string]int
+	visited  map[*Node]int
 	hops     []Hop
 	groups   []PeerGroup
 	stack    []int // group indices, top first
@@ -165,9 +164,8 @@ func (g *Graph) FindPaths(spec FindSpec) ([]*Path, PruneStats, error) {
 		return nil, PruneStats{}, err
 	}
 	f := &finder{
-		g:       g,
 		spec:    spec,
-		visited: make(map[string]int),
+		visited: make(map[*Node]int),
 		max:     spec.MaxPaths,
 		// Twice the node count: the bound the per-module visit rule
 		// already implies, so long chains enumerate without an
@@ -215,11 +213,11 @@ func (g *Graph) resolveEndpoints(spec FindSpec) (*Node, core.PipeID, error) {
 	if spec.FromPipe != "" {
 		// Pinned entry port: direct lookup instead of scanning an edge
 		// switch's customer ports.
-		if pa, ok := g.PhysAt(from, spec.FromPipe); ok && pa.External {
+		if pa, ok := from.physAt[spec.FromPipe]; ok && pa.External {
 			entryPipe = pa.Pipe
 		}
 	} else {
-		for _, pa := range g.Phys(from) {
+		for _, pa := range from.phys {
 			if pa.External {
 				entryPipe = pa.Pipe
 				break
@@ -277,13 +275,12 @@ func (f *finder) visit(node *Node, entry core.PipeEnd, entryVia *Node, entryPhys
 	if len(f.paths) >= f.max || len(f.hops) >= f.maxDepth {
 		return
 	}
-	key := node.Ref.String()
-	if f.visited[key] >= visitLimit(node) {
+	if f.visited[node] >= visitLimit(node) {
 		f.stats.Visited++
 		return
 	}
-	f.visited[key]++
-	defer func() { f.visited[key]-- }()
+	f.visited[node]++
+	defer func() { f.visited[node]-- }()
 	f.stats.Expanded++
 
 	var modes []core.SwitchMode
@@ -376,19 +373,19 @@ func (f *finder) explore(node *Node, mode core.SwitchMode) {
 	hopIdx := len(f.hops) - 1
 	switch mode.To {
 	case core.EndUp:
-		for _, up := range f.g.Above(node) {
+		for _, up := range node.above {
 			f.hops[hopIdx].ExitVia = up
 			f.visit(up, core.EndDown, node, "")
 		}
 		f.hops[hopIdx].ExitVia = nil
 	case core.EndDown:
-		for _, down := range f.g.Below(node) {
+		for _, down := range node.below {
 			f.hops[hopIdx].ExitVia = down
 			f.visit(down, core.EndUp, node, "")
 		}
 		f.hops[hopIdx].ExitVia = nil
 	case core.EndPhy:
-		for _, pa := range f.g.Phys(node) {
+		for _, pa := range node.phys {
 			if pa.Pipe == f.hops[hopIdx].EntryPhys {
 				continue // never exit the pipe we entered on
 			}
