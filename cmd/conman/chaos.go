@@ -64,8 +64,7 @@ func runChaos(_ string, args []string) error {
 			return err
 		}
 	}
-	metrics := obs.NewMetrics()
-	d, stop := tb.StartDaemon(nm.DaemonConfig{Metrics: metrics})
+	d, stop := tb.StartDaemon(nm.DaemonConfig{})
 	defer stop()
 
 	episode := func() error {
@@ -115,7 +114,7 @@ func runChaos(_ string, args []string) error {
 		return episode()
 	}
 	// The surface is up for the whole episode and stays up afterwards.
-	mux := obs.NewMux(func() any { return d.Status() }, metrics)
+	mux := obs.NewMux(func() any { return d.Status() }, d.Metrics())
 	return serveUntilSignal(*addr, mux, func(at net.Addr) error {
 		fmt.Printf("conman chaos: listening on http://%s (/status /metrics)\n", at)
 		if err := episode(); err != nil {

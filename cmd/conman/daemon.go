@@ -101,16 +101,11 @@ func runDaemon(_ string, args []string) error {
 		}
 	}
 
-	metrics := obs.NewMetrics()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	d, stop := tb.StartDaemon(nm.DaemonConfig{
-		Poll:    *poll,
-		Logger:  logger,
-		Metrics: metrics,
-	})
+	d, stop := tb.StartDaemon(nm.DaemonConfig{Poll: *poll, Logger: logger})
 	defer stop()
 
-	mux := obs.NewMux(func() any { return d.Status() }, metrics)
+	mux := obs.NewMux(func() any { return d.Status() }, d.Metrics())
 	mux.HandleFunc("/chaos/kill-wire", chaosWire(tb, false))
 	mux.HandleFunc("/chaos/restore-wire", chaosWire(tb, true))
 

@@ -51,16 +51,8 @@ func runTransport(_ string, args []string) error {
 	}
 	// UDP relays settle asynchronously: wait for the NM counters to
 	// quiesce, then verify delivery (retrying while late floods land).
-	settleCounters(tb, 20*time.Second)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		err = tb.VerifyConnectivity(uint32(96000 + time.Now().UnixNano()%1000))
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
+	tb.SettleCounters(20 * time.Second)
+	if err := tb.VerifyUntil(96000, 30*time.Second); err != nil {
 		return fmt.Errorf("transport: data plane not converged: %w", err)
 	}
 	elapsed := time.Since(start)
@@ -74,13 +66,24 @@ func runTransport(_ string, args []string) error {
 	if *addr == "" {
 		return nil
 	}
+	// Every series is read from the transport and the NM at scrape time.
 	metrics := obs.NewMetrics()
-	syncTransportMetrics(metrics, fn, tb)
-	go func() {
-		for range time.Tick(500 * time.Millisecond) {
-			syncTransportMetrics(metrics, fn, tb)
-		}
-	}()
+	type snap = channel.TransportSnapshot
+	stat := func(name, help string, v func(snap) uint64) {
+		metrics.CounterFunc(name, help, func() uint64 { return v(fn.Stats()) })
+	}
+	stat("conman_transport_datagrams_sent_total", "UDP datagrams written", func(s snap) uint64 { return s.DatagramsSent })
+	stat("conman_transport_data_frames_total", "sequenced data frames (first transmissions)", func(s snap) uint64 { return s.DataFrames })
+	stat("conman_transport_batched_datagrams_total", "datagrams carrying more than one envelope", func(s snap) uint64 { return s.BatchedDatagrams })
+	stat("conman_transport_retransmits_total", "frame retransmissions", func(s snap) uint64 { return s.Retransmits })
+	stat("conman_transport_ack_only_total", "standalone ack frames", func(s snap) uint64 { return s.AckOnly })
+	stat("conman_transport_dup_frames_total", "duplicate frames deduplicated at receivers", func(s snap) uint64 { return s.DupFrames })
+	stat("conman_transport_envelopes_sent_total", "envelopes accepted for send", func(s snap) uint64 { return s.EnvelopesSent })
+	stat("conman_transport_envelopes_delivered_total", "envelopes delivered to handlers", func(s snap) uint64 { return s.EnvelopesDelivered })
+	stat("conman_transport_backlog_drops_total", "sends rejected with a full queue", func(s snap) uint64 { return s.BacklogDrops })
+	metrics.CounterFunc("conman_nm_call_retries_total", "NM request retransmissions", tb.NM.CallRetries)
+	metrics.GaugeFunc("conman_transport_queue_high_water", "peak per-peer send queue depth",
+		func() uint64 { return fn.Stats().QueueHighWater })
 	mux := obs.NewMux(func() any {
 		return map[string]any{
 			"transport":       fn.Stats(),
@@ -97,46 +100,4 @@ func runTransport(_ string, args []string) error {
 		fmt.Println("transport: shut down")
 	}
 	return err
-}
-
-// syncTransportMetrics mirrors the transport's monotonic snapshot into
-// the obs registry (counters advance by delta; the queue high-water mark
-// is a gauge).
-func syncTransportMetrics(m *obs.Metrics, fn *channel.FaultyNetwork, tb *experiments.Testbed) {
-	s := fn.Stats()
-	set := func(name, help string, v uint64) {
-		c := m.Counter(name, help)
-		if cur := c.Get(); v > cur {
-			c.Add(v - cur)
-		}
-	}
-	set("conman_transport_datagrams_sent_total", "UDP datagrams written", s.DatagramsSent)
-	set("conman_transport_data_frames_total", "sequenced data frames (first transmissions)", s.DataFrames)
-	set("conman_transport_batched_datagrams_total", "datagrams carrying more than one envelope", s.BatchedDatagrams)
-	set("conman_transport_retransmits_total", "frame retransmissions", s.Retransmits)
-	set("conman_transport_ack_only_total", "standalone ack frames", s.AckOnly)
-	set("conman_transport_dup_frames_total", "duplicate frames deduplicated at receivers", s.DupFrames)
-	set("conman_transport_envelopes_sent_total", "envelopes accepted for send", s.EnvelopesSent)
-	set("conman_transport_envelopes_delivered_total", "envelopes delivered to handlers", s.EnvelopesDelivered)
-	set("conman_transport_backlog_drops_total", "sends rejected with a full queue", s.BacklogDrops)
-	set("conman_nm_call_retries_total", "NM request retransmissions", tb.NM.CallRetries())
-	m.Gauge("conman_transport_queue_high_water", "peak per-peer send queue depth").Set(s.QueueHighWater)
-}
-
-// settleCounters polls the NM counters until several consecutive reads
-// are identical (the CLI twin of the experiments' waitStableCounters).
-func settleCounters(tb *experiments.Testbed, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	last := tb.NM.Counters()
-	stable := 0
-	for stable < 10 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		cur := tb.NM.Counters()
-		if cur == last {
-			stable++
-		} else {
-			stable = 0
-			last = cur
-		}
-	}
 }

@@ -319,16 +319,8 @@ func TestGREIGPOverUDP(t *testing.T) {
 	if _, err := sc.ConfigureLinear(tb, n); err != nil {
 		t.Fatal(err)
 	}
-	waitStableCounters(t, tb, 10*time.Second)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		err = tb.VerifyConnectivity(uint32(95000 + time.Now().UnixNano()%1000))
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
+	tb.SettleCounters(10 * time.Second)
+	if err := tb.VerifyUntil(95000, 10*time.Second); err != nil {
 		t.Fatalf("over UDP: %v", err)
 	}
 }

@@ -425,7 +425,7 @@ func TestLinearScaleOverUDP(t *testing.T) {
 			// Unlike the synchronous Hub, UDP delivers module relays
 			// asynchronously: wait until the counters quiesce before
 			// checking the Table VI formulas.
-			c := waitStableCounters(t, tb, 5*time.Second)
+			c := tb.SettleCounters(5 * time.Second)
 			if c.Sent() != sc.WantSent(n) || c.Received() != sc.WantRecv(n) {
 				t.Errorf("over UDP: sent %d (want %d), received %d (want %d)",
 					c.Sent(), sc.WantSent(n), c.Received(), sc.WantRecv(n))
@@ -441,30 +441,5 @@ func newUDPFactory(t *testing.T) EndpointFactory {
 	udp := channel.NewUDPNetwork()
 	return func(name string) (channel.Endpoint, error) {
 		return udp.Endpoint(name)
-	}
-}
-
-// waitStableCounters polls the NM counters until they stop changing
-// (several consecutive identical reads), for asynchronous transports.
-func waitStableCounters(t *testing.T, tb *Testbed, timeout time.Duration) nm.Counters {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	last := tb.NM.Counters()
-	stable := 0
-	for {
-		time.Sleep(10 * time.Millisecond)
-		cur := tb.NM.Counters()
-		if cur == last {
-			stable++
-			if stable >= 10 {
-				return cur
-			}
-		} else {
-			stable = 0
-			last = cur
-		}
-		if time.Now().After(deadline) {
-			return cur
-		}
 	}
 }

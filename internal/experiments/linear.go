@@ -132,6 +132,41 @@ func (tb *Testbed) waitAnnounced(timeout time.Duration) error {
 	}
 }
 
+// SettleCounters waits until the NM's message counters stop moving
+// (ten identical reads 10 ms apart) or timeout passes, and returns the
+// last read. Module relays keep landing after Apply returns on an
+// asynchronous transport (UDP); on the synchronous Hub the counters are
+// already still.
+func (tb *Testbed) SettleCounters(timeout time.Duration) nm.Counters {
+	deadline := time.Now().Add(timeout)
+	last := tb.NM.Counters()
+	for stable := 0; stable < 10 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		if cur := tb.NM.Counters(); cur == last {
+			stable++
+		} else {
+			stable, last = 0, cur
+		}
+	}
+	return last
+}
+
+// VerifyUntil retries VerifyConnectivity every 20 ms until it passes or
+// timeout passes, and returns the last error: after the counters settle,
+// late floods can still be installing routes. Attempt i probes with
+// token base+2i (VerifyPair also sends token+1), so an attempt never
+// takes an earlier attempt's late echo for its own.
+func (tb *Testbed) VerifyUntil(base uint32, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for token := base; ; token += 2 {
+		err := tb.VerifyConnectivity(token)
+		if err == nil || time.Now().After(deadline) {
+			return err
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 func (tb *Testbed) wire(n int) error {
 	if err := connect(tb.Net, "D-R1",
 		netsim.PortID{Device: "D", Name: "eth0"},

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"conman/internal/netsim"
 	"conman/internal/nm"
+	"conman/internal/nm/datastore"
 )
 
 // configureWithMode builds a fresh linear-n testbed and configures it in
@@ -237,16 +239,21 @@ func TestConcurrentFasterOnLatentChannel(t *testing.T) {
 // GRE+IGP chain at n=128 on the in-process hub, configured
 // sequentially. After Plan, a counter reset, Apply and a delivered
 // probe, the NM has exchanged exactly 17 656 messages, 128 of them
-// command batches, and the kernels have executed 21 operations. The
-// numbers are the same at every GOMAXPROCS, so a change to the
-// compiler, the IGP or the device MA that moves one re-pins it here
-// and says why.
+// command batches, and the kernels have executed 21 operations. Each
+// Plan reads every occupied router once and Apply reads none, so the
+// Plan and a re-plan after Apply send 128 + 128 showActual requests (the
+// bench's 256 show_actual envelopes are the first Plan's 128 requests
+// and their 128 replies).
+// The numbers are the same at every GOMAXPROCS, so a change to the
+// compiler, the IGP, the observation cache or the device MA that moves
+// one re-pins it here and says why.
 func TestHubChainExactCounters(t *testing.T) {
 	const (
 		n           = 128
 		wantMsgs    = 17656 // Counters().Sent() + Received()
 		wantCmdSent = 128
-		wantExecOps = 21 // Σ kernel ExecLog over every device
+		wantExecOps = 21  // Σ kernel ExecLog over every device
+		wantShowReq = 256 // Σ Plan.Stats.Observed over both Plans
 	)
 	sc := GREIGPScenario()
 	tb, err := sc.Build(n)
@@ -279,5 +286,76 @@ func TestHubChainExactCounters(t *testing.T) {
 	}
 	if ops != wantExecOps {
 		t.Errorf("kernel operations = %d, want %d", ops, wantExecOps)
+	}
+	again, err := sc.PlanLinear(tb, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Empty() {
+		t.Fatalf("re-plan on the configured chain is not empty:\n%s", again.Render())
+	}
+	if got := plan.Stats.Observed + again.Stats.Observed; got != wantShowReq {
+		t.Errorf("showActual requests = %d (%d + %d), want %d",
+			got, plan.Stats.Observed, again.Stats.Observed, wantShowReq)
+	}
+}
+
+// countingBackend counts journal appends on their way to an in-memory
+// backend.
+type countingBackend struct {
+	*datastore.MemBackend
+	appends int
+}
+
+func (b *countingBackend) Append(e datastore.Entry) error {
+	b.appends++
+	return b.MemBackend.Append(e)
+}
+
+// TestStoreChurnExactAppends pins the journal cost of a store operation
+// (store-churn's datastore.appends_per_op): on a store of a few hundred
+// intents, a Submit or Withdraw and the Reconcile that carries it out
+// append exactly three entries — the operation, apply-begin and commit.
+func TestStoreChurnExactAppends(t *testing.T) {
+	const resident, spare, churn, wantPerOp = 200, 100, 200, 3
+	tb, err := BuildDiamondLite(resident + spare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	b := &countingBackend{MemBackend: datastore.NewMemBackend()}
+	if _, err := tb.NM.Persist(b); err != nil {
+		t.Fatal(err)
+	}
+	live := map[int]bool{}
+	for j := 1; j <= resident; j++ {
+		live[j] = true
+		if err := tb.NM.Submit(LiteIntent(j)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(t, tb)
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < churn; i++ {
+		j := 1 + rng.Intn(resident+spare)
+		before, op := b.appends, "submit"
+		if live[j] = !live[j]; live[j] {
+			err = tb.NM.Submit(LiteIntent(j))
+		} else {
+			op, err = "withdraw", tb.NM.Withdraw(LiteIntent(j).Name)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := tb.NM.Reconcile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Empty() {
+			t.Fatalf("operation %d (%s %d): reconcile had nothing to do", i, op, j)
+		}
+		if got := b.appends - before; got != wantPerOp {
+			t.Fatalf("operation %d (%s %d) appended %d journal entries, want %d", i, op, j, got, wantPerOp)
+		}
 	}
 }

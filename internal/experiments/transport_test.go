@@ -44,16 +44,8 @@ func runLossyLinear(t *testing.T, n int) {
 	if _, err := sc.ConfigureLinear(tb, n); err != nil {
 		t.Fatal(err)
 	}
-	waitStableCounters(t, tb, 20*time.Second)
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		err = tb.VerifyConnectivity(uint32(97000 + time.Now().UnixNano()%1000))
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
+	tb.SettleCounters(20 * time.Second)
+	if err := tb.VerifyUntil(97000, 20*time.Second); err != nil {
 		t.Fatalf("lossy UDP n=%d: %v", n, err)
 	}
 

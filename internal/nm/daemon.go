@@ -53,18 +53,6 @@ type DaemonConfig struct {
 	// Logger receives structured reconcile logs with per-reconcile
 	// trace IDs; nil discards them.
 	Logger *slog.Logger
-	// Metrics is the registry the daemon publishes into; nil creates a
-	// private one (see Daemon.Metrics).
-	Metrics *obs.Metrics
-}
-
-func (c *DaemonConfig) defaults() {
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewMetrics()
-	}
 }
 
 // IntentHealth is one intent's slice of the daemon's status snapshot.
@@ -96,9 +84,10 @@ func (s DaemonStatus) Healthy() bool {
 
 // Daemon is the autonomous reconciliation loop over one NM.
 type Daemon struct {
-	nm  *NM
-	cfg DaemonConfig
-	log *slog.Logger
+	nm      *NM
+	cfg     DaemonConfig
+	log     *slog.Logger
+	metrics *obs.Metrics
 
 	mReconcile    *obs.Histogram
 	mTrigConverge *obs.Histogram
@@ -110,13 +99,10 @@ type Daemon struct {
 	cTrigger      *obs.Counter
 	cTopology     *obs.Counter
 	cPoll         *obs.Counter
-	cDropped      *obs.Counter
 	cCacheHits    *obs.Counter
 	cCacheMisses  *obs.Counter
 	cRecompiles   *obs.Counter
 	cObserves     *obs.Counter
-	cJournal      *obs.Counter
-	cSnapshots    *obs.Counter
 
 	mu          sync.Mutex
 	running     bool
@@ -130,53 +116,55 @@ type Daemon struct {
 	lastViews   []*IntentView
 	unreachable []core.DeviceID
 	traceSeq    uint64
-	lastDropped uint64
-	// lastJournal/lastSnapshots are the delta baselines for the
-	// persistence counters (the NM counts absolutes; the metrics are
-	// monotone counters fed per epoch).
-	lastJournal   uint64
-	lastSnapshots uint64
 }
 
 // NewDaemon builds a daemon over the NM. Call Run to start it.
 func NewDaemon(n *NM, cfg DaemonConfig) *Daemon {
-	cfg.defaults()
-	m := cfg.Metrics
-	return &Daemon{
-		nm:  n,
-		cfg: cfg,
-		log: cfg.Logger,
-		mReconcile: m.Histogram("conman_reconcile_latency_seconds",
-			"Wall-clock latency of one Reconcile pass"),
-		mTrigConverge: m.Histogram("conman_trigger_to_converged_seconds",
-			"Time from the first event of a dirty epoch to convergence"),
-		cRuns:   m.Counter("conman_reconcile_runs_total", "Reconcile passes executed"),
-		cErrors: m.Counter("conman_reconcile_errors_total", "Reconcile passes that failed"),
-		cInstalled: m.Counter("conman_components_installed_total",
-			"Components (pipes, routes/switch rules) created by the daemon"),
-		cWithdrawn: m.Counter("conman_components_withdrawn_total",
-			"Components deleted by the daemon"),
-		cNotify:   m.Counter("conman_events_notify_total", "Module notifications processed (push)"),
-		cTrigger:  m.Counter("conman_events_trigger_total", "Dependency triggers processed (push)"),
-		cTopology: m.Counter("conman_events_topology_total", "Topology changes processed (push)"),
-		cPoll:     m.Counter("conman_events_poll_total", "Periodic audit passes (pull)"),
-		cDropped:  m.Counter("conman_events_dropped_total", "Events dropped on a full subscriber buffer"),
-		cCacheHits: m.Counter("conman_observe_cache_hits_total",
-			"Occupied devices served from the observation cache"),
-		cCacheMisses: m.Counter("conman_observe_cache_misses_total",
-			"Occupied devices re-observed because their generation moved"),
-		cRecompiles: m.Counter("conman_store_recompiles_total",
-			"Intents recompiled by reconcile passes (dirty ones only)"),
-		cObserves: m.Counter("conman_observes_total",
-			"Devices fetched fresh via showActual by reconcile passes"),
-		cJournal:   m.Counter("conman_journal_entries_total", "Journal entries appended"),
-		cSnapshots: m.Counter("conman_snapshot_writes_total", "Datastore snapshots written"),
-		dirty:      make(map[string]bool),
+	log := cfg.Logger
+	if log == nil {
+		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	m := obs.NewMetrics()
+	d := &Daemon{nm: n, cfg: cfg, log: log, metrics: m, dirty: make(map[string]bool)}
+	d.mReconcile = m.Histogram("conman_reconcile_latency_seconds",
+		"Wall-clock latency of one Reconcile pass")
+	d.mTrigConverge = m.Histogram("conman_trigger_to_converged_seconds",
+		"Time from the first event of a dirty epoch to convergence")
+	d.cRuns = m.Counter("conman_reconcile_runs_total", "Reconcile passes executed")
+	d.cErrors = m.Counter("conman_reconcile_errors_total", "Reconcile passes that failed")
+	d.cInstalled = m.Counter("conman_components_installed_total",
+		"Components (pipes, routes/switch rules) created by the daemon")
+	d.cWithdrawn = m.Counter("conman_components_withdrawn_total",
+		"Components deleted by the daemon")
+	d.cNotify = m.Counter("conman_events_notify_total", "Module notifications processed (push)")
+	d.cTrigger = m.Counter("conman_events_trigger_total", "Dependency triggers processed (push)")
+	d.cTopology = m.Counter("conman_events_topology_total", "Topology changes processed (push)")
+	d.cPoll = m.Counter("conman_events_poll_total", "Periodic audit passes (pull)")
+	// The NM keeps the event-drop and journal numbers; a scrape reads
+	// them there.
+	m.CounterFunc("conman_events_dropped_total", "Events dropped on a full subscriber buffer", n.EventsDropped)
+	d.cCacheHits = m.Counter("conman_observe_cache_hits_total",
+		"Occupied devices served from the observation cache")
+	d.cCacheMisses = m.Counter("conman_observe_cache_misses_total",
+		"Occupied devices re-observed because their generation moved")
+	d.cRecompiles = m.Counter("conman_store_recompiles_total",
+		"Intents recompiled by reconcile passes (dirty ones only)")
+	d.cObserves = m.Counter("conman_observes_total",
+		"Devices fetched fresh via showActual by reconcile passes")
+	m.CounterFunc("conman_journal_entries_total", "Journal entries appended",
+		func() uint64 { return n.JournalStatus().Entries })
+	m.CounterFunc("conman_snapshot_writes_total", "Datastore snapshots written",
+		func() uint64 { return n.JournalStatus().Snapshots })
+	m.GaugeFunc("conman_journal_bytes_since_snapshot", "Journal a restart would replay",
+		func() uint64 { return uint64(n.JournalStatus().SinceSnapshotBytes) })
+	m.GaugeFunc("conman_snapshot_bytes", "Last snapshot; the journal size that triggers the next",
+		func() uint64 { return uint64(n.JournalStatus().SnapshotBytes) })
+	return d
 }
 
-// Metrics returns the registry the daemon publishes into.
-func (d *Daemon) Metrics() *obs.Metrics { return d.cfg.Metrics }
+// Metrics returns the daemon's registry. The event-drop and journal
+// series are read from the NM when it is snapshotted or rendered.
+func (d *Daemon) Metrics() *obs.Metrics { return d.metrics }
 
 // Run executes the control loop until ctx is cancelled. It performs
 // one initial reconcile (establishing convergence on the current
@@ -309,10 +297,6 @@ func (d *Daemon) reconcileEpoch() bool {
 		plan, err := d.nm.Reconcile()
 		d.cRuns.Inc()
 		d.mReconcile.Observe(time.Since(t0).Seconds())
-		if delta := d.nm.EventsDropped() - d.lastDropped; delta > 0 {
-			d.cDropped.Add(delta)
-			d.lastDropped += delta
-		}
 		if err != nil {
 			return fail(err)
 		}
@@ -320,19 +304,6 @@ func (d *Daemon) reconcileEpoch() bool {
 		d.cCacheMisses.Add(uint64(plan.Stats.CacheMisses))
 		d.cRecompiles.Add(uint64(plan.Stats.Recompiled))
 		d.cObserves.Add(uint64(plan.Stats.Observed))
-		if js := d.nm.JournalStatus(); js.Enabled {
-			if delta := js.Entries - d.lastJournal; delta > 0 {
-				d.cJournal.Add(delta)
-				d.lastJournal += delta
-			}
-			if delta := js.Snapshots - d.lastSnapshots; delta > 0 {
-				d.cSnapshots.Add(delta)
-				d.lastSnapshots += delta
-			}
-			m := d.cfg.Metrics
-			m.Gauge("conman_journal_bytes_since_snapshot", "Journal a restart would replay").Set(uint64(js.SinceSnapshotBytes))
-			m.Gauge("conman_snapshot_bytes", "Last snapshot; the journal size that triggers the next").Set(uint64(js.SnapshotBytes))
-		}
 		creates, deletes := batchCounts(plan.Creates, plan.Deletes)
 		d.cInstalled.Add(uint64(creates))
 		d.cWithdrawn.Add(uint64(deletes))
@@ -362,6 +333,8 @@ func (d *Daemon) reconcileEpoch() bool {
 
 // Status snapshots the daemon for /status and conman doctor.
 func (d *Daemon) Status() DaemonStatus {
+	// The snapshot reads the NM, so it is taken before d.mu.
+	metrics := d.metrics.Snapshot()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := DaemonStatus{
@@ -370,7 +343,7 @@ func (d *Daemon) Status() DaemonStatus {
 		ConvergeGen: d.convergeGen,
 		Dirty:       sortedKeys(d.dirty),
 		Unreachable: append([]core.DeviceID(nil), d.unreachable...),
-		Metrics:     d.cfg.Metrics.Snapshot(),
+		Metrics:     metrics,
 	}
 	if d.events != nil {
 		s.PendingEvents = len(d.events)

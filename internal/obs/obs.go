@@ -1,8 +1,8 @@
 // Package obs provides the small observability surface the
-// reconciliation daemon exposes: named counters and fixed-bucket
-// histograms collected in a registry, rendered either as JSON
-// snapshots (the /status endpoint) or in Prometheus text exposition
-// format (the /metrics endpoint). It depends only on the standard
+// reconciliation daemon exposes: named counters, gauges and fixed-bucket
+// histograms collected in a registry, rendered either as JSON snapshots
+// (the /status endpoint) or in Prometheus text exposition format (the
+// /metrics endpoint). It depends only on the standard
 // library and knows nothing about the NM.
 package obs
 
@@ -27,19 +27,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Get returns the current value.
 func (c *Counter) Get() uint64 { return c.v.Load() }
-
-// Gauge is a value that can move in both directions (queue depths,
-// window occupancy). Updated with Set; transports publish snapshots of
-// internal state through it.
-type Gauge struct {
-	v atomic.Uint64
-}
-
-// Set replaces the current value.
-func (g *Gauge) Set(v uint64) { g.v.Store(v) }
-
-// Get returns the current value.
-func (g *Gauge) Get() uint64 { return g.v.Load() }
 
 // DefaultLatencyBuckets suit management-plane latencies: 1ms to 10s.
 var DefaultLatencyBuckets = []float64{
@@ -105,88 +92,99 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // Metrics is an ordered registry of counters, gauges and histograms.
+// A counter is either kept here (Counter) or read through (CounterFunc)
+// from the value its source already keeps, as every gauge is
+// (GaugeFunc): a read-through value is computed only when a snapshot or
+// a scrape asks for it, so it is never stale and there is no copy to
+// keep in step.
 type Metrics struct {
-	mu       sync.Mutex
-	order    []string
-	help     map[string]string
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	mu      sync.Mutex
+	order   []*entry          // guarded by mu
+	entries map[string]*entry // guarded by mu
+}
+
+// entry is one registered metric; it does not change once registered.
+type entry struct {
+	name, help string
+	kind       string        // the Prometheus TYPE: counter, gauge or histogram
+	counter    *Counter      // a counter kept here
+	hist       *Histogram    // a histogram
+	read       func() uint64 // a read-through counter or gauge
 }
 
 // NewMetrics creates an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		help:     make(map[string]string),
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+	return &Metrics{entries: make(map[string]*entry)}
+}
+
+// register adds e, or returns the entry already registered under its
+// name when both are kept here and of one kind (get-or-create). Any
+// other second registration of a name panics: rendering it twice, or
+// keeping only one of two values, would both misreport.
+func (m *Metrics) register(e *entry) *entry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if old, ok := m.entries[e.name]; ok {
+		if old.kind == e.kind && old.read == nil && e.read == nil {
+			return old
+		}
+		panic(fmt.Sprintf("obs: metric %q registered twice (as %s, then as %s)", e.name, old.kind, e.kind))
 	}
+	m.entries[e.name] = e
+	m.order = append(m.order, e)
+	return e
 }
 
 // Counter returns (creating on first use) the named counter.
 func (m *Metrics) Counter(name, help string) *Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.counters[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	m.counters[name] = c
-	m.help[name] = help
-	m.order = append(m.order, name)
-	return c
+	return m.register(&entry{name: name, help: help, kind: "counter", counter: &Counter{}}).counter
 }
 
-// Gauge returns (creating on first use) the named gauge.
-func (m *Metrics) Gauge(name, help string) *Gauge {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if g, ok := m.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{}
-	m.gauges[name] = g
-	m.help[name] = help
-	m.order = append(m.order, name)
-	return g
+// CounterFunc registers a counter whose value is read(), called on
+// every Snapshot and RenderPrometheus outside the registry's lock;
+// read must be monotone and safe for concurrent use.
+func (m *Metrics) CounterFunc(name, help string, read func() uint64) {
+	m.register(&entry{name: name, help: help, kind: "counter", read: read})
+}
+
+// GaugeFunc registers a gauge (a value that moves both ways: queue
+// depths, byte sizes) whose value is read(), called like CounterFunc's.
+func (m *Metrics) GaugeFunc(name, help string, read func() uint64) {
+	m.register(&entry{name: name, help: help, kind: "gauge", read: read})
 }
 
 // Histogram returns (creating on first use) the named histogram.
 func (m *Metrics) Histogram(name, help string, bounds ...float64) *Histogram {
+	return m.register(&entry{name: name, help: help, kind: "histogram", hist: NewHistogram(bounds...)}).hist
+}
+
+// entriesInOrder copies the registration order, so values are read
+// without the registry's lock held.
+func (m *Metrics) entriesInOrder() []*entry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if h, ok := m.hists[name]; ok {
-		return h
+	return append([]*entry(nil), m.order...)
+}
+
+// value reads a counter or gauge.
+func (e *entry) value() uint64 {
+	if e.counter != nil {
+		return e.counter.Get()
 	}
-	h := NewHistogram(bounds...)
-	m.hists[name] = h
-	m.help[name] = help
-	m.order = append(m.order, name)
-	return h
+	return e.read()
 }
 
 // Snapshot returns every metric's current value keyed by name
-// (counters as uint64, histograms as HistogramSnapshot), for the
-// /status JSON document.
+// (counters and gauges as uint64, histograms as HistogramSnapshot), for
+// the /status JSON document.
 func (m *Metrics) Snapshot() map[string]any {
-	m.mu.Lock()
-	names := append([]string(nil), m.order...)
-	m.mu.Unlock()
-	out := make(map[string]any, len(names))
-	for _, name := range names {
-		m.mu.Lock()
-		c, isC := m.counters[name]
-		g, isG := m.gauges[name]
-		h, isH := m.hists[name]
-		m.mu.Unlock()
-		switch {
-		case isC:
-			out[name] = c.Get()
-		case isG:
-			out[name] = g.Get()
-		case isH:
-			out[name] = h.Snapshot()
+	order := m.entriesInOrder()
+	out := make(map[string]any, len(order))
+	for _, e := range order {
+		if e.hist != nil {
+			out[e.name] = e.hist.Snapshot()
+		} else {
+			out[e.name] = e.value()
 		}
 	}
 	return out
@@ -195,31 +193,20 @@ func (m *Metrics) Snapshot() map[string]any {
 // RenderPrometheus renders the registry in Prometheus text exposition
 // format, in registration order.
 func (m *Metrics) RenderPrometheus() string {
-	m.mu.Lock()
-	names := append([]string(nil), m.order...)
-	m.mu.Unlock()
 	var b strings.Builder
-	for _, name := range names {
-		m.mu.Lock()
-		help := m.help[name]
-		c, isC := m.counters[name]
-		g, isG := m.gauges[name]
-		h, isH := m.hists[name]
-		m.mu.Unlock()
-		switch {
-		case isC:
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, c.Get())
-		case isG:
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, g.Get())
-		case isH:
-			snap := h.Snapshot()
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-			for _, bk := range snap.Buckets {
-				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", name, formatLe(bk.Le), bk.Count)
-			}
-			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", name, snap.Count)
-			fmt.Fprintf(&b, "%s_sum %g\n%s_count %d\n", name, snap.Sum, name, snap.Count)
+	for _, e := range m.entriesInOrder() {
+		name := e.name
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, e.help, name, e.kind)
+		if e.hist == nil {
+			fmt.Fprintf(&b, "%s %d\n", name, e.value())
+			continue
 		}
+		snap := e.hist.Snapshot()
+		for _, bk := range snap.Buckets {
+			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", name, formatLe(bk.Le), bk.Count)
+		}
+		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", name, snap.Count)
+		fmt.Fprintf(&b, "%s_sum %g\n%s_count %d\n", name, snap.Sum, name, snap.Count)
 	}
 	return b.String()
 }

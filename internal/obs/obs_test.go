@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -53,12 +54,9 @@ func TestMetricsGetOrCreate(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	m := NewMetrics()
-	g := m.Gauge("depth", "queue depth")
-	if g != m.Gauge("depth", "queue depth") {
-		t.Error("same name returned distinct gauges")
-	}
-	g.Set(7)
-	g.Set(4) // gauges move both ways
+	depth := uint64(7)
+	m.GaugeFunc("depth", "queue depth", func() uint64 { return depth })
+	depth = 4 // gauges move both ways
 	if got := m.Snapshot()["depth"]; got != uint64(4) {
 		t.Errorf("snapshot = %v, want 4", got)
 	}
@@ -68,6 +66,64 @@ func TestGauge(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestReadThroughCounter: a read-through counter is its source's value
+// at the moment of the snapshot or scrape, with nothing copied between.
+func TestReadThroughCounter(t *testing.T) {
+	m := NewMetrics()
+	var src uint64
+	m.CounterFunc("appends_total", "journal appends", func() uint64 { return src })
+	for _, v := range []uint64{0, 3, 11} {
+		src = v
+		if got := m.Snapshot()["appends_total"]; got != v {
+			t.Errorf("snapshot = %v, want %d", got, v)
+		}
+		out := m.RenderPrometheus()
+		for _, want := range []string{"# HELP appends_total journal appends", "# TYPE appends_total counter", fmt.Sprintf("appends_total %d\n", v)} {
+			if !strings.Contains(out, want) {
+				t.Errorf("render missing %q:\n%s", want, out)
+			}
+		}
+	}
+}
+
+// TestRegisterTwicePanics: a name holds one metric. Only a kept counter
+// or histogram may be asked for again (get-or-create); a second kind,
+// or a second registration of a read-through name, panics instead of
+// rendering the name twice or dropping one of the values.
+func TestRegisterTwicePanics(t *testing.T) {
+	seven := func() uint64 { return 7 }
+	for name, second := range map[string]func(m *Metrics){
+		"counter after gauge":      func(m *Metrics) { m.Counter("x", "") },
+		"histogram after gauge":    func(m *Metrics) { m.Histogram("x", "") },
+		"gauge twice":              func(m *Metrics) { m.GaugeFunc("x", "", seven) },
+		"read-through after gauge": func(m *Metrics) { m.CounterFunc("x", "", seven) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := NewMetrics()
+			m.GaugeFunc("x", "", seven)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic; registry renders:\n%s", m.RenderPrometheus())
+				}
+				if got := m.Snapshot()["x"]; got != uint64(7) {
+					t.Errorf("first registration's value lost: x = %v, want 7", got)
+				}
+			}()
+			second(m)
+		})
+	}
+	m := NewMetrics()
+	m.Counter("c_total", "")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("read-through counter over a kept one did not panic")
+			}
+		}()
+		m.CounterFunc("c_total", "", seven)
+	}()
 }
 
 func TestRenderPrometheus(t *testing.T) {
