@@ -810,11 +810,3 @@ const (
 	PrimConveyMessage       Primitive = "conveyMessage"
 	PrimListFieldsAndValues Primitive = "listFieldsAndValues"
 )
-
-// Primitives lists all primitives in Table I order.
-func Primitives() []Primitive {
-	return []Primitive{
-		PrimShowPotential, PrimShowActual, PrimCreate,
-		PrimDelete, PrimConveyMessage, PrimListFieldsAndValues,
-	}
-}

@@ -369,3 +369,11 @@ func TestClassifierString(t *testing.T) {
 		t.Errorf("got %q", got)
 	}
 }
+
+// Primitives lists all primitives in Table I order.
+func Primitives() []Primitive {
+	return []Primitive{
+		PrimShowPotential, PrimShowActual, PrimCreate,
+		PrimDelete, PrimConveyMessage, PrimListFieldsAndValues,
+	}
+}

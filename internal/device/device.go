@@ -1,7 +1,6 @@
 package device
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"conman/internal/channel"
@@ -121,21 +120,3 @@ func (d *Device) PortMAC(port string) (packet.MAC, error) {
 
 // String implements fmt.Stringer.
 func (d *Device) String() string { return fmt.Sprintf("device(%s)", d.ID) }
-
-// jsonBody marshals a convey body, passing through raw JSON.
-func jsonBody(body any) (json.RawMessage, error) {
-	switch b := body.(type) {
-	case nil:
-		return nil, nil
-	case json.RawMessage:
-		return b, nil
-	case []byte:
-		return json.RawMessage(b), nil
-	default:
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return nil, err
-		}
-		return json.RawMessage(raw), nil
-	}
-}

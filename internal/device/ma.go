@@ -2,6 +2,7 @@ package device
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -81,6 +82,9 @@ type MA struct {
 	waiters   map[uint64]chan msg.Envelope
 	triggers  []trigger
 	trigSeq   int
+	// exchanges holds the modules' declared exchanges in declaration
+	// order, the order retries follow.
+	exchanges []*Exchange // guarded by mu
 	// kickSeq counts retryPending calls. A sweep holds the rules it is
 	// attempting off the queue, so a kick landing meanwhile finds nothing
 	// to retry; the sweep compares kickSeq across each pass and goes
@@ -228,7 +232,7 @@ func (a *MA) LocalFields(target core.ModuleID, component string) (map[string]str
 
 // Convey implements Services: module-to-module message via the NM.
 func (a *MA) Convey(from, to core.ModuleRef, kind string, body any) error {
-	inner, err := jsonBody(body)
+	inner, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
@@ -301,14 +305,39 @@ func (a *MA) FieldsChanged(module core.ModuleRef, component string, fields map[s
 	a.Kick()
 }
 
-// Kick implements Services: retry pending switch rules.
+// Declare implements Services: it binds x to module, and the MA routes
+// the peers' messages of x's kind to it from then on.
+func (a *MA) Declare(module core.ModuleRef, x *Exchange) {
+	x.ma, x.module = a, module
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.exchanges = append(a.exchanges, x)
+}
+
+// exchange finds the exchange a module declared for a kind.
+func (a *MA) exchange(module core.ModuleID, kind string) *Exchange {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, x := range a.exchanges {
+		if x.module.Module == module && x.kind == kind {
+			return x
+		}
+	}
+	return nil
+}
+
+// Kick implements Services: retry waiting exchanges and pending rules.
 func (a *MA) Kick() { a.retryPending() }
 
 func (a *MA) retryPending() {
 	a.mu.Lock()
 	a.kickSeq++
+	exchanges := a.exchanges
 	a.mu.Unlock()
 	for {
+		for _, x := range exchanges {
+			x.retry()
+		}
 		a.mu.Lock()
 		seq := a.kickSeq
 		pend := a.pending
@@ -582,7 +611,11 @@ func (a *MA) handle(env msg.Envelope) {
 		if !ok {
 			return
 		}
-		_ = m.HandleConvey(body.FromModule, body.Kind, body.Body)
+		if x := a.exchange(body.ToModule.Module, body.Kind); x != nil {
+			x.receive(body.FromModule, body.Body)
+		} else {
+			_ = m.HandleConvey(body.FromModule, body.Kind, body.Body)
+		}
 		a.retryPending()
 
 	case msg.TypeListFieldsReq:

@@ -7,8 +7,10 @@
 // The MA also keeps the protocol-agnostic half of every module's
 // components: the pipe table, the registry of installed switch and
 // filter rules with the undo each Install* call returned, the teardown
-// cascade (deleting a pipe runs the undos of the rules on it), and the
-// pipes and rules showActual reports. A module implements only protocol
+// cascade (deleting a pipe runs the undos of the rules on it), the pipes
+// and rules showActual reports, and the pairwise exchange of parameters
+// between peer modules (Exchange: who initiates, which pairs have
+// exchanged, the reply and its retry). A module implements only protocol
 // behaviour.
 package device
 
@@ -137,7 +139,8 @@ type Module interface {
 	// InstallFilterRule installs an abstract filter (§II-E) and returns
 	// its undo, as InstallSwitchRule does.
 	InstallFilterRule(r *FilterRuleInstance) (undo func(), err error)
-	// HandleConvey processes a message from a (remote) peer module.
+	// HandleConvey processes a message from a (remote) peer module, of a
+	// kind the module declared no Exchange for.
 	HandleConvey(from core.ModuleRef, kind string, body []byte) error
 	// ListFields resolves an abstract component to low-level fields
 	// (§II-E). Component is a pipe id or "self".
@@ -156,6 +159,10 @@ type Services interface {
 	// Convey sends a message to a remote module through the NM
 	// (conveyMessage, §II-D.1.d).
 	Convey(from, to core.ModuleRef, kind string, body any) error
+	// Declare registers one of the module's exchanges, when it is
+	// constructed: the MA runs it from then on, and the peers' messages of
+	// its kind reach the exchange's accept instead of HandleConvey.
+	Declare(module core.ModuleRef, x *Exchange)
 	// QueryFields performs listFieldsAndValues on a remote module via
 	// the NM and waits for the answer.
 	QueryFields(requester, target core.ModuleRef, component string) (map[string]string, error)

@@ -54,9 +54,10 @@ func LinearScenarios() []LinearScenario {
 // every router (§II-F): the compiled configuration includes the IGP
 // adjacency pipes, so the tunnel forwards end-to-end at any n — the
 // scale scenario the plain GRE row only delivers at n=3. It is not part
-// of LinearScenarios(): the paper's Table VI has no row for it, and the
-// flooding volume depends on arrival order under the concurrent
-// executor, so there is no closed-form message count to assert.
+// of LinearScenarios(): the paper's Table VI has no row for it.
+// Configured sequentially its traffic has a closed form, n² + 10n − 8
+// messages (TestHubChainExactCounters); only the concurrent executor,
+// under which the flooding volume depends on arrival order, has none.
 func GREIGPScenario() LinearScenario {
 	return LinearScenario{
 		Name: "GRE+IGP", PathDesc: "GRE-IP tunnel",

@@ -236,67 +236,76 @@ func TestConcurrentFasterOnLatentChannel(t *testing.T) {
 }
 
 // TestHubChainExactCounters pins the hub-coldstart job's traffic: the
-// GRE+IGP chain at n=128 on the in-process hub, configured
-// sequentially. After Plan, a counter reset, Apply and a delivered
-// probe, the NM has exchanged exactly 17 656 messages, 128 of them
-// command batches, and the kernels have executed 21 operations. Each
-// Plan reads every occupied router once and Apply reads none, so the
-// Plan and a re-plan after Apply send 128 + 128 showActual requests (the
-// bench's 256 show_actual envelopes are the first Plan's 128 requests
-// and their 128 replies).
+// GRE+IGP chain on the in-process hub, configured sequentially, over
+// n ∈ {3, 4, 8, 16, 32, 64, 128}. After Plan, a counter reset, Apply and
+// a delivered probe, the NM has received (n² + 9n − 8)/2 messages and
+// sent n more, n² + 10n − 8 in all: the IGP's cold start floods each new
+// router's LSA over the configured prefix, which is the n² term. At
+// n = 128 that is 17 656 messages, 128 of them command batches, and the
+// kernels have executed 21 operations. Each Plan reads every occupied
+// router once and Apply reads none, so the Plan and a re-plan after
+// Apply send n + n showActual requests (the bench's 256 show_actual
+// envelopes at n = 128 are the first Plan's 128 requests and their 128
+// replies).
 // The numbers are the same at every GOMAXPROCS, so a change to the
 // compiler, the IGP, the observation cache or the device MA that moves
 // one re-pins it here and says why.
 func TestHubChainExactCounters(t *testing.T) {
-	const (
-		n           = 128
-		wantMsgs    = 17656 // Counters().Sent() + Received()
-		wantCmdSent = 128
-		wantExecOps = 21  // Σ kernel ExecLog over every device
-		wantShowReq = 256 // Σ Plan.Stats.Observed over both Plans
-	)
-	sc := GREIGPScenario()
-	tb, err := sc.Build(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb.Close()
-	tb.NM.Sequential = true
-	plan, err := sc.PlanLinear(tb, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.NM.ResetCounters()
-	if err := tb.NM.Apply(plan); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.VerifyConnectivity(10002); err != nil {
-		t.Fatalf("data plane: %v", err)
-	}
-	c := tb.NM.Counters()
-	if got := c.Sent() + c.Received(); got != wantMsgs {
-		t.Errorf("messages sent+received = %d, want %d", got, wantMsgs)
-	}
-	if c.CmdSent != wantCmdSent {
-		t.Errorf("command batches = %d, want %d", c.CmdSent, wantCmdSent)
-	}
-	ops := 0
-	for _, dev := range tb.Devices {
-		ops += len(dev.Kernel.ExecLog())
-	}
-	if ops != wantExecOps {
-		t.Errorf("kernel operations = %d, want %d", ops, wantExecOps)
-	}
-	again, err := sc.PlanLinear(tb, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.Empty() {
-		t.Fatalf("re-plan on the configured chain is not empty:\n%s", again.Render())
-	}
-	if got := plan.Stats.Observed + again.Stats.Observed; got != wantShowReq {
-		t.Errorf("showActual requests = %d (%d + %d), want %d",
-			got, plan.Stats.Observed, again.Stats.Observed, wantShowReq)
+	const wantExecOps = 21 // Σ kernel ExecLog over every device
+	for _, n := range []int{3, 4, 8, 16, 32, 64, 128} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			wantRecv := (n*n + 9*n - 8) / 2
+			wantSent := wantRecv + n
+			sc := GREIGPScenario()
+			tb, err := sc.Build(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tb.Close()
+			tb.NM.Sequential = true
+			plan, err := sc.PlanLinear(tb, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb.NM.ResetCounters()
+			if err := tb.NM.Apply(plan); err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.VerifyConnectivity(10002); err != nil {
+				t.Fatalf("data plane: %v", err)
+			}
+			c := tb.NM.Counters()
+			if c.Received() != wantRecv || c.Sent() != wantSent {
+				t.Errorf("sent %d, received %d; want %d, %d", c.Sent(), c.Received(), wantSent, wantRecv)
+			}
+			if got := c.Sent() + c.Received(); got != n*n+10*n-8 {
+				t.Errorf("messages sent+received = %d, want n²+10n−8 = %d", got, n*n+10*n-8)
+			}
+			if n == 128 && c.Sent()+c.Received() != 17656 {
+				t.Errorf("messages sent+received = %d, want 17656", c.Sent()+c.Received())
+			}
+			if c.CmdSent != n {
+				t.Errorf("command batches = %d, want %d", c.CmdSent, n)
+			}
+			ops := 0
+			for _, dev := range tb.Devices {
+				ops += len(dev.Kernel.ExecLog())
+			}
+			if ops != wantExecOps {
+				t.Errorf("kernel operations = %d, want %d", ops, wantExecOps)
+			}
+			again, err := sc.PlanLinear(tb, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !again.Empty() {
+				t.Fatalf("re-plan on the configured chain is not empty:\n%s", again.Render())
+			}
+			if got := plan.Stats.Observed + again.Stats.Observed; got != 2*n {
+				t.Errorf("showActual requests = %d (%d + %d), want %d",
+					got, plan.Stats.Observed, again.Stats.Observed, 2*n)
+			}
+		})
 	}
 }
 

@@ -770,14 +770,6 @@ func (k *Kernel) RegisterEtherType(et packet.EtherType, h EtherTypeHandler) {
 	k.ethHandler[et] = h
 }
 
-// Probes returns the probe events delivered locally (the most recent
-// probeLogMax are kept).
-func (k *Kernel) Probes() []ProbeEvent {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return append([]ProbeEvent(nil), k.probes...)
-}
-
 // IfaceCounters returns rx/tx packet counts for an interface.
 func (k *Kernel) IfaceCounters(name string) (rx, tx uint64) {
 	k.mu.Lock()

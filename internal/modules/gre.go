@@ -1,7 +1,6 @@
 package modules
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -19,9 +18,11 @@ import (
 // and low error-rate (=> checksums).
 type GRE struct {
 	device.BaseModule
+	keys *device.Exchange // "gre-params" with the peer GRE module
 
 	mu sync.Mutex
-	// params holds per-peer negotiated parameters.
+	// params holds per-peer parameters: the options this end would
+	// propose until the keys are agreed (Done).
 	params map[string]*greParams
 	// tunnels counts the installed switch rules riding each kernel
 	// tunnel interface; the last rule's undo deletes the tunnel.
@@ -37,21 +38,21 @@ type greParams struct {
 }
 
 // greProposal is the convey body of the key negotiation (Fig 3's
-// "Key Values, Seq No. usage and other parameters" exchange).
+// "Key Values, Seq No. usage and other parameters" exchange). The
+// responder's reply confirms the same keys from its side.
 type greProposal struct {
-	// YourIKey is the key the initiator proposes the responder use for
-	// its inbound direction (the initiator's okey).
+	// YourIKey is the key the sender proposes the receiver use for its
+	// inbound direction (the sender's okey).
 	YourIKey uint32 `json:"your_ikey"`
-	// MyIKey is the initiator's inbound key.
+	// MyIKey is the sender's inbound key.
 	MyIKey uint32 `json:"my_ikey"`
 	Seq    bool   `json:"seq"`
 	Csum   bool   `json:"csum"`
-	Ack    bool   `json:"ack"`
 }
 
 // NewGRE creates a GRE module.
 func NewGRE(svc device.Services, id core.ModuleID) *GRE {
-	return &GRE{
+	g := &GRE{
 		BaseModule: device.BaseModule{
 			ModRef: core.Ref(core.NameGRE, svc.Device(), id),
 			Svc:    svc,
@@ -59,6 +60,9 @@ func NewGRE(svc device.Services, id core.ModuleID) *GRE {
 		params:  make(map[string]*greParams),
 		tunnels: make(map[string]int),
 	}
+	g.keys = device.Pairwise("gre-params", g.offer, g.accept)
+	svc.Declare(g.Ref(), g.keys)
+	return g
 }
 
 // Tradeoffs advertised in Table III row xi.
@@ -126,82 +130,68 @@ func (g *GRE) Actual() core.ModuleState {
 	return st
 }
 
-// PipeAttached implements device.Module.
+// PipeAttached implements device.Module: our up pipe (IP payload
+// above) records the options the pipe's trade-offs chose and asks for
+// the key negotiation with the peer GRE module.
 func (g *GRE) PipeAttached(p *device.Pipe, side device.PipeSide) error {
-	var (
-		propose bool
-		peer    core.ModuleRef
-		prop    greProposal
-	)
+	peer := p.LowerPeer
+	if side != device.SideLower || peer.IsZero() || peer.Name != core.NameGRE {
+		return nil
+	}
 	g.mu.Lock()
-	// Our up pipe (IP payload above): kick off parameter negotiation with
-	// the peer GRE module if we are the initiator (the module with the
-	// lexically smaller reference, so each pair negotiates exactly once).
-	peer = p.LowerPeer
-	if side == device.SideLower && !peer.IsZero() && peer.Name == core.NameGRE {
-		pkey := peer.String()
-		_, have := g.params[pkey]
-		if !have && g.Ref().String() < pkey {
-			pr := &greParams{
-				IKey: 1001 + 2*g.keySeq,
-				OKey: 2001 + 2*g.keySeq,
-				Seq:  p.TradeoffChosen(core.MetricOrdering),
-				Csum: p.TradeoffChosen(core.MetricErrorRate),
-				Done: true,
-			}
-			g.keySeq++
-			g.params[pkey] = pr
-			prop = greProposal{YourIKey: pr.OKey, MyIKey: pr.IKey, Seq: pr.Seq, Csum: pr.Csum}
-			propose = true
+	if g.params[peer.String()] == nil {
+		g.params[peer.String()] = &greParams{
+			Seq:  p.TradeoffChosen(core.MetricOrdering),
+			Csum: p.TradeoffChosen(core.MetricErrorRate),
 		}
 	}
 	g.mu.Unlock()
-	// The convey can synchronously trigger the peer's reply (in-process
-	// channel), which re-enters HandleConvey: send without holding g.mu.
-	if propose {
-		_ = g.Svc.Convey(g.Ref(), peer, "gre-params", prop)
+	g.keys.With(peer)
+	return nil
+}
+
+// offer is the gre-params offer: the keys agreed with peer, allocated
+// here when this end initiates.
+func (g *GRE) offer(peer core.ModuleRef) (greProposal, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	pr := g.params[peer.String()]
+	if pr == nil {
+		return greProposal{}, device.ErrPending
+	}
+	if !pr.Done {
+		pr.IKey, pr.OKey = 1001+2*g.keySeq, 2001+2*g.keySeq
+		pr.Done = true
+		g.keySeq++
+	}
+	return greProposal{YourIKey: pr.OKey, MyIKey: pr.IKey, Seq: pr.Seq, Csum: pr.Csum}, nil
+}
+
+// accept adopts the peer's keys and options (our ikey = their
+// "YourIKey").
+func (g *GRE) accept(peer core.ModuleRef, prop greProposal) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.params[peer.String()] = &greParams{
+		IKey: prop.YourIKey, OKey: prop.MyIKey,
+		Seq: prop.Seq, Csum: prop.Csum, Done: true,
 	}
 	return nil
 }
 
-// HandleConvey implements device.Module: the responder half of the key
-// negotiation, plus the teardown notification resetting sequence state.
+// HandleConvey implements device.Module: the peer's teardown notice
+// resets sequence state.
 func (g *GRE) HandleConvey(from core.ModuleRef, kind string, body []byte) error {
-	if kind == "gre-down" {
-		// The peer tore its tunnel end down: accept a restarted transmit
-		// sequence when it comes back.
-		g.mu.Lock()
-		for iface := range g.tunnels {
-			g.Svc.Kernel().ResetTunnelSeq(iface)
-		}
-		g.mu.Unlock()
+	if kind != "gre-down" {
 		return nil
 	}
-	if kind != "gre-params" {
-		return nil
-	}
-	var prop greProposal
-	if err := json.Unmarshal(body, &prop); err != nil {
-		return err
-	}
+	// The peer tore its tunnel end down: accept a restarted transmit
+	// sequence when it comes back.
 	g.mu.Lock()
-	pkey := from.String()
-	if prop.Ack {
-		if pr, ok := g.params[pkey]; ok {
-			pr.Done = true
-		}
-		g.mu.Unlock()
-		g.Svc.Kick()
-		return nil
-	}
-	// The initiator proposed; adopt (our ikey = their "YourIKey").
-	g.params[pkey] = &greParams{
-		IKey: prop.YourIKey, OKey: prop.MyIKey,
-		Seq: prop.Seq, Csum: prop.Csum, Done: true,
+	for iface := range g.tunnels {
+		g.Svc.Kernel().ResetTunnelSeq(iface)
 	}
 	g.mu.Unlock()
-	_ = g.Svc.Convey(g.Ref(), from, "gre-params", greProposal{Ack: true})
-	g.Svc.Kick()
 	return nil
 }
 
@@ -343,12 +333,5 @@ func (g *GRE) SelfTest(pipe core.PipeID) (bool, string) {
 	if !ok {
 		return false, "tunnel interface missing"
 	}
-	token := probeToken()
-	if err := k.SendProbeFrom(tun.Local, tun.Remote, token); err != nil {
-		return false, err.Error()
-	}
-	if k.AwaitProbeReply(token) {
-		return true, fmt.Sprintf("endpoint %s reachable", tun.Remote)
-	}
-	return false, fmt.Sprintf("endpoint %s unreachable", tun.Remote)
+	return probe(k, tun.Local, tun.Remote, "endpoint %s reachable", "endpoint %s unreachable")
 }

@@ -480,9 +480,6 @@ func (g *IGP) HandleConvey(from core.ModuleRef, kind string, body []byte) error 
 	if compute {
 		g.recompute()
 	}
-	if len(accepted) > 0 {
-		g.Svc.Kick()
-	}
 	return nil
 }
 

@@ -1,10 +1,10 @@
 package modules
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 
 	"conman/internal/core"
 	"conman/internal/device"
@@ -20,6 +20,7 @@ import (
 // MPLS keys) from the modules below it.
 type IP struct {
 	device.BaseModule
+	addrExchange *device.Exchange // "ip-exchange" with peer IP modules
 
 	mu     sync.Mutex
 	domain string
@@ -29,8 +30,6 @@ type IP struct {
 	// peerAddrs caches addresses learned through ip-exchange conveys,
 	// keyed by peer module ref string.
 	peerAddrs map[string]netip.Addr // guarded by mu
-	// exchangesDone dedups initiations.
-	exchangesDone map[string]bool // guarded by mu
 
 	// delivery is the resolved customer-delivery next hop ([pipe =>
 	// customer-pipe, gateway] rules); MPLS egress modules query it.
@@ -48,8 +47,7 @@ type IP struct {
 // modules (the paper's Fig 3 "IP-address of tunnel end-points" and
 // "IP-address of next-hop" steps).
 type ipExchange struct {
-	Addr  string `json:"addr"`
-	Reply bool   `json:"reply"`
+	Addr netip.Addr `json:"addr"`
 }
 
 // NewIP creates an IP module in the given address domain with interface
@@ -61,12 +59,11 @@ func NewIP(svc device.Services, id core.ModuleID, domain string, addrs map[strin
 			ModRef: core.Ref(core.NameIPv4, svc.Device(), id),
 			Svc:    svc,
 		},
-		domain:        domain,
-		addrs:         make(map[string]netip.Prefix),
-		peerAddrs:     make(map[string]netip.Addr),
-		exchangesDone: make(map[string]bool),
-		delivery:      make(map[string]string),
-		filters:       make(map[string]*device.FilterRuleInstance),
+		domain:    domain,
+		addrs:     make(map[string]netip.Prefix),
+		peerAddrs: make(map[string]netip.Addr),
+		delivery:  make(map[string]string),
+		filters:   make(map[string]*device.FilterRuleInstance),
 	}
 	for iface, p := range addrs {
 		// NM-assigned interface addresses are device-lifetime state:
@@ -76,6 +73,8 @@ func NewIP(svc device.Services, id core.ModuleID, domain string, addrs map[strin
 		}
 		m.addrs[iface] = p
 	}
+	m.addrExchange = device.Pairwise("ip-exchange", m.offer, m.accept)
+	svc.Declare(m.Ref(), m.addrExchange)
 	return m, nil
 }
 
@@ -169,7 +168,9 @@ func (m *IP) Actual() core.ModuleState {
 	return st
 }
 
-// PipeAttached implements device.Module: triggers the address exchanges.
+// PipeAttached implements device.Module: asks for the address exchange
+// with the peer IP module — 2 messages per pair, the paper's Table VI
+// accounting (2 sent, 2 received at the NM per pair).
 func (m *IP) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 	var peer core.ModuleRef
 	switch side {
@@ -188,62 +189,30 @@ func (m *IP) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 	if peer.IsZero() || peer.Name != core.NameIPv4 {
 		return nil
 	}
-	m.maybeInitiateExchange(peer)
+	m.addrExchange.With(peer)
 	return nil
 }
 
-// maybeInitiateExchange starts the 2-message address exchange with a peer
-// IP module. The module with the smaller reference initiates, so each
-// pair exchanges exactly once — the paper's Table VI accounting (2 sent,
-// 2 received at the NM per pair).
-func (m *IP) maybeInitiateExchange(peer core.ModuleRef) {
-	if m.Ref().String() >= peer.String() {
-		return
+// offer is the ip-exchange offer: our address facing the peer once its
+// own is known (a responder's reply), else the primary one.
+func (m *IP) offer(peer core.ModuleRef) (ipExchange, error) {
+	if a, ok := m.peerAddr(peer); ok {
+		if my, ok := m.addrFacing(a); ok {
+			return ipExchange{my}, nil
+		}
 	}
-	key := peer.String()
-	m.mu.Lock()
-	if m.exchangesDone[key] {
-		m.mu.Unlock()
-		return
-	}
-	m.exchangesDone[key] = true
-	m.mu.Unlock()
-
-	addr, ok := m.PrimaryAddr()
+	my, ok := m.PrimaryAddr()
 	if !ok {
-		return
+		return ipExchange{}, device.ErrPending
 	}
-	_ = m.Svc.Convey(m.Ref(), peer, "ip-exchange", ipExchange{Addr: addr.String()})
+	return ipExchange{my}, nil
 }
 
-// HandleConvey implements device.Module.
-func (m *IP) HandleConvey(from core.ModuleRef, kind string, body []byte) error {
-	if kind != "ip-exchange" {
-		return nil
-	}
-	var x ipExchange
-	if err := json.Unmarshal(body, &x); err != nil {
-		return err
-	}
-	a, err := netip.ParseAddr(x.Addr)
-	if err != nil {
-		return err
-	}
+// accept records the peer's address.
+func (m *IP) accept(peer core.ModuleRef, x ipExchange) error {
 	m.mu.Lock()
-	m.peerAddrs[from.String()] = a
-	m.mu.Unlock()
-
-	if !x.Reply {
-		// Answer with our own address: prefer the one facing the peer.
-		my, ok := m.addrFacing(a)
-		if !ok {
-			my, ok = m.PrimaryAddr()
-		}
-		if ok {
-			_ = m.Svc.Convey(m.Ref(), from, "ip-exchange", ipExchange{Addr: my.String(), Reply: true})
-		}
-	}
-	m.Svc.Kick()
+	defer m.mu.Unlock()
+	m.peerAddrs[peer.String()] = x.Addr
 	return nil
 }
 
@@ -659,24 +628,23 @@ func (m *IP) SelfTest(pipe core.PipeID) (bool, string) {
 	if !ok {
 		return false, fmt.Sprintf("peer %s address unknown", peer)
 	}
-	k := m.Svc.Kernel()
-	token := probeToken()
 	src, _ := m.PrimaryAddr()
+	return probe(m.Svc.Kernel(), src, dst, "probe to %s answered", "probe to %s unanswered")
+}
+
+// probeTokens numbers the modules' self-test probes.
+var probeTokens atomic.Uint32
+
+// probe sends a probe echo from src (zero: the kernel picks) to dst and
+// reports as SelfTest does: whether the reply arrived, in the words of
+// answered or unanswered about dst.
+func probe(k *kernel.Kernel, src, dst netip.Addr, answered, unanswered string) (bool, string) {
+	token := 0xC0000000 + probeTokens.Add(1)
 	if err := k.SendProbeFrom(src, dst, token); err != nil {
 		return false, err.Error()
 	}
 	if k.AwaitProbeReply(token) {
-		return true, fmt.Sprintf("probe to %s answered", dst)
+		return true, fmt.Sprintf(answered, dst)
 	}
-	return false, fmt.Sprintf("probe to %s unanswered", dst)
-}
-
-var probeCounter uint32
-var probeMu sync.Mutex
-
-func probeToken() uint32 {
-	probeMu.Lock()
-	defer probeMu.Unlock()
-	probeCounter++
-	return 0xC0000000 + probeCounter
+	return false, fmt.Sprintf(unanswered, dst)
 }

@@ -2,7 +2,6 @@ package modules
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -27,6 +26,7 @@ const IPSecKeyToken = "ipsec-keys"
 // (standing in for its UDP/500 exchange).
 type IKE struct {
 	device.BaseModule
+	sa *device.Exchange // "ike-sa" with the peer IKE module
 
 	mu   sync.Mutex
 	keys map[string]uint64 // peer IKE ref -> negotiated key
@@ -35,18 +35,20 @@ type IKE struct {
 // ikeMsg is the key negotiation convey body.
 type ikeMsg struct {
 	Nonce uint64 `json:"nonce"`
-	Reply bool   `json:"reply"`
 }
 
 // NewIKE creates an IKE control module.
 func NewIKE(svc device.Services, id core.ModuleID) *IKE {
-	return &IKE{
+	k := &IKE{
 		BaseModule: device.BaseModule{
 			ModRef: core.Ref(core.NameIKE, svc.Device(), id),
 			Svc:    svc,
 		},
 		keys: make(map[string]uint64),
 	}
+	k.sa = device.Pairwise("ike-sa", k.offer, k.accept)
+	svc.Declare(k.Ref(), k.sa)
+	return k
 }
 
 // Abstraction implements device.Module: a control module advertising the
@@ -76,25 +78,10 @@ func (k *IKE) Actual() core.ModuleState {
 // Negotiate establishes keying material with a peer IKE module (invoked
 // by the co-located IPSec module when its pipe dependency names this IKE
 // instance as provider). The initiator derives the key from both module
-// references so both sides converge deterministically.
+// references so both sides converge deterministically; the responder's
+// arrives with the initiator's offer.
 func (k *IKE) Negotiate(peer core.ModuleRef) (uint64, error) {
-	k.mu.Lock()
-	if key, ok := k.keys[peer.String()]; ok {
-		k.mu.Unlock()
-		return key, nil
-	}
-	k.mu.Unlock()
-	if k.Ref().String() < peer.String() {
-		key := deriveKey(k.Ref(), peer)
-		k.mu.Lock()
-		k.keys[peer.String()] = key
-		k.mu.Unlock()
-		if err := k.Svc.Convey(k.Ref(), peer, "ike-sa", ikeMsg{Nonce: key}); err != nil {
-			return 0, err
-		}
-		return key, nil
-	}
-	// Responder side: the key arrives via HandleConvey.
+	k.sa.With(peer)
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if key, ok := k.keys[peer.String()]; ok {
@@ -114,22 +101,24 @@ func deriveKey(a, b core.ModuleRef) uint64 {
 	return h
 }
 
-// HandleConvey implements device.Module.
-func (k *IKE) HandleConvey(from core.ModuleRef, kind string, body []byte) error {
-	if kind != "ike-sa" {
-		return nil
-	}
-	var m ikeMsg
-	if err := json.Unmarshal(body, &m); err != nil {
-		return err
-	}
+// offer is the ike-sa offer: the key held for peer, derived here when
+// this end initiates.
+func (k *IKE) offer(peer core.ModuleRef) (ikeMsg, error) {
 	k.mu.Lock()
-	k.keys[from.String()] = m.Nonce
-	k.mu.Unlock()
-	if !m.Reply {
-		_ = k.Svc.Convey(k.Ref(), from, "ike-sa", ikeMsg{Nonce: m.Nonce, Reply: true})
+	defer k.mu.Unlock()
+	key, ok := k.keys[peer.String()]
+	if !ok {
+		key = deriveKey(k.Ref(), peer)
+		k.keys[peer.String()] = key
 	}
-	k.Svc.Kick()
+	return ikeMsg{Nonce: key}, nil
+}
+
+// accept adopts the peer's key.
+func (k *IKE) accept(peer core.ModuleRef, m ikeMsg) error {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.keys[peer.String()] = m.Nonce
 	return nil
 }
 

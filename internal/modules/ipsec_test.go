@@ -3,6 +3,7 @@ package modules_test
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"conman/internal/channel"
@@ -25,6 +26,7 @@ func TestIPSecIKEControlModuleDependency(t *testing.T) {
 	net := netsim.New()
 	hub := channel.NewHub()
 	manager := nm.New()
+	manager.EnableMessageLog()
 	manager.AttachChannel(hub.Endpoint(msg.NMName))
 
 	mk := func(id core.DeviceID) (*device.Device, *modules.IPSec, *modules.IKE) {
@@ -114,6 +116,17 @@ func TestIPSecIKEControlModuleDependency(t *testing.T) {
 	}
 	if keyA != keyB || keyA == 0 {
 		t.Fatalf("SA keys diverge: %#x vs %#x", keyA, keyB)
+	}
+	// One offer and one reply: the responder answers although the
+	// initiator already holds its key.
+	ikeSA := 0
+	for _, line := range manager.MessageLog() {
+		if strings.HasSuffix(line, ", ike-sa)") {
+			ikeSA++
+		}
+	}
+	if ikeSA != 2 {
+		t.Errorf("%d ike-sa conveys relayed, want 2", ikeSA)
 	}
 
 	// IPSec owns its components like every other module: showActual

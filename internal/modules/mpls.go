@@ -1,7 +1,6 @@
 package modules
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -18,6 +17,7 @@ import (
 // mpls-linux commands of Fig 8(a): labelspace/ilm/nhlfe/xc.
 type MPLS struct {
 	device.BaseModule
+	labels *device.Exchange // "mpls-label" with neighbouring LSRs
 
 	mu        sync.Mutex
 	labelBase uint32
@@ -29,18 +29,12 @@ type MPLS struct {
 	// module above ({"mpls-key", "via"}).
 	pushKey string
 	pushVia string
-	// initiatedAny tracks whether we initiated at least one label
-	// exchange: the pure responder at the far end of the LSP reports
-	// "lsp-established" to the NM (Table VI's final received message).
-	initiatedAny bool
-	responded    bool
-	notified     bool
-	modprobed    bool
-	spacesSet    map[string]bool // guarded by mu
-	// pendingReplies holds the requesters we owe a label-exchange reply;
-	// flushReplies sends each once our own pipe toward it (and hence our
-	// in-label and link address) exists.
-	pendingReplies []core.ModuleRef // guarded by mu
+	// notified records the "lsp-established" report the pure responder
+	// at the far end of the LSP sends the NM (Table VI's final received
+	// message).
+	notified  bool
+	modprobed bool
+	spacesSet map[string]bool // guarded by mu
 }
 
 type mplsNeighbor struct {
@@ -64,14 +58,13 @@ type mplsLabelMsg struct {
 	// receiver.
 	Label uint32 `json:"label"`
 	// LinkAddr is the sender's address on the shared link.
-	LinkAddr string `json:"link_addr"`
-	Reply    bool   `json:"reply"`
+	LinkAddr netip.Addr `json:"link_addr"`
 }
 
 // NewMPLS creates an MPLS module. labelBase seeds this LSR's label
 // allocator (the Fig 8 experiment uses 10001 on A, 2001 on B, 3001 on C).
 func NewMPLS(svc device.Services, id core.ModuleID, labelBase uint32) *MPLS {
-	return &MPLS{
+	m := &MPLS{
 		BaseModule: device.BaseModule{
 			ModRef: core.Ref(core.NameMPLS, svc.Device(), id),
 			Svc:    svc,
@@ -80,6 +73,9 @@ func NewMPLS(svc device.Services, id core.ModuleID, labelBase uint32) *MPLS {
 		neighbors: make(map[string]*mplsNeighbor),
 		spacesSet: make(map[string]bool),
 	}
+	m.labels = device.Pairwise("mpls-label", m.offer, m.accept)
+	svc.Declare(m.Ref(), m.labels)
+	return m
 }
 
 // Abstraction implements device.Module (Table IV's MPLS row).
@@ -124,38 +120,24 @@ func (m *MPLS) Actual() core.ModuleState {
 }
 
 // PipeAttached implements device.Module: a down pipe with a known MPLS
-// peer allocates our in-label for that neighbour and, on the initiator
-// (smaller ref), starts the label exchange. Labels are handed out here
-// and nowhere else, so they follow the device's own batch order and not
-// the arrival order of neighbours' messages, which the concurrent
-// executor does not fix.
+// peer allocates our in-label for that neighbour and asks for the label
+// exchange. Labels are handed out here and nowhere else, so they follow
+// the device's own batch order and not the arrival order of neighbours'
+// messages, which the concurrent executor does not fix.
 func (m *MPLS) PipeAttached(p *device.Pipe, side device.PipeSide) error {
-	var (
-		send bool
-		peer core.ModuleRef
-		body mplsLabelMsg
-	)
-	peer = p.UpperPeer
+	peer := p.UpperPeer
+	if side != device.SideUpper || peer.IsZero() || peer.Name != core.NameMPLS {
+		return nil
+	}
 	m.mu.Lock()
-	if side == device.SideUpper && !peer.IsZero() && peer.Name == core.NameMPLS {
-		key := peer.String()
-		n := m.neighborLocked(key)
-		n.Pipe = p.ID
-		if n.MyInLabel == 0 {
-			n.MyInLabel = m.labelBase + m.labelSeq
-			m.labelSeq++
-			if m.Ref().String() < key {
-				m.initiatedAny = true
-				body = mplsLabelMsg{Label: n.MyInLabel, LinkAddr: m.linkAddrLocked(p)}
-				send = true
-			}
-		}
+	n := m.neighborLocked(peer.String())
+	n.Pipe = p.ID
+	if n.MyInLabel == 0 {
+		n.MyInLabel = m.labelBase + m.labelSeq
+		m.labelSeq++
 	}
 	m.mu.Unlock()
-	if send {
-		_ = m.Svc.Convey(m.Ref(), peer, "mpls-label", body)
-	}
-	m.flushReplies()
+	m.labels.With(peer)
 	return nil
 }
 
@@ -170,23 +152,6 @@ func (m *MPLS) neighborLocked(key string) *mplsNeighbor {
 	return n
 }
 
-// linkAddrLocked finds this device's address on the link under the given
-// down pipe. Caller holds m.mu (only reads kernel state).
-func (m *MPLS) linkAddrLocked(p *device.Pipe) string {
-	lower, ok := m.Svc.LocalModule(p.Lower.Module)
-	if !ok {
-		return ""
-	}
-	fields, err := lower.ListFields(string(p.ID))
-	if err != nil || fields["dev"] == "" {
-		return ""
-	}
-	if a, ok := m.Svc.Kernel().AddrOf(fields["dev"]); ok {
-		return a.String()
-	}
-	return ""
-}
-
 // nhlfeKeyInt parses the 0x-prefixed key string `mpls nhlfe add` printed.
 func nhlfeKeyInt(s string) int {
 	var v int
@@ -196,67 +161,40 @@ func nhlfeKeyInt(s string) int {
 	return v
 }
 
-// HandleConvey implements device.Module: the label exchange.
-func (m *MPLS) HandleConvey(from core.ModuleRef, kind string, body []byte) error {
-	if kind != "mpls-label" {
-		return nil
-	}
-	var x mplsLabelMsg
-	if err := json.Unmarshal(body, &x); err != nil {
-		return err
-	}
-	addr, _ := netip.ParseAddr(x.LinkAddr)
-
+// offer is the mpls-label offer: our in-label for peer and our address
+// on the link under our down pipe toward it. Both come with that pipe; if
+// it does not exist yet (the NM configures devices in path order, so the
+// requester's batch usually precedes ours), a responder's reply waits
+// until it does.
+func (m *MPLS) offer(peer core.ModuleRef) (mplsLabelMsg, error) {
 	m.mu.Lock()
-	n := m.neighborLocked(from.String())
-	n.PeerInLabel = x.Label
-	n.PeerLinkAddr = addr
-	n.HavePeer = true
-	if !x.Reply {
-		// We are the responder. Our in-label and link address both come
-		// with our down pipe toward this neighbour; if that pipe does
-		// not exist yet (the NM configures devices in path order, so the
-		// requester's batch usually precedes ours), the reply waits
-		// until it does.
-		m.responded = true
-		m.pendingReplies = append(m.pendingReplies, from)
+	defer m.mu.Unlock()
+	n := m.neighbors[peer.String()]
+	if n == nil || n.MyInLabel == 0 {
+		return mplsLabelMsg{}, device.ErrPending
 	}
-	m.mu.Unlock()
-	m.flushReplies()
-	m.Svc.Kick()
-	return nil
+	p, ok := m.Svc.PipeByID(n.Pipe)
+	if !ok {
+		return mplsLabelMsg{}, device.ErrPending
+	}
+	dev, err := m.devUnder(p)
+	if err != nil {
+		return mplsLabelMsg{}, err
+	}
+	addr, ok := m.Svc.Kernel().AddrOf(dev)
+	if !ok {
+		return mplsLabelMsg{}, device.ErrPending
+	}
+	return mplsLabelMsg{Label: n.MyInLabel, LinkAddr: addr}, nil
 }
 
-// flushReplies sends the label-exchange replies whose down pipe toward
-// the requester exists; the rest keep waiting for theirs.
-func (m *MPLS) flushReplies() {
-	type outMsg struct {
-		to   core.ModuleRef
-		body mplsLabelMsg
-	}
-	var outs []outMsg
+// accept records the neighbour's in-label and link address.
+func (m *MPLS) accept(peer core.ModuleRef, x mplsLabelMsg) error {
 	m.mu.Lock()
-	var still []core.ModuleRef
-	for _, peer := range m.pendingReplies {
-		n := m.neighbors[peer.String()]
-		if n == nil {
-			continue
-		}
-		var linkAddr string
-		if p, ok := m.Svc.PipeByID(n.Pipe); ok {
-			linkAddr = m.linkAddrLocked(p)
-		}
-		if linkAddr == "" {
-			still = append(still, peer)
-			continue
-		}
-		outs = append(outs, outMsg{peer, mplsLabelMsg{Label: n.MyInLabel, LinkAddr: linkAddr, Reply: true}})
-	}
-	m.pendingReplies = still
-	m.mu.Unlock()
-	for _, o := range outs {
-		_ = m.Svc.Convey(m.Ref(), o.to, "mpls-label", o.body)
-	}
+	defer m.mu.Unlock()
+	n := m.neighborLocked(peer.String())
+	n.PeerInLabel, n.PeerLinkAddr, n.HavePeer = x.Label, x.LinkAddr, true
+	return nil
 }
 
 // neighborFor returns a copy of the negotiation state for the peer
@@ -388,6 +326,9 @@ func (m *MPLS) installEdge(up, dn *device.Pipe) (func(), error) {
 	}
 	inLabel, ingressKey := n.MyInLabel, extractNHLFEKey(out)
 	upComponent := "pipe:" + string(up.ID)
+	// Asked outside m.mu (the exchange's lock orders before the
+	// module's); HavePeer above means the peer's label has arrived.
+	pure := m.labels.PureResponder()
 	m.mu.Lock()
 	handleChanged := m.pushKey != ingressKey || m.pushVia != n.PeerLinkAddr.String()
 	m.pushKey = ingressKey
@@ -409,7 +350,7 @@ func (m *MPLS) installEdge(up, dn *device.Pipe) (func(), error) {
 			m.Svc.FieldsChanged(m.Ref(), upComponent, map[string]string{})
 		}
 	}
-	notify := m.responded && !m.initiatedAny && !m.notified
+	notify := pure && !m.notified
 	if notify {
 		m.notified = true
 	}
@@ -534,13 +475,5 @@ func (m *MPLS) SelfTest(pipe core.PipeID) (bool, string) {
 	if !okN || !n.HavePeer {
 		return false, "labels not negotiated"
 	}
-	k := m.Svc.Kernel()
-	token := probeToken()
-	if err := k.SendProbe(n.PeerLinkAddr, token); err != nil {
-		return false, err.Error()
-	}
-	if k.AwaitProbeReply(token) {
-		return true, fmt.Sprintf("neighbour %s reachable", n.PeerLinkAddr)
-	}
-	return false, fmt.Sprintf("neighbour %s unreachable", n.PeerLinkAddr)
+	return probe(m.Svc.Kernel(), netip.Addr{}, n.PeerLinkAddr, "neighbour %s reachable", "neighbour %s unreachable")
 }

@@ -1,7 +1,6 @@
 package modules
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -13,11 +12,12 @@ import (
 // VLAN models the 802.1Q VLAN module on an L2 switch (Fig 9). The VLAN
 // identifier, name and MTU are coordinated hop-by-hop between neighbouring
 // VLAN modules through the management channel (the endpoint module with
-// the smaller reference allocates them); switch rules then translate to
-// the CatOS `set vlan` definition, while the ETH module emits the port
-// configuration.
+// the smaller reference allocates them, and each hop passes them on);
+// switch rules then translate to the CatOS `set vlan` definition, while
+// the ETH module emits the port configuration.
 type VLAN struct {
 	device.BaseModule
+	vids *device.Exchange // one-way "vlan-vid" with neighbouring VLAN modules
 
 	mu sync.Mutex
 	// vidBase seeds the allocator (the Fig 9 experiment uses 22).
@@ -26,13 +26,8 @@ type VLAN struct {
 	name    string
 	mtu     int
 
-	endpoint     bool // has a customer-facing pipe (P1-style)
-	farPeer      core.ModuleRef
-	pendingPeers []core.ModuleRef // exchanges waiting for the VID
-	exchanged    map[string]bool
-	initiatedAny bool
-	responded    bool
-	notified     bool
+	// notified records the far end's "vlan-established" report.
+	notified bool
 	// defRefs counts the installed rules holding the CatOS VLAN
 	// definition: the first emits it, the last one's undo removes it.
 	defRefs int
@@ -40,25 +35,27 @@ type VLAN struct {
 
 // vlanMsg is the convey body of the VID coordination.
 type vlanMsg struct {
-	VID   uint16 `json:"vid"`
-	Name  string `json:"name"`
-	MTU   int    `json:"mtu"`
-	Reply bool   `json:"reply"`
+	VID  uint16 `json:"vid"`
+	Name string `json:"name"`
+	MTU  int    `json:"mtu"`
 }
 
 // NewVLAN creates a VLAN module. name/mtu are used when this module ends
 // up allocating the VLAN (customer name "C1", MTU 1504 in Fig 9).
 func NewVLAN(svc device.Services, id core.ModuleID, vidBase uint16, name string, mtu int) *VLAN {
-	return &VLAN{
+	v := &VLAN{
 		BaseModule: device.BaseModule{
 			ModRef: core.Ref(core.NameVLAN, svc.Device(), id),
 			Svc:    svc,
 		},
-		vidBase:   vidBase,
-		name:      name,
-		mtu:       mtu,
-		exchanged: make(map[string]bool),
+		vidBase: vidBase,
+		name:    name,
+		mtu:     mtu,
 	}
+	// One-way: whichever end of a hop holds the VID sends it on.
+	v.vids = device.OneWay("vlan-vid", v.offer, v.accept)
+	svc.Declare(v.Ref(), v.vids)
+	return v
 }
 
 // Abstraction implements device.Module.
@@ -79,125 +76,52 @@ func (v *VLAN) Abstraction() core.Abstraction {
 	}
 }
 
-// Actual implements device.Module.
+// Actual implements device.Module: the parameters ListFields resolves.
 func (v *VLAN) Actual() core.ModuleState {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	st := core.ModuleState{Ref: v.Ref(), LowLevel: map[string]string{}}
-	if v.vid != 0 {
-		st.LowLevel["vid"] = fmt.Sprintf("%d", v.vid)
-		st.LowLevel["vlan-name"] = v.name
-		st.LowLevel["mtu"] = fmt.Sprintf("%d", v.mtu)
-	}
-	return st
+	fields, _ := v.ListFields("self")
+	return core.ModuleState{Ref: v.Ref(), LowLevel: fields}
 }
 
 // PipeAttached implements device.Module.
 func (v *VLAN) PipeAttached(p *device.Pipe, side device.PipeSide) error {
-	v.mu.Lock()
-	var myPeer core.ModuleRef
-	if side == device.SideLower {
-		myPeer = p.LowerPeer
-	} else {
-		myPeer = p.UpperPeer
-	}
-	if !myPeer.IsZero() && myPeer.Name == core.NameVLAN {
-		if side == device.SideLower {
-			// P1-style endpoint pipe (ETH above us, far VLAN peer): if
-			// we are the smaller endpoint we allocate the VLAN.
-			v.endpoint = true
-			v.farPeer = myPeer
-			if v.Ref().String() < myPeer.String() && v.vid == 0 {
-				v.vid = v.vidBase
-			}
-		} else {
-			// P2-style neighbour pipe: coordinate the VID hop-by-hop.
-			// Either side may initiate once it knows the VID. Restricting
-			// initiation to the smaller reference (as first written)
-			// deadlocks on arbitrary topologies: when the allocating
-			// endpoint's chain reaches a hop whose VID-less side has the
-			// smaller reference, the knowing side never speaks and the
-			// ignorant side has nothing to say. The exchanged set keeps
-			// the handshake to one exchange per pair regardless of who
-			// fires first.
-			if !v.exchanged[myPeer.String()] {
-				v.pendingPeers = append(v.pendingPeers, myPeer)
-			}
+	if side == device.SideUpper {
+		// P2-style neighbour pipe: coordinate the VID hop-by-hop.
+		if peer := p.UpperPeer; !peer.IsZero() && peer.Name == core.NameVLAN {
+			v.vids.With(peer)
 		}
+		return nil
 	}
-	v.mu.Unlock()
-	v.tryExchanges()
+	// P1-style endpoint pipe (ETH above us, far VLAN peer): if we are
+	// the smaller endpoint we allocate the VLAN. The exchanges waiting
+	// for it go out when the MA retries them after this command.
+	peer := p.LowerPeer
+	if !peer.IsZero() && peer.Name == core.NameVLAN && v.Ref().String() < peer.String() {
+		v.mu.Lock()
+		if v.vid == 0 {
+			v.vid = v.vidBase
+		}
+		v.mu.Unlock()
+	}
 	return nil
 }
 
-// tryExchanges sends VID coordination messages for which the VID is known.
-func (v *VLAN) tryExchanges() {
+// offer is the vlan-vid offer: the VID, once this module holds one.
+func (v *VLAN) offer(core.ModuleRef) (vlanMsg, error) {
 	v.mu.Lock()
-	peers, body := v.claimExchangesLocked()
-	v.mu.Unlock()
-	v.sendExchanges(peers, body)
-}
-
-// claimExchangesLocked takes every pending peer the module can initiate
-// to now that it knows the VID, marking each exchanged and the module an
-// initiator before any message leaves. Caller holds v.mu and sends the
-// returned exchanges after releasing it.
-func (v *VLAN) claimExchangesLocked() ([]core.ModuleRef, vlanMsg) {
+	defer v.mu.Unlock()
 	if v.vid == 0 {
-		return nil, vlanMsg{}
+		return vlanMsg{}, device.ErrPending
 	}
-	var peers []core.ModuleRef
-	for _, peer := range v.pendingPeers {
-		if v.exchanged[peer.String()] {
-			continue
-		}
-		v.exchanged[peer.String()] = true
-		v.initiatedAny = true
-		peers = append(peers, peer)
-	}
-	v.pendingPeers = nil
-	return peers, vlanMsg{VID: v.vid, Name: v.name, MTU: v.mtu}
+	return vlanMsg{VID: v.vid, Name: v.name, MTU: v.mtu}, nil
 }
 
-func (v *VLAN) sendExchanges(peers []core.ModuleRef, body vlanMsg) {
-	for _, peer := range peers {
-		_ = v.Svc.Convey(v.Ref(), peer, "vlan-vid", body)
-	}
-}
-
-// HandleConvey implements device.Module.
-func (v *VLAN) HandleConvey(from core.ModuleRef, kind string, body []byte) error {
-	if kind != "vlan-vid" {
-		return nil
-	}
-	var x vlanMsg
-	if err := json.Unmarshal(body, &x); err != nil {
-		return err
-	}
-	var reply bool
+// accept adopts the peer's VID if this module holds none yet.
+func (v *VLAN) accept(_ core.ModuleRef, x vlanMsg) error {
 	v.mu.Lock()
+	defer v.mu.Unlock()
 	if v.vid == 0 {
-		v.vid = x.VID
-		v.name = x.Name
-		v.mtu = x.MTU
+		v.vid, v.name, v.mtu = x.VID, x.Name, x.MTU
 	}
-	if !x.Reply {
-		v.responded = true
-		reply = true
-	}
-	v.exchanged[from.String()] = true
-	resp := vlanMsg{VID: v.vid, Name: v.name, MTU: v.mtu, Reply: true}
-	// Claimed in the critical section that sets responded: a rule
-	// installing concurrently decides "pure responder" (InstallSwitchRule's
-	// establishment notify) from responded and initiatedAny together, and
-	// must not see the first without the second.
-	peers, offer := v.claimExchangesLocked()
-	v.mu.Unlock()
-	if reply {
-		_ = v.Svc.Convey(v.Ref(), from, "vlan-vid", resp)
-	}
-	v.sendExchanges(peers, offer)
-	v.Svc.Kick()
 	return nil
 }
 
@@ -231,8 +155,10 @@ func (v *VLAN) InstallSwitchRule(r *device.SwitchRuleInstance) (func(), error) {
 			return nil, err
 		}
 	}
+	// Asked outside v.mu: the exchange's lock orders before the module's.
+	pure := v.vids.PureResponder()
 	v.mu.Lock()
-	notify := v.responded && !v.initiatedAny && !v.notified
+	notify := pure && !v.notified
 	if notify {
 		v.notified = true
 	}

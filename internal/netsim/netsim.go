@@ -350,25 +350,11 @@ func (n *Network) Captures(medium string) []Capture {
 	return append([]Capture(nil), n.captures[medium]...)
 }
 
-// ClearCaptures discards recorded frames.
-func (n *Network) ClearCaptures() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.captures = make(map[string][]Capture)
-}
-
-// TxCount and RxCount report per-port frame counters.
+// TxCount reports frames sent out of a port.
 func (n *Network) TxCount(id PortID) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.txCount[id]
-}
-
-// RxCount reports frames delivered to a port.
-func (n *Network) RxCount(id PortID) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rxCount[id]
 }
 
 // Send transmits a frame out of the given port. The frame is copied. If no

@@ -265,3 +265,17 @@ func TestDistinctMACs(t *testing.T) {
 		seen[p.MAC.String()] = true
 	}
 }
+
+// ClearCaptures discards recorded frames.
+func (n *Network) ClearCaptures() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.captures = make(map[string][]Capture)
+}
+
+// RxCount reports frames delivered to a port.
+func (n *Network) RxCount(id PortID) uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.rxCount[id]
+}

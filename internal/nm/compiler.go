@@ -419,11 +419,14 @@ func tradeoffGetName(key string) string {
 // than once has its later scripts follow its earlier ones, but no device
 // ever waits on another device's progress — the executor pipelines
 // instead of synchronising every chain on the slowest device at a
-// barrier. Module peering stays correct because the initiator rule keys
-// on module references (device identity), not on configuration arrival
-// order, and every module defers work whose parameters have not arrived
-// yet (ErrPending / pending replies). The message Counters are therefore
-// byte-identical to sequential execution. On the first batch failure the
+// barrier. Module peering stays correct because the MA's exchange picks
+// each pair's initiator by module reference (or, for a one-way value, by
+// which end holds it), not by configuration arrival order, and work whose
+// parameters have not arrived yet waits (ErrPending rules, deferred
+// exchange replies). For Table VI's GRE, MPLS and VLAN chains the message
+// Counters therefore equal sequential execution's
+// (TestTableVIInvariantsAtScale); with an IGP they do not, since its
+// flooding depends on arrival order. On the first batch failure the
 // other chains stop starting new batches. Setting n.Sequential runs the
 // chains one at a time on the caller's goroutine — with one script per
 // device (what the compiler and both diff entry points emit) that is

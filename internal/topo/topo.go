@@ -295,19 +295,6 @@ func (w *Wiring) index() map[core.DeviceID]int {
 	return idx
 }
 
-// Degrees returns each device's trunk degree (parallel links counted).
-func (w *Wiring) Degrees() map[core.DeviceID]int {
-	deg := make(map[core.DeviceID]int, len(w.Devices))
-	for _, d := range w.Devices {
-		deg[d.ID] = 0
-	}
-	for _, wi := range w.Wires {
-		deg[wi.A.Device]++
-		deg[wi.B.Device]++
-	}
-	return deg
-}
-
 // ConnectedWithout reports whether a path exists between a and b over
 // wires not in deadWires whose endpoints are not in deadDevs. A dead
 // endpoint device makes the query false. Nil maps mean nothing dead.
@@ -356,36 +343,6 @@ func (w *Wiring) ConnectedWithout(deadWires map[string]bool, deadDevs map[core.D
 		}
 	}
 	return false
-}
-
-// Connected reports whether the whole fabric is one component.
-func (w *Wiring) Connected() bool {
-	if len(w.Devices) == 0 {
-		return true
-	}
-	idx := w.index()
-	adj := make([][]int, len(w.Devices))
-	for _, wi := range w.Wires {
-		i, j := idx[wi.A.Device], idx[wi.B.Device]
-		adj[i] = append(adj[i], j)
-		adj[j] = append(adj[j], i)
-	}
-	seen := make([]bool, len(w.Devices))
-	queue := []int{0}
-	seen[0] = true
-	reached := 1
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range adj[cur] {
-			if !seen[nb] {
-				seen[nb] = true
-				reached++
-				queue = append(queue, nb)
-			}
-		}
-	}
-	return reached == len(w.Devices)
 }
 
 // CrossCorePairs returns m intent endpoint pairs spanning the fabric:

@@ -222,3 +222,46 @@ func TestFatTreeShape(t *testing.T) {
 		t.Errorf("fat-tree k=4 edge switches = %d, want %d", got, want)
 	}
 }
+
+// Degrees returns each device's trunk degree (parallel links counted).
+func (w *Wiring) Degrees() map[core.DeviceID]int {
+	deg := make(map[core.DeviceID]int, len(w.Devices))
+	for _, d := range w.Devices {
+		deg[d.ID] = 0
+	}
+	for _, wi := range w.Wires {
+		deg[wi.A.Device]++
+		deg[wi.B.Device]++
+	}
+	return deg
+}
+
+// Connected reports whether the whole fabric is one component.
+func (w *Wiring) Connected() bool {
+	if len(w.Devices) == 0 {
+		return true
+	}
+	idx := w.index()
+	adj := make([][]int, len(w.Devices))
+	for _, wi := range w.Wires {
+		i, j := idx[wi.A.Device], idx[wi.B.Device]
+		adj[i] = append(adj[i], j)
+		adj[j] = append(adj[j], i)
+	}
+	seen := make([]bool, len(w.Devices))
+	queue := []int{0}
+	seen[0] = true
+	reached := 1
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, nb := range adj[cur] {
+			if !seen[nb] {
+				seen[nb] = true
+				reached++
+				queue = append(queue, nb)
+			}
+		}
+	}
+	return reached == len(w.Devices)
+}
