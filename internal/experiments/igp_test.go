@@ -425,7 +425,8 @@ func TestIGPRouteNextHopsOnLink(t *testing.T) {
 // must agree — and pinned: a router originates once per command batch
 // and a new adjacency exchanges summaries instead of databases, which
 // took ring-16 from the 92 relays and fat-tree-4 from the 32 the retired
-// IGPFlood bench rows held.
+// IGPFlood bench rows held; the executor's bit-reversed router order
+// took ring-16 from 77 to 74.
 func TestIGPColdStartRelayCounts(t *testing.T) {
 	coldStart := func(w *topo.Wiring) int {
 		t.Helper()
@@ -452,7 +453,7 @@ func TestIGPColdStartRelayCounts(t *testing.T) {
 		build func() (*topo.Wiring, error)
 		want  int
 	}{
-		{func() (*topo.Wiring, error) { return topo.Ring(16) }, 77},
+		{func() (*topo.Wiring, error) { return topo.Ring(16) }, 74},
 		{func() (*topo.Wiring, error) { return topo.FatTree(4) }, 31},
 	} {
 		w, err := tc.build()
@@ -474,10 +475,12 @@ func TestIGPColdStartRelayCounts(t *testing.T) {
 // with listFieldsAndValues) and how many conveys the NM relays (IGP
 // floods, summaries and pushes, plus the GRE key exchange). Both are
 // exact — two builds agree. An IGP module runs SPF only when a
-// stored LSA can change its confirmed graph or prefixes, which holds it
-// at 558 runs; the relays fell from 1 058 to 652 when origination moved
-// to once per command batch and new adjacencies began exchanging
-// summaries instead of databases.
+// stored LSA can change its confirmed graph or prefixes; the relays fell
+// from 1 058 to 652 when origination moved to once per command batch and
+// new adjacencies began exchanging summaries instead of databases. The
+// executor's bit-reversed router order, which merges configured segments
+// pairwise instead of growing one, took SPF runs from 558 to 251 and the
+// relays from 652 to 412.
 func TestIGPColdStartSPFRuns(t *testing.T) {
 	const n = 32
 	coldStart := func() (spfRuns, relays int) {
@@ -510,7 +513,7 @@ func TestIGPColdStartSPFRuns(t *testing.T) {
 	if second, _ := coldStart(); first != second {
 		t.Errorf("%d SPF runs on one build, %d on the next — not deterministic", first, second)
 	}
-	if first != 558 || relays != 652 {
-		t.Errorf("n=%d: %d SPF runs and %d relays, want 558 and 652", n, first, relays)
+	if first != 251 || relays != 412 {
+		t.Errorf("n=%d: %d SPF runs and %d relays, want 251 and 412", n, first, relays)
 	}
 }

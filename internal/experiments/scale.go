@@ -55,9 +55,10 @@ func LinearScenarios() []LinearScenario {
 // adjacency pipes, so the tunnel forwards end-to-end at any n — the
 // scale scenario the plain GRE row only delivers at n=3. It is not part
 // of LinearScenarios(): the paper's Table VI has no row for it.
-// Configured sequentially its traffic has a closed form, n² + 10n − 8
-// messages (TestHubChainExactCounters); only the concurrent executor,
-// under which the flooding volume depends on arrival order, has none.
+// Configured sequentially its traffic is exact and Θ(n log n), 4 512
+// messages at n = 128, because the executor brings the routers up in
+// bit-reversed order (TestHubChainExactCounters); under the concurrent
+// executor the flooding volume depends on arrival order and varies.
 func GREIGPScenario() LinearScenario {
 	return LinearScenario{
 		Name: "GRE+IGP", PathDesc: "GRE-IP tunnel",

@@ -498,10 +498,6 @@ func (m *IP) installTransit(r *device.SwitchRuleInstance, from, to *device.Pipe)
 	if err != nil || handle["dev"] == "" {
 		return nil, device.ErrPending
 	}
-	k := m.Svc.Kernel()
-	if _, err := k.Exec("echo 1 > /proc/sys/net/ipv4/ip_forward"); err != nil {
-		return nil, err
-	}
 	nhPeer := down.UpperPeer
 	var cmd string
 	if !nhPeer.IsZero() && nhPeer.Name == core.NameIPv4 {
@@ -512,6 +508,12 @@ func (m *IP) installTransit(r *device.SwitchRuleInstance, from, to *device.Pipe)
 		cmd = fmt.Sprintf("ip route add to %s via %s dev %s", dst, nh, handle["dev"])
 	} else {
 		cmd = fmt.Sprintf("ip route add to %s dev %s", dst, handle["dev"])
+	}
+	// Only a rule that is about to install touches the kernel: a pending
+	// rule is retried, and each retry must leave the kernel as it was.
+	k := m.Svc.Kernel()
+	if _, err := k.Exec("echo 1 > /proc/sys/net/ipv4/ip_forward"); err != nil {
+		return nil, err
 	}
 	if _, err := k.Exec(cmd); err != nil {
 		return nil, err

@@ -340,17 +340,72 @@ func TestExecutionChains(t *testing.T) {
 		want    [][]int
 	}{
 		{"empty", nil, nil},
-		{"distinct-devices", []DeviceScript{ds("A"), ds("B"), ds("C")}, [][]int{{0}, {1}, {2}}},
+		{"distinct-devices", []DeviceScript{ds("A"), ds("B"), ds("C")}, [][]int{{0}, {2}, {1}}},
 		{"repeat-device", []DeviceScript{ds("A"), ds("B"), ds("A")}, [][]int{{0, 2}, {1}}},
 		{"interleaved", []DeviceScript{ds("A"), ds("B"), ds("A"), ds("B"), ds("A")},
 			[][]int{{0, 2, 4}, {1, 3}}},
 		{"late-first-appearance", []DeviceScript{ds("A"), ds("A"), ds("B")},
 			[][]int{{0, 1}, {2}}},
+		{"balanced", []DeviceScript{ds("A"), ds("B"), ds("C"), ds("D"), ds("E"), ds("F"), ds("G"), ds("H")},
+			[][]int{{0}, {4}, {2}, {6}, {1}, {5}, {3}, {7}}},
 	}
 	for _, c := range cases {
 		got := executionChains(c.scripts)
 		if fmt.Sprint(got) != fmt.Sprint(c.want) {
 			t.Errorf("%s: chains %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestExecutionOrderBalanced holds the executor's dispatch order for
+// every chain count up to 300: it is a permutation of the devices that
+// starts with the first one, it is the same on every call, and a device
+// that appears several times keeps its own scripts in script order (so
+// a device's Deletes still remove its rules before its pipes).
+func TestExecutionOrderBalanced(t *testing.T) {
+	for n := 0; n <= 300; n++ {
+		// n devices, the first third of them given a second script at
+		// the end, after every first appearance.
+		var scripts []DeviceScript
+		for d := 0; d < n; d++ {
+			scripts = append(scripts, DeviceScript{Device: core.DeviceID(fmt.Sprintf("R%03d", d))})
+		}
+		for d := 0; d < n/3; d++ {
+			scripts = append(scripts, DeviceScript{Device: core.DeviceID(fmt.Sprintf("R%03d", d))})
+		}
+		chains := executionChains(scripts)
+		if again := executionChains(scripts); fmt.Sprint(again) != fmt.Sprint(chains) {
+			t.Fatalf("n=%d: order not deterministic: %v then %v", n, chains, again)
+		}
+		if len(chains) != n {
+			t.Fatalf("n=%d: %d chains", n, len(chains))
+		}
+		if n > 0 && chains[0][0] != 0 {
+			t.Fatalf("n=%d: first chain %v does not start with script 0", n, chains[0])
+		}
+		seen := make([]bool, n)
+		for _, chain := range chains {
+			dev := scripts[chain[0]].Device
+			first := chain[0]
+			if first >= n || seen[first] {
+				t.Fatalf("n=%d: chains %v are not a permutation of the devices", n, chains)
+			}
+			seen[first] = true
+			for i, idx := range chain {
+				if scripts[idx].Device != dev {
+					t.Fatalf("n=%d: chain %v mixes devices", n, chain)
+				}
+				if i > 0 && idx <= chain[i-1] {
+					t.Fatalf("n=%d: chain %v is out of script order", n, chain)
+				}
+			}
+			want := 1
+			if first < n/3 {
+				want = 2
+			}
+			if len(chain) != want {
+				t.Fatalf("n=%d: chain %v has %d scripts, want %d", n, chain, len(chain), want)
+			}
 		}
 	}
 }
