@@ -700,10 +700,15 @@ func (a *MA) handle(env msg.Envelope) {
 // Delete removes one component outside any command batch, as an
 // out-of-band fault would (a crashed process, an operator's manual
 // change). The modules see it exactly as a batch's delete item,
-// RequestDone included; the NM hears of it only from their notifies and
-// its own next observation.
+// RequestDone included. The NM did not order it, so a deleted pipe is
+// reported with an unsolicited pipe-deleted notify (a killed pipe heals
+// autonomously, §II-E); a deleted rule it learns of only from its own
+// next observation.
 func (a *MA) Delete(req core.DeleteRequest) error {
-	err := a.deleteComponent(req)
+	p, err := a.deleteComponent(req)
+	if p != nil {
+		_ = a.Notify(p.Lower, "pipe-deleted", string(p.ID))
+	}
 	a.requestDone()
 	return err
 }
@@ -751,7 +756,8 @@ func (a *MA) execItem(item msg.CommandItem) (msg.CommandItemResult, error) {
 		id, err := a.createFilter(*item.Filter)
 		return msg.CommandItemResult{RuleID: id}, err
 	case item.Delete != nil:
-		return msg.CommandItemResult{}, a.deleteComponent(item.Delete.Req)
+		_, err := a.deleteComponent(item.Delete.Req)
+		return msg.CommandItemResult{}, err
 	}
 	return msg.CommandItemResult{}, fmt.Errorf("device[%s]: empty command item", a.dev)
 }
@@ -887,24 +893,27 @@ func (a *MA) createFilter(body msg.CreateFilterReq) (string, error) {
 	return inst.ID, nil
 }
 
-func (a *MA) deleteComponent(req core.DeleteRequest) error {
+// deleteComponent deletes one pipe or rule and returns the pipe it
+// deleted, if any. A batch's delete is reported only in the batch's
+// reply, so nothing here notifies the NM.
+func (a *MA) deleteComponent(req core.DeleteRequest) (*Pipe, error) {
 	if _, ok := a.LocalModule(req.Module.Module); !ok {
-		return fmt.Errorf("device[%s]: no module %s", a.dev, req.Module)
+		return nil, fmt.Errorf("device[%s]: no module %s", a.dev, req.Module)
 	}
 	switch req.Kind {
 	case core.ComponentPipe:
 		return a.deletePipe(core.PipeID(req.ID))
 	case core.ComponentSwitchRule, core.ComponentFilterRule:
-		return a.deleteRule(req.Module.Module, req.ID)
+		return nil, a.deleteRule(req.Module.Module, req.ID)
 	}
-	return fmt.Errorf("device[%s]: delete of %s unsupported", a.dev, req.Kind)
+	return nil, fmt.Errorf("device[%s]: delete of %s unsupported", a.dev, req.Kind)
 }
 
 // deletePipe removes a pipe with every rule on it: the rules still
 // waiting to install are dropped, and the installed ones' undos run —
 // the upper module's first, then the lower's, each in install order —
-// before both modules hear PipeDeleted.
-func (a *MA) deletePipe(id core.PipeID) error {
+// before both modules hear PipeDeleted. It returns the deleted pipe.
+func (a *MA) deletePipe(id core.PipeID) (*Pipe, error) {
 	a.mu.Lock()
 	p, ok := a.pipes[id]
 	var doomed []*installedRule
@@ -926,10 +935,10 @@ func (a *MA) deletePipe(id core.PipeID) error {
 	}
 	a.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("device[%s]: no pipe %s", a.dev, id)
+		return nil, fmt.Errorf("device[%s]: no pipe %s", a.dev, id)
 	}
 	if p.Physical {
-		return fmt.Errorf("device[%s]: physical pipe %s cannot be deleted, only disabled", a.dev, id)
+		return nil, fmt.Errorf("device[%s]: physical pipe %s cannot be deleted, only disabled", a.dev, id)
 	}
 	rank := func(r *installedRule) int {
 		switch r.module {
@@ -957,10 +966,7 @@ func (a *MA) deletePipe(id core.PipeID) error {
 	if lower, ok := a.LocalModule(p.Lower.Module); ok {
 		_ = lower.PipeDeleted(p, SideLower)
 	}
-	// Unsolicited event so the NM learns about deletions it did not
-	// itself order (a killed pipe heals autonomously, §II-E).
-	_ = a.Notify(p.Lower, "pipe-deleted", string(p.ID))
-	return nil
+	return p, nil
 }
 
 // deleteRule takes one installed rule of the given module out and runs

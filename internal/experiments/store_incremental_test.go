@@ -284,17 +284,20 @@ func TestDiamondLiteCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestDaemonPushVsPollRepair measures the same fault — a tunnel pipe
-// deleted out from under the applied GRE VPN — healed by the daemon in
-// push mode (§II-E style notifies drive reconciliation) versus pure
-// polling (events disabled, fixed-interval cache invalidation). Push
-// must repair in well under one poll interval; poll still heals, only
-// later. The measured pair backs the DaemonConfig.Poll guidance in
+// TestDaemonPushVsPollRepair measures each heal path of the daemon on
+// the fault it exists for. Push: a tunnel pipe deleted out from under
+// the applied GRE VPN, which the MA reports with a pipe-deleted notify.
+// Poll: the GRE module's switch rule deleted instead, which darkens the
+// tunnel but raises no event, so only the poll tick's audit finds it.
+// Push must repair in well under one poll interval; poll still heals,
+// only later. The measured pair backs the DaemonConfig.Poll guidance in
 // docs/daemon.md.
 func TestDaemonPushVsPollRepair(t *testing.T) {
-	const pollEvery = 500 * time.Millisecond
+	const pollEvery = 300 * time.Millisecond
 
-	run := func(cfg nm.DaemonConfig, token uint32) time.Duration {
+	// run returns the heal time and the events the NM published from
+	// the fault until the heal.
+	run := func(cfg nm.DaemonConfig, fault core.DeleteRequest, token uint32) (time.Duration, []nm.Event) {
 		t.Helper()
 		tb, err := BuildFig4()
 		if err != nil {
@@ -312,10 +315,10 @@ func TestDaemonPushVsPollRepair(t *testing.T) {
 		if err := tb.VerifyConnectivity(token); err != nil {
 			t.Fatalf("before fault: %v", err)
 		}
+		events, cancel := tb.NM.Subscribe(64)
+		defer cancel()
 		start := time.Now()
-		if err := tb.Devices["A"].MA.Delete(core.DeleteRequest{
-			Kind: core.ComponentPipe, Module: core.Ref(core.NameGRE, "A", "l"), ID: "P1",
-		}); err != nil {
+		if err := tb.Devices["A"].MA.Delete(fault); err != nil {
 			t.Fatal(err)
 		}
 		// Heal time is measured at the transport: first probe that
@@ -323,18 +326,27 @@ func TestDaemonPushVsPollRepair(t *testing.T) {
 		deadline := time.Now().Add(daemonWait)
 		for i := uint32(1); ; i++ {
 			if time.Now().After(deadline) {
-				t.Fatalf("fault not healed within %v (mode %+v)", daemonWait, cfg)
+				t.Fatalf("fault %s not healed within %v (mode %+v)", fault.ID, daemonWait, cfg)
 			}
 			if err := tb.VerifyConnectivity(token + 10*i); err == nil {
-				return time.Since(start)
+				return time.Since(start), drain(events)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
 
-	push := run(nm.DaemonConfig{}, 91000)
-	poll := run(nm.DaemonConfig{EventsDisabled: true, Poll: pollEvery}, 92000)
+	gre := core.Ref(core.NameGRE, "A", "l")
+	push, pushed := run(nm.DaemonConfig{},
+		core.DeleteRequest{Kind: core.ComponentPipe, Module: gre, ID: "P1"}, 91000)
+	poll, polled := run(nm.DaemonConfig{Poll: pollEvery},
+		core.DeleteRequest{Kind: core.ComponentSwitchRule, Module: gre, ID: "A-sw3"}, 92000)
 	t.Logf("push repair: %v, poll repair (interval %v): %v", push, pollEvery, poll)
+	if len(pushed) == 0 {
+		t.Error("the pipe delete published no event; push had nothing to react to")
+	}
+	if len(polled) != 0 {
+		t.Errorf("the rule delete published %+v; the poll half must heal drift that raises no event", polled)
+	}
 	if push >= pollEvery {
 		t.Errorf("push repair took %v, not faster than the %v poll interval", push, pollEvery)
 	}

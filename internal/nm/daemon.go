@@ -43,11 +43,6 @@ type DaemonConfig struct {
 	// the cache would only catch drift that also produced an event,
 	// which is exactly what polling must not rely on.
 	Poll time.Duration
-	// EventsDisabled turns the push side off: the daemon does not
-	// subscribe to the NM's event feed and heals only on poll ticks.
-	// Exists for the measured push-vs-poll comparison (docs/daemon.md);
-	// production configs leave it false.
-	EventsDisabled bool
 	// Buffer sizes the event subscription channel.
 	Buffer int
 	// Logger receives structured reconcile logs with per-reconcile
@@ -170,12 +165,8 @@ func (d *Daemon) Metrics() *obs.Metrics { return d.metrics }
 // one initial reconcile (establishing convergence on the current
 // store), then reacts to events.
 func (d *Daemon) Run(ctx context.Context) error {
-	var events <-chan Event
-	if !d.cfg.EventsDisabled {
-		ch, cancel := d.nm.Subscribe(d.cfg.Buffer)
-		defer cancel()
-		events = ch
-	}
+	events, cancel := d.nm.Subscribe(d.cfg.Buffer)
+	defer cancel()
 	d.mu.Lock()
 	d.events = events
 	d.running = true

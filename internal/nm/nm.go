@@ -206,11 +206,6 @@ type NM struct {
 	// their state in a per-call finder), so sharing it is safe.
 	graphCache *Graph // guarded by mu
 	graphGen   uint64
-	// expectNotify counts module notifies the NM's own reconcile deletes
-	// are about to cause (keyed dev|kind|detail), so self-inflicted
-	// events do not invalidate the observation cache the reconcile just
-	// wrote through. The events still publish to subscribers.
-	expectNotify map[string]int // guarded by mu
 
 	// planMu serialises store planning/apply and guards ss, the
 	// incremental union + observation-cache state. Lock order: planMu
@@ -279,7 +274,6 @@ func New() *NM {
 		staleDevs:         make(map[core.DeviceID]bool),
 		installedTriggers: make(map[string]bool),
 		obsGens:           make(map[core.DeviceID]uint64),
-		expectNotify:      make(map[string]int),
 		ss:                newStoreState(),
 		ssDirty:           make(map[string]bool),
 		ssRemoved:         make(map[string]bool),
@@ -550,17 +544,7 @@ func (n *NM) handle(env msg.Envelope) {
 		n.mu.Lock()
 		n.counters.NotifyRecv++
 		n.logfLocked("notify:"+note.Module.String(), "notify (%s: %s)", note.Module, note.Kind)
-		// A notify the NM's own reconcile deletes caused (e.g. the lower
-		// module reporting pipe-deleted) does not invalidate the cached
-		// observation — the reconcile already wrote the change through.
-		if key := expectKey(note.Module.Device, note.Kind, note.Detail); n.expectNotify[key] > 0 {
-			n.expectNotify[key]--
-			if n.expectNotify[key] == 0 {
-				delete(n.expectNotify, key)
-			}
-		} else {
-			n.bumpObsLocked(note.Module.Device)
-		}
+		n.bumpObsLocked(note.Module.Device)
 		n.publishLocked(Event{
 			Kind: EventNotify, Device: note.Module.Device,
 			Module: note.Module, What: note.Kind, Detail: note.Detail,
@@ -617,11 +601,6 @@ func (n *NM) handle(env msg.Envelope) {
 // holds n.mu), invalidating any cached observation of it.
 func (n *NM) bumpObsLocked(dev core.DeviceID) {
 	n.obsGens[dev]++
-}
-
-// expectKey keys the expectNotify suppression map.
-func expectKey(dev core.DeviceID, kind, detail string) string {
-	return string(dev) + "|" + kind + "|" + detail
 }
 
 // InvalidateObservations discards the store's confidence in every

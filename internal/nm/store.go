@@ -14,7 +14,8 @@ package nm
 // incremental (storestate.go): only dirty intents recompile, only
 // devices whose observation generation moved re-observe, and every
 // mutation is journaled through the datastore package when persistence
-// is attached. NM.Plan (intent.go) is the one-intent way
+// is attached — before it changes memory, so a mutation whose append
+// fails is not made. NM.Plan (intent.go) is the one-intent way
 // in: it registers the intent and runs PlanStore over a fresh
 // observation.
 
@@ -57,9 +58,12 @@ func (n *NM) Submit(intent Intent) error {
 		return fmt.Errorf("nm: submit: intent needs a name")
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if _, ok := n.store[intent.Name]; ok {
-		n.mu.Unlock()
 		return &DuplicateIntentError{Name: intent.Name}
+	}
+	if err := n.journalLocked(datastore.OpSubmit, intent.Name, intent, 0); err != nil {
+		return err
 	}
 	n.storePos[intent.Name] = n.storeOrder.push(intent.Name)
 	n.store[intent.Name] = intent
@@ -67,9 +71,7 @@ func (n *NM) Submit(intent Intent) error {
 	// A withdraw-then-resubmit within one reconcile window is a
 	// replacement; the dirty mark alone covers it.
 	delete(n.ssRemoved, intent.Name)
-	err := n.journalLocked(datastore.OpSubmit, intent.Name, intent, 0)
-	n.mu.Unlock()
-	return err
+	return nil
 }
 
 // Update replaces a registered intent's goal in place, keeping its
@@ -80,15 +82,16 @@ func (n *NM) Update(intent Intent) error {
 		return fmt.Errorf("nm: update: intent needs a name")
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if _, ok := n.store[intent.Name]; !ok {
-		n.mu.Unlock()
 		return &UnknownIntentError{Op: "update", Name: intent.Name}
+	}
+	if err := n.journalLocked(datastore.OpUpdate, intent.Name, intent, 0); err != nil {
+		return err
 	}
 	n.store[intent.Name] = intent
 	n.ssDirty[intent.Name] = true
-	err := n.journalLocked(datastore.OpUpdate, intent.Name, intent, 0)
-	n.mu.Unlock()
-	return err
+	return nil
 }
 
 // Withdraw removes the named intent from the store. Its configuration
@@ -98,18 +101,19 @@ func (n *NM) Update(intent Intent) error {
 // an unknown name is a typed UnknownIntentError.
 func (n *NM) Withdraw(name string) error {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if _, ok := n.store[name]; !ok {
-		n.mu.Unlock()
 		return &UnknownIntentError{Op: "withdraw", Name: name}
+	}
+	if err := n.journalLocked(datastore.OpWithdraw, name, nil, 0); err != nil {
+		return err
 	}
 	delete(n.store, name)
 	delete(n.ssDirty, name)
 	n.ssRemoved[name] = true
 	n.storeOrder.remove(n.storePos[name])
 	delete(n.storePos, name)
-	err := n.journalLocked(datastore.OpWithdraw, name, nil, 0)
-	n.mu.Unlock()
-	return err
+	return nil
 }
 
 // Registered returns the store's intents in submission order.

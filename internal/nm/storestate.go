@@ -490,12 +490,6 @@ func (n *NM) recordOccupancyLocked(name string, devs []core.DeviceID) {
 	n.intentDevs[name] = set
 }
 
-func (n *NM) clearExpected() {
-	n.mu.Lock()
-	n.expectNotify = make(map[string]int)
-	n.mu.Unlock()
-}
-
 // Apply executes a plan — stale components deleted first, missing ones
 // created — then binds the created components to the ids the devices
 // reported, writing them through the observation cache so the next pass
@@ -522,18 +516,6 @@ func (n *NM) applyLocked(plan *Plan) error {
 	if !plan.Empty() {
 		n.mu.Lock()
 		jerr := n.journalLocked(datastore.OpApplyBegin, "", planDevices(plan), 0)
-		if jerr == nil {
-			// Our own pipe deletes make the lower module notify
-			// pipe-deleted; those events must not invalidate the cache
-			// this apply writes through.
-			for _, ds := range plan.Deletes {
-				for _, item := range ds.Items {
-					if item.Delete != nil && item.Delete.Req.Kind == core.ComponentPipe {
-						n.expectNotify[expectKey(ds.Device, "pipe-deleted", item.Delete.Req.ID)]++
-					}
-				}
-			}
-		}
 		n.mu.Unlock()
 		if jerr != nil {
 			return jerr
@@ -543,7 +525,6 @@ func (n *NM) applyLocked(plan *Plan) error {
 	if len(plan.Deletes) > 0 {
 		if _, err := n.executeCollect(plan.Deletes); err != nil {
 			n.invalidateDevices(scriptDeviceSet(plan.Deletes))
-			n.clearExpected()
 			return fmt.Errorf("nm: reconcile (teardown phase): %w", err)
 		}
 		// Write the deletions through the observation cache and retire
@@ -562,7 +543,6 @@ func (n *NM) applyLocked(plan *Plan) error {
 		resps, err := n.executeCollect(plan.Creates)
 		if err != nil {
 			n.invalidateDevices(scriptDeviceSet(plan.Creates))
-			n.clearExpected()
 			return fmt.Errorf("nm: reconcile: %w", err)
 		}
 		// Bind what each batch created, writing it through the cache; a
@@ -580,7 +560,6 @@ func (n *NM) applyLocked(plan *Plan) error {
 	// Dependency maintenance (§II-E): watch every provider component a
 	// desired rule embeds handles from, so churn fires a Trigger.
 	if err := n.installHandleTriggers(plan.handleDeps); err != nil {
-		n.clearExpected()
 		return fmt.Errorf("nm: reconcile (triggers): %w", err)
 	}
 	n.markStale(plan.pruned, plan.Unreachable)
@@ -612,10 +591,6 @@ func (n *NM) applyLocked(plan *Plan) error {
 	if !plan.Empty() {
 		jerr = n.journalLocked(datastore.OpCommit, "", nil, 0)
 	}
-	// Self-inflicted notifies usually land before the batch response;
-	// any suppression still unclaimed is dropped so a later *real* event
-	// is never swallowed (worst case: one spurious re-observe).
-	n.expectNotify = make(map[string]int)
 	j := n.journal
 	n.mu.Unlock()
 	if jerr != nil {
