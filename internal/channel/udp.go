@@ -119,7 +119,7 @@ type TransportSnapshot struct {
 // (msg.Batch), keeps a sliding window of sequenced frames with
 // cumulative acks and RTO retransmission, dedups on receive, and
 // dispatches requests through a bounded handler pool — so the channel
-// survives loss/reorder/duplication and stays cheap under LSA floods.
+// survives loss/reorder/duplication and stays cheap under bursts.
 type UDPNetwork struct {
 	cfg    Config
 	stats  TransportStats

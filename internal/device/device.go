@@ -48,9 +48,10 @@ func New(net *netsim.Network, id core.DeviceID, role kernel.Role, ports ...strin
 	d.MA = NewMA(id, k, d.portReports)
 	// Link-state interrupt: a wire going up or down re-reports topology
 	// to the NM unprompted, so reconciliation can react without polling
-	// (§III-C.2's failure detection). Errors are ignored — the channel
-	// may not be attached yet, or the NM may be gone.
-	net.OnCarrierChange(id, func() { _ = d.MA.ReportTopology() })
+	// (§III-C.2's failure detection), and a wire coming back lets the
+	// modules resend what it lost. Errors are ignored — the channel may
+	// not be attached yet, or the NM may be gone.
+	net.OnCarrierChange(id, func() { _ = d.MA.CarrierChanged() })
 	// 802.1D topology-change behaviour: every bridge in the domain
 	// fast-ages its forwarding table when any link flips, adjacent or
 	// not. Entries learned before the change may steer unicast frames

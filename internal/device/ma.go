@@ -101,6 +101,9 @@ type MA struct {
 	replies    map[string]msg.Envelope // guarded by mu
 	inflight   map[string]bool         // guarded by mu
 	replyOrder []string                // guarded by mu
+	// down holds the ports whose link was seen cut at the last carrier
+	// change, so the next one can tell which came back.
+	down map[string]bool // guarded by mu
 }
 
 // maxReplyCache bounds the per-device reply cache; retransmits arrive
@@ -115,6 +118,7 @@ func NewMA(dev core.DeviceID, kern *kernel.Kernel, portInfo func() []msg.PortRep
 		portInfo:  portInfo,
 		modules:   make(map[core.ModuleID]Module),
 		pipes:     make(map[core.PipeID]*Pipe),
+		down:      make(map[string]bool),
 		rules:     make(map[string]*installedRule),
 		pipeRules: make(map[core.PipeID]map[string]*installedRule),
 		waiters:   make(map[uint64]chan msg.Envelope),
@@ -128,6 +132,19 @@ func (a *MA) Device() core.DeviceID { return a.dev }
 
 // Kernel implements Services.
 func (a *MA) Kernel() *kernel.Kernel { return a.kern }
+
+// PortTo implements Services: the first port inside the managed domain
+// whose reported neighbour is dev. The report is the wiring, not the
+// carrier, so a cut link still names its port; a customer-facing port
+// names none.
+func (a *MA) PortTo(dev core.DeviceID) (string, bool) {
+	for _, p := range a.portInfo() {
+		if p.PeerDevice == dev && !p.External {
+			return p.Name, true
+		}
+	}
+	return "", false
+}
 
 // Register adds a module to the device.
 func (a *MA) Register(m Module) {
@@ -165,8 +182,41 @@ func (a *MA) Start() error {
 
 // ReportTopology (re-)sends the physical connectivity report.
 func (a *MA) ReportTopology() error {
-	top := msg.Topology{Device: a.dev, Ports: a.portInfo()}
+	return a.reportPorts(a.portInfo())
+}
+
+func (a *MA) reportPorts(ports []msg.PortReport) error {
+	top := msg.Topology{Device: a.dev, Ports: ports}
 	return a.send(msg.MustNew(msg.TypeTopology, string(a.dev), msg.NMName, 0, top))
+}
+
+// CarrierChanged is the device's link-state interrupt: a link touching
+// one of its ports went up or down. It re-reports topology to the NM
+// and tells every module about each port whose link came back, whose
+// frames a link-local protocol may have lost while it was cut.
+func (a *MA) CarrierChanged() error {
+	ports := a.portInfo()
+	var up []string
+	a.mu.Lock()
+	for _, p := range ports {
+		switch {
+		case !p.Attached:
+			a.down[p.Name] = true
+		case a.down[p.Name]:
+			delete(a.down, p.Name)
+			up = append(up, p.Name)
+		}
+	}
+	a.mu.Unlock()
+	err := a.reportPorts(ports)
+	if len(up) > 0 {
+		for _, m := range a.Modules() {
+			for _, port := range up {
+				m.PortUp(port)
+			}
+		}
+	}
+	return err
 }
 
 func (a *MA) send(env msg.Envelope) error {

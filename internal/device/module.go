@@ -130,6 +130,9 @@ type Module interface {
 	// from the NM, or one out-of-band MA.Delete, so a module can act once
 	// on everything the request changed rather than once per pipe.
 	RequestDone()
+	// PortUp is called when the link on one of the device's physical
+	// ports comes back after a cut.
+	PortUp(port string)
 	// InstallSwitchRule directs packet switching between two pipes and
 	// returns the undo that takes the rule's state back out (nil when it
 	// left none). The MA runs the undo when the rule, or a pipe it
@@ -156,6 +159,11 @@ type Services interface {
 	Device() core.DeviceID
 	// Kernel returns the device's kernel.
 	Kernel() *kernel.Kernel
+	// PortTo names the device's physical port whose link leads to dev,
+	// as the topology report names it; ok is false when none does, and
+	// for a device only a customer-facing port leads to. A
+	// link-local protocol (the IGP) sends to its neighbour through it.
+	PortTo(dev core.DeviceID) (port string, ok bool)
 	// Convey sends a message to a remote module through the NM
 	// (conveyMessage, §II-D.1.d).
 	Convey(from, to core.ModuleRef, kind string, body any) error
@@ -199,6 +207,9 @@ func (b *BaseModule) PipeDeleted(*Pipe, PipeSide) error { return nil }
 
 // RequestDone implements Module (nothing to do).
 func (b *BaseModule) RequestDone() {}
+
+// PortUp implements Module (nothing to do).
+func (b *BaseModule) PortUp(string) {}
 
 // OwnPipe looks a pipe of the device up and reports which end of it this
 // module is; ok is false for an unknown pipe or one the module is not an

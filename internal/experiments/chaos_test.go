@@ -1,8 +1,8 @@
 package experiments
 
-// Multi-failure convergence tests on generated topologies (ROADMAP
-// item 4): the chaos harness kills k wires/devices/pipes concurrently
-// on fat-tree, ring and Waxman fabrics and asserts every registered
+// Multi-failure convergence tests on generated topologies: the chaos
+// harness kills k wires/devices/pipes concurrently on fat-tree, ring
+// and Waxman fabrics and asserts every registered
 // intent re-converges through the daemon alone — zero manual Reconcile
 // calls — with data-plane delivery re-verified after the heal. The
 // plan-level suite exercises generation + compile at n in the

@@ -1,8 +1,7 @@
 package experiments
 
-// End-to-end tests for the autonomous reconciliation daemon (ROADMAP
-// item 1): injected faults — a cut wire, a killed pipe, a killed
-// device — must heal with ZERO test-initiated Reconcile calls. The
+// End-to-end tests for the autonomous reconciliation daemon: injected
+// faults — a cut wire, a killed pipe, a killed device — must heal with ZERO test-initiated Reconcile calls. The
 // fault surfaces as events (carrier-loss topology re-reports,
 // pipe-deleted notifies, §II-E dependency triggers); the daemon
 // debounces them and drives Reconcile until the network converges

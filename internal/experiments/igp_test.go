@@ -2,12 +2,18 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"net/netip"
+	"os"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"conman/internal/core"
+	"conman/internal/netsim"
 	"conman/internal/nm"
+	"conman/internal/packet"
 	"conman/internal/topo"
 )
 
@@ -417,18 +423,49 @@ func TestIGPRouteNextHopsOnLink(t *testing.T) {
 	}
 }
 
-// TestIGPColdStartRelayCounts pins the flooding cost of an IGP cold
+// txDuring runs fn and returns, per port that sent any, the frames the
+// port sent meanwhile (netsim's TxCount).
+func txDuring(net *netsim.Network, fn func()) map[netsim.PortID]uint64 {
+	var ports []netsim.PortID
+	for _, name := range net.Media() {
+		if m, ok := net.Medium(name); ok {
+			ports = append(ports, m.Ports()...)
+		}
+	}
+	before := make(map[netsim.PortID]uint64, len(ports))
+	for _, p := range ports {
+		before[p] = net.TxCount(p)
+	}
+	fn()
+	sent := map[netsim.PortID]uint64{}
+	for _, p := range ports {
+		if d := net.TxCount(p) - before[p]; d > 0 {
+			sent[p] = d
+		}
+	}
+	return sent
+}
+
+// frameTotal sums a txDuring result.
+func frameTotal(sent map[netsim.PortID]uint64) int {
+	total := 0
+	for _, n := range sent {
+		total += int(n)
+	}
+	return total
+}
+
+// TestIGPColdStartFrameCounts pins the flooding cost of an IGP cold
 // start on the generated fabrics: applying the first routed intent
-// brings up adjacencies on every router, and each LSA batch, summary and
-// push is relayed through the NM, so Counters().RelayOut is the flooding
-// message count. Under the sequential executor it is exact — two builds
-// must agree — and pinned: a router originates once per command batch
-// and a new adjacency exchanges summaries instead of databases, which
-// took ring-16 from the 92 relays and fat-tree-4 from the 32 the retired
-// IGPFlood bench rows held; the executor's bit-reversed router order
-// took ring-16 from 77 to 74.
-func TestIGPColdStartRelayCounts(t *testing.T) {
-	coldStart := func(w *topo.Wiring) int {
+// brings up adjacencies on every router, and every LSA batch, summary
+// and push is one link-local frame on the adjacency's link, so the
+// frames the network carries during Apply are the flooding cost (Apply
+// sends nothing else onto the wire). Under the sequential executor they
+// are exact — two builds must agree — and pinned. The NM relays only the
+// address and key exchanges: ring-16's 74 relays and fat-tree-4's 31,
+// when LSAs still went through the NM, fell to 20 and 12.
+func TestIGPColdStartFrameCounts(t *testing.T) {
+	coldStart := func(w *topo.Wiring) (frames, relays int) {
 		t.Helper()
 		tb, pairs, err := BuildTopoGREIGP(w, 1)
 		if err != nil {
@@ -441,79 +478,251 @@ func TestIGPColdStartRelayCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		tb.NM.ResetCounters()
-		if err := tb.NM.Apply(plan); err != nil {
+		sent := txDuring(tb.Net, func() { err = tb.NM.Apply(plan) })
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := tb.VerifyPair(pairs[0], 97000); err != nil {
 			t.Fatalf("%s %s: data plane after cold start: %v", w.Family, w.Param, err)
 		}
-		return tb.NM.Counters().RelayOut
+		return frameTotal(sent), tb.NM.Counters().RelayOut
 	}
 	for _, tc := range []struct {
-		build func() (*topo.Wiring, error)
-		want  int
+		build          func() (*topo.Wiring, error)
+		frames, relays int
 	}{
-		{func() (*topo.Wiring, error) { return topo.Ring(16) }, 74},
-		{func() (*topo.Wiring, error) { return topo.FatTree(4) }, 31},
+		{func() (*topo.Wiring, error) { return topo.Ring(16) }, 54, 20},
+		{func() (*topo.Wiring, error) { return topo.FatTree(4) }, 19, 12},
 	} {
 		w, err := tc.build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, second := coldStart(w), coldStart(w)
-		if first != second {
-			t.Errorf("%s %s: %d LSA relays on one build, %d on the next — not deterministic", w.Family, w.Param, first, second)
+		frames, relays := coldStart(w)
+		if again, _ := coldStart(w); again != frames {
+			t.Errorf("%s %s: %d frames on one build, %d on the next — not deterministic", w.Family, w.Param, frames, again)
 		}
-		if first != tc.want {
-			t.Errorf("%s %s: %d relays, want %d", w.Family, w.Param, first, tc.want)
+		if frames != tc.frames || relays != tc.relays {
+			t.Errorf("%s %s: %d frames and %d relays, want %d and %d", w.Family, w.Param, frames, relays, tc.frames, tc.relays)
 		}
 	}
 }
 
-// TestIGPColdStartSPFRuns pins the cold start's cost on the sequential
-// n=32 chain: how often the modules compute routes (Σ spf-runs, pulled
-// with listFieldsAndValues) and how many conveys the NM relays (IGP
-// floods, summaries and pushes, plus the GRE key exchange). Both are
-// exact — two builds agree. An IGP module runs SPF only when a
-// stored LSA can change its confirmed graph or prefixes; the relays fell
-// from 1 058 to 652 when origination moved to once per command batch and
-// new adjacencies began exchanging summaries instead of databases. The
-// executor's bit-reversed router order, which merges configured segments
-// pairwise instead of growing one, took SPF runs from 558 to 251 and the
-// relays from 652 to 412.
-func TestIGPColdStartSPFRuns(t *testing.T) {
-	const n = 32
-	coldStart := func() (spfRuns, relays int) {
-		t.Helper()
-		sc := GREIGPScenario()
-		tb, err := sc.Build(n)
+// chainColdStart configures the sequential GRE+IGP chain of n routers
+// and returns the frames each port sent during Apply, and Σ spf-runs and
+// Σ lsas-accepted over the routers (pulled with listFieldsAndValues).
+func chainColdStart(t *testing.T, n int) (sent map[netsim.PortID]uint64, spfRuns, accepted int) {
+	t.Helper()
+	sc := GREIGPScenario()
+	tb, err := sc.Build(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	tb.NM.Sequential = true
+	plan, err := sc.PlanLinear(tb, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent = txDuring(tb.Net, func() { err = tb.NM.Apply(plan) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.VerifyConnectivity(97500); err != nil {
+		t.Fatalf("n=%d: data plane after cold start: %v", n, err)
+	}
+	for k := 1; k <= n; k++ {
+		fields, err := tb.NM.ListFields(core.Ref(core.NameIGP, rid(k), "igp"), "self")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer tb.Close()
-		tb.NM.Sequential = true
-		if _, err := sc.ConfigureLinear(tb, n); err != nil {
+		runs, err1 := strconv.Atoi(fields["spf-runs"])
+		acc, err2 := strconv.Atoi(fields["lsas-accepted"])
+		if err1 != nil || err2 != nil || fields["routes"] == "0" {
+			t.Fatalf("%s: IGP fields %v", rid(k), fields)
+		}
+		spfRuns, accepted = spfRuns+runs, accepted+acc
+	}
+	return sent, spfRuns, accepted
+}
+
+// TestIGPColdStartSPFRuns pins the cold start's cost on the sequential
+// n=32 chain: how often the modules compute routes (Σ spf-runs), how
+// many LSAs they accept (Σ lsas-accepted: each router's once at every
+// other, n(n−1)) and how many link-state frames carry them. All three
+// are exact — two builds agree. An IGP module runs SPF only when a stored
+// LSA can change its confirmed graph or prefixes; the executor's
+// bit-reversed router order took SPF runs from 558 to 251. Moving the
+// floods from NM relays (412 with the address and key exchanges) to
+// link-local frames left the SPF runs at 251.
+func TestIGPColdStartSPFRuns(t *testing.T) {
+	const n = 32
+	sent, spf, accepted := chainColdStart(t, n)
+	again, spf2, _ := chainColdStart(t, n)
+	if !maps.Equal(sent, again) || spf != spf2 {
+		t.Errorf("%d SPF runs and %d frames on one build, %d and %d on the next — not deterministic", spf, frameTotal(sent), spf2, frameTotal(again))
+	}
+	if frames := frameTotal(sent); spf != 251 || accepted != n*(n-1) || frames != 346 {
+		t.Errorf("n=%d: %d SPF runs, %d LSAs accepted, %d frames; want 251, %d and 346", n, spf, accepted, frames, n*(n-1))
+	}
+}
+
+// TestIGPColdStartFramesPerLink pins the sequential chain's cold-start
+// flooding link by link at n = 32 and n = 128: testdata/igp_frames.golden
+// lists, per link Rk–Rk+1, the frames Rk sent rightward and Rk+1 sent
+// leftward during Apply, and nothing else sent any. Rightward, link k
+// carries 2·popcount(k) frames, one fewer on the last link. The counts
+// repeat exactly across builds, and Σ lsas-accepted at n = 128 is
+// 16 256 = n(n−1), as when the LSAs went through the NM.
+func TestIGPColdStartFramesPerLink(t *testing.T) {
+	var b strings.Builder
+	for _, n := range []int{32, 128} {
+		sent, _, accepted := chainColdStart(t, n)
+		if again, _, _ := chainColdStart(t, n); !maps.Equal(sent, again) {
+			t.Errorf("n=%d: per-port frame counts differ between two builds", n)
+		}
+		if accepted != n*(n-1) {
+			t.Errorf("n=%d: Σ lsas-accepted = %d, want n(n−1) = %d", n, accepted, n*(n-1))
+		}
+		fmt.Fprintf(&b, "n=%d: %d frames\n", n, frameTotal(sent))
+		onLinks := 0
+		for k := 1; k < n; k++ {
+			right := sent[netsim.PortID{Device: rid(k), Name: chainRight}]
+			left := sent[netsim.PortID{Device: rid(k + 1), Name: chainLeft}]
+			onLinks += int(right + left)
+			fmt.Fprintf(&b, "R%d-R%d %d %d\n", k, k+1, right, left)
+		}
+		if onLinks != frameTotal(sent) {
+			t.Errorf("n=%d: %d frames left the chain's router links, %d in all", n, onLinks, frameTotal(sent))
+		}
+	}
+	want, err := os.ReadFile("testdata/igp_frames.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("per-link frame counts drifted.\n--- got ---\n%s\n--- want ---\n%s", b.String(), want)
+	}
+}
+
+// igpLSDB pulls a router's IGP database with listFieldsAndValues: one
+// "lsa:<origin>" entry per held LSA, its seq, prefix and neighbour counts.
+func igpLSDB(t *testing.T, tb *Testbed, dev core.DeviceID) map[string]string {
+	t.Helper()
+	fields, err := tb.NM.ListFields(core.Ref(core.NameIGP, dev, "igp"), "lsdb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fields
+}
+
+// TestIGPIgnoresLinkStateFromCustomerSite has customer site D, behind
+// R1's customer-facing port, send R1 link-state packets that speak for a
+// router: once as an IGP on D itself, once as R1's neighbour R2. Each
+// carries a newer LSA for R3 with an extra prefix. Every router's
+// database and R1's routes must stay as they were, and the data plane
+// must still deliver.
+func TestIGPIgnoresLinkStateFromCustomerSite(t *testing.T) {
+	const n = 4
+	sc := GREIGPScenario()
+	tb, err := sc.Build(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	if _, err := sc.ConfigureLinear(tb, n); err != nil {
+		t.Fatal(err)
+	}
+	before := map[core.DeviceID]map[string]string{}
+	for k := 1; k <= n; k++ {
+		before[rid(k)] = igpLSDB(t, tb, rid(k))
+	}
+	routes := fmt.Sprint(tb.Devices[rid(1)].Kernel.Routes("main"))
+	for _, from := range []core.DeviceID{"D", rid(2)} {
+		ls := packet.LinkState{From: core.Ref(core.NameIGP, from, "igp").String(), LSAs: []packet.LSA{{
+			Origin:    core.Ref(core.NameIGP, rid(3), "igp").String(),
+			Seq:       1 << 20,
+			Prefixes:  []netip.Prefix{netip.MustParsePrefix("10.0.1.7/24")},
+			Neighbors: []string{core.Ref(core.NameIGP, rid(1), "igp").String()},
+		}}}
+		frame, err := packet.Serialize(ls.Append(nil), packet.Ethernet{Dst: packet.BroadcastMAC, Type: packet.EtherTypeLinkState})
+		if err != nil {
 			t.Fatal(err)
 		}
-		relays = tb.NM.Counters().RelayOut
-		for k := 1; k <= n; k++ {
-			fields, err := tb.NM.ListFields(core.Ref(core.NameIGP, rid(k), "igp"), "self")
-			if err != nil {
-				t.Fatal(err)
-			}
-			runs, err := strconv.Atoi(fields["spf-runs"])
-			if err != nil || fields["routes"] == "0" {
-				t.Fatalf("%s: IGP fields %v: %v", rid(k), fields, err)
-			}
-			spfRuns += runs
+		if err := tb.Net.Send(netsim.PortID{Device: "D", Name: "eth0"}, frame); err != nil {
+			t.Fatal(err)
 		}
-		return spfRuns, relays
 	}
-	first, relays := coldStart()
-	if second, _ := coldStart(); first != second {
-		t.Errorf("%d SPF runs on one build, %d on the next — not deterministic", first, second)
+	for k := 1; k <= n; k++ {
+		if got := igpLSDB(t, tb, rid(k)); !maps.Equal(got, before[rid(k)]) {
+			t.Errorf("%s's database changed: %v, was %v", rid(k), got, before[rid(k)])
+		}
 	}
-	if first != 251 || relays != 412 {
-		t.Errorf("n=%d: %d SPF runs and %d relays, want 251 and 412", n, first, relays)
+	if got := fmt.Sprint(tb.Devices[rid(1)].Kernel.Routes("main")); got != routes {
+		t.Errorf("R1's routes changed:\n%s\nwas\n%s", got, routes)
+	}
+	if err := tb.VerifyConnectivity(97800); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestIGPResyncsWhenCutWireHeals cuts the R2–R3 wire of a configured
+// n = 5 chain and makes R2 re-originate behind it (an out-of-band delete
+// of its adjacency to R1), so the update toward R3 is lost on the cut.
+// No daemon runs, so no adjacency is re-formed: bringing the wire back
+// must, on its own, level R3, R4 and R5 with R2's newest LSA.
+func TestIGPResyncsWhenCutWireHeals(t *testing.T) {
+	const n = 5
+	sc := GREIGPScenario()
+	tb, err := sc.Build(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	if _, err := sc.ConfigureLinear(tb, n); err != nil {
+		t.Fatal(err)
+	}
+	r2 := core.Ref(core.NameIGP, rid(2), "igp")
+	seqOf := func(dev core.DeviceID) string { return strings.Fields(igpLSDB(t, tb, dev)["lsa:"+r2.String()])[0] }
+	stale := seqOf(rid(5))
+
+	if err := tb.Net.SetMediumUp("R2-R3", false); err != nil {
+		t.Fatal(err)
+	}
+	states, err := tb.NM.ShowActual(rid(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var toR1 core.PipeID
+	for _, st := range states {
+		for _, p := range st.Pipes {
+			if st.Ref == r2 && p.Peer.Device == rid(1) {
+				toR1 = p.ID
+			}
+		}
+	}
+	if toR1 == "" {
+		t.Fatal("R2 has no adjacency pipe to R1")
+	}
+	if err := tb.Devices[rid(2)].MA.Delete(core.DeleteRequest{Kind: core.ComponentPipe, Module: r2, ID: string(toR1)}); err != nil {
+		t.Fatal(err)
+	}
+	newest := seqOf(rid(2))
+	if newest == stale {
+		t.Fatalf("R2 did not re-originate: seq %s", newest)
+	}
+	for k := 3; k <= n; k++ {
+		if got := seqOf(rid(k)); got != stale {
+			t.Fatalf("%s holds R2's LSA at %s across the cut, want the stale %s", rid(k), got, stale)
+		}
+	}
+
+	if err := tb.Net.SetMediumUp("R2-R3", true); err != nil {
+		t.Fatal(err)
+	}
+	for k := 3; k <= n; k++ {
+		if got := seqOf(rid(k)); got != newest {
+			t.Errorf("%s holds R2's LSA at %s after the heal, want %s", rid(k), got, newest)
+		}
 	}
 }

@@ -55,10 +55,12 @@ func LinearScenarios() []LinearScenario {
 // adjacency pipes, so the tunnel forwards end-to-end at any n — the
 // scale scenario the plain GRE row only delivers at n=3. It is not part
 // of LinearScenarios(): the paper's Table VI has no row for it.
-// Configured sequentially its traffic is exact and Θ(n log n), 4 512
-// messages at n = 128, because the executor brings the routers up in
-// bit-reversed order (TestHubChainExactCounters); under the concurrent
-// executor the flooding volume depends on arrival order and varies.
+// The NM's traffic is the plain GRE chain's, 5n + 4 messages (644 at
+// n = 128; TestHubChainExactCounters): the IGP floods in link-local
+// frames. Configured sequentially the flooding is exact and Θ(n log n),
+// because the executor brings the routers up in bit-reversed order
+// (TestIGPColdStartFramesPerLink); under the concurrent executor its
+// volume depends on arrival order and varies.
 func GREIGPScenario() LinearScenario {
 	return LinearScenario{
 		Name: "GRE+IGP", PathDesc: "GRE-IP tunnel",

@@ -1,6 +1,6 @@
 package experiments
 
-// Crash-point oracle for the persistent intent store (ROADMAP item 5).
+// Crash-point oracle for the persistent intent store.
 // The invariant, checked mechanically rather than argued: whatever call
 // into the backend is the last one to succeed, an NM restored from what
 // the backend then holds registers exactly the acknowledged operations,

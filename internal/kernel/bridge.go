@@ -54,7 +54,6 @@ type bridgeState struct {
 	ports     map[string]*switchPort
 	fdb       map[fdbKey]string
 	tagNative bool
-	catosCtx  string // current `interface` context for CatOS config
 }
 
 func newBridgeState() bridgeState {

@@ -13,30 +13,23 @@ import (
 // (Fig 7a), the mpls-linux tool (Fig 8a) and Cisco CatOS (Fig 9a).
 // Comment and blank lines are ignored. The returned string is the
 // command's output (e.g. the NHLFE key line that Fig 8a extracts with
-// `grep key | cut -c 17-26`).
+// `grep key | cut -c 17-26`). A line runs in no CatOS `interface`
+// context: only a script's own `interface` line opens one (ExecScript).
 func (k *Kernel) Exec(line string) (string, error) {
-	trimmed := strings.TrimSpace(line)
-	if trimmed == "" || strings.HasPrefix(trimmed, "#") || trimmed == "#!/bin/bash" {
-		return "", nil
-	}
-	k.mu.Lock()
-	k.execLog = append(k.execLog, trimmed)
-	k.mu.Unlock()
-
-	f := strings.Fields(trimmed)
-	out, err := k.exec1(trimmed, f)
-	if err != nil {
-		return "", fmt.Errorf("kernel[%s]: %q: %w", k.dev, trimmed, err)
-	}
-	return out, nil
+	var ctx string
+	return k.exec(line, &ctx)
 }
 
 // ExecScript runs every line of a multi-line script, stopping at the first
-// error. It returns the concatenated outputs.
+// error. It returns the concatenated outputs. The CatOS `interface`
+// context an `interface` line opens lasts until `exit` or the script's
+// end and belongs to this call alone, so scripts running concurrently on
+// one kernel never configure each other's ports.
 func (k *Kernel) ExecScript(script string) (string, error) {
 	var outs []string
+	var ctx string
 	for _, line := range strings.Split(script, "\n") {
-		out, err := k.Exec(line)
+		out, err := k.exec(line, &ctx)
 		if err != nil {
 			return strings.Join(outs, "\n"), err
 		}
@@ -47,7 +40,26 @@ func (k *Kernel) ExecScript(script string) (string, error) {
 	return strings.Join(outs, "\n"), nil
 }
 
-func (k *Kernel) exec1(line string, f []string) (string, error) {
+// exec runs one line; ctx is the calling script's CatOS `interface`
+// context, which `interface` sets and `exit` clears.
+func (k *Kernel) exec(line string, ctx *string) (string, error) {
+	trimmed := strings.TrimSpace(line)
+	if trimmed == "" || strings.HasPrefix(trimmed, "#") || trimmed == "#!/bin/bash" {
+		return "", nil
+	}
+	k.mu.Lock()
+	k.execLog = append(k.execLog, trimmed)
+	k.mu.Unlock()
+
+	f := strings.Fields(trimmed)
+	out, err := k.exec1(trimmed, f, ctx)
+	if err != nil {
+		return "", fmt.Errorf("kernel[%s]: %q: %w", k.dev, trimmed, err)
+	}
+	return out, nil
+}
+
+func (k *Kernel) exec1(line string, f []string, ctx *string) (string, error) {
 	switch f[0] {
 	case "insmod":
 		if len(f) != 2 {
@@ -110,12 +122,10 @@ func (k *Kernel) exec1(line string, f []string) (string, error) {
 		if len(f) != 2 {
 			return "", fmt.Errorf("usage: interface <port>")
 		}
-		k.mu.Lock()
-		k.bridge.catosCtx = f[1]
-		k.mu.Unlock()
+		*ctx = f[1]
 		return "", nil
 	case "switchport":
-		return "", k.execCatOSSwitchport(f)
+		return "", k.execCatOSSwitchport(f, *ctx)
 	case "vlan":
 		// `vlan dot1q tag native`
 		if len(f) == 4 && f[1] == "dot1q" && f[2] == "tag" && f[3] == "native" {
@@ -126,9 +136,7 @@ func (k *Kernel) exec1(line string, f []string) (string, error) {
 		}
 		return "", fmt.Errorf("unsupported vlan command")
 	case "exit", "end":
-		k.mu.Lock()
-		k.bridge.catosCtx = ""
-		k.mu.Unlock()
+		*ctx = ""
 		return "", nil
 	}
 	return "", fmt.Errorf("unsupported command %q", f[0])
@@ -574,11 +582,8 @@ func (k *Kernel) execCatOSSet(f []string) error {
 }
 
 // execCatOSSwitchport handles `switchport access vlan N` and
-// `switchport mode dot1q-tunnel` inside an `interface` context.
-func (k *Kernel) execCatOSSwitchport(f []string) error {
-	k.mu.Lock()
-	ctx := k.bridge.catosCtx
-	k.mu.Unlock()
+// `switchport mode dot1q-tunnel` inside the `interface` context ctx.
+func (k *Kernel) execCatOSSwitchport(f []string, ctx string) error {
 	if ctx == "" {
 		return fmt.Errorf("switchport outside `interface` context")
 	}

@@ -848,7 +848,7 @@ func (k *Kernel) arpInput(port string, data []byte) {
 	k.mu.Unlock()
 
 	for _, p := range pend {
-		k.ethOut(port, a.SenderMAC, p.etherType, p.data)
+		_ = k.SendFrame(port, a.SenderMAC, p.etherType, p.data)
 	}
 
 	if a.Op != packet.ARPRequest {
@@ -905,7 +905,7 @@ func (k *Kernel) arpResolve(iface string, nexthop netip.Addr, etherType packet.E
 	k.mu.Unlock()
 
 	if known {
-		k.ethOut(iface, mac, etherType, data)
+		_ = k.SendFrame(iface, mac, etherType, data)
 		return
 	}
 	srcMAC, ok := k.portMAC(iface)
@@ -928,16 +928,21 @@ func (k *Kernel) arpResolve(iface string, nexthop netip.Addr, etherType packet.E
 	}
 }
 
-func (k *Kernel) ethOut(iface string, dst packet.MAC, etherType packet.EtherType, data []byte) {
-	src, ok := k.portMAC(iface)
+// SendFrame transmits data as one Ethernet frame of etherType to dst out
+// of port, below routing and ARP: the raw send ARP resolution ends in,
+// and the one a link-local protocol (the IGP's LSAs) uses. The frame is
+// delivered through the device's send function, so on the simulated
+// network it may be handled before SendFrame returns.
+func (k *Kernel) SendFrame(port string, dst packet.MAC, etherType packet.EtherType, data []byte) error {
+	src, ok := k.portMAC(port)
 	if !ok {
-		return
+		return fmt.Errorf("kernel[%s]: no port %q", k.dev, port)
 	}
 	frame, err := packet.Serialize(data, packet.Ethernet{Dst: dst, Src: src, Type: etherType})
 	if err != nil {
-		return
+		return err
 	}
-	_ = k.send(iface, frame)
+	return k.send(port, frame)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"fmt"
 	"net/netip"
 	"strings"
 	"sync"
@@ -837,6 +838,54 @@ exit`)
 	}
 	if name, mtu, ok := k.VLANOf(22); !ok || name != "C1" || mtu != 1504 {
 		t.Fatalf("vlan 22: %q %d %v", name, mtu, ok)
+	}
+}
+
+// TestCatOSContextIsPerScript pins that an `interface` context belongs
+// to the ExecScript call whose line opened it: a later bare Exec of a
+// `switchport` line has no context to run in.
+func TestCatOSContextIsPerScript(t *testing.T) {
+	r := newRig(t)
+	k := r.add("Sw", kernel.RoleSwitch, "p1", "p2")
+	r.exec("Sw", "interface p1")
+	if _, err := k.Exec("switchport access vlan 5"); err == nil {
+		t.Fatal("switchport after another script's `interface p1` succeeded; want an error outside any context")
+	}
+	if mode, vid := k.PortModeOf("p1"); mode != kernel.ModeUnconfigured || vid != 0 {
+		t.Errorf("p1 configured by a line outside its script: %v vid %d", mode, vid)
+	}
+}
+
+// TestCatOSScriptsConcurrentOnOneSwitch runs the ETH module's QinQ
+// tunnel-port script on every port of one switch kernel at once, as the
+// concurrent executor and a Kick-driven retry can: each script must
+// configure its own port — mode and VID — and no other.
+func TestCatOSScriptsConcurrentOnOneSwitch(t *testing.T) {
+	const ports, rounds = 64, 10
+	for round := 0; round < rounds; round++ {
+		r := newRig(t)
+		names := make([]string, ports)
+		for i := range names {
+			names[i] = fmt.Sprintf("p%d", i)
+		}
+		k := r.add("Sw", kernel.RoleSwitch, names...)
+		var wg sync.WaitGroup
+		for i, name := range names {
+			wg.Add(1)
+			go func(i int, name string) {
+				defer wg.Done()
+				script := fmt.Sprintf("interface %s\nswitchport access vlan %d\nswitchport mode dot1q-tunnel\nexit", name, 100+i)
+				if _, err := k.ExecScript(script); err != nil {
+					t.Error(err)
+				}
+			}(i, name)
+		}
+		wg.Wait()
+		for i, name := range names {
+			if mode, vid := k.PortModeOf(name); mode != kernel.ModeDot1qTunnel || vid != uint16(100+i) {
+				t.Fatalf("round %d: %s is %v vid %d, want dot1q-tunnel vid %d", round, name, mode, vid, 100+i)
+			}
+		}
 	}
 }
 

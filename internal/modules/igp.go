@@ -1,7 +1,6 @@
 package modules
 
 import (
-	"encoding/json"
 	"fmt"
 	"maps"
 	"net/netip"
@@ -12,18 +11,19 @@ import (
 	"conman/internal/core"
 	"conman/internal/device"
 	"conman/internal/kernel"
+	"conman/internal/packet"
 )
 
 // IGP is a routing control module (paper §II-F): like a real routing
 // daemon it wraps the kernel's routing table, floods link-state
-// advertisements to its peer IGP modules — over the module-to-module
-// management channel, standing in for the protocol's own link-local
-// packets — and installs the transit routes that make multi-hop IP
-// forwarding work. The NM never sees a route: it only creates one pipe
-// per adjacency (Upper = IGP, Lower = the co-located IP module, peers =
-// the neighbouring IGP/IP pair), exactly as it names IKE as the provider
-// of IPSec's keying dependency. Deleting the pipes withdraws the routes
-// the module owns.
+// advertisements to its peer IGP modules in its own link-local packets
+// (packet.LinkState, EtherType 0x88B6, sent straight onto the link of
+// the adjacency) and installs the transit routes that make multi-hop IP
+// forwarding work. The NM never sees a route or an LSA: it only creates
+// one pipe per adjacency (Upper = IGP, Lower = the co-located IP module,
+// peers = the neighbouring IGP/IP pair), exactly as it names IKE as the
+// provider of IPSec's keying dependency. Deleting the pipes withdraws the
+// routes the module owns.
 //
 // # Protocol
 //
@@ -43,19 +43,39 @@ import (
 // unreachable router's subnets are withdrawn even while its stale LSA
 // lingers in the database.
 //
+// # Links
+//
+// A device hosts at most one IGP module, which registers for the
+// EtherType with the kernel. An adjacency's packets leave through the
+// port whose link leads to the neighbour's device (Services.PortTo, the
+// wiring the device reports to the NM), looked up when the pipe is
+// attached, so an adjacency's first packet never waits; an answer leaves
+// through the port its question came in on. A packet is accepted only
+// from the IGP module of the device its port leads to, so a customer
+// site, which no PortTo names, cannot speak for a router. Frames are
+// handled inside the network's delivery, so a neighbour can answer
+// before a send returns: the module never sends with g.mu held.
+//
+// A frame sent onto a cut link is lost, and nothing retransmits it. What
+// recovers the LSA is a resync, the summary exchange that opens an
+// adjacency (below), which brings the two databases level, each side
+// re-flooding what it accepts. It runs when the link comes back (PortUp,
+// over every adjacency on it) and when the NM re-routes around the cut,
+// creating new adjacencies.
+//
 // # Adjacency bring-up
 //
-// A new neighbour gets one "igp-dd" convey: the fresh self-LSA plus the
-// (origin, seq) summary of everything else the database holds. The
-// receiver stores the LSA like any update and answers in at most one
-// "igp-lsa" convey: the LSAs the summary lacks or holds at an older seq,
-// and a request for the ones the summary is ahead on. It asks only over
-// an adjacency whose own summary has already gone out — over a fresh one
-// that summary is about to draw a push, and without one it needs no
-// routes through the sender — and the asked side answers with one more
-// "igp-lsa". Neither side echoes its whole database, and a router that
-// lost its last adjacency (and with it its database) gets everything
-// back from a neighbour whose pipe never went away.
+// A new neighbour gets one summary: the fresh self-LSA plus the
+// (origin, seq) of everything else the database holds. The receiver
+// stores the LSA like any update and answers in at most one update: the
+// LSAs the summary lacks or holds at an older seq, and a request for the
+// ones the summary is ahead on. It asks only over an adjacency whose own
+// summary has already gone out — over a fresh one that summary is about
+// to draw a push, and without one it needs no routes through the sender
+// — and the asked side answers with one more update. Neither side echoes
+// its whole database, and a router that lost its last adjacency (and
+// with it its database) gets everything back from a neighbour whose pipe
+// never went away.
 //
 // # When SPF runs
 //
@@ -77,6 +97,8 @@ import (
 // "self").
 type IGP struct {
 	device.BaseModule
+	// name is Ref().String(), the module's identity in LSAs and packets.
+	name string
 
 	mu sync.Mutex
 	// adjs maps this module's down pipes to their adjacencies.
@@ -129,13 +151,14 @@ func (r igpInstalled) same(o igpInstalled) bool {
 	if r.lsa == nil || o.lsa == nil {
 		return r.lsa == o.lsa
 	}
-	return r.nh == o.nh && slices.Equal(r.lsa.prefixes, o.lsa.prefixes)
+	return r.nh == o.nh && slices.Equal(r.lsa.Prefixes, o.lsa.Prefixes)
 }
 
 // igpAdj is one adjacency derived from an NM-created pipe (keyed by
 // the pipe id in IGP.adjs).
 type igpAdj struct {
-	nbr core.ModuleRef // neighbouring IGP module
+	nbr  string // the neighbouring IGP module's ref
+	port string // the device port whose link leads to it
 	// fresh marks a pipe attached since the last RequestDone: its
 	// neighbour is owed a database summary.
 	fresh bool
@@ -145,50 +168,17 @@ type igpAdj struct {
 // switching state to a routing control module, mirroring IPSecKeyToken.
 const IPRouteToken = "ipv4-routes"
 
-// The convey kinds: a summary opens an adjacency; an update carries LSAs
-// and may ask for more.
-const (
-	igpKindSummary = "igp-dd"
-	igpKindUpdate  = "igp-lsa"
-)
-
-// igpUpdate is the convey body of both kinds: a batch of LSAs, like a
-// real IGP's Link State Update packet, so a push or a multi-LSA reflood
-// costs one management-channel round trip instead of one per LSA. A
-// summary also carries Have, the (origin, seq) of every other LSA its
-// sender holds; an update answering one may carry Want, the origins its
-// sender asks to be sent.
-type igpUpdate struct {
-	LSAs []*igpLSA         `json:"lsas,omitempty"`
-	Have map[string]uint64 `json:"have,omitempty"`
-	Want []string          `json:"want,omitempty"`
-}
-
-// igpLSA is the flooded link-state advertisement.
+// igpLSA is a stored link-state advertisement: the flooded LSA plus the
+// interned form of its neighbours, filled on store.
 type igpLSA struct {
-	Origin string   `json:"origin"` // ModuleRef.String() of the advertiser
-	Seq    uint64   `json:"seq"`
-	Addrs  []string `json:"addrs"`     // host addresses with prefix length
-	Nbrs   []string `json:"neighbors"` // adjacent IGP module refs
-
-	// prefixes is the parsed form of Addrs and nbrIdx the interned form
-	// of Nbrs, filled on store (unexported, so they never ride the wire).
-	prefixes []netip.Prefix
-	nbrIdx   []int32
+	packet.LSA
+	nbrIdx []int32
 }
 
-func (l *igpLSA) parse() {
-	l.prefixes = l.prefixes[:0]
-	for _, a := range l.Addrs {
-		if p, err := netip.ParsePrefix(a); err == nil {
-			l.prefixes = append(l.prefixes, p)
-		}
-	}
-}
-
-// NewIGP creates an IGP control module.
+// NewIGP creates an IGP control module and registers it with the
+// device kernel for link-state frames.
 func NewIGP(svc device.Services, id core.ModuleID) *IGP {
-	return &IGP{
+	g := &IGP{
 		BaseModule: device.BaseModule{
 			ModRef: core.Ref(core.NameIGP, svc.Device(), id),
 			Svc:    svc,
@@ -197,6 +187,9 @@ func NewIGP(svc device.Services, id core.ModuleID) *IGP {
 		origins: make(map[string]int32),
 		routes:  make(map[routeKey]int32),
 	}
+	g.name = g.Ref().String()
+	svc.Kernel().RegisterEtherType(packet.EtherTypeLinkState, g.handleFrame)
+	return g
 }
 
 // Abstraction implements device.Module: a control module advertising
@@ -220,9 +213,9 @@ func (g *IGP) Actual() core.ModuleState {
 	return core.ModuleState{Ref: g.Ref(), LowLevel: g.summaryLocked()}
 }
 
-// localAddrs lists the kernel's connected interface addresses, excluding
-// tunnel interfaces (their state is derived, not topology) in
-// deterministic order.
+// localAddrs lists the kernel's connected IPv4 interface addresses,
+// excluding tunnel interfaces (their state is derived, not topology), in
+// interface-name order.
 func (g *IGP) localAddrs() []netip.Prefix {
 	k := g.Svc.Kernel()
 	var out []netip.Prefix
@@ -231,7 +224,11 @@ func (g *IGP) localAddrs() []netip.Prefix {
 		if !ok || i.Kind == kernel.IfaceGRE {
 			continue
 		}
-		out = append(out, i.Addrs...)
+		for _, p := range i.Addrs {
+			if p.Addr().Is4() { // the IGP routes IPv4 only
+				out = append(out, p)
+			}
+		}
 	}
 	return out
 }
@@ -240,54 +237,54 @@ func (g *IGP) localAddrs() []netip.Prefix {
 // stores its current LSA. Caller holds g.mu.
 func (g *IGP) originateLocked() *igpLSA {
 	g.seq++
-	lsa := &igpLSA{Origin: g.Ref().String(), Seq: g.seq}
-	for _, p := range g.localAddrs() {
-		lsa.Addrs = append(lsa.Addrs, p.String())
-	}
-	sort.Strings(lsa.Addrs)
+	lsa := &igpLSA{LSA: packet.LSA{Origin: g.name, Seq: g.seq, Prefixes: g.localAddrs()}}
 	for _, nbr := range g.neighborsLocked() {
-		lsa.Nbrs = append(lsa.Nbrs, nbr.String())
+		lsa.Neighbors = append(lsa.Neighbors, nbr.nbr)
 	}
 	g.storeLocked(lsa)
 	return lsa
 }
 
-// neighborsLocked snapshots the distinct adjacent IGP modules, sorted.
-// Caller holds g.mu.
-func (g *IGP) neighborsLocked() []core.ModuleRef {
-	var out []core.ModuleRef
-	seen := map[string]bool{}
+// neighborsLocked snapshots the distinct adjacent IGP modules, sorted,
+// each with its port. Caller holds g.mu.
+func (g *IGP) neighborsLocked() []igpAdj {
+	var out []igpAdj
 	for _, adj := range g.adjs {
-		if !seen[adj.nbr.String()] {
-			seen[adj.nbr.String()] = true
-			out = append(out, adj.nbr)
+		if !slices.ContainsFunc(out, func(o igpAdj) bool { return o.nbr == adj.nbr }) {
+			out = append(out, *adj)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	sort.Slice(out, func(i, j int) bool { return out[i].nbr < out[j].nbr })
 	return out
 }
 
-// sendUpdate conveys a batch of LSAs to a neighbouring IGP module,
-// omitting the ones the neighbour originated itself. Never called with
-// g.mu held: the in-process channel delivers synchronously and the
-// receiver may flood back into us.
-func (g *IGP) sendUpdate(to core.ModuleRef, lsas []*igpLSA) {
-	var out []*igpLSA
-	dst := to.String()
+// send transmits one link-state packet out of port. Never called with
+// g.mu held: delivery is synchronous and the receiver may flood back
+// into us. A frame that cannot go out is lost like one on a cut wire,
+// and recovered the same way.
+func (g *IGP) send(port string, ls *packet.LinkState) {
+	ls.From = g.name
+	_ = g.Svc.Kernel().SendFrame(port, packet.BroadcastMAC, packet.EtherTypeLinkState, ls.Append(nil))
+}
+
+// sendUpdate floods a batch of LSAs to a neighbouring IGP module,
+// omitting the ones the neighbour originated itself.
+func (g *IGP) sendUpdate(to igpAdj, lsas []*igpLSA) {
+	var upd packet.LinkState
 	for _, lsa := range lsas {
-		if lsa.Origin != dst {
-			out = append(out, lsa)
+		if lsa.Origin != to.nbr {
+			upd.LSAs = append(upd.LSAs, lsa.LSA)
 		}
 	}
-	if len(out) == 0 {
-		return
+	if len(upd.LSAs) > 0 {
+		g.send(to.port, &upd)
 	}
-	_ = g.Svc.Convey(g.Ref(), to, igpKindUpdate, igpUpdate{LSAs: out})
 }
 
 // PipeAttached implements device.Module. The IGP end of an adjacency
-// pipe is the upper end; the adjacency is recorded here and advertised
-// by RequestDone, once for the whole request.
+// pipe is the upper end; the adjacency is recorded here, with the port
+// toward the neighbour, and advertised by RequestDone, once for the
+// whole request.
 func (g *IGP) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 	if side != device.SideUpper {
 		return nil
@@ -296,8 +293,12 @@ func (g *IGP) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 	if nbr.IsZero() || nbr.Name != core.NameIGP {
 		return fmt.Errorf("%s: adjacency pipe %s has no IGP peer", g.Ref(), p.ID)
 	}
+	port, ok := g.Svc.PortTo(nbr.Device)
+	if !ok {
+		return fmt.Errorf("%s: adjacency pipe %s: no port leads to %s", g.Ref(), p.ID, nbr.Device)
+	}
 	g.mu.Lock()
-	g.adjs[p.ID] = &igpAdj{nbr: nbr, fresh: true}
+	g.adjs[p.ID] = &igpAdj{nbr: nbr.String(), port: port, fresh: true}
 	g.unsent = true
 	g.mu.Unlock()
 	return nil
@@ -335,7 +336,7 @@ func (g *IGP) RequestDone() {
 	}
 	g.unsent = false
 	own := g.originateLocked()
-	fresh := map[core.ModuleRef]bool{}
+	fresh := map[string]bool{}
 	for _, adj := range g.adjs {
 		if adj.fresh {
 			fresh[adj.nbr], adj.fresh = true, false
@@ -344,23 +345,53 @@ func (g *IGP) RequestDone() {
 	nbrs := g.neighborsLocked()
 	g.mu.Unlock()
 	for _, nbr := range nbrs {
-		if !fresh[nbr] {
+		if !fresh[nbr.nbr] {
 			g.sendUpdate(nbr, []*igpLSA{own})
 			continue
 		}
 		// Summarise afresh for each new neighbour: a push answering the
 		// previous summary may have landed meanwhile.
 		g.mu.Lock()
-		have := make(map[string]uint64, len(g.lsdb))
-		for _, lsa := range g.lsdb {
-			if lsa != nil && lsa != own {
-				have[lsa.Origin] = lsa.Seq
-			}
-		}
+		sum := g.databaseSummaryLocked(own)
 		g.mu.Unlock()
-		_ = g.Svc.Convey(g.Ref(), nbr, igpKindSummary, igpUpdate{LSAs: []*igpLSA{own}, Have: have})
+		g.send(nbr.port, &sum)
 	}
 	g.recompute()
+}
+
+// databaseSummaryLocked is the summary that opens or resyncs an
+// adjacency: the self-LSA own and the (origin, seq) of every other LSA
+// held.
+func (g *IGP) databaseSummaryLocked(own *igpLSA) packet.LinkState {
+	sum := packet.LinkState{Summary: true, LSAs: []packet.LSA{own.LSA}}
+	for _, lsa := range g.lsdb {
+		if lsa != nil && lsa != own {
+			sum.Have = append(sum.Have, packet.LSAID{Origin: lsa.Origin, Seq: lsa.Seq})
+		}
+	}
+	return sum
+}
+
+// PortUp implements device.Module: frames sent while the port's link was
+// cut are lost, so the standing adjacencies across it are resynced with a
+// database summary. The neighbour, which resyncs toward us too, answers
+// with what we lack and asks for what it lacks. An adjacency still owed
+// its first summary gets it from RequestDone.
+func (g *IGP) PortUp(port string) {
+	g.mu.Lock()
+	own := g.lsaLocked(g.name)
+	resync := false
+	for _, adj := range g.adjs {
+		resync = resync || own != nil && adj.port == port && !adj.fresh
+	}
+	var sum packet.LinkState
+	if resync {
+		sum = g.databaseSummaryLocked(own)
+	}
+	g.mu.Unlock()
+	if resync {
+		g.send(port, &sum)
+	}
 }
 
 // internLocked returns ref's dense index, assigning the next one on
@@ -401,17 +432,16 @@ func (g *IGP) heldLocked() []*igpLSA {
 // back is named by exactly one of the old and new LSA, which flips that
 // edge's confirmed status.
 func (g *IGP) storeLocked(lsa *igpLSA) bool {
-	lsa.parse()
-	for _, nbr := range lsa.Nbrs {
+	for _, nbr := range lsa.Neighbors {
 		lsa.nbrIdx = append(lsa.nbrIdx, g.internLocked(nbr))
 	}
 	at := g.internLocked(lsa.Origin)
 	old := g.lsdb[at]
 	g.lsdb[at] = lsa
 	if old == nil { // nothing to differ from, and every neighbour is new
-		old = &igpLSA{prefixes: lsa.prefixes}
+		old = &igpLSA{LSA: packet.LSA{Prefixes: lsa.Prefixes}}
 	}
-	return !slices.Equal(old.prefixes, lsa.prefixes) || g.flipsLocked(at, old, lsa) || g.flipsLocked(at, lsa, old)
+	return !slices.Equal(old.Prefixes, lsa.Prefixes) || g.flipsLocked(at, old, lsa) || g.flipsLocked(at, lsa, old)
 }
 
 // flipsLocked reports whether a names a neighbour b does not, whose own
@@ -425,54 +455,51 @@ func (g *IGP) flipsLocked(at int32, a, b *igpLSA) bool {
 	return false
 }
 
-// HandleConvey implements device.Module: accept every LSA in the batch
-// that is news (higher sequence number than what we hold), answer a
-// summary or a request, re-flood the accepted LSAs — as one batch per
-// neighbour — and recompute routes once, if storing any of them can have
-// changed the answer.
-func (g *IGP) HandleConvey(from core.ModuleRef, kind string, body []byte) error {
-	if kind != igpKindUpdate && kind != igpKindSummary {
-		return nil
-	}
-	var upd igpUpdate
-	if err := json.Unmarshal(body, &upd); err != nil {
-		return err
+// handleFrame is the kernel's handler for link-state frames, run inside
+// the network's delivery. It accepts every LSA in the packet that is news
+// (higher sequence number than what we hold), answers a summary or a
+// request back out of the port the frame came in on, re-floods the
+// accepted LSAs — as one packet per neighbour — and recomputes routes
+// once, if storing any of them can have changed the answer. A malformed
+// packet, or one whose sender the port does not lead to, is dropped.
+func (g *IGP) handleFrame(port string, _ packet.Ethernet, payload []byte) {
+	ls, err := packet.DecodeLinkState(payload)
+	if err != nil || !g.cameFrom(port, ls.From) {
+		return
 	}
 	g.mu.Lock()
 	var accepted []*igpLSA
 	compute := false
-	for _, lsa := range upd.LSAs {
-		if lsa == nil {
+	for _, in := range ls.LSAs {
+		if cur := g.lsaLocked(in.Origin); cur != nil && cur.Seq >= in.Seq {
 			continue
 		}
-		if cur := g.lsaLocked(lsa.Origin); cur != nil && cur.Seq >= lsa.Seq {
-			continue
-		}
+		lsa := &igpLSA{LSA: in}
 		compute = g.storeLocked(lsa) || compute
 		accepted = append(accepted, lsa)
 	}
 	g.lsasAccepted += len(accepted)
-	var answer igpUpdate
-	if kind == igpKindSummary {
-		answer = g.answerLocked(from, upd.Have)
+	var answer packet.LinkState
+	if ls.Summary {
+		answer = g.answerLocked(ls.From, ls.Have)
 	} else {
-		for _, origin := range upd.Want {
+		for _, origin := range ls.Want {
 			if lsa := g.lsaLocked(origin); lsa != nil {
-				answer.LSAs = append(answer.LSAs, lsa)
+				answer.LSAs = append(answer.LSAs, lsa.LSA)
 			}
 		}
 	}
-	var flood []core.ModuleRef
+	var flood []igpAdj
 	if len(accepted) > 0 {
 		for _, nbr := range g.neighborsLocked() {
-			if nbr != from {
+			if nbr.nbr != ls.From {
 				flood = append(flood, nbr)
 			}
 		}
 	}
 	g.mu.Unlock()
 	if len(answer.LSAs) > 0 || len(answer.Want) > 0 {
-		_ = g.Svc.Convey(g.Ref(), from, igpKindUpdate, answer)
+		g.send(port, &answer)
 	}
 	for _, nbr := range flood {
 		g.sendUpdate(nbr, accepted)
@@ -480,20 +507,42 @@ func (g *IGP) HandleConvey(from core.ModuleRef, kind string, body []byte) error 
 	if compute {
 		g.recompute()
 	}
-	return nil
 }
 
-// answerLocked builds the reply to from's database summary: the held
-// LSAs the summary lacks or holds at an older seq (bar from's own, which
-// came with it), and the origins the summary is ahead on — asked for
-// only when no push from from is coming, that is, when every adjacency to
-// from has already sent its own summary.
-func (g *IGP) answerLocked(from core.ModuleRef, have map[string]uint64) igpUpdate {
-	var out igpUpdate
-	sender := from.String()
+// cameFrom reports whether port leads to the device of from, an IGP
+// module: the port of an adjacency to from, or else — a summary can
+// arrive before our own pipe to its sender — the port the wiring names.
+func (g *IGP) cameFrom(port, from string) bool {
+	g.mu.Lock()
+	for _, adj := range g.adjs {
+		if adj.nbr == from && adj.port == port {
+			g.mu.Unlock()
+			return true
+		}
+	}
+	g.mu.Unlock()
+	ref, err := core.ParseModuleRef(from)
+	if err != nil || ref.Name != core.NameIGP {
+		return false
+	}
+	at, ok := g.Svc.PortTo(ref.Device)
+	return ok && at == port
+}
+
+// answerLocked builds the update answering from's database summary: the
+// held LSAs the summary lacks or holds at an older seq (bar from's own,
+// which came with it), and the origins the summary is ahead on — asked
+// for only when no push from from is coming, that is, when every
+// adjacency to from has already sent its own summary.
+func (g *IGP) answerLocked(from string, have []packet.LSAID) packet.LinkState {
+	var out packet.LinkState
+	held := make(map[string]uint64, len(have))
+	for _, h := range have {
+		held[h.Origin] = h.Seq
+	}
 	for _, lsa := range g.lsdb {
-		if lsa != nil && lsa.Origin != sender && lsa.Seq > have[lsa.Origin] {
-			out.LSAs = append(out.LSAs, lsa)
+		if lsa != nil && lsa.Origin != from && lsa.Seq > held[lsa.Origin] {
+			out.LSAs = append(out.LSAs, lsa.LSA)
 		}
 	}
 	synced := false
@@ -508,9 +557,9 @@ func (g *IGP) answerLocked(from core.ModuleRef, have map[string]uint64) igpUpdat
 	if !synced {
 		return out
 	}
-	for origin, seq := range have {
-		if cur := g.lsaLocked(origin); cur == nil || cur.Seq < seq {
-			out.Want = append(out.Want, origin)
+	for _, h := range have {
+		if cur := g.lsaLocked(h.Origin); cur == nil || cur.Seq < h.Seq {
+			out.Want = append(out.Want, h.Origin)
 		}
 	}
 	sort.Strings(out.Want)
@@ -525,7 +574,7 @@ func (g *IGP) answerLocked(from core.ModuleRef, have map[string]uint64) igpUpdat
 // current topology wants.
 func (g *IGP) recompute() {
 	g.mu.Lock()
-	own := g.lsaLocked(g.Ref().String())
+	own := g.lsaLocked(g.name)
 	if own == nil || len(g.adjs) == 0 {
 		g.mu.Unlock()
 		return
@@ -561,12 +610,12 @@ func (g *IGP) recompute() {
 	// Local subnets are directly connected, never routed, so a change to
 	// our own prefixes changes every origin's routes: start over.
 	withdrawn := 0
-	if g.local == nil || !slices.Equal(g.local.prefixes, own.prefixes) {
+	if g.local == nil || !slices.Equal(g.local.Prefixes, own.Prefixes) {
 		withdrawn = g.withdrawAllLocked()
 	}
 	g.local = own
-	local := make([]netip.Prefix, 0, len(own.prefixes))
-	for _, p := range own.prefixes {
+	local := make([]netip.Prefix, 0, len(own.Prefixes))
+	for _, p := range own.Prefixes {
 		local = append(local, p.Masked())
 	}
 
@@ -586,7 +635,7 @@ func (g *IGP) recompute() {
 		if hop := firstHop[o]; lsa != nil && hop >= 0 && int32(o) != self {
 			nh, resolved := nextHops[hop]
 			if !resolved {
-				for _, p := range g.lsdb[hop].prefixes {
+				for _, p := range g.lsdb[hop].Prefixes {
 					if iface, _, ok := k.IfaceForSubnet(p.Addr()); ok {
 						nh = routeKey{via: p.Addr(), dev: iface}
 						break
@@ -646,7 +695,7 @@ func (g *IGP) countLocked(rec igpInstalled, local []netip.Prefix, delta int32, t
 		return touched
 	}
 	key := rec.nh
-	for _, p := range rec.lsa.prefixes {
+	for _, p := range rec.lsa.Prefixes {
 		key.dst = p.Masked()
 		if slices.Contains(local, key.dst) {
 			continue
@@ -709,7 +758,7 @@ func (g *IGP) ListFields(component string) (map[string]string, error) {
 	switch component {
 	case "lsdb":
 		for _, lsa := range g.heldLocked() {
-			out["lsa:"+lsa.Origin] = fmt.Sprintf("seq=%d addrs=%d nbrs=%d", lsa.Seq, len(lsa.Addrs), len(lsa.Nbrs))
+			out["lsa:"+lsa.Origin] = fmt.Sprintf("seq=%d addrs=%d nbrs=%d", lsa.Seq, len(lsa.Prefixes), len(lsa.Neighbors))
 		}
 	case "routes":
 		for key := range g.routes {
@@ -731,11 +780,11 @@ func (g *IGP) SelfTest(pipe core.PipeID) (bool, string) {
 	if !ok {
 		return false, fmt.Sprintf("no adjacency on pipe %s", pipe)
 	}
-	lsa := g.lsaLocked(adj.nbr.String())
+	lsa := g.lsaLocked(adj.nbr)
 	if lsa == nil {
 		return false, fmt.Sprintf("no LSA from neighbour %s", adj.nbr)
 	}
-	if slices.Contains(lsa.Nbrs, g.Ref().String()) {
+	if slices.Contains(lsa.Neighbors, g.name) {
 		return true, fmt.Sprintf("adjacency with %s confirmed (seq %d)", adj.nbr, lsa.Seq)
 	}
 	return false, fmt.Sprintf("neighbour %s does not list us", adj.nbr)

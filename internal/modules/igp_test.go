@@ -1,8 +1,8 @@
 package modules
 
 import (
-	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/netip"
 	"sort"
@@ -11,13 +11,14 @@ import (
 	"conman/internal/core"
 	"conman/internal/device"
 	"conman/internal/kernel"
+	"conman/internal/packet"
 )
 
 // The IGP's route computation is incremental twice over — it runs only
 // when a stored LSA can have changed the answer, and it reconciles the
 // kernel by difference — so it is held to its from-scratch equivalent:
 // referenceRoutes is the always-recompute, string-keyed SPF the module
-// used to run on every accepted convey, kept here as the oracle.
+// used to run on every accepted update, kept here as the oracle.
 
 // referenceRoutes computes, from scratch, the routes a module holding
 // lsdb must own, keyed dst|via|dev.
@@ -39,7 +40,7 @@ func referenceRoutes(self string, adjs int, lsdb map[string]*igpLSA, k *kernel.K
 	// Bidirectionally confirmed adjacency graph.
 	edges := make(map[string][]string, len(lsdb))
 	declared := func(lsa *igpLSA, nbr string) bool {
-		for _, n := range lsa.Nbrs {
+		for _, n := range lsa.Neighbors {
 			if n == nbr {
 				return true
 			}
@@ -48,7 +49,7 @@ func referenceRoutes(self string, adjs int, lsdb map[string]*igpLSA, k *kernel.K
 	}
 	for _, origin := range sortedOrigins() {
 		lsa := lsdb[origin]
-		for _, nbr := range lsa.Nbrs {
+		for _, nbr := range lsa.Neighbors {
 			if peer, ok := lsdb[nbr]; ok && declared(peer, origin) {
 				edges[origin] = append(edges[origin], nbr)
 			}
@@ -79,7 +80,7 @@ func referenceRoutes(self string, adjs int, lsdb map[string]*igpLSA, k *kernel.K
 
 	// Local subnets are never routed: they are directly connected.
 	local := map[netip.Prefix]bool{}
-	for _, p := range own.prefixes {
+	for _, p := range own.Prefixes {
 		local[p.Masked()] = true
 	}
 
@@ -97,7 +98,7 @@ func referenceRoutes(self string, adjs int, lsdb map[string]*igpLSA, k *kernel.K
 		hopLSA := lsdb[hop]
 		var via netip.Addr
 		var dev string
-		for _, p := range hopLSA.prefixes {
+		for _, p := range hopLSA.Prefixes {
 			if iface, _, ok := k.IfaceForSubnet(p.Addr()); ok {
 				via, dev = p.Addr(), iface
 				break
@@ -106,7 +107,7 @@ func referenceRoutes(self string, adjs int, lsdb map[string]*igpLSA, k *kernel.K
 		if !via.IsValid() {
 			continue // adjacency formed but no shared subnet yet
 		}
-		for _, p := range lsdb[origin].prefixes {
+		for _, p := range lsdb[origin].Prefixes {
 			dst := p.Masked()
 			if local[dst] {
 				continue
@@ -143,23 +144,28 @@ func ownedRoutes(g *IGP) []string {
 	return keys
 }
 
-// igpNet is a mini-network of IGP modules on real kernels. Conveys are
-// queued and delivered one at a time in seeded-shuffled order, so a run
-// explores an arrival order the synchronous hub never produces and
-// replays exactly from its seed.
+// igpNet is a mini-network of IGP modules on real kernels, joined by
+// point-to-point links. Frames are queued and delivered one at a time in
+// seeded-shuffled order, so a run explores an arrival order the FIFO
+// netsim pump never produces and replays exactly from its seed.
 type igpNet struct {
 	t     *testing.T
 	rng   *rand.Rand
 	nodes []*igpNode
-	byRef map[core.ModuleRef]*igpNode
-	queue []igpMsg
+	queue []igpFrame
 	pipes int
+	// cut marks links (by port name, the same at both ends) whose frames
+	// are lost as they are sent, as netsim loses them on a cut medium;
+	// lost counts them.
+	cut  map[string]bool
+	lost int
 }
 
-type igpMsg struct {
-	from, to core.ModuleRef
-	kind     string
-	body     []byte
+// igpFrame is one frame in flight, to the port of the node it reaches.
+type igpFrame struct {
+	to    *igpNode
+	port  string
+	frame []byte
 }
 
 // igpNode is one router: the module, its kernel and the fake MA
@@ -172,6 +178,10 @@ type igpNode struct {
 	g               *IGP
 	pipes           map[core.PipeID]*device.Pipe
 	adj             map[int]core.PipeID // neighbour index -> our adjacency pipe
+	// links maps each port to the node and port at its far end, and
+	// ports each neighbouring device to the port leading there.
+	links map[string]igpFrame
+	ports map[core.DeviceID]string
 }
 
 func (n *igpNode) Device() core.DeviceID  { return n.dev }
@@ -181,12 +191,20 @@ func (n *igpNode) PipeByID(id core.PipeID) (*device.Pipe, bool) {
 	p, ok := n.pipes[id]
 	return p, ok
 }
-func (n *igpNode) Convey(from, to core.ModuleRef, kind string, body any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return err
+func (n *igpNode) PortTo(dev core.DeviceID) (string, bool) {
+	port, ok := n.ports[dev]
+	return port, ok
+}
+
+// send is the kernel's wire: it queues the frame for the far end, unless
+// the link is cut.
+func (n *igpNode) send(port string, frame []byte) error {
+	if n.net.cut[port] {
+		n.net.lost++
+		return nil
 	}
-	n.net.queue = append(n.net.queue, igpMsg{from: from, to: to, kind: kind, body: raw})
+	far := n.links[port]
+	n.net.queue = append(n.net.queue, igpFrame{to: far.to, port: far.port, frame: frame})
 	return nil
 }
 
@@ -196,11 +214,13 @@ func (n *igpNode) Convey(from, to core.ModuleRef, kind string, body any) error {
 // destination reachable through two origins is covered.
 func newIGPNet(t *testing.T, seed int64, n, chords int) (*igpNet, [][2]int) {
 	t.Helper()
-	net := &igpNet{t: t, rng: rand.New(rand.NewSource(seed)), byRef: map[core.ModuleRef]*igpNode{}}
+	net := &igpNet{t: t, rng: rand.New(rand.NewSource(seed)), cut: map[string]bool{}}
 	for i := 0; i < n; i++ {
 		dev := core.DeviceID(fmt.Sprintf("R%03d", i))
-		node := &igpNode{net: net, dev: dev, pipes: map[core.PipeID]*device.Pipe{}, adj: map[int]core.PipeID{}}
-		node.k = kernel.New(dev, kernel.RoleRouter, func(string, []byte) error { return nil }, nil)
+		node := &igpNode{net: net, dev: dev, pipes: map[core.PipeID]*device.Pipe{}, adj: map[int]core.PipeID{},
+			links: map[string]igpFrame{}, ports: map[core.DeviceID]string{}}
+		node.k = kernel.New(dev, kernel.RoleRouter, node.send,
+			func(string) (packet.MAC, bool) { return packet.MAC{0x02, 0, 0, 0, 0, byte(i)}, true })
 		lan := i
 		if i == n-1 {
 			lan = n - 2
@@ -208,7 +228,6 @@ func newIGPNet(t *testing.T, seed int64, n, chords int) (*igpNet, [][2]int) {
 		node.k.AddLAN("lan0", netip.MustParsePrefix(fmt.Sprintf("172.16.%d.%d/24", lan, 1+i-lan)))
 		node.g = NewIGP(node, "igp")
 		net.nodes = append(net.nodes, node)
-		net.byRef[node.g.Ref()] = node
 	}
 	var links [][2]int
 	seen := map[[2]int]bool{}
@@ -222,8 +241,11 @@ func newIGPNet(t *testing.T, seed int64, n, chords int) (*igpNet, [][2]int) {
 		seen[[2]int{a, b}] = true
 		e := len(links)
 		links = append(links, [2]int{a, b})
+		iface := fmt.Sprintf("eth%d", e)
+		na, nb := net.nodes[a], net.nodes[b]
+		na.links[iface], nb.links[iface] = igpFrame{to: nb, port: iface}, igpFrame{to: na, port: iface}
+		na.ports[nb.dev], nb.ports[na.dev] = iface, iface
 		for side, i := range []int{a, b} {
-			iface := fmt.Sprintf("eth%d", e)
 			net.nodes[i].k.AddPhysical(iface)
 			addr := netip.MustParsePrefix(fmt.Sprintf("10.%d.%d.%d/30", e/256, e%256, side+1))
 			if err := net.nodes[i].k.AddAddr(iface, addr); err != nil {
@@ -275,7 +297,7 @@ func (net *igpNet) request(a int, bs ...int) {
 	net.check(na, "request")
 }
 
-// deliverSome delivers up to max-1 queued conveys, a seeded number.
+// deliverSome delivers up to max-1 queued frames, a seeded number.
 func (net *igpNet) deliverSome(max int) {
 	net.t.Helper()
 	for k := net.rng.Intn(max); k > 0 && len(net.queue) > 0; k-- {
@@ -283,22 +305,19 @@ func (net *igpNet) deliverSome(max int) {
 	}
 }
 
-// deliver hands one queued convey, chosen at random, to its module and
-// checks the module it changed.
+// deliver hands one queued frame, chosen at random, to the kernel it
+// reaches and checks the module it changed.
 func (net *igpNet) deliver() {
 	net.t.Helper()
 	i := net.rng.Intn(len(net.queue))
-	m := net.queue[i]
+	f := net.queue[i]
 	net.queue[i] = net.queue[len(net.queue)-1]
 	net.queue = net.queue[:len(net.queue)-1]
-	to := net.byRef[m.to]
-	if err := to.g.HandleConvey(m.from, m.kind, m.body); err != nil {
-		net.t.Fatal(err)
-	}
-	net.check(to, "deliver")
+	f.to.k.HandleFrame(f.port, f.frame)
+	net.check(f.to, "deliver")
 }
 
-// drain delivers until no convey is in flight, then checks every module.
+// drain delivers until no frame is in flight, then checks every module.
 func (net *igpNet) drain() {
 	net.t.Helper()
 	for len(net.queue) > 0 {
@@ -375,9 +394,20 @@ func (net *igpNet) converged(when string) {
 	}
 }
 
+// frameOf wraps a link-state packet in the Ethernet frame a neighbour
+// would send.
+func frameOf(t *testing.T, ls *packet.LinkState) []byte {
+	t.Helper()
+	frame, err := packet.Serialize(ls.Append(nil), packet.Ethernet{Dst: packet.BroadcastMAC, Type: packet.EtherTypeLinkState})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
 // TestIGPRoutesMatchFromScratchOracle brings random ring+chords
 // networks up side by side in random order, then churns adjacencies,
-// delivering conveys in shuffled order throughout; after every delivered
+// delivering frames in shuffled order throughout; after every delivered
 // message and request the module it touched, and at quiescence every
 // module, agrees with referenceRoutes. A request may change several
 // adjacencies before its one end-of-request hook, as an NM command batch
@@ -460,6 +490,147 @@ func TestIGPRoutesMatchFromScratchOracle(t *testing.T) {
 	}
 }
 
+// TestIGPRecoversFloodLostOnCutLink pins how an LSA lost on a cut link
+// comes back: nothing retransmits it, and a router beyond the cut holds
+// the stale copy until the link's carrier returns, when both ends resync
+// their standing adjacency with a database summary and re-flood what
+// they pull over. On the chain A—B—C—D—E (the ring's E—A side left down),
+// B—C is cut and B re-originates twice; C, D and E miss both LSAs.
+// Healing the link, with the PortUp the MA sends on the carrier
+// interrupt, brings every database level and loses nothing more.
+func TestIGPRecoversFloodLostOnCutLink(t *testing.T) {
+	net, _ := newIGPNet(t, 1, 5, 0) // ring links eth0 = A—B, eth1 = B—C, …, eth4 = E—A
+	for i := 0; i < 4; i++ {
+		net.request(i, i+1)
+		net.request(i+1, i)
+	}
+	net.drain()
+	b, c := net.nodes[1], net.nodes[2]
+	seqAt := func(node *igpNode, origin *igpNode) uint64 {
+		lsdb, _ := lsdbOf(node.g)
+		if lsa := lsdb[origin.g.name]; lsa != nil {
+			return lsa.Seq
+		}
+		return 0
+	}
+	before := seqAt(net.nodes[4], b)
+
+	net.cut["eth1"] = true
+	b.k.AddLAN("lan9", netip.MustParsePrefix("172.18.0.1/24"))
+	net.request(1, 0) // B drops its side toward A: a new LSA, flooded only toward C
+	net.drain()
+	net.request(1, 0) // and regains it: a summary to A, an update toward C
+	net.drain()
+	if net.lost == 0 {
+		t.Fatal("no frame was sent onto the cut link")
+	}
+	newest := seqAt(b, b)
+	if newest != before+2 || seqAt(net.nodes[0], b) != newest {
+		t.Fatalf("B originated seq %d (was %d); A holds %d", newest, before, seqAt(net.nodes[0], b))
+	}
+	for _, node := range net.nodes[2:] {
+		if got := seqAt(node, b); got != before {
+			t.Fatalf("%s holds B's LSA at seq %d across the cut, want the stale %d", node.dev, got, before)
+		}
+	}
+
+	delete(net.cut, "eth1")
+	lost := net.lost
+	b.g.PortUp("eth1")
+	c.g.PortUp("eth1")
+	net.drain()
+	if net.lost != lost {
+		t.Errorf("%d frames lost after the heal", net.lost-lost)
+	}
+	for _, node := range net.nodes[2:] {
+		if got := seqAt(node, b); got != newest {
+			t.Errorf("%s holds B's LSA at seq %d after the heal, want %d", node.dev, got, newest)
+		}
+	}
+	if c.g.RouteCount() == 0 {
+		t.Error("C owns no routes after the heal")
+	}
+	net.converged("the heal")
+	// A port whose link did not carry an adjacency resyncs nothing.
+	queued := len(net.queue)
+	b.g.PortUp("lan0")
+	if len(net.queue) != queued {
+		t.Errorf("PortUp on a port with no adjacency sent %d frames", len(net.queue)-queued)
+	}
+}
+
+// TestIGPDropsFramesFromOffLinkSenders sends a router forged link-state
+// packets and requires its database and routes to stay as they were: a
+// packet naming a sender its port does not lead to (another router's
+// module, or a module of the neighbouring device that is not an IGP), and
+// one arriving on a port that leads to no neighbour.
+func TestIGPDropsFramesFromOffLinkSenders(t *testing.T) {
+	net, _ := newIGPNet(t, 1, 4, 0) // ring A(0)—B(1)—C(2)—D(3)—A, eth0 = A—B
+	for i := 0; i < 4; i++ {
+		net.request(i, (i+1)%4)
+		net.request((i+1)%4, i)
+	}
+	net.drain()
+	a, b, c := net.nodes[0], net.nodes[1], net.nodes[2]
+	lsdb := func() map[string]string {
+		fields, err := a.g.ListFields("lsdb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fields
+	}
+	before, routes := lsdb(), fmt.Sprint(ownedRoutes(a.g))
+	forged := func(from core.ModuleRef) *packet.LinkState {
+		return &packet.LinkState{From: from.String(), LSAs: []packet.LSA{{
+			Origin:   c.g.name,
+			Seq:      1000,
+			Prefixes: []netip.Prefix{netip.MustParsePrefix("198.51.100.1/24")},
+		}}}
+	}
+	// eth0 leads to B: C's module and B's IP module are not on its far end.
+	for _, from := range []core.ModuleRef{c.g.Ref(), core.Ref(core.NameIPv4, b.dev, "ip")} {
+		a.k.HandleFrame("eth0", frameOf(t, forged(from)))
+	}
+	// A customer site behind lan0: no neighbour's port.
+	a.k.HandleFrame("lan0", frameOf(t, forged(core.Ref(core.NameIGP, "SITE", "igp"))))
+	if len(net.queue) != 0 {
+		t.Errorf("the forged packets drew %d frames", len(net.queue))
+	}
+	if got := lsdb(); !maps.Equal(got, before) {
+		t.Errorf("A's database changed: %v, was %v", got, before)
+	}
+	if got := fmt.Sprint(ownedRoutes(a.g)); got != routes {
+		t.Errorf("A's routes changed: %s, was %s", got, routes)
+	}
+	// The same packet from B, on B's link, is accepted.
+	a.k.HandleFrame("eth0", frameOf(t, forged(b.g.Ref())))
+	if lsdb, _ := lsdbOf(a.g); lsdb[c.g.name].Seq != 1000 {
+		t.Errorf("A refused the packet from B: C's LSA at seq %d", lsdb[c.g.name].Seq)
+	}
+}
+
+// TestIGPOriginatesWithIPv6Address gives a router an IPv6 address beside
+// its IPv4 ones: it still originates, flooding its IPv4 prefixes only.
+func TestIGPOriginatesWithIPv6Address(t *testing.T) {
+	net, _ := newIGPNet(t, 1, 3, 0)
+	a := net.nodes[0]
+	if err := a.k.AddAddr("lan0", netip.MustParsePrefix("2001:db8::1/64")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		net.request(i, (i+1)%3)
+		net.request((i+1)%3, i)
+	}
+	net.drain()
+	net.converged("bring-up")
+	lsdb, _ := lsdbOf(net.nodes[1].g)
+	for _, p := range lsdb[a.g.name].Prefixes {
+		if !p.Addr().Is4() {
+			t.Errorf("A's LSA carries %s", p)
+		}
+	}
+}
+
 // TestIGPSPFRunsOnlyWhenRoutesCanChange walks one module through the
 // skip rule: every accepted LSA is re-flooded, but SPF runs only for the
 // ones that flip a confirmed edge or change prefixes; one request that
@@ -474,36 +645,38 @@ func TestIGPSPFRunsOnlyWhenRoutesCanChange(t *testing.T) {
 		t.Fatalf("one request forming two adjacencies: %d SPF runs at seq %d, want one of each", a.g.spfRuns, a.g.seq)
 	}
 
-	bAddrs := []string{"10.0.0.2/30", "10.0.1.1/30", "172.16.1.1/24"}
+	pfxs := func(ss ...string) []netip.Prefix {
+		out := make([]netip.Prefix, len(ss))
+		for i, s := range ss {
+			out[i] = netip.MustParsePrefix(s)
+		}
+		return out
+	}
+	bAddrs := pfxs("10.0.0.2/30", "10.0.1.1/30", "172.16.1.1/24")
 	for _, step := range []struct {
 		name      string
-		lsa       igpLSA
+		lsa       packet.LSA
 		spf       int  // SPF runs this LSA must cause
 		reflooded bool // accepted and passed on to D
 		routes    int  // routes A owns afterwards
 	}{
-		{"B lists A back: edge A—B confirmed", igpLSA{Origin: ref(b), Seq: 1, Addrs: bAddrs, Nbrs: []string{ref(a)}}, 1, true, 2},
-		{"seq-only refresh", igpLSA{Origin: ref(b), Seq: 2, Addrs: bAddrs, Nbrs: []string{ref(a)}}, 0, true, 2},
-		{"B adds C, who has not listed B", igpLSA{Origin: ref(b), Seq: 3, Addrs: bAddrs, Nbrs: []string{ref(a), ref(c)}}, 0, true, 2},
-		{"C reciprocates: edge B—C confirmed", igpLSA{Origin: ref(c), Seq: 1, Addrs: []string{"10.0.1.2/30", "172.16.2.1/24"}, Nbrs: []string{ref(b)}}, 1, true, 3},
-		{"B's prefixes change", igpLSA{Origin: ref(b), Seq: 4, Addrs: append([]string{"172.18.0.1/24"}, bAddrs...), Nbrs: []string{ref(a), ref(c)}}, 1, true, 4},
-		{"B drops C", igpLSA{Origin: ref(b), Seq: 5, Addrs: bAddrs, Nbrs: []string{ref(a)}}, 1, true, 2},
-		{"duplicate of the last", igpLSA{Origin: ref(b), Seq: 5, Addrs: bAddrs, Nbrs: []string{ref(a)}}, 0, false, 2},
+		{"B lists A back: edge A—B confirmed", packet.LSA{Origin: ref(b), Seq: 1, Prefixes: bAddrs, Neighbors: []string{ref(a)}}, 1, true, 2},
+		{"seq-only refresh", packet.LSA{Origin: ref(b), Seq: 2, Prefixes: bAddrs, Neighbors: []string{ref(a)}}, 0, true, 2},
+		{"B adds C, who has not listed B", packet.LSA{Origin: ref(b), Seq: 3, Prefixes: bAddrs, Neighbors: []string{ref(a), ref(c)}}, 0, true, 2},
+		{"C reciprocates: edge B—C confirmed", packet.LSA{Origin: ref(c), Seq: 1, Prefixes: pfxs("10.0.1.2/30", "172.16.2.1/24"), Neighbors: []string{ref(b)}}, 1, true, 3},
+		{"B's prefixes change", packet.LSA{Origin: ref(b), Seq: 4, Prefixes: append(pfxs("172.18.0.1/24"), bAddrs...), Neighbors: []string{ref(a), ref(c)}}, 1, true, 4},
+		{"B drops C", packet.LSA{Origin: ref(b), Seq: 5, Prefixes: bAddrs, Neighbors: []string{ref(a)}}, 1, true, 2},
+		{"duplicate of the last", packet.LSA{Origin: ref(b), Seq: 5, Prefixes: bAddrs, Neighbors: []string{ref(a)}}, 0, false, 2},
 	} {
 		net.queue = nil
 		before := a.g.spfRuns
-		body, err := json.Marshal(igpUpdate{LSAs: []*igpLSA{&step.lsa}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.g.HandleConvey(b.g.Ref(), "igp-lsa", body); err != nil {
-			t.Fatal(err)
-		}
+		upd := packet.LinkState{From: ref(b), LSAs: []packet.LSA{step.lsa}}
+		a.k.HandleFrame(a.ports[b.dev], frameOf(t, &upd))
 		net.check(a, step.name)
 		if got := a.g.spfRuns - before; got != step.spf {
 			t.Errorf("%s: %d SPF runs, want %d", step.name, got, step.spf)
 		}
-		if reflooded := len(net.queue) == 1 && net.queue[0].to == d.g.Ref(); reflooded != step.reflooded {
+		if reflooded := len(net.queue) == 1 && net.queue[0].to == d; reflooded != step.reflooded {
 			t.Errorf("%s: re-flooded to D = %v (queue %d), want %v", step.name, reflooded, len(net.queue), step.reflooded)
 		}
 		if got := a.g.RouteCount(); got != step.routes {

@@ -428,8 +428,9 @@ func tradeoffGetName(key string) string {
 // parameters have not arrived yet waits (ErrPending rules, deferred
 // exchange replies). For Table VI's GRE, MPLS and VLAN chains the message
 // Counters therefore equal sequential execution's
-// (TestTableVIInvariantsAtScale); with an IGP they do not, since its
-// flooding depends on arrival order. On the first batch failure the
+// (TestTableVIInvariantsAtScale), with an IGP too: its flooding, whose
+// volume depends on arrival order, is link-local frames the NM never
+// sees. On the first batch failure the
 // other chains stop starting new batches. Setting n.Sequential runs the
 // chains one at a time on the caller's goroutine — the paper's accounting
 // mode, whose counters repeat exactly.

@@ -1,7 +1,6 @@
 package nm
 
-// The autonomous reconciliation daemon (ROADMAP item 1): a control
-// loop that subscribes to the NM's event feed — module notifications,
+// The autonomous reconciliation daemon: a control loop that subscribes to the NM's event feed — module notifications,
 // dependency triggers (§II-E), topology re-reports — debounces them
 // into a dirty set, and drives Reconcile with retry/backoff until the
 // network converges on the registered intents. A cut wire, killed

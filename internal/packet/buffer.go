@@ -1,7 +1,8 @@
 // Package packet implements byte-level codecs for the protocol headers the
 // CONMan reproduction forwards through its simulated data plane: Ethernet,
 // 802.1Q VLAN tags, ARP, IPv4, GRE (RFC 2784/2890), MPLS label stacks
-// (RFC 3032) and UDP, plus a small probe payload used by module self-tests.
+// (RFC 3032) and UDP, plus a small probe payload used by module self-tests
+// and the IGP's link-state packet (LinkState).
 //
 // The design follows the gopacket model: serialization PREPENDS each layer
 // onto a buffer, treating the buffer's current contents as the layer's

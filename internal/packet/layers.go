@@ -44,6 +44,9 @@ const (
 	// EtherTypeMgmt is the experimental EtherType the self-bootstrapping
 	// management channel uses for its raw frames (paper §III-A).
 	EtherTypeMgmt EtherType = 0x88B5
+	// EtherTypeLinkState is the second IEEE local-experimental EtherType:
+	// the link-local packets of the IGP control module (LinkState).
+	EtherTypeLinkState EtherType = 0x88B6
 	// EtherTypeTransparentBridging is the GRE protocol type for
 	// bridged Ethernet payloads.
 	EtherTypeTransparentBridging EtherType = 0x6558
@@ -61,6 +64,8 @@ func (t EtherType) String() string {
 		return "MPLS"
 	case EtherTypeMgmt:
 		return "Mgmt"
+	case EtherTypeLinkState:
+		return "LinkState"
 	case EtherTypeTransparentBridging:
 		return "TEB"
 	}
