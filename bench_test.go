@@ -180,7 +180,7 @@ func BenchmarkPathFinderPruning(b *testing.B) {
 
 func BenchmarkChannelUDPvsFlood(b *testing.B) {
 	b.Run("udp", func(b *testing.B) {
-		net := channel.NewUDPNetwork()
+		net := channel.NewUDPNetworkConfig(channel.Config{})
 		a, err := net.Endpoint("A")
 		if err != nil {
 			b.Fatal(err)

@@ -144,7 +144,10 @@ func (e *hubEndpoint) Close() error {
 	e.closed = true
 	e.mu.Unlock()
 	e.hub.mu.Lock()
-	delete(e.hub.eps, e.name)
+	// A newer endpoint may have taken the name since: leave it attached.
+	if e.hub.eps[e.name] == e {
+		delete(e.hub.eps, e.name)
+	}
 	e.hub.mu.Unlock()
 	return nil
 }

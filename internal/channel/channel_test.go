@@ -85,8 +85,32 @@ func TestHubClosedEndpoint(t *testing.T) {
 	}
 }
 
+// TestHubStaleCloseKeepsSuccessor: Detach, re-attach under the same
+// name, then Close the detached endpoint again (as a testbed teardown
+// does after an NM crash): the re-attached endpoint stays reachable.
+func TestHubStaleCloseKeepsSuccessor(t *testing.T) {
+	h := NewHub()
+	old := h.Endpoint("A")
+	b := h.Endpoint("B")
+	if !h.Detach("A") {
+		t.Fatal("Detach found no endpoint A")
+	}
+	succ := h.Endpoint("A")
+	var got []msg.Envelope
+	succ.SetHandler(func(e msg.Envelope) { got = append(got, e) })
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Send(msg.MustNew(msg.TypeHello, "B", "A", 1, nil)); err != nil {
+		t.Fatalf("send to the successor after a stale Close: %v", err)
+	}
+	if len(got) != 1 || got[0].ID != 1 {
+		t.Fatalf("successor got %+v", got)
+	}
+}
+
 func TestUDPRoundTrip(t *testing.T) {
-	n := NewUDPNetwork()
+	n := NewUDPNetworkConfig(Config{})
 	a, err := n.Endpoint("A")
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +153,7 @@ func TestUDPRoundTrip(t *testing.T) {
 }
 
 func TestUDPUnknownDestination(t *testing.T) {
-	n := NewUDPNetwork()
+	n := NewUDPNetworkConfig(Config{})
 	a, err := n.Endpoint("A")
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +165,7 @@ func TestUDPUnknownDestination(t *testing.T) {
 }
 
 func TestUDPConcurrentSenders(t *testing.T) {
-	n := NewUDPNetwork()
+	n := NewUDPNetworkConfig(Config{})
 	nm, err := n.Endpoint(msg.NMName)
 	if err != nil {
 		t.Fatal(err)

@@ -37,22 +37,20 @@ type FaultConfig struct {
 // Trace() exposes the verdict history for that property.
 type FaultyNetwork struct {
 	*UDPNetwork
-	faults *faultInjector
 }
 
 // NewFaultyNetwork creates a UDP network whose datagrams suffer the
 // configured faults.
 func NewFaultyNetwork(cfg Config, faults FaultConfig) *FaultyNetwork {
 	n := NewUDPNetworkConfig(cfg)
-	inj := newFaultInjector(faults)
-	n.inject = inj
-	return &FaultyNetwork{UDPNetwork: n, faults: inj}
+	n.inject = newFaultInjector(faults)
+	return &FaultyNetwork{UDPNetwork: n}
 }
 
 // Trace returns each stream's verdict history ('.' pass, 'D' drop,
 // '2' duplicate, 'R' reorder-hold, 'J' jittered) keyed "src>dst".
 func (f *FaultyNetwork) Trace() map[string]string {
-	return f.faults.trace()
+	return f.inject.trace()
 }
 
 // TraceString renders every stream trace in sorted order, one line per

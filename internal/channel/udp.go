@@ -11,35 +11,27 @@ import (
 	"conman/internal/msg"
 )
 
-// ErrBacklog is returned by Send when the destination's queue is at
-// Config.QueueDepth and Config.Block is false: the caller is producing
-// faster than the wire (or the peer) can drain.
+// ErrBacklog is returned by Send when the destination's queue already
+// holds queueDepth envelopes: the caller is producing faster than the
+// wire (or the peer) can drain. Send never waits for room.
 var ErrBacklog = errors.New("channel: send backlog full")
 
-// Config tunes the batched, windowed UDP transport. The zero value
-// selects defaults suited to the management workload; NewUDPNetwork
-// uses them unchanged.
+// Config configures the batched, windowed UDP transport.
 type Config struct {
-	// MaxBatchMsgs caps envelopes per datagram (default 32).
-	MaxBatchMsgs int
 	// FlushAge holds a partial batch at most this long waiting for more
 	// envelopes. Zero (the default) never delays: a partial batch goes
 	// out as soon as the sender goroutine is free, so batching comes
 	// only from natural queue accumulation (group commit).
 	FlushAge time.Duration
-	// QueueDepth bounds each peer's send queue (default 1024).
-	QueueDepth int
-	// Block makes Send wait for queue room instead of returning
-	// ErrBacklog when the peer's queue is at QueueDepth.
-	Block bool
-	// Window caps sequenced frames in flight per peer (default 32).
-	Window int
-	// RTO is the per-frame retransmit timeout (default 25ms).
-	RTO time.Duration
 }
 
 // Transport parameters that are not tunable.
 const (
+	maxBatchMsgs = 32                    // envelopes per datagram
+	queueDepth   = 1024                  // envelopes queued per peer before ErrBacklog
+	window       = 32                    // sequenced frames in flight per peer
+	rto          = 25 * time.Millisecond // base retransmit timeout, backed off by outFrame.due
+
 	// maxBatchBytes budgets the datagram payload. A single envelope
 	// above it is rejected by Send.
 	maxBatchBytes = 60000
@@ -51,22 +43,6 @@ const (
 	// and the peer presumed dead.
 	maxRetries = 40
 )
-
-func (c Config) withDefaults() Config {
-	if c.MaxBatchMsgs <= 0 {
-		c.MaxBatchMsgs = 32
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
-	if c.Window <= 0 {
-		c.Window = 32
-	}
-	if c.RTO <= 0 {
-		c.RTO = 25 * time.Millisecond
-	}
-	return c
-}
 
 // TransportStats are the UDP transport's shared counters, aggregated
 // across every endpoint of a network. All fields are atomics.
@@ -121,20 +97,17 @@ type TransportSnapshot struct {
 // dispatches requests through a bounded handler pool — so the channel
 // survives loss/reorder/duplication and stays cheap under bursts.
 type UDPNetwork struct {
-	cfg    Config
-	stats  TransportStats
-	inject *faultInjector // set once at construction, nil for a clean network
+	flushAge time.Duration
+	stats    TransportStats
+	inject   *faultInjector // set once at construction, nil for a clean network
 
 	mu    sync.Mutex
 	addrs map[string]*net.UDPAddr // guarded by mu
 }
 
-// NewUDPNetwork creates an empty registry with default tuning.
-func NewUDPNetwork() *UDPNetwork { return NewUDPNetworkConfig(Config{}) }
-
-// NewUDPNetworkConfig creates an empty registry with explicit tuning.
+// NewUDPNetworkConfig creates an empty registry.
 func NewUDPNetworkConfig(cfg Config) *UDPNetwork {
-	return &UDPNetwork{cfg: cfg.withDefaults(), addrs: make(map[string]*net.UDPAddr)}
+	return &UDPNetwork{flushAge: cfg.FlushAge, addrs: make(map[string]*net.UDPAddr)}
 }
 
 // Stats snapshots the network-wide transport counters.
@@ -159,7 +132,6 @@ func (n *UDPNetwork) Stats() TransportSnapshot {
 // udpEndpoint is one bound socket.
 type udpEndpoint struct {
 	net  *UDPNetwork
-	cfg  Config
 	name string
 	conn *net.UDPConn
 
@@ -189,7 +161,6 @@ func (n *UDPNetwork) Endpoint(name string) (Endpoint, error) {
 
 	e := &udpEndpoint{
 		net:   n,
-		cfg:   n.cfg,
 		name:  name,
 		conn:  conn,
 		peers: make(map[string]*udpPeer),
@@ -216,9 +187,9 @@ func (e *udpEndpoint) SetHandler(h Handler) {
 }
 
 // Send queues the envelope for env.To. Unknown destinations fail
-// immediately; a full peer queue blocks or returns ErrBacklog per
-// Config; otherwise delivery is asynchronous and reliable (frame-level
-// retransmission until acked or maxRetries).
+// immediately; a full peer queue returns ErrBacklog; otherwise
+// delivery is asynchronous and reliable (frame-level retransmission
+// until acked or maxRetries).
 func (e *udpEndpoint) Send(env msg.Envelope) error {
 	e.net.mu.Lock()
 	_, ok := e.net.addrs[env.To]
@@ -252,7 +223,6 @@ func (e *udpEndpoint) peer(name string) *udpPeer {
 		return p
 	}
 	p := &udpPeer{ep: e, name: name, kick: make(chan struct{}, 1)}
-	p.cond = sync.NewCond(&p.mu)
 	e.peers[name] = p
 	e.peerWG.Add(1)
 	go p.loop()
@@ -393,27 +363,21 @@ func (e *udpEndpoint) Close() error {
 		return nil
 	}
 	e.closed = true
-	peers := make([]*udpPeer, 0, len(e.peers))
-	for _, p := range e.peers {
-		peers = append(peers, p)
-	}
 	e.mu.Unlock()
-	close(e.done)
-	for _, p := range peers {
-		p.mu.Lock()
-		p.closed = true
-		p.cond.Broadcast()
-		p.mu.Unlock()
+	// Deregister only our own address, while the socket still holds it:
+	// a newer endpoint may have taken the name since.
+	e.net.mu.Lock()
+	if a := e.net.addrs[e.name]; a != nil && a.String() == e.conn.LocalAddr().String() {
+		delete(e.net.addrs, e.name)
 	}
+	e.net.mu.Unlock()
+	close(e.done)
 	e.peerWG.Wait()
 	err := e.conn.Close()
 	e.readWG.Wait()
 	e.hq.close()
 	e.poolWG.Wait()
 	e.handlerWG.Wait()
-	e.net.mu.Lock()
-	delete(e.net.addrs, e.name)
-	e.net.mu.Unlock()
 	return err
 }
 
@@ -434,30 +398,18 @@ type udpPeer struct {
 	kick chan struct{} // cap 1: wake the sender loop
 
 	mu     sync.Mutex
-	cond   *sync.Cond  // broadcast when queue room frees or the peer closes
 	queue  []queuedEnv // guarded by mu
 	win    sendWindow  // guarded by mu
 	ackDue bool        // guarded by mu
 	ackVal uint64      // guarded by mu
-	closed bool        // guarded by mu
 }
 
 func (p *udpPeer) enqueue(data []byte) error {
-	cfg := p.ep.cfg
 	p.mu.Lock()
-	if cfg.Block {
-		for !p.closed && len(p.queue) >= cfg.QueueDepth {
-			p.cond.Wait()
-		}
-	}
-	if p.closed {
-		p.mu.Unlock()
-		return fmt.Errorf("channel: endpoint %s closed", p.ep.name)
-	}
-	if len(p.queue) >= cfg.QueueDepth {
+	if len(p.queue) >= queueDepth {
 		p.ep.net.stats.BacklogDrops.Add(1)
 		p.mu.Unlock()
-		return fmt.Errorf("%w: %d envelopes queued for %s", ErrBacklog, cfg.QueueDepth, p.name)
+		return fmt.Errorf("%w: %d envelopes queued for %s", ErrBacklog, queueDepth, p.name)
 	}
 	p.queue = append(p.queue, queuedEnv{data: data, at: time.Now()})
 	depth := uint64(len(p.queue))
@@ -499,7 +451,7 @@ func (p *udpPeer) acked(a uint64) {
 
 // loop is the peer's single sender goroutine: it forms batches, sends
 // and retransmits frames, and emits standalone acks, sleeping on a
-// timer armed to the earliest deadline (RTO or FlushAge).
+// timer armed to the earliest deadline (rto or FlushAge).
 func (p *udpPeer) loop() {
 	defer p.ep.peerWG.Done()
 	const idle = time.Hour
@@ -539,7 +491,7 @@ func (p *udpPeer) loop() {
 // one is owed and no data frame carried it. It returns the earliest
 // future deadline the loop must wake for.
 func (p *udpPeer) collect(now time.Time) (payloads [][]byte, wake time.Time) {
-	cfg := p.ep.cfg
+	flushAge := p.ep.net.flushAge
 	stats := &p.ep.net.stats
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -549,11 +501,14 @@ func (p *udpPeer) collect(now time.Time) (payloads [][]byte, wake time.Time) {
 	if len(p.win.unacked) > 0 {
 		kept := p.win.unacked[:0]
 		for _, f := range p.win.unacked {
-			if now.Before(f.due(cfg.RTO)) {
+			if now.Before(f.due(rto)) {
 				kept = append(kept, f)
 				continue
 			}
 			if f.attempts > maxRetries {
+				// Known defect: the receiver's cumulative ack never passes
+				// this seq, so each later frame is delivered but resent
+				// until abandoned too (docs/transport.md).
 				stats.AbandonedFrames.Add(1)
 				continue
 			}
@@ -569,15 +524,14 @@ func (p *udpPeer) collect(now time.Time) (payloads [][]byte, wake time.Time) {
 	}
 
 	// Form new batches from the queue.
-	freed := false
-	for len(p.queue) > 0 && p.win.inFlight() < cfg.Window {
+	for len(p.queue) > 0 && p.win.inFlight() < window {
 		n := len(p.queue)
-		if n > cfg.MaxBatchMsgs {
-			n = cfg.MaxBatchMsgs
+		if n > maxBatchMsgs {
+			n = maxBatchMsgs
 		}
-		if n < cfg.MaxBatchMsgs && cfg.FlushAge > 0 {
+		if n < maxBatchMsgs && flushAge > 0 {
 			// Partial batch: hold it while young in case more arrives.
-			if due := p.queue[0].at.Add(cfg.FlushAge); now.Before(due) {
+			if due := p.queue[0].at.Add(flushAge); now.Before(due) {
 				if wake.IsZero() || due.Before(wake) {
 					wake = due
 				}
@@ -601,7 +555,6 @@ func (p *udpPeer) collect(now time.Time) (payloads [][]byte, wake time.Time) {
 		if len(p.queue) == 0 {
 			p.queue = nil
 		}
-		freed = true
 		f := &outFrame{seq: p.win.next(), envs: envs, lastSent: now, attempts: 1}
 		p.win.add(f)
 		data, err := msg.EncodeBatchRaw(p.ep.name, f.seq, ack, f.envs)
@@ -614,10 +567,6 @@ func (p *udpPeer) collect(now time.Time) (payloads [][]byte, wake time.Time) {
 			stats.BatchedDatagrams.Add(1)
 		}
 	}
-	if freed {
-		p.cond.Broadcast()
-	}
-
 	if len(payloads) > 0 {
 		p.ackDue = false // every frame above carried the current ack
 	} else if p.ackDue {
@@ -627,7 +576,7 @@ func (p *udpPeer) collect(now time.Time) (payloads [][]byte, wake time.Time) {
 			stats.AckOnly.Add(1)
 		}
 	}
-	if d, ok := p.win.nextDeadline(cfg.RTO); ok && (wake.IsZero() || d.Before(wake)) {
+	if d, ok := p.win.nextDeadline(rto); ok && (wake.IsZero() || d.Before(wake)) {
 		wake = d
 	}
 	return payloads, wake

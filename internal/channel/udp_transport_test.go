@@ -50,7 +50,7 @@ func TestUDPCloseDrainsHandlers(t *testing.T) {
 		{"response-direct", msg.Type("probe.resp")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			net := NewUDPNetwork()
+			net := NewUDPNetworkConfig(Config{})
 			a, err := net.Endpoint("a")
 			if err != nil {
 				t.Fatal(err)
@@ -99,7 +99,7 @@ func TestUDPCloseDrainsHandlers(t *testing.T) {
 // TestUDPBatching: a burst toward one peer must coalesce into
 // multi-envelope datagrams — far fewer frames than envelopes.
 func TestUDPBatching(t *testing.T) {
-	net := NewUDPNetworkConfig(Config{MaxBatchMsgs: 64, FlushAge: 20 * time.Millisecond, Window: 64})
+	net := NewUDPNetworkConfig(Config{FlushAge: 20 * time.Millisecond})
 	a, b := udpPair(t, net)
 	const burst = 256
 	var got atomic.Uint64
@@ -119,12 +119,14 @@ func TestUDPBatching(t *testing.T) {
 	}
 }
 
-// TestUDPBacklog: with Block=false a full peer queue returns the typed
-// ErrBacklog instead of queueing without bound.
+// TestUDPBacklog: a full peer queue returns the typed ErrBacklog
+// instead of queueing without bound.
 func TestUDPBacklog(t *testing.T) {
-	// Window 1 + 100% loss: the first frame stays in flight forever, so
-	// the 4-deep queue fills and further sends must fail fast.
-	fn := NewFaultyNetwork(Config{QueueDepth: 4, Window: 1, MaxBatchMsgs: 1, RTO: time.Hour}, FaultConfig{Seed: 1, Loss: 1})
+	// 100% loss: no frame is ever acked, so once the window is full of
+	// frames (each carrying at most maxBatchMsgs envelopes) the queue
+	// fills and the next send must fail fast. Abandoning a frame takes
+	// maxRetries backed-off RTOs, far longer than this loop.
+	fn := NewFaultyNetwork(Config{}, FaultConfig{Seed: 1, Loss: 1})
 	a, err := fn.Endpoint("a")
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +138,9 @@ func TestUDPBacklog(t *testing.T) {
 	defer a.Close()
 	defer bEp.Close()
 
+	const bound = window*maxBatchMsgs + queueDepth + 1
 	sawBacklog := false
-	for i := 0; i < 64; i++ {
+	for i := 0; i < bound; i++ {
 		err := a.Send(msg.MustNew(msg.TypeHello, "a", "b", uint64(i+1), nil))
 		if errors.Is(err, ErrBacklog) {
 			sawBacklog = true
@@ -148,55 +151,46 @@ func TestUDPBacklog(t *testing.T) {
 		}
 	}
 	if !sawBacklog {
-		t.Fatal("queue never reported ErrBacklog (64 sends, depth 4, 100% loss)")
+		t.Fatalf("queue never reported ErrBacklog (%d sends, 100%% loss)", bound)
 	}
 	if fn.Stats().BacklogDrops == 0 {
 		t.Fatal("BacklogDrops counter not incremented")
 	}
 }
 
-// TestUDPBlockingBackpressure: with Block=true Send waits for queue
-// room instead of failing, and Close releases blocked senders.
-func TestUDPBlockingBackpressure(t *testing.T) {
-	fn := NewFaultyNetwork(Config{QueueDepth: 2, Window: 1, MaxBatchMsgs: 1, RTO: time.Hour, Block: true},
-		FaultConfig{Seed: 1, Loss: 1})
-	a, err := fn.Endpoint("a")
+// TestUDPStaleCloseKeepsSuccessor: closing an endpoint whose name a
+// newer endpoint has taken since must leave the newer one registered.
+func TestUDPStaleCloseKeepsSuccessor(t *testing.T) {
+	n := NewUDPNetworkConfig(Config{})
+	old, err := n.Endpoint("A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bEp, err := fn.Endpoint("b")
+	succ, err := n.Endpoint("A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bEp.Close()
-
-	var blocked atomic.Bool
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; ; i++ {
-			blocked.Store(true)
-			if err := a.Send(msg.MustNew(msg.TypeHello, "a", "b", uint64(i+1), nil)); err != nil {
-				done <- err
-				return
-			}
-		}
-	}()
-	// The sender must wedge (queue 2 + window 1, all datagrams lost).
-	select {
-	case err := <-done:
-		t.Fatalf("sender finished instead of blocking: %v", err)
-	case <-time.After(200 * time.Millisecond):
-	}
-	if err := a.Close(); err != nil {
+	defer succ.Close()
+	b, err := n.Endpoint("B")
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer b.Close()
+	got := make(chan msg.Envelope, 1)
+	succ.SetHandler(func(e msg.Envelope) { got <- e })
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Send(msg.MustNew(msg.TypeHello, "B", "A", 1, nil)); err != nil {
+		t.Fatalf("send to the successor after a stale Close: %v", err)
+	}
 	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("blocked Send returned nil after Close")
+	case e := <-got:
+		if e.ID != 1 {
+			t.Fatalf("got %+v", e)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not release the blocked sender")
+		t.Fatal("successor never received the envelope")
 	}
 }
 

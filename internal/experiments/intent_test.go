@@ -438,7 +438,7 @@ func TestLinearScaleOverUDP(t *testing.T) {
 // EndpointFactory.
 func newUDPFactory(t *testing.T) EndpointFactory {
 	t.Helper()
-	udp := channel.NewUDPNetwork()
+	udp := channel.NewUDPNetworkConfig(channel.Config{})
 	return func(name string) (channel.Endpoint, error) {
 		return udp.Endpoint(name)
 	}

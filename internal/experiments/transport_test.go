@@ -59,6 +59,15 @@ func runLossyLinear(t *testing.T, n int) {
 	if len(fn.Trace()) == 0 {
 		t.Error("fault injector recorded no streams")
 	}
+	// The bring-up must fit the fixed queue bound and the retry budget:
+	// a refused Send or an abandoned frame here means the channel's
+	// constants no longer cover its own workload.
+	if s.BacklogDrops != 0 {
+		t.Errorf("%d Sends refused with ErrBacklog", s.BacklogDrops)
+	}
+	if s.AbandonedFrames != 0 {
+		t.Errorf("%d frames abandoned after maxRetries", s.AbandonedFrames)
+	}
 	t.Logf("n=%d over lossy UDP: %d datagrams (%d retransmits, %d dups, %d batched), %d NM call retries",
 		n, s.DatagramsSent, s.Retransmits, s.DupFrames, s.BatchedDatagrams, tb.NM.CallRetries())
 }
