@@ -164,7 +164,7 @@ type (
 	ConflictError = nm.ConflictError
 	// Daemon is the autonomous reconciliation loop: it subscribes to
 	// the NM's event feed (notifies, §II-E dependency triggers,
-	// topology re-reports), debounces them into a dirty set, and drives
+	// topology re-reports), collects them into a dirty set, and drives
 	// Reconcile until the network converges — failures heal with no
 	// caller.
 	Daemon = nm.Daemon

@@ -1,9 +1,9 @@
 // Daemon: autonomous reconciliation. Two customer VPNs run over the
 // shared-core diamond under the reconciliation daemon; the program
 // cuts the wire both of them ride and never calls Reconcile — the cut
-// surfaces as carrier-loss topology re-reports, the daemon debounces
-// them into a dirty set and reconciles until the network converges,
-// and both VPNs come back over the standby arm.
+// surfaces as carrier-loss topology re-reports, the daemon wakes on the
+// first, collects them into a dirty set and reconciles until the
+// network converges, and both VPNs come back over the standby arm.
 package main
 
 import (

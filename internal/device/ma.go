@@ -321,6 +321,9 @@ func (a *MA) QueryFields(requester, target core.ModuleRef, component string) (ma
 	if err := a.send(env); err != nil {
 		return nil, err
 	}
+	// Stopped on return, as NM.call's deadline is.
+	deadline := time.NewTimer(queryTimeout)
+	defer deadline.Stop()
 	select {
 	case resp := <-ch:
 		if resp.Type == msg.TypeError {
@@ -333,7 +336,7 @@ func (a *MA) QueryFields(requester, target core.ModuleRef, component string) (ma
 			return nil, err
 		}
 		return body.Fields, nil
-	case <-time.After(queryTimeout):
+	case <-deadline.C:
 		return nil, fmt.Errorf("device[%s]: listFieldsAndValues(%s): timeout", a.dev, target)
 	}
 }

@@ -25,12 +25,17 @@ func (tb *Testbed) StartDaemon(cfg nm.DaemonConfig) (*nm.Daemon, func()) {
 	}
 }
 
-// KillDevice simulates a device dying: every wire touching it is cut —
-// the device and its neighbours see carrier loss and re-report topology
-// while the management channel still works, like NICs dropping before
-// the box goes silent — and then its management endpoint is detached,
-// so NM calls to it fail immediately instead of timing out.
+// KillDevice simulates a device dying: its management endpoint is
+// detached first, so NM calls to it fail immediately instead of timing
+// out, and then every wire touching it is cut, so its neighbours see
+// carrier loss and re-report topology. The order matters: the detach
+// raises no event, so a daemon woken by the first re-report must
+// already find the box silent, or it could converge with the device
+// still reachable and never look again.
 func (tb *Testbed) KillDevice(id core.DeviceID) error {
+	if tb.Hub != nil {
+		tb.Hub.Detach(string(id))
+	}
 	for _, name := range tb.Net.Media() {
 		m, ok := tb.Net.Medium(name)
 		if !ok || !m.Up() {
@@ -49,9 +54,6 @@ func (tb *Testbed) KillDevice(id core.DeviceID) error {
 		if err := tb.Net.SetMediumUp(name, false); err != nil {
 			return err
 		}
-	}
-	if tb.Hub != nil {
-		tb.Hub.Detach(string(id))
 	}
 	return nil
 }

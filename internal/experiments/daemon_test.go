@@ -4,7 +4,7 @@ package experiments
 // faults — a cut wire, a killed pipe, a killed device — must heal with ZERO test-initiated Reconcile calls. The
 // fault surfaces as events (carrier-loss topology re-reports,
 // pipe-deleted notifies, §II-E dependency triggers); the daemon
-// debounces them and drives Reconcile until the network converges
+// wakes on the first and drives Reconcile until the network converges
 // again.
 
 import (

@@ -1,14 +1,16 @@
 package nm
 
 // The autonomous reconciliation daemon: a control loop that subscribes to the NM's event feed — module notifications,
-// dependency triggers (§II-E), topology re-reports — debounces them
+// dependency triggers (§II-E), topology re-reports — collects them
 // into a dirty set, and drives Reconcile with retry/backoff until the
 // network converges on the registered intents. A cut wire, killed
 // pipe or killed device heals with no caller: the failure surfaces as
-// events, the daemon reconciles. The loop is level-triggered — events
-// only say *that* something changed; every pass re-derives the diff
-// from observed state — so lost or coalesced events cost at most an
-// extra pass (or one poll interval), never correctness.
+// events, the daemon reconciles. The first event wakes a pass at once;
+// events that arrive while an epoch runs join it before its next pass.
+// The loop is level-triggered — events only say *that* something
+// changed; every pass re-derives the diff from observed state — so
+// lost or coalesced events cost at most an extra pass (or one poll
+// interval), never correctness.
 
 import (
 	"context"
@@ -23,10 +25,6 @@ import (
 )
 
 const (
-	// debounce is how long the loop waits after an event before
-	// reconciling, coalescing bursts (a link failure produces one
-	// topology re-report per adjacent device).
-	debounce = 10 * time.Millisecond
 	// backoff is the initial retry delay after a failed reconcile; it
 	// doubles per consecutive failure up to maxBackoff.
 	backoff    = 50 * time.Millisecond
@@ -104,6 +102,9 @@ type Daemon struct {
 	dirty       map[string]bool
 	dirtySince  time.Time
 	reconciling bool
+	// changed is closed, and cleared, when the daemon converges or
+	// falls out of convergence; WaitConverged sleeps on it.
+	changed     chan struct{}
 	converged   bool
 	convergeGen uint64
 	lastErr     error
@@ -182,30 +183,36 @@ func (d *Daemon) Run(ctx context.Context) error {
 		defer t.Stop()
 		pollC = t.C
 	}
+	// A failed epoch arms the backoff wait; an event ends it early,
+	// since it may be what the failed pass was missing.
+	var retryC <-chan time.Time
 	retry := backoff
-	// Initial pass, immediately.
-	wake := time.After(0)
+	// The initial pass runs at once.
+	pending := true
 	for {
+		if pending {
+			pending, retryC = false, nil
+			if d.reconcileEpoch(events) {
+				retry = backoff
+			} else {
+				d.log.Info("retry scheduled", "backoff", retry)
+				retryC = time.After(retry)
+				retry = min(2*retry, maxBackoff)
+			}
+		}
 		select {
 		case <-ctx.Done():
 			return nil
 		case ev := <-events:
 			d.noteEvent(ev)
-			wake = time.After(debounce)
+			pending = true
 		case <-pollC:
 			d.cPoll.Inc()
 			d.nm.InvalidateObservations()
 			d.markDirty("*")
-			wake = time.After(debounce)
-		case <-wake:
-			wake = nil
-			if d.reconcileEpoch() {
-				retry = backoff
-			} else {
-				d.log.Info("retry scheduled", "backoff", retry)
-				wake = time.After(retry)
-				retry = min(2*retry, maxBackoff)
-			}
+			pending = true
+		case <-retryC:
+			pending = true
 		}
 	}
 }
@@ -248,23 +255,47 @@ func (d *Daemon) markDirty(name string) {
 	}
 	d.dirty[name] = true
 	d.converged = false
+	d.signalLocked()
+}
+
+// signalLocked wakes every WaitConverged.
+func (d *Daemon) signalLocked() {
+	if d.changed != nil {
+		close(d.changed)
+		d.changed = nil
+	}
 }
 
 // reconcileEpoch runs Reconcile until the plan is empty (bounded),
-// reporting false when the epoch must be retried with backoff.
-func (d *Daemon) reconcileEpoch() bool {
+// reporting false when the epoch must be retried with backoff. Before
+// each pass it takes in the events already waiting, so the rest of a
+// burst (a cut wire's second re-report) joins the epoch its first
+// event started instead of opening another.
+func (d *Daemon) reconcileEpoch(events <-chan Event) bool {
+	dirty := make(map[string]bool)
+	var since time.Time
+	take := func() {
+		for n := len(events); n > 0; n-- {
+			d.noteEvent(<-events)
+		}
+		d.mu.Lock()
+		for k := range d.dirty {
+			dirty[k] = true
+		}
+		clear(d.dirty)
+		if since.IsZero() {
+			since = d.dirtySince
+		}
+		d.dirtySince = time.Time{}
+		d.mu.Unlock()
+	}
 	d.mu.Lock()
-	dirty := d.dirty
-	d.dirty = make(map[string]bool)
-	since := d.dirtySince
-	d.dirtySince = time.Time{}
 	d.reconciling = true
 	d.traceSeq++
 	trace := fmt.Sprintf("r-%06d", d.traceSeq)
 	d.mu.Unlock()
 
 	log := d.log.With("trace", trace)
-	log.Debug("reconcile epoch", "dirty", sortedKeys(dirty))
 
 	fail := func(err error) bool {
 		d.cErrors.Inc()
@@ -283,6 +314,8 @@ func (d *Daemon) reconcileEpoch() bool {
 	}
 
 	for iter := 0; ; iter++ {
+		take()
+		log.Debug("reconcile pass", "dirty", sortedKeys(dirty), "iteration", iter+1)
 		t0 := time.Now()
 		plan, err := d.nm.Reconcile()
 		d.cRuns.Inc()
@@ -311,6 +344,7 @@ func (d *Daemon) reconcileEpoch() bool {
 			d.converged = true
 			d.convergeGen++
 			d.reconciling = false
+			d.signalLocked()
 			d.mu.Unlock()
 			return true
 		}
@@ -369,21 +403,28 @@ func (d *Daemon) ConvergeGen() uint64 {
 // generation > after, nothing dirty, no buffered events — or the
 // timeout expires.
 func (d *Daemon) WaitConverged(after uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
 		d.mu.Lock()
 		idle := d.converged && d.convergeGen > after && !d.reconciling &&
 			len(d.dirty) == 0 && (d.events == nil || len(d.events) == 0)
-		gen := d.convergeGen
-		errLast := d.lastErr
-		d.mu.Unlock()
 		if idle {
+			d.mu.Unlock()
 			return nil
 		}
-		if time.Now().After(deadline) {
+		gen := d.convergeGen
+		errLast := d.lastErr
+		if d.changed == nil {
+			d.changed = make(chan struct{})
+		}
+		changed := d.changed
+		d.mu.Unlock()
+		select {
+		case <-changed:
+		case <-deadline.C:
 			return fmt.Errorf("nm: daemon: not converged after %v (gen %d > %d wanted, last error: %v)",
 				timeout, gen, after, errLast)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }

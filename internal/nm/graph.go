@@ -103,7 +103,13 @@ func BuildGraph(n *NM) (*Graph, error) {
 	// Physical edges from topology reports matched by the Phy-<port>
 	// pipe naming convention.
 	portOwner := make(map[string]*Node) // "<dev>/<port>" -> ETH node
+	portDown := make(map[string]bool)   // "<dev>/<port>" reported not attached
 	for _, dm := range devs {
+		for port, t := range dm.top {
+			if !t.attached && !t.external {
+				portDown[string(dm.dev)+"/"+port] = true
+			}
+		}
 		for _, abs := range dm.mods {
 			for _, pp := range abs.Physical {
 				port := strings.TrimPrefix(string(pp.Pipe), "Phy-")
@@ -119,9 +125,13 @@ func BuildGraph(n *NM) (*Graph, error) {
 				t, ok := dm.top[port]
 				att := PhysAttachment{Pipe: pp.Pipe, External: pp.External || (ok && t.external)}
 				// A reported-down link (cut wire, §III-C.2) contributes no
-				// physical edge, so the path finder routes around it.
+				// physical edge, so the path finder routes around it. Either
+				// end's report takes it down in both directions: the edge
+				// goes as soon as the first end re-reports, not when the
+				// second does.
 				if ok && t.peerDev != "" && t.attached && !att.External {
-					if peer, found := portOwner[string(t.peerDev)+"/"+t.peerPort]; found {
+					peerKey := string(t.peerDev) + "/" + t.peerPort
+					if peer, found := portOwner[peerKey]; found && !portDown[peerKey] {
 						att.Peer = peer
 						att.PeerPipe = core.PipeID("Phy-" + t.peerPort)
 					}

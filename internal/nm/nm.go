@@ -653,7 +653,12 @@ func (n *NM) call(t msg.Type, dev core.DeviceID, body any) (msg.Envelope, error)
 	if err := ep.Send(env); err != nil {
 		return msg.Envelope{}, err
 	}
-	deadline := time.After(n.CallTimeout)
+	// A timer stopped on return, not time.After: under the go 1.21
+	// timer semantics this module declares, an unfired time.After stays
+	// in the runtime's timer heap until it fires, so every call would
+	// keep a timer and its channel live for the whole CallTimeout.
+	deadline := time.NewTimer(n.CallTimeout)
+	defer deadline.Stop()
 	var retry <-chan time.Time
 	if n.RetryInterval > 0 {
 		ticker := time.NewTicker(n.RetryInterval)
@@ -674,7 +679,7 @@ func (n *NM) call(t msg.Type, dev core.DeviceID, body any) (msg.Envelope, error)
 			// charge, exactly as a lost datagram would.
 			n.callRetries.Add(1)
 			_ = ep.Send(env)
-		case <-deadline:
+		case <-deadline.C:
 			return msg.Envelope{}, fmt.Errorf("nm: %s on %s: timeout", t, dev)
 		}
 	}

@@ -151,6 +151,40 @@ func TestGraphConstruction(t *testing.T) {
 	}
 }
 
+// TestCutWireLeavesGraphBothWays: once one end of the R1-R2 wire
+// re-reports it down, neither direction keeps a physical edge, although
+// the other end's last report still says attached. A pass that runs
+// between the two ends' re-reports must not route over the cut wire.
+func TestCutWireLeavesGraphBothWays(t *testing.T) {
+	for _, down := range []msg.Topology{
+		{Device: "R1", Ports: []msg.PortReport{
+			{Name: "eth0", Attached: true, External: true},
+			{Name: "eth1", Attached: false, PeerDevice: "R2", PeerPort: "eth0"},
+		}},
+		{Device: "R2", Ports: []msg.PortReport{
+			{Name: "eth0", Attached: false, PeerDevice: "R1", PeerPort: "eth1"},
+			{Name: "eth1", Attached: true, External: true},
+		}},
+	} {
+		n := buildTwoRouterNM(t)
+		n.handle(msg.MustNew(msg.TypeTopology, string(down.Device), msg.NMName, 0, down))
+		g, err := BuildGraph(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ref := range []core.ModuleRef{core.Ref(core.NameETH, "R1", "b"), core.Ref(core.NameETH, "R2", "c")} {
+			node, ok := g.Node(ref)
+			if !ok {
+				t.Fatalf("no node %s", ref)
+			}
+			if len(node.wires) != 0 || len(node.phys) != 1 || node.phys[0].Peer != nil {
+				t.Errorf("%s re-reported the wire down, yet %s keeps phys %+v, wires %+v",
+					down.Device, ref, node.phys, node.wires)
+			}
+		}
+	}
+}
+
 func TestFindPathsTwoRouters(t *testing.T) {
 	n := buildTwoRouterNM(t)
 	g, err := BuildGraph(n)
