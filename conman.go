@@ -41,7 +41,8 @@
 //
 // Plan sends no configuration commands: it registers or replaces the
 // named intent (Submit or Update), recompiles it, re-reads every
-// occupied device (showActual) and returns the store-wide diff. Missing
+// occupied device (showActual, by the digest of the body last read: an
+// unchanged device sends no state) and returns the store-wide diff. Missing
 // pipes and switch rules become create batches; components no
 // registered intent wants (a pipe whose endpoints changed, a withdrawn
 // or rerouted goal's leftovers) become delete batches. Creates and

@@ -632,7 +632,24 @@ func (a *MA) handle(env msg.Envelope) {
 		a.reply(env, msg.TypeShowPotentialResp, msg.ShowPotentialResp{Modules: abs})
 
 	case msg.TypeShowActualReq:
-		a.reply(env, msg.TypeShowActualResp, msg.ShowActualResp{Modules: a.actual()})
+		var req msg.ShowActualReq
+		if len(env.Body) > 0 {
+			if err := env.Decode(&req); err != nil {
+				a.replyErr(env, "bad showActual: %v", err)
+				return
+			}
+		}
+		// The digest is of the rendered body, not a version to bump, so
+		// state that changes with no request (IGP routes, port
+		// counters) is covered too.
+		body, err := msg.EncodeShowActual(a.actual(), req.IfDigest)
+		if err != nil {
+			a.replyErr(env, "showActual: %v", err)
+			return
+		}
+		_ = a.send(msg.Envelope{
+			Type: msg.TypeShowActualResp, From: string(a.dev), To: env.From, ID: env.ID, Body: body,
+		})
 
 	case msg.TypeCommandBatchReq:
 		var batch msg.CommandBatchReq

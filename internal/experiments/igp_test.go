@@ -47,8 +47,8 @@ func greSelfTest(t *testing.T, tb *Testbed, dev core.DeviceID) {
 	}
 }
 
-// TestGREIGPDeliversAtScale is the scenario the ROADMAP's oldest open
-// item asked for: a GRE chain that forwards end-to-end beyond n=3. With
+// TestGREIGPDeliversAtScale is a GRE chain that forwards end-to-end
+// beyond n=3, where the plain GRE chain's transit routers have no routes. With
 // an IGP control module on every router the NM's compiled configuration
 // includes one pipe per adjacency; the modules flood link state and
 // install the transit routes, so the tunnel self-tests and the customer

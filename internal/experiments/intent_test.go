@@ -308,7 +308,8 @@ func planLines(t *testing.T, deletes, creates []nm.DeviceScript) []string {
 
 // TestMessageLogDeterministicUnderConcurrency pins the per-device
 // sequence + stable merge: two concurrent configuration runs of the
-// same testbed produce byte-identical traces (ROADMAP open item).
+// same testbed produce byte-identical traces, so a message log stays
+// comparable across runs whatever order the worker pool delivers in.
 func TestMessageLogDeterministicUnderConcurrency(t *testing.T) {
 	run := func() []string {
 		tb, err := BuildLinearGRE(12)
@@ -338,7 +339,7 @@ func TestMessageLogDeterministicUnderConcurrency(t *testing.T) {
 // TestParallelSelfTestSweepAfterApply exercises the Network.Flush
 // barrier: after Apply, self-tests fan out concurrently across the
 // chain's modules and the net quiesces deterministically before the
-// results are read (ROADMAP open item on concurrent data-plane tests).
+// results are read, so concurrent data-plane tests need no sleeps.
 func TestParallelSelfTestSweepAfterApply(t *testing.T) {
 	const n = 8
 	sc, err := LinearScenarioByName("MPLS")
@@ -403,8 +404,8 @@ func TestParallelSelfTestSweepAfterApply(t *testing.T) {
 
 // TestLinearScaleOverUDP runs the linear-n suite over real UDP sockets
 // (the paper's pre-configured management network) instead of the
-// in-process Hub: n=16 smoke with the Table VI formulas intact
-// (ROADMAP open item).
+// in-process Hub: n=16 smoke with the Table VI formulas intact, so the
+// message counts do not depend on the transport.
 func TestLinearScaleOverUDP(t *testing.T) {
 	const n = 16
 	for _, name := range []string{"GRE", "MPLS"} {

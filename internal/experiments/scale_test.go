@@ -266,7 +266,11 @@ func TestConcurrentFasterOnLatentChannel(t *testing.T) {
 // Each Plan reads every occupied router once and Apply reads none, so
 // the Plan and a re-plan after Apply send n + n showActual requests (the
 // bench's 256 show_actual envelopes at n = 128 are the first Plan's 128
-// requests and their 128 replies).
+// requests and their 128 replies). Apply wrote its creates through every
+// router's cached observation, which drops the digest, so the first
+// re-plan reads n full bodies; a second re-plan sends its n requests with
+// the digests that re-plan took, and all n are answered unchanged: no
+// full body crosses the channel.
 // The numbers are the same at every GOMAXPROCS, so a change to the
 // executor, the compiler, the IGP, the observation cache or the device MA
 // that moves one re-pins it here and says why.
@@ -323,6 +327,20 @@ func TestHubChainExactCounters(t *testing.T) {
 			if got := plan.Stats.Observed + again.Stats.Observed; got != 2*n {
 				t.Errorf("showActual requests = %d (%d + %d), want %d",
 					got, plan.Stats.Observed, again.Stats.Observed, 2*n)
+			}
+			if again.Stats.Unchanged != 0 {
+				t.Errorf("first re-plan: %d unchanged replies, want 0 (Apply's write-through drops every digest)", again.Stats.Unchanged)
+			}
+			third, err := sc.PlanLinear(tb, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !third.Empty() {
+				t.Fatalf("second re-plan on the configured chain is not empty:\n%s", third.Render())
+			}
+			if st := third.Stats; st.Observed != n || st.Unchanged != n {
+				t.Errorf("second re-plan: %d showActual requests, %d unchanged, %d full bodies; want %d, %d, 0",
+					st.Observed, st.Unchanged, st.Observed-st.Unchanged, n, n)
 			}
 		})
 	}

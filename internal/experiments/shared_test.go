@@ -7,9 +7,9 @@ import (
 	"conman/internal/core"
 )
 
-// TestSharedCoreCoexistence is the regression test for the ROADMAP's
-// shared-device pruning limitation: with the single-intent Plan, applying
-// intent B on devices shared with intent A pruned A's components. With
+// TestSharedCoreCoexistence is the regression test for shared-device
+// pruning: with the old single-intent Plan, applying intent B on devices
+// shared with intent A pruned A's components. With
 // the intent store, Reconcile after Submit(B) must leave A's delivery
 // intact — the two VPNs cross the same edge and transit switches, their
 // shared pipes and rules are configured once, and a further Reconcile

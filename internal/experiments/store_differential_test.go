@@ -1,8 +1,8 @@
 package experiments
 
 // Differential check of the intent store's two entry points into its
-// diff (ROADMAP 4a): the delta pass over pending work and the full
-// rematch — against cached observations after a compile-input change,
+// one diff (deviceUnion.diff): the delta pass over pending work and the
+// full rematch — against cached observations after a compile-input change,
 // and against fresh ones after InvalidateObservations — must describe
 // the same network. The lite diamond keeps four devices while the
 // intent count moves, so every step lands on unions that are already

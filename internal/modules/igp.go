@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"conman/internal/core"
@@ -740,10 +741,16 @@ func (g *IGP) RouteCount() int {
 
 // summaryLocked is the O(1)-sized convergence status showActual pushes.
 func (g *IGP) summaryLocked() map[string]string {
+	held := 0
+	for _, lsa := range g.lsdb {
+		if lsa != nil {
+			held++
+		}
+	}
 	return map[string]string{
-		"lsdb-size":   fmt.Sprint(len(g.heldLocked())),
-		"adjacencies": fmt.Sprint(len(g.adjs)),
-		"routes":      fmt.Sprint(len(g.routes)),
+		"lsdb-size":   strconv.Itoa(held),
+		"adjacencies": strconv.Itoa(len(g.adjs)),
+		"routes":      strconv.Itoa(len(g.routes)),
 	}
 }
 

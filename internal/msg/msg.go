@@ -7,8 +7,11 @@
 package msg
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"conman/internal/core"
 )
@@ -126,9 +129,51 @@ type ShowPotentialResp struct {
 	Modules []core.Abstraction `json:"modules"`
 }
 
-// ShowActualResp returns every module's actual state.
+// ShowActualReq is the optional body of a showActual request. IfDigest
+// names the body the requester already holds: an MA whose modules still
+// render to the bytes with that digest answers Unchanged, with no
+// modules. A request with no body, or no IfDigest, gets the full body.
+type ShowActualReq struct {
+	IfDigest string `json:"if_digest,omitempty"`
+}
+
+// ShowActualResp returns every module's actual state and its Digest,
+// the SHA-256 (hex) of the JSON encoding of Modules exactly as sent.
+// Unchanged replaces the modules when the request's IfDigest matched.
 type ShowActualResp struct {
-	Modules []core.ModuleState `json:"modules"`
+	Modules   []core.ModuleState `json:"modules"`
+	Digest    string             `json:"digest,omitempty"`
+	Unchanged bool               `json:"unchanged,omitempty"`
+}
+
+// actualBufs recycles the buffers showActual replies are encoded in: a
+// reply is copied out of one once, at its final size.
+var actualBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// EncodeShowActual encodes a showActual reply body, marshalling modules
+// once: the digest is taken of those bytes and a full reply embeds them
+// as they are, so a digest always names the bytes a requester decodes.
+// A matching ifDigest yields the body-less Unchanged reply.
+func EncodeShowActual(modules []core.ModuleState, ifDigest string) (json.RawMessage, error) {
+	const prefix, digestKey = `{"modules":`, `,"digest":"`
+	bp := actualBufs.Get().(*[]byte)
+	defer actualBufs.Put(bp)
+	b, err := appendModules(append((*bp)[:0], prefix...), modules)
+	if err != nil {
+		return nil, fmt.Errorf("msg: marshal %s: %w", TypeShowActualResp, err)
+	}
+	*bp = b
+	sum := sha256.Sum256(b[len(prefix):])
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	if string(digest[:]) == ifDigest {
+		return json.RawMessage(`{"digest":"` + ifDigest + `","unchanged":true}`), nil
+	}
+	out := make([]byte, 0, len(b)+len(digestKey)+len(digest)+2)
+	out = append(out, b...)
+	out = append(out, digestKey...)
+	out = append(out, digest[:]...)
+	return append(out, `"}`...), nil
 }
 
 // CreateSwitchReq is the batch item body (CommandItem.Switch) that

@@ -289,8 +289,8 @@ func (g *Graph) FindBest(spec FindSpec) (*Path, PruneStats, error) {
 	// Prefer flavour that genuinely does not exist), bounded by the
 	// enumerator's own MaxPaths cap. Known residual of the same hole: if
 	// the blocked survivor completes via a *worse* suffix instead of not
-	// at all, the returned path can be metric-suboptimal; the net goes
-	// only when the visit state is in the key (ROADMAP item 4(c)).
+	// at all, the returned path can be metric-suboptimal; the net can go
+	// only once the dominance key carries the visited modules too.
 	if f.stats.StackCap == 0 && acceptedPops < f.max {
 		exh := spec
 		exh.Exhaustive = true

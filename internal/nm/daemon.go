@@ -93,6 +93,7 @@ type Daemon struct {
 	cPoll         *obs.Counter
 	cCacheHits    *obs.Counter
 	cCacheMisses  *obs.Counter
+	cUnchanged    *obs.Counter
 	cRecompiles   *obs.Counter
 	cObserves     *obs.Counter
 
@@ -142,6 +143,8 @@ func NewDaemon(n *NM, cfg DaemonConfig) *Daemon {
 		"Occupied devices served from the observation cache")
 	d.cCacheMisses = m.Counter("conman_observe_cache_misses_total",
 		"Occupied devices re-observed because their generation moved")
+	d.cUnchanged = m.Counter("conman_observe_unchanged_total",
+		"Conditional showActual reads answered unchanged (digest matched, no state sent)")
 	d.cRecompiles = m.Counter("conman_store_recompiles_total",
 		"Intents recompiled by reconcile passes (dirty ones only)")
 	d.cObserves = m.Counter("conman_observes_total",
@@ -325,6 +328,7 @@ func (d *Daemon) reconcileEpoch(events <-chan Event) bool {
 		}
 		d.cCacheHits.Add(uint64(plan.Stats.CacheHits))
 		d.cCacheMisses.Add(uint64(plan.Stats.CacheMisses))
+		d.cUnchanged.Add(uint64(plan.Stats.Unchanged))
 		d.cRecompiles.Add(uint64(plan.Stats.Recompiled))
 		d.cObserves.Add(uint64(plan.Stats.Observed))
 		creates, deletes := batchCounts(plan.Creates, plan.Deletes)

@@ -115,8 +115,10 @@ func deleteItem(req core.DeleteRequest) (msg.CommandItem, string) {
 // is already registered), discards every cached observation, and returns
 // PlanStore's diff. The intent is therefore recompiled and every
 // occupied device re-read, so the plan reflects the live network rather
-// than the cache. Other registered intents stay in the union: their
-// components on shared devices are not stale. Planning sends no
+// than the cache; a device the cache holds a digest for is read by that
+// digest and sends its state only if it changed. Other registered
+// intents stay in the union: their components on shared devices are not
+// stale. Planning sends no
 // configuration commands; Apply executes the plan.
 func (n *NM) Plan(intent Intent) (*Plan, error) {
 	err := n.Submit(intent)

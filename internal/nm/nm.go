@@ -40,10 +40,11 @@
 // once and survive until the last owner is withdrawn — and withdrawing
 // one goal removes exactly its unshared components. Plan(intent) is the
 // one-intent way in: it sends no commands, registers or replaces the
-// intent, recompiles it and re-reads every occupied device before
-// returning PlanStore's diff. Pipe identity is structural (endpoint
-// modules, remote peers, dependency choices), so reconciliation adopts
-// the wire ids of matching installed pipes instead of churning them.
+// intent, recompiles it and re-reads every occupied device (by digest:
+// an unchanged device sends no state) before returning PlanStore's diff.
+// Pipe identity is structural (endpoint modules, remote peers,
+// dependency choices), so reconciliation adopts the wire ids of matching
+// installed pipes instead of churning them.
 //
 // The store is incremental and persistent. Reconcile recompiles only
 // intents dirtied since the last pass (cached compilations are reused,
@@ -605,10 +606,13 @@ func (n *NM) bumpObsLocked(dev core.DeviceID) {
 
 // InvalidateObservations discards the store's confidence in every
 // cached device observation, forcing the next reconcile pass to
-// re-observe whatever it touches. The daemon's poll path calls this on
-// each tick: a poll audit that trusted the cache would only ever see
-// drift that also produced an event, which is exactly what polling is
-// meant not to rely on.
+// re-observe whatever it touches. Plan and the daemon's poll path call
+// this: a pass that trusted the cache would only ever see drift that
+// also produced an event, which is exactly what an audit is meant not to
+// rely on. The re-reads are conditional on the digest of the cached
+// body, so a device whose state has not changed answers "unchanged" and
+// sends no state; a device whose cache Apply wrote through is read in
+// full.
 func (n *NM) InvalidateObservations() {
 	n.mu.Lock()
 	for d := range n.devices {
@@ -711,15 +715,28 @@ func (n *NM) ShowPotential(dev core.DeviceID) ([]core.Abstraction, error) {
 
 // ShowActual fetches a device's module states.
 func (n *NM) ShowActual(dev core.DeviceID) ([]core.ModuleState, error) {
-	resp, err := n.call(msg.TypeShowActualReq, dev, nil)
+	body, err := n.showActualIf(dev, "")
+	return body.Modules, err
+}
+
+// showActualIf is showActual conditional on the digest of the body the
+// caller already holds: the device answers Unchanged, with no modules,
+// while its state still renders to that body. An empty digest asks for
+// the full body, as ShowActual does.
+func (n *NM) showActualIf(dev core.DeviceID, digest string) (msg.ShowActualResp, error) {
+	var req any
+	if digest != "" {
+		req = msg.ShowActualReq{IfDigest: digest}
+	}
+	resp, err := n.call(msg.TypeShowActualReq, dev, req)
 	if err != nil {
-		return nil, err
+		return msg.ShowActualResp{}, err
 	}
 	var body msg.ShowActualResp
 	if err := resp.Decode(&body); err != nil {
-		return nil, err
+		return msg.ShowActualResp{}, err
 	}
-	return body.Modules, nil
+	return body, nil
 }
 
 // ListFields resolves an abstract component of a module to its current

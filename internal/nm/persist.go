@@ -72,9 +72,14 @@ type deviceSnap struct {
 	Modules  []core.Abstraction `json:"modules,omitempty"`
 }
 
+// obsSnap is one cached observation. Digest is the showActual digest it
+// was condensed from (empty after a write-through, and in snapshots
+// written before digests existed): a restored entry whose generation the
+// journal moved is then re-read conditionally, not in full.
 type obsSnap struct {
 	Device core.DeviceID `json:"device"`
 	Gen    uint64        `json:"gen"`
+	Digest string        `json:"digest,omitempty"`
 	Pipes  []obsPipeSnap `json:"pipes,omitempty"`
 	Rules  []obsRuleSnap `json:"rules,omitempty"`
 }
@@ -205,7 +210,7 @@ func (n *NM) Persist(b datastore.Backend) (int, error) {
 				handle: r.Handle,
 			})
 		}
-		ss.cache[os.Device] = &obsEntry{gen: os.Gen, o: newObserved(pipes, rules)}
+		ss.cache[os.Device] = &obsEntry{gen: os.Gen, o: newObserved(pipes, rules), digest: os.Digest}
 		if n.obsGens[os.Device] < os.Gen {
 			n.obsGens[os.Device] = os.Gen
 		}
@@ -275,7 +280,7 @@ func (n *NM) checkpointLocked() error {
 			// process knew it owed.
 			continue
 		}
-		os := obsSnap{Device: dev, Gen: ce.gen}
+		os := obsSnap{Device: dev, Gen: ce.gen, Digest: ce.digest}
 		for _, id := range sortedKeys(ce.o.pipes) {
 			p := ce.o.pipes[id]
 			os.Pipes = append(os.Pipes, obsPipeSnap{

@@ -214,6 +214,10 @@ type StoreStats struct {
 	// Observed counts devices fetched fresh via showActual (including
 	// stranded devices, which are always probed for liveness).
 	Observed int
+	// Unchanged counts the Observed requests answered "unchanged": the
+	// device's body still had the cached observation's digest, so no
+	// state crossed the channel.
+	Unchanged int
 	// CacheHits / CacheMisses count occupied devices served from the
 	// observation cache vs re-observed because their generation moved.
 	CacheHits   int
