@@ -366,8 +366,9 @@ func checkSeqList[T any](t *testing.T, what string, l seqList[T]) {
 // merge comes after a newer one's — and holds it to the model after every
 // step. Views must be in registration order, owner lists in merge order
 // (merge's last-owner test relies on removeContribs having run), and
-// nothing is ever renumbered. Every checkpoint also holds the delta diff
-// to a rematch of a union rebuilt from empty.
+// nothing is ever renumbered. Views captured as a Plan captures them must
+// not change under later steps. Every checkpoint also holds the delta
+// diff to a rematch of a union rebuilt from empty.
 func TestUnionAgainstModel(t *testing.T) {
 	const names, steps, every = 24, 2400, 40
 	rng := rand.New(rand.NewSource(31))
@@ -382,6 +383,21 @@ func TestUnionAgainstModel(t *testing.T) {
 	var mergeOrder, pending []string // names by latest merge; registered but unmerged
 	lateFirstMerges, conflicts, checkpoints, compactions := 0, 0, 0, 0
 	var deadBefore [3]int // tombstones per device after the last step
+	// Views captured as a Plan captures them, with what they showed
+	// then: later steps must leave every one of them as it was.
+	type capture struct {
+		views []*IntentView
+		text  string
+	}
+	var captures []capture
+	captureRng := rand.New(rand.NewSource(37)) // apart, so the steps stay as seeded
+	viewsText := func(views []*IntentView) string {
+		var b strings.Builder
+		for _, v := range views {
+			fmt.Fprintf(&b, "%s %d+%d; ", v.Intent.Name, v.Exclusive, v.Shared)
+		}
+		return b.String()
+	}
 
 	merge := func(name string, g modelGoal) {
 		if k := len(ss.views.seqs); k > 0 && regSeq[name] < ss.views.seqs[k-1] {
@@ -452,6 +468,13 @@ func TestUnionAgainstModel(t *testing.T) {
 		excl, shared, nShared := m.tallies()
 		if ss.shared != nShared {
 			t.Fatalf("step %d: %d shared components, model %d", step, ss.shared, nShared)
+		}
+		for _, c := range captures {
+			if got := viewsText(c.views); got != c.text {
+				t.Fatalf("step %d: a captured views slice changed:\n%s\nwas\n%s", step, got, c.text)
+			}
+			// A caller's append must not land in the store's slots.
+			_ = append(c.views, &IntentView{Intent: Intent{Name: "appended"}})
 		}
 		checkSeqList(t, "views", ss.views)
 		if len(ss.views.items) != len(goals) {
@@ -550,6 +573,13 @@ func TestUnionAgainstModel(t *testing.T) {
 			mergeOrder, pending = without(mergeOrder, name), without(pending, name)
 		}
 		check(step)
+		if captureRng.Intn(3) == 0 {
+			views := ss.captureViews()
+			captures = append(captures, capture{views, viewsText(views)})
+			if len(captures) > 8 {
+				captures = captures[1:]
+			}
+		}
 		if step%every == every-1 {
 			checkpoint(step)
 		}
