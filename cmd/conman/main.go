@@ -114,9 +114,9 @@ func init() {
                               and /metrics (the CI transport-smoke tier)`, runTransport},
 
 		{"store", groupStoreDir, `  store log -state-dir DIR    print the journal: every submit/update/
-                              withdraw and apply-begin/commit bracket,
-                              with sequence numbers and the snapshot
-                              position
+                              withdraw/rollback and the apply-begin
+                              before each apply, with sequence numbers
+                              and the snapshot position
   store show -state-dir DIR [-to SEQ]
                               replay snapshot + journal and print the
                               registered intents (as of SEQ, when given)

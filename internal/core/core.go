@@ -592,6 +592,10 @@ type PipeState struct {
 	Status PipeStatus `json:"status"`
 	RxPkts uint64     `json:"rx_pkts"`
 	TxPkts uint64     `json:"tx_pkts"`
+	// Handle is CanonicalHandle of the fields a module advertising
+	// HandleFields exports for its up pipe: what a rule steering into the
+	// pipe embeds (§II-E), under the showActual digest.
+	Handle string `json:"handle,omitempty"`
 }
 
 // SwitchRuleState is an installed switch rule as reported by showActual.
@@ -611,8 +615,8 @@ type SwitchRuleState struct {
 	// HandleResolved is the canonical form (CanonicalHandle) of the
 	// low-level handle fields another module exported and this rule
 	// embedded at install time (e.g. the MPLS NHLFE key an IP route
-	// points at). Reconciliation compares it against the provider's
-	// *current* fields: a mismatch means the provider churned under the
+	// points at). Reconciliation compares it against the Handle its To
+	// pipe reports now: a mismatch means the provider churned under the
 	// rule and the embedded copy is stale (§II-E), so the rule must be
 	// reinstalled even though its abstract form still matches.
 	HandleResolved string `json:"handle_resolved,omitempty"`

@@ -455,3 +455,102 @@ func TestRuleRegistry(t *testing.T) {
 		t.Error("rule outlived its pipe")
 	}
 }
+
+// slotMod is a toy exporter: it advertises one handle field, "slot", and
+// reports the same value for every pipe it is the lower end of.
+type slotMod struct {
+	device.BaseModule
+
+	mu   sync.Mutex
+	slot string
+}
+
+func (m *slotMod) Abstraction() core.Abstraction {
+	spec := core.PipeSpec{Connectable: []core.ModuleName{nameFake}}
+	return core.Abstraction{Ref: m.Ref(), Kind: core.KindData, Up: spec, Down: spec, HandleFields: []string{"slot"}}
+}
+
+func (m *slotMod) Actual() core.ModuleState { return core.ModuleState{Ref: m.Ref()} }
+
+func (m *slotMod) ListFields(string) (map[string]string, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return map[string]string{"slot": m.slot}, nil
+}
+
+func (m *slotMod) set(slot string) {
+	m.mu.Lock()
+	m.slot = slot
+	m.mu.Unlock()
+}
+
+// TestExportedHandleRidesInShowActual: a module advertising HandleFields
+// has its exported handle reported on its up pipe — by the create result
+// and by showActual, where the digest covers it, so a handle that moves
+// with nothing else moving still changes the digest. A module that
+// exports nothing renders no handle key at all.
+func TestExportedHandleRidesInShowActual(t *testing.T) {
+	hub := channel.NewHub()
+	nm.New().AttachChannel(hub.Endpoint(msg.NMName))
+	d, err := device.New(netsim.New(), "X", kernel.RoleRouter, "eth0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, l := core.Ref(nameFake, "X", "u"), core.Ref(nameFake, "X", "l")
+	s := &slotMod{BaseModule: device.BaseModule{ModRef: core.Ref(nameFake, "X", "s"), Svc: d.MA}, slot: "1"}
+	d.AddModule(&fakeMod{BaseModule: device.BaseModule{ModRef: u, Svc: d.MA}})
+	d.AddModule(&fakeMod{BaseModule: device.BaseModule{ModRef: l, Svc: d.MA}})
+	d.AddModule(s)
+	d.MA.AttachChannel(hub.Endpoint("X"))
+	if err := d.MA.Start(); err != nil {
+		t.Fatal(err)
+	}
+	resp := channeltest.Batch(t, hub, "X",
+		msg.CommandItem{Pipe: &msg.CreatePipeItem{ID: "P0", Req: core.PipeRequest{Upper: u, Lower: s.Ref()}}},
+		msg.CommandItem{Pipe: &msg.CreatePipeItem{ID: "P1", Req: core.PipeRequest{Upper: u, Lower: l}}},
+	)
+	if !resp.OK() {
+		t.Fatal(resp.Errors)
+	}
+	if h0, h1 := resp.Results[0].Handle, resp.Results[1].Handle; h0 != "slot=1" || h1 != "" {
+		t.Errorf("create results report handles %q and %q, want slot=1 and none", h0, h1)
+	}
+
+	read := func(ifDigest string) (msg.ShowActualResp, string) {
+		t.Helper()
+		env := channeltest.Call(t, hub, "X", msg.TypeShowActualReq, msg.ShowActualReq{IfDigest: ifDigest})
+		var body msg.ShowActualResp
+		if err := env.Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return body, string(env.Body)
+	}
+	first, raw := read("")
+	for _, st := range first.Modules {
+		for _, ps := range st.Pipes {
+			want := ""
+			if st.Ref == s.Ref() && ps.End == core.EndUp {
+				want = "slot=1"
+			}
+			if ps.Handle != want {
+				t.Errorf("%s reports handle %q on %s, want %q", st.Ref, ps.Handle, ps.ID, want)
+			}
+		}
+	}
+	if got := strings.Count(raw, `"handle":`); got != 1 {
+		t.Errorf("showActual body has %d handle keys, want only the exporter's up pipe:\n%s", got, raw)
+	}
+
+	s.set("2")
+	second, _ := read(first.Digest)
+	if second.Unchanged || second.Digest == first.Digest {
+		t.Fatalf("the handle moved but the digest stayed %s (unchanged %v)", second.Digest, second.Unchanged)
+	}
+	for _, st := range second.Modules {
+		for _, ps := range st.Pipes {
+			if st.Ref == s.Ref() && ps.End == core.EndUp && ps.Handle != "slot=2" {
+				t.Errorf("exporter's up pipe reports %q after the move, want slot=2", ps.Handle)
+			}
+		}
+	}
+}

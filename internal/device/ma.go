@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -67,9 +68,13 @@ type MA struct {
 	ep      channel.Endpoint
 	modules map[core.ModuleID]Module
 	order   []core.ModuleID
-	pipes   map[core.PipeID]*Pipe
-	pipeSeq int
-	ruleSeq int
+	// exporters holds the modules advertising HandleFields. Register
+	// replaces the map rather than writing it, so a reader may keep using
+	// the one it read under mu.
+	exporters map[core.ModuleID]Module // guarded by mu
+	pipes     map[core.PipeID]*Pipe
+	pipeSeq   int
+	ruleSeq   int
 	// rules holds every installed rule by id, and pipeRules the same
 	// records by the pipes they reference, so deleting a rule or a pipe
 	// finds its rules without a scan.
@@ -149,12 +154,28 @@ func (a *MA) PortTo(dev core.DeviceID) (string, bool) {
 // Register adds a module to the device.
 func (a *MA) Register(m Module) {
 	id := m.Ref().Module
+	exports := len(m.Abstraction().HandleFields) > 0
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, dup := a.modules[id]; !dup {
 		a.order = append(a.order, id)
 	}
 	a.modules[id] = m
+	if exports {
+		ex := map[core.ModuleID]Module{id: m}
+		maps.Copy(ex, a.exporters)
+		a.exporters = ex
+	}
+}
+
+// exportedHandle is the Handle showActual reports on an exporter's up
+// pipe. Caller must not hold a.mu: the module may call back.
+func exportedHandle(m Module, id core.PipeID) string {
+	fields, err := m.ListFields("pipe:" + string(id))
+	if err != nil {
+		return ""
+	}
+	return core.CanonicalHandle(fields)
 }
 
 // RegisterPhysicalPipe records a physical pipe owned by an (ETH) module.
@@ -491,7 +512,8 @@ func (a *MA) unrecordLocked(r *installedRule) {
 
 // actual renders showActual: each module's own LowLevel and Perf, plus
 // the pipes and rules the MA keeps for it — pipes sorted by id, with
-// kernel counters on physical ones, and rules in install order.
+// kernel counters on physical ones and an exporter's handle on its up
+// pipes, and rules in install order.
 func (a *MA) actual() []core.ModuleState {
 	mods := a.Modules()
 	states := make([]core.ModuleState, len(mods))
@@ -502,6 +524,7 @@ func (a *MA) actual() []core.ModuleState {
 		byModule[states[i].Ref.Module] = &states[i]
 	}
 	a.mu.Lock()
+	exporters := a.exporters
 	pipes := make([]*Pipe, 0, len(a.pipes))
 	for _, p := range a.pipes {
 		pipes = append(pipes, p)
@@ -526,7 +549,11 @@ func (a *MA) actual() []core.ModuleState {
 			st.Pipes = append(st.Pipes, core.PipeState{ID: p.ID, End: core.EndDown, Other: p.Lower, Peer: p.UpperPeer, Status: p.Status})
 		}
 		if st := byModule[p.Lower.Module]; st != nil {
-			st.Pipes = append(st.Pipes, core.PipeState{ID: p.ID, End: core.EndUp, Other: p.Upper, Peer: p.LowerPeer, Status: p.Status})
+			ps := core.PipeState{ID: p.ID, End: core.EndUp, Other: p.Upper, Peer: p.LowerPeer, Status: p.Status}
+			if m := exporters[p.Lower.Module]; m != nil {
+				ps.Handle = exportedHandle(m, p.ID)
+			}
+			st.Pipes = append(st.Pipes, ps)
 		}
 	}
 	for _, r := range rules {
@@ -817,11 +844,9 @@ func (a *MA) replyErr(req msg.Envelope, format string, args ...any) {
 func (a *MA) execItem(item msg.CommandItem) (msg.CommandItemResult, error) {
 	switch {
 	case item.Pipe != nil:
-		id, err := a.createPipe(item.Pipe.ID, item.Pipe.Req)
-		return msg.CommandItemResult{PipeID: id}, err
+		return a.createPipe(item.Pipe.ID, item.Pipe.Req)
 	case item.Switch != nil:
-		id, pending, err := a.createSwitch(*item.Switch)
-		return msg.CommandItemResult{RuleID: id, Pending: pending}, err
+		return a.createSwitch(*item.Switch)
 	case item.Filter != nil:
 		id, err := a.createFilter(*item.Filter)
 		return msg.CommandItemResult{RuleID: id}, err
@@ -832,27 +857,28 @@ func (a *MA) execItem(item msg.CommandItem) (msg.CommandItemResult, error) {
 	return msg.CommandItemResult{}, fmt.Errorf("device[%s]: empty command item", a.dev)
 }
 
-func (a *MA) createPipe(id core.PipeID, req core.PipeRequest) (core.PipeID, error) {
+// createPipe creates a pipe and reports its id and exported handle.
+func (a *MA) createPipe(id core.PipeID, req core.PipeRequest) (msg.CommandItemResult, error) {
 	upper, ok := a.LocalModule(req.Upper.Module)
 	if !ok {
-		return "", fmt.Errorf("device[%s]: no module %s", a.dev, req.Upper)
+		return msg.CommandItemResult{}, fmt.Errorf("device[%s]: no module %s", a.dev, req.Upper)
 	}
 	lower, ok := a.LocalModule(req.Lower.Module)
 	if !ok {
-		return "", fmt.Errorf("device[%s]: no module %s", a.dev, req.Lower)
+		return msg.CommandItemResult{}, fmt.Errorf("device[%s]: no module %s", a.dev, req.Lower)
 	}
 	upAbs, downAbs := upper.Abstraction(), lower.Abstraction()
 	if !upAbs.Down.CanConnect(downAbs.Ref.Name) {
-		return "", fmt.Errorf("device[%s]: %s cannot have a down pipe to %s", a.dev, req.Upper, req.Lower)
+		return msg.CommandItemResult{}, fmt.Errorf("device[%s]: %s cannot have a down pipe to %s", a.dev, req.Upper, req.Lower)
 	}
 	if !downAbs.Up.CanConnect(upAbs.Ref.Name) {
-		return "", fmt.Errorf("device[%s]: %s cannot have an up pipe to %s", a.dev, req.Lower, req.Upper)
+		return msg.CommandItemResult{}, fmt.Errorf("device[%s]: %s cannot have an up pipe to %s", a.dev, req.Lower, req.Upper)
 	}
 	// Every declared dependency for this pipe must be satisfied.
 	deps := append(append([]core.Dependency(nil), upAbs.Down.Dependencies...), downAbs.Up.Dependencies...)
 	for _, d := range deps {
 		if !dependencySatisfied(d, req.Satisfy) {
-			return "", fmt.Errorf("device[%s]: dependency %q of pipe %s/%s not satisfied",
+			return msg.CommandItemResult{}, fmt.Errorf("device[%s]: dependency %q of pipe %s/%s not satisfied",
 				a.dev, d.Description, req.Upper, req.Lower)
 		}
 	}
@@ -864,7 +890,7 @@ func (a *MA) createPipe(id core.PipeID, req core.PipeRequest) (core.PipeID, erro
 	}
 	if _, dup := a.pipes[id]; dup {
 		a.mu.Unlock()
-		return "", fmt.Errorf("device[%s]: pipe %s already exists", a.dev, id)
+		return msg.CommandItemResult{}, fmt.Errorf("device[%s]: pipe %s already exists", a.dev, id)
 	}
 	p := &Pipe{
 		ID: id, Upper: req.Upper, Lower: req.Lower,
@@ -881,16 +907,20 @@ func (a *MA) createPipe(id core.PipeID, req core.PipeRequest) (core.PipeID, erro
 		a.mu.Lock()
 		delete(a.pipes, id)
 		a.mu.Unlock()
-		return "", err
+		return msg.CommandItemResult{}, err
 	}
 	if err := upper.PipeAttached(p, SideUpper); err != nil {
 		_ = lower.PipeDeleted(p, SideLower)
 		a.mu.Lock()
 		delete(a.pipes, id)
 		a.mu.Unlock()
-		return "", err
+		return msg.CommandItemResult{}, err
 	}
-	return id, nil
+	res := msg.CommandItemResult{PipeID: id}
+	if len(downAbs.HandleFields) > 0 {
+		res.Handle = exportedHandle(lower, id)
+	}
+	return res, nil
 }
 
 func dependencySatisfied(d core.Dependency, choices []core.DependencyChoice) bool {
@@ -908,16 +938,18 @@ func dependencySatisfied(d core.Dependency, choices []core.DependencyChoice) boo
 	return false
 }
 
-func (a *MA) createSwitch(body msg.CreateSwitchReq) (string, bool, error) {
+// createSwitch installs a switch rule and reports its id, whether it is
+// pending, and the handle it embeds.
+func (a *MA) createSwitch(body msg.CreateSwitchReq) (msg.CommandItemResult, error) {
 	m, ok := a.LocalModule(body.Rule.Module.Module)
 	if !ok {
-		return "", false, fmt.Errorf("device[%s]: no module %s", a.dev, body.Rule.Module)
+		return msg.CommandItemResult{}, fmt.Errorf("device[%s]: no module %s", a.dev, body.Rule.Module)
 	}
 	if _, ok := a.PipeByID(body.Rule.From); !ok {
-		return "", false, fmt.Errorf("device[%s]: switch rule references unknown pipe %s", a.dev, body.Rule.From)
+		return msg.CommandItemResult{}, fmt.Errorf("device[%s]: switch rule references unknown pipe %s", a.dev, body.Rule.From)
 	}
 	if _, ok := a.PipeByID(body.Rule.To); !ok {
-		return "", false, fmt.Errorf("device[%s]: switch rule references unknown pipe %s", a.dev, body.Rule.To)
+		return msg.CommandItemResult{}, fmt.Errorf("device[%s]: switch rule references unknown pipe %s", a.dev, body.Rule.To)
 	}
 	a.mu.Lock()
 	a.ruleSeq++
@@ -934,13 +966,13 @@ func (a *MA) createSwitch(body msg.CreateSwitchReq) (string, bool, error) {
 		a.mu.Lock()
 		a.pending = append(a.pending, pendingRule{module: m, inst: inst})
 		a.mu.Unlock()
-		return inst.ID, true, nil
+		return msg.CommandItemResult{RuleID: inst.ID, Pending: true}, nil
 	}
 	if err != nil {
-		return "", false, err
+		return msg.CommandItemResult{}, err
 	}
 	a.record(body.Rule.Module.Module, inst, nil, undo)
-	return inst.ID, false, nil
+	return msg.CommandItemResult{RuleID: inst.ID, Handle: inst.HandleResolved}, nil
 }
 
 func (a *MA) createFilter(body msg.CreateFilterReq) (string, error) {

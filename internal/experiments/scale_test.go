@@ -419,9 +419,9 @@ func (b *countingBackend) Append(e datastore.Entry) error {
 // TestStoreChurnExactAppends pins the journal cost of a store operation
 // (store-churn's datastore.appends_per_op): on a store of a few hundred
 // intents, a Submit or Withdraw and the Reconcile that carries it out
-// append exactly three entries — the operation, apply-begin and commit.
+// append exactly two entries — the operation and apply-begin.
 func TestStoreChurnExactAppends(t *testing.T) {
-	const resident, spare, churn, wantPerOp = 200, 100, 200, 3
+	const resident, spare, churn, wantPerOp = 200, 100, 200, 2
 	tb, err := BuildDiamondLite(resident + spare)
 	if err != nil {
 		t.Fatal(err)

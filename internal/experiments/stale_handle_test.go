@@ -8,17 +8,84 @@ package experiments
 // push rule gets a FRESH key — and a diff that compares only the
 // abstract and resolved rule fields keeps the old IP route pointing at
 // a deleted NHLFE: a silent black hole. The fix records the embedded
-// handle (SwitchRuleState.HandleResolved), probes the provider's
-// current fields at diff time, and replaces the consumer rule when
-// they diverge — plus an installTrigger on the provider component so
-// the churn reaches the daemon as a push event.
+// handle (SwitchRuleState.HandleResolved) next to the handle the
+// provider's pipe carries now (PipeState.Handle), both in the showActual
+// body the NM reads anyway, and replaces the consumer rule when they
+// diverge — plus an installTrigger on the provider component so the
+// churn reaches the daemon as a push event.
 
 import (
+	"sync/atomic"
 	"testing"
 
+	"conman/internal/channel"
 	"conman/internal/core"
+	"conman/internal/msg"
 	"conman/internal/nm"
 )
+
+// requestCounter counts the showActual and listFieldsAndValues requests
+// sent through an endpoint.
+type requestCounter struct {
+	channel.Endpoint
+	showActual, listFields *atomic.Int64
+}
+
+func (e requestCounter) Send(env msg.Envelope) error {
+	switch env.Type {
+	case msg.TypeShowActualReq:
+		e.showActual.Add(1)
+	case msg.TypeListFieldsReq:
+		e.listFields.Add(1)
+	}
+	return e.Endpoint.Send(env)
+}
+
+// TestReplanAsksShowActualOnly re-plans the converged linear MPLS chain,
+// whose edge routers' ingress routes embed NHLFE handles. Checking those
+// handles must cost nothing beyond the showActual read each router gets:
+// one request per router, and no listFieldsAndValues.
+func TestReplanAsksShowActualOnly(t *testing.T) {
+	const n = 6
+	var showActual, listFields atomic.Int64
+	hub := channel.NewHub()
+	factory := func(name string) (channel.Endpoint, error) {
+		if name == msg.NMName {
+			return requestCounter{Endpoint: hub.Endpoint(name), showActual: &showActual, listFields: &listFields}, nil
+		}
+		return hub.Endpoint(name), nil
+	}
+	sc, err := LinearScenarioByName("MPLS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := sc.BuildOver(n, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	if _, err := sc.ConfigureLinear(tb, n); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, tb)
+	if err := tb.VerifyConnectivity(21001); err != nil {
+		t.Fatalf("data plane: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		showActual.Store(0)
+		listFields.Store(0)
+		plan, err := sc.PlanLinear(tb, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plan.Empty() {
+			t.Fatalf("re-plan %d on the converged chain is not empty:\n%s", i, plan.Render())
+		}
+		if got, lf := showActual.Load(), listFields.Load(); got != n || lf != 0 {
+			t.Errorf("re-plan %d sent %d showActual and %d listFieldsAndValues requests, want %d and 0", i, got, lf, n)
+		}
+	}
+}
 
 // TestDaemonHealsStaleNHLFE kills the MPLS~ETH pipe on ingress router A
 // under the daemon. The repair is partial — only A's components churn,

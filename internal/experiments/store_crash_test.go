@@ -198,8 +198,16 @@ func TestStoreRestoresIdenticallyAtEveryCrashPoint(t *testing.T) {
 	js := full.NM.JournalStatus()
 	total := int(js.Entries+js.Snapshots) - 1 // all writes but the priming checkpoint
 	full.Close()
-	if total < count {
-		t.Fatalf("uncrashed run made %d backend writes for %d operations", total, count)
+	// Every operation but a reconcile writes at least once; a reconcile
+	// writes only when it has something to apply.
+	writers := 0
+	for _, op := range ops {
+		if op.kind != "reconcile" {
+			writers++
+		}
+	}
+	if total < writers {
+		t.Fatalf("uncrashed run made %d backend writes for %d operations that each write", total, writers)
 	}
 
 	t.Logf("%d operations, %d backend writes: cutting after each", count, total)

@@ -18,7 +18,7 @@ import (
 // onto the old snapshot to the same store, trusting the snapshot's
 // observations for every device no post-snapshot apply-begin names.
 func TestLongJournalTailRestoresFromOldSnapshot(t *testing.T) {
-	const resident, spare, churn = 200, 40, 180
+	const resident, spare, churn = 200, 40, 270
 	tb, err := BuildDiamondLite(resident + spare)
 	if err != nil {
 		t.Fatal(err)

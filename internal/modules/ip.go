@@ -354,11 +354,12 @@ func (m *IP) installClassifiedIngress(r *device.SwitchRuleInstance, from, to *de
 	if err != nil || (handle["dev"] == "" && handle["mpls-key"] == "") {
 		return nil, device.ErrPending
 	}
-	// Record the low-level handle this rule embeds (the MPLS NHLFE key,
-	// the tunnel interface) so showActual exposes it and the NM can
-	// detect the embedded copy going stale when the provider churns
-	// (§II-E dependency maintenance).
-	r.HandleResolved = core.CanonicalHandle(handle)
+	// Record the exported handle this rule embeds (the MPLS NHLFE key;
+	// ETH and GRE export none) so showActual reports it next to the
+	// To pipe's, and the NM can tell it went stale (§II-E).
+	if lower, _ := m.Svc.LocalModule(to.Lower.Module); len(lower.Abstraction().HandleFields) > 0 {
+		r.HandleResolved = core.CanonicalHandle(handle)
+	}
 	k := m.Svc.Kernel()
 	// A virtual router forwards by definition (Fig 7a/8a command
 	// "echo 1 > /proc/sys/net/ipv4/ip_forward").

@@ -113,12 +113,6 @@ func (m *MPLS) Actual() core.ModuleState {
 	for peer, n := range m.neighbors {
 		st.LowLevel["labels:"+peer] = fmt.Sprintf("in=%d out=%d nexthop=%s", n.MyInLabel, n.PeerInLabel, n.PeerLinkAddr)
 	}
-	// Both exported handle fields, so the showActual digest moves
-	// whenever the handle a consumer rule embeds does.
-	if m.pushKey != "" {
-		st.LowLevel["nhlfe-key"] = m.pushKey
-		st.LowLevel["nhlfe-via"] = m.pushVia
-	}
 	return st
 }
 

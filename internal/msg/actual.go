@@ -126,6 +126,10 @@ func appendPipe(b []byte, p *core.PipeState) []byte {
 	b = strconv.AppendUint(b, p.RxPkts, 10)
 	b = append(b, `,"tx_pkts":`...)
 	b = strconv.AppendUint(b, p.TxPkts, 10)
+	if p.Handle != "" {
+		b = append(b, `,"handle":`...)
+		b = appendString(b, p.Handle)
+	}
 	return append(b, '}')
 }
 

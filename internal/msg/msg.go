@@ -302,6 +302,9 @@ type CommandItemResult struct {
 	// deferred on an external dependency (ErrPending); its observable
 	// state is not yet what the NM asked for.
 	Pending bool `json:"pending,omitempty"`
+	// Handle is what showActual reports for the created component: a
+	// pipe's PipeState.Handle, or an installed rule's HandleResolved.
+	Handle string `json:"handle,omitempty"`
 }
 
 // OK reports whether every item succeeded.

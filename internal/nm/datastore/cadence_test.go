@@ -52,7 +52,7 @@ func TestSnapshotDueNeedsFloorAndBytes(t *testing.T) {
 		t.Fatalf("after a snapshot: %d bytes since, snapshot %d; want 0 and %d", since, size, len(snap))
 	}
 	for i := 0; i < 3*floor; i++ {
-		mustAppend(t, l, OpCommit, "", nil, 0)
+		mustAppend(t, l, OpApplyBegin, "", nil, 0)
 	}
 	if l.SnapshotDue(floor) {
 		since, size := l.SnapshotBytes()

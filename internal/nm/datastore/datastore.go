@@ -4,13 +4,13 @@
 // storage share one replay semantics.
 //
 // The journal records *mutations* (submit / update / withdraw /
-// apply-begin / commit / rollback), never derived state: the NM's
-// compiled unions and bindings are recomputed from the intent set on
-// restart, while the expensive observed-state cache rides in the
-// snapshot payload, which this package treats as opaque bytes. The
-// full journal is retained after a snapshot so `conman store log`
-// shows commit history and `conman store rollback` can rewind to any
-// recorded sequence number.
+// apply-begin / rollback), never derived state: the NM's compiled
+// unions and bindings are recomputed from the intent set on restart,
+// while the expensive observed-state cache rides in the snapshot
+// payload, which this package treats as opaque bytes. The full journal
+// is retained after a snapshot so `conman store log` shows the history
+// and `conman store rollback` can rewind to any recorded sequence
+// number. Older journals also hold "commit" entries; replay skips them.
 //
 // A snapshot rewrites the whole store, so one is due (Log.SnapshotDue)
 // only once the journal since the last has grown as large as it: snapshot
@@ -38,12 +38,9 @@ const (
 	OpWithdraw Op = "withdraw"
 	// OpApplyBegin records the device set a reconcile pass is about to
 	// mutate (Data = JSON array of device ids). On restart every device
-	// named by a post-snapshot apply-begin is treated as dirty: its
-	// snapshotted observation can no longer be trusted.
+	// named by a post-snapshot apply-begin is treated as dirty, finished
+	// or not: its snapshotted observation can no longer be trusted.
 	OpApplyBegin Op = "apply-begin"
-	// OpCommit records that the apply-begin immediately preceding it
-	// executed successfully on every device.
-	OpCommit Op = "commit"
 	// OpRollback rewinds the intent set to sequence To. Data carries the
 	// full replacement intent set ([]IntentRecord) so replay never has
 	// to walk backwards.
@@ -256,9 +253,7 @@ func ReplayIntents(base []IntentRecord, entries []Entry, upTo uint64) ([]IntentR
 			for i, r := range out {
 				idx[r.Name] = i
 			}
-		case OpApplyBegin, OpCommit:
-			// No effect on the intent set.
-		}
+		} // anything else leaves the intent set as it is
 	}
 	return out, nil
 }

@@ -66,7 +66,7 @@ func TestReplayIntents(t *testing.T) {
 		{Seq: 3, Op: OpUpdate, Name: "a", Data: raw(`10`)},
 		{Seq: 4, Op: OpSubmit, Name: "c", Data: raw(`3`)},
 		{Seq: 5, Op: OpApplyBegin, Data: raw(`["A","C"]`)},
-		{Seq: 6, Op: OpCommit},
+		{Seq: 6, Op: "commit"}, // written by older journals; replay skips it
 		{Seq: 7, Op: OpWithdraw, Name: "b"},
 	}
 	got, err := ReplayIntents(base, entries, 0)

@@ -1,36 +1,17 @@
 package nm
 
 // The diff: one device's union against its observed state, and
-// bindCreated, its other half once Apply has run the creates. All it
-// asks of the NM is the §II-E handle check, through handleProbe.
+// bindCreated, its other half once Apply has run the creates. Both work
+// on values alone, the §II-E handle check included.
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 
 	"conman/internal/core"
 	"conman/internal/msg"
 )
-
-// handleProbe is what the diff needs to know about exported low-level
-// handles (§II-E, handles.go): which modules export them, and whether a
-// handle a rule recorded at install time is still the provider's
-// current one. The NM implements it; tests pass a fake.
-type handleProbe interface {
-	exportsHandles(ref core.ModuleRef) bool
-	handleFresh(provider core.ModuleRef, pipe core.PipeID, recorded string) bool
-}
-
-// handleProvider returns the module whose exported handle fields the
-// rule embeds, or the zero ref: the module below the rule's To pipe when
-// that is a *different* module advertising HandleFields (an egress
-// rule's To pipe has the rule's own module below it — nothing is
-// embedded).
-func (r *unionRule) handleProvider(hp handleProbe) core.ModuleRef {
-	if tp := r.toPipe; tp != nil && tp.req.Lower != r.rule.Module && hp.exportsHandles(tp.req.Lower) {
-		return tp.req.Lower
-	}
-	return core.ModuleRef{}
-}
 
 // adoptPendingPipe cancels a queued pipe deletion whose installed pipe
 // matches a re-merged desired pipe (the update/resubmit path), so an
@@ -54,22 +35,28 @@ func (du *deviceUnion) adoptPendingPipe(o *observed, req core.PipeRequest) (core
 // cancelled and the unchanged rule re-adopted instead of churned). The
 // identity carries module, endpoints, classifier and the concrete
 // resolutions, so resolved-value drift (SetDomain / SetGateway changed
-// since install) simply fails to match and the rule is replaced. A
-// non-zero provider is the module below the To pipe whose exported
-// fields the rule embeds.
-func (du *deviceUnion) bindRule(hp handleProbe, o *observed, key string, provider core.ModuleRef, to core.PipeID) (string, bool) {
-	// Stale embedded handle (§II-E): the provider regenerated its exported
-	// fields since the rule was installed (e.g. an NHLFE renumbered by
-	// pipe churn), so the installed rule's embedded copy points at dead
-	// state even though its abstract and resolved forms still match —
-	// replace it.
+// since install) simply fails to match and the rule is replaced. A kept
+// rule embedding an exported handle is a dependency to watch.
+func (du *deviceUnion) bindRule(o *observed, plan *Plan, key string) (string, bool) {
+	// Stale embedded handle (§II-E): the rule's copy differs from the
+	// handle its To pipe reports now (e.g. an NHLFE renumbered by pipe
+	// churn), so it points at dead state though its abstract and resolved
+	// forms still match — replace it. A rule steering into a pipe its own
+	// module is below embeds nothing.
 	fresh := func(or *obsRule) bool {
-		return provider.IsZero() || hp.handleFresh(provider, to, or.handle)
+		op := o.pipes[or.to]
+		return op.lower == or.module || or.handle == op.handle
+	}
+	bind := func(or *obsRule) (string, bool) {
+		or.used = true
+		if or.handle != "" {
+			plan.handleDeps = append(plan.handleDeps, handleDep{o.pipes[or.to].lower, "pipe:" + string(or.to)})
+		}
+		return or.id, true
 	}
 	for _, j := range o.ruleIdx[key] {
 		if or := &o.rules[j]; !or.used && or.id != "" && fresh(or) {
-			or.used = true
-			return or.id, true
+			return bind(or)
 		}
 	}
 	for i, dr := range du.pendingDelRules {
@@ -79,8 +66,7 @@ func (du *deviceUnion) bindRule(hp handleProbe, o *observed, key string, provide
 		}
 		if or := &o.rules[j]; or.key() == key && fresh(or) {
 			du.pendingDelRules = append(du.pendingDelRules[:i], du.pendingDelRules[i+1:]...)
-			or.used = true
-			return or.id, true
+			return bind(or)
 		}
 	}
 	return "", false
@@ -103,11 +89,11 @@ func pipesReady(r *unionRule) bool {
 // and queued for deletion too. Either way newItems and pendingDel* hold
 // exactly the emitted work on return, so a plan that is never applied
 // re-emits it next pass.
-func (du *deviceUnion) diff(hp handleProbe, o *observed, plan *Plan, rematch bool) {
+func (du *deviceUnion) diff(o *observed, plan *Plan, rematch bool) {
 	if rematch {
 		du.forgetBindings(o)
 	}
-	du.bindPending(hp, o, plan)
+	du.bindPending(o, plan)
 	if rematch {
 		du.queueUnclaimed(o)
 	}
@@ -185,51 +171,51 @@ func (du *deviceUnion) queueUnclaimed(o *observed) {
 // match). What cannot bind gets a create command, in first-appearance
 // order across the intents, and stays pending until Apply binds it
 // to what the device reports (bindCreated).
-func (du *deviceUnion) bindPending(hp handleProbe, o *observed, plan *Plan) {
+func (du *deviceUnion) bindPending(o *observed, plan *Plan) {
 	// Everything bound before this pass is in place by definition.
 	plan.InPlace += du.bound
+	var fresh []*unionPipe
+	for _, it := range du.newItems {
+		p := it.pipe
+		if p == nil || p.gone || p.inPlace {
+			continue
+		}
+		id, ok := du.adoptPendingPipe(o, p.req)
+		if !ok {
+			id, ok = o.matchUnclaimed(p.req)
+		}
+		switch {
+		case ok:
+			p.id, p.inPlace, o.claimed[id] = id, true, true
+			du.bound++
+			plan.InPlace++
+		case p.id == "":
+			fresh = append(fresh, p)
+		}
+	}
+	// Fresh wire ids go out in first-claim order (claimSeq), as a union
+	// rebuilt from the current intents would hand them out.
+	slices.SortFunc(fresh, func(a, b *unionPipe) int { return cmp.Compare(a.owners.seqs[0], b.owners.seqs[0]) })
+	for _, p := range fresh {
+		p.id = o.allocPipeID()
+	}
 	creates := DeviceScript{Device: du.dev}
 	var binds []unionItem
 	keep := du.newItems[:0]
 	for _, it := range du.newItems {
 		switch {
-		case it.pipe != nil && !it.pipe.gone:
+		case it.pipe != nil && !it.pipe.gone && !it.pipe.inPlace:
 			p := it.pipe
-			if p.inPlace {
-				continue
-			}
-			id, ok := du.adoptPendingPipe(o, p.req)
-			if !ok {
-				id, ok = o.matchUnclaimed(p.req)
-			}
-			if ok {
-				p.id, p.inPlace, o.claimed[id] = id, true, true
-				du.bound++
-				plan.InPlace++
-				continue
-			}
-			if p.id == "" {
-				p.id = o.allocPipeID()
-			}
 			creates.Items = append(creates.Items, msg.CommandItem{
 				Pipe: &msg.CreatePipeItem{ID: p.id, Req: p.req},
 			})
 			creates.Rendered = append(creates.Rendered,
 				renderPipeCreate(p.id, p.req)+ownersSuffix(p.owners.items))
-		case it.rule != nil && !it.rule.gone:
+		case it.rule != nil && !it.rule.gone && !it.rule.kept:
 			r := it.rule
-			if r.kept {
-				continue
-			}
-			// A rule that embeds exported handles registers the dependency,
-			// so Apply installs a trigger on the provider.
-			provider := r.handleProvider(hp)
-			if !provider.IsZero() {
-				plan.handleDeps = append(plan.handleDeps, handleDep{provider, "pipe:" + string(r.toPipe.id)})
-			}
 			rr := r.resolved()
 			if pipesReady(r) {
-				if id, ok := du.bindRule(hp, o, desiredRuleKey(rr, r.matchResolved, r.viaResolved), provider, rr.To); ok {
+				if id, ok := du.bindRule(o, plan, desiredRuleKey(rr, r.matchResolved, r.viaResolved)); ok {
 					r.kept, r.boundID = true, id
 					du.bound++
 					plan.InPlace++
@@ -261,14 +247,15 @@ func (du *deviceUnion) bindPending(hp handleProbe, o *observed, plan *Plan) {
 	}
 }
 
-// bindCreated binds the components a create batch realised (binds, as
-// bindPending aligned them with the batch) to the identifiers the device
-// reported, writing them through o — the plan's components are in place
-// without a re-observe. It reports invalidate when the results do not
-// line up with the batch, or when one cannot be taken at face value (a
-// pending rule, or one embedding an exported handle the NM never saw):
-// the device must then be observed fresh next pass.
-func (du *deviceUnion) bindCreated(hp handleProbe, o *observed, results []msg.CommandItemResult, binds []unionItem) (invalidate bool) {
+// bindCreated binds the components the plan's create batch for the
+// device realised (createBinds) to the ids and handles the device
+// reported, writing them through o, so they are in place without a
+// re-observe. An installed rule's handle is also its To pipe's current
+// one, and a dependency to watch. It reports invalidate when the results
+// do not line up with the batch, or for a pending rule, whose handle is
+// not known yet: the device must then be observed fresh next pass.
+func (du *deviceUnion) bindCreated(o *observed, plan *Plan, results []msg.CommandItemResult) (invalidate bool) {
+	binds := plan.createBinds[du.dev]
 	if len(results) != len(binds) {
 		return true
 	}
@@ -287,6 +274,7 @@ func (du *deviceUnion) bindCreated(hp handleProbe, o *observed, results []msg.Co
 			o.pipes[p.id] = obsPipe{
 				upper: p.req.Upper, lower: p.req.Lower,
 				upperPeer: p.req.UpperPeer, lowerPeer: p.req.LowerPeer,
+				handle: res.Handle,
 			}
 			o.claimed[p.id] = true
 			o.usedIDs[p.id] = true
@@ -296,10 +284,8 @@ func (du *deviceUnion) bindCreated(hp handleProbe, o *observed, results []msg.Co
 		if r.gone || r.kept {
 			continue
 		}
-		if !r.handleProvider(hp).IsZero() || res.Pending || res.RuleID == "" {
-			// The installed form embeds state the NM did not see (an
-			// exported handle) or is not installed yet: observe it
-			// for real next pass.
+		if res.Pending || res.RuleID == "" {
+			// Not installed yet: observe it for real next pass.
 			invalidate = true
 			continue
 		}
@@ -310,8 +296,14 @@ func (du *deviceUnion) bindCreated(hp handleProbe, o *observed, results []msg.Co
 			id: res.RuleID, module: rr.Module, from: rr.From, to: rr.To,
 			match: classifierKey(rr.Match), via: rr.Via,
 			matchResolved: r.matchResolved, viaResolved: r.viaResolved,
-			used: true,
+			handle: res.Handle, used: true,
 		})
+		if op, ok := o.pipes[rr.To]; ok && res.Handle != "" && op.lower != rr.Module {
+			// The rule just read the handle from its To pipe's module.
+			op.handle = res.Handle
+			o.pipes[rr.To] = op
+			plan.handleDeps = append(plan.handleDeps, handleDep{op.lower, "pipe:" + string(rr.To)})
+		}
 	}
 	keep := du.newItems[:0]
 	for _, it := range du.newItems {

@@ -1,7 +1,8 @@
 package nm
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"conman/internal/core"
 )
@@ -14,68 +15,30 @@ import (
 // provider recreates the component (pipe churn regenerates the key), a
 // kept consumer rule silently points at state that no longer exists.
 //
-// The NM closes the loop in two places:
-//   - at diff time, a would-be-kept rule steering into a pipe whose
-//     lower module advertises HandleFields is probed with listFields and
-//     replaced when the recorded handle (HandleResolved, reported via
-//     showActual) no longer matches;
-//   - at apply time, an installTrigger is registered on each such
-//     provider component, so the provider's fieldsChanged fires a
-//     Trigger the reconciliation daemon turns into a dirty mark for the
-//     dependent intents.
+// showActual reports both sides — each exporter's handle on its up pipe
+// (PipeState.Handle) and each rule's copy (HandleResolved) — and so do a
+// create batch's results. The diff replaces a rule whose copy differs
+// from its To pipe's (bindRule), and Apply installs a trigger on each
+// provider component a kept or just-installed rule embeds from, so the
+// provider's fieldsChanged marks the dependent intents dirty.
 
-// handleDep is one (provider module, component) pair some desired switch
-// rule embeds resolved fields from.
+// handleDep is one (provider module, component) pair some installed
+// switch rule embeds a handle from.
 type handleDep struct {
 	provider  core.ModuleRef
 	component string
 }
 
-// exportsHandles reports whether the module advertises exported handle
-// fields in its abstraction (Table II's listFieldsAndValues contract).
-func (n *NM) exportsHandles(ref core.ModuleRef) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	d := n.devices[ref.Device]
-	if d == nil {
-		return false
-	}
-	for _, abs := range d.Modules {
-		if abs.Ref == ref {
-			return len(abs.HandleFields) > 0
-		}
-	}
-	return false
-}
-
-// handleFresh probes the provider's current fields for the component and
-// reports whether a consumer rule installed with the recorded handle is
-// still valid. An unreachable provider or empty current fields count as
-// stale: the consumer must be reinstalled once the provider settles.
-func (n *NM) handleFresh(provider core.ModuleRef, pipe core.PipeID, recorded string) bool {
-	fields, err := n.ListFields(provider, "pipe:"+string(pipe))
-	if err != nil {
-		return false
-	}
-	return core.CanonicalHandle(fields) == recorded
-}
-
-// installHandleTriggers registers a dependency-maintenance trigger for
-// each collected handle dependency (deduplicated; ensureTrigger keeps
-// repeated applies quiet).
+// installHandleTriggers registers a trigger for each handle dependency,
+// once each, in a fixed order (ensureTrigger keeps repeats quiet).
 func (n *NM) installHandleTriggers(deps []handleDep) error {
-	sort.Slice(deps, func(i, j int) bool {
-		if deps[i].provider.String() != deps[j].provider.String() {
-			return deps[i].provider.String() < deps[j].provider.String()
+	slices.SortFunc(deps, func(a, b handleDep) int {
+		if c := cmp.Compare(a.provider.String(), b.provider.String()); c != 0 {
+			return c
 		}
-		return deps[i].component < deps[j].component
+		return cmp.Compare(a.component, b.component)
 	})
-	var last handleDep
-	for i, d := range deps {
-		if i > 0 && d == last {
-			continue
-		}
-		last = d
+	for _, d := range slices.Compact(deps) {
 		if err := n.ensureTrigger(d.provider, d.component); err != nil {
 			return err
 		}

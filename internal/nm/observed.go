@@ -36,6 +36,8 @@ type observed struct {
 type obsPipe struct {
 	upper, lower         core.ModuleRef
 	upperPeer, lowerPeer core.ModuleRef
+	// handle is the lower module's exported handle (PipeState.Handle).
+	handle string
 }
 
 // matches reports whether the observed pipe satisfies a desired pipe
@@ -59,8 +61,8 @@ type obsRule struct {
 	matchResolved string
 	viaResolved   string
 	// handle is the low-level handle the rule embeds from the module
-	// below its To pipe (core.CanonicalHandle form), as the installing
-	// module reported it; stale handles force replacement (§II-E).
+	// below its To pipe, as the installing module reported it; one that
+	// differs from the To pipe's handle is stale (§II-E).
 	handle string
 	used   bool
 }
@@ -100,7 +102,7 @@ func observedFrom(states []core.ModuleState) *observed {
 			switch ps.End {
 			case core.EndUp:
 				op := pipes[ps.ID]
-				op.upper, op.lower, op.lowerPeer = ps.Other, st.Ref, ps.Peer
+				op.upper, op.lower, op.lowerPeer, op.handle = ps.Other, st.Ref, ps.Peer, ps.Handle
 				pipes[ps.ID] = op
 			case core.EndDown:
 				op := pipes[ps.ID]

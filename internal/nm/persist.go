@@ -1,11 +1,12 @@
 package nm
 
 // Persistence for the intent store: every Submit/Update/Withdraw
-// appends to a datastore journal, Apply brackets its device writes with
-// apply-begin/commit records, and Checkpoint writes a full snapshot
-// (intents, NM knowledge, observation cache). Persist restores all of it
-// on restart, so a recovered daemon reaches the same Plan without
-// re-observing devices that did not change while it was down.
+// appends to a datastore journal, Apply journals an apply-begin record
+// naming the devices before it writes to them, and Checkpoint writes a
+// full snapshot (intents, NM knowledge, observation cache). Persist
+// restores all of it on restart, so a recovered daemon reaches the same
+// Plan without re-observing devices that did not change while it was
+// down.
 
 import (
 	"encoding/json"
@@ -90,6 +91,7 @@ type obsPipeSnap struct {
 	Lower     core.ModuleRef `json:"lower"`
 	UpperPeer core.ModuleRef `json:"upper_peer"`
 	LowerPeer core.ModuleRef `json:"lower_peer"`
+	Handle    string         `json:"handle,omitempty"`
 }
 
 type obsRuleSnap struct {
@@ -199,6 +201,7 @@ func (n *NM) Persist(b datastore.Backend) (int, error) {
 			pipes[p.ID] = obsPipe{
 				upper: p.Upper, lower: p.Lower,
 				upperPeer: p.UpperPeer, lowerPeer: p.LowerPeer,
+				handle: p.Handle,
 			}
 		}
 		var rules []obsRule
@@ -286,6 +289,7 @@ func (n *NM) checkpointLocked() error {
 			os.Pipes = append(os.Pipes, obsPipeSnap{
 				ID: id, Upper: p.upper, Lower: p.lower,
 				UpperPeer: p.upperPeer, LowerPeer: p.lowerPeer,
+				Handle: p.handle,
 			})
 		}
 		for _, r := range ce.o.rules {

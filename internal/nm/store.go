@@ -185,8 +185,9 @@ type Plan struct {
 	// pruned lists stranded devices that were observed (and cleaned)
 	// this pass; Apply clears their stale mark.
 	pruned []core.DeviceID
-	// handleDeps are the (provider, component) pairs desired rules embed
-	// resolved handles from; Apply installs triggers for them (§II-E).
+	// handleDeps are the (provider, component) pairs installed rules
+	// embed handles from — the kept ones the diff found and the ones
+	// Apply's creates reported; Apply installs triggers for them (§II-E).
 	handleDeps []handleDep
 	// createBinds aligns, per device, with that device's Creates items:
 	// the union components each created item realises, so Apply can

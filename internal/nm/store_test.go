@@ -128,7 +128,7 @@ func TestUnionMergeDedupesSharedComponents(t *testing.T) {
 		t.Fatalf("union holds %d rules, want 3 (2 exclusive + 1 shared)", len(du.rules))
 	}
 	plan := &Plan{}
-	du.diff(fakeProbe{}, newObserved(map[core.PipeID]obsPipe{}, nil), plan, true)
+	du.diff(newObserved(map[core.PipeID]obsPipe{}, nil), plan, true)
 	if len(plan.Creates) != 1 {
 		t.Fatalf("want one create batch, got %d", len(plan.Creates))
 	}
@@ -142,42 +142,19 @@ func TestUnionMergeDedupesSharedComponents(t *testing.T) {
 	}
 }
 
-// fakeProbe answers the diff's §II-E questions from fixed tables:
-// exporters lists the modules that export handles, and current maps
-// "provider|pipe" to the provider's current canonical handle.
-type fakeProbe struct {
-	exporters map[core.ModuleRef]bool
-	current   map[string]string
-}
-
-func (p fakeProbe) exportsHandles(ref core.ModuleRef) bool { return p.exporters[ref] }
-
-func (p fakeProbe) handleFresh(provider core.ModuleRef, pipe core.PipeID, recorded string) bool {
-	cur, ok := p.current[provider.String()+"|"+string(pipe)]
-	return ok && cur == recorded
-}
-
 // handleFixture is one device's handle-embedding ingress: the IP module
 // classifies customer traffic into a pipe over MPLS, whose NHLFE key the
-// installed rule embeds. The pipe is observed as P8 and the provider's
-// current handle there is "nhlfe=2"; an installed copy recording
+// installed rule embeds. The pipe is observed as P8 carrying the
+// provider's current handle "nhlfe=2"; an installed copy recording
 // anything else is stale.
 type handleFixture struct {
 	ipm, mpls core.ModuleRef
 	req       core.PipeRequest
-	probe     fakeProbe
 }
 
 func newHandleFixture(dev core.DeviceID) handleFixture {
 	ipm, mpls := core.Ref(core.NameIPv4, dev, "g"), core.Ref(core.NameMPLS, dev, "o")
-	return handleFixture{
-		ipm: ipm, mpls: mpls,
-		req: core.PipeRequest{Upper: ipm, Lower: mpls},
-		probe: fakeProbe{
-			exporters: map[core.ModuleRef]bool{mpls: true},
-			current:   map[string]string{mpls.String() + "|P8": "nhlfe=2"},
-		},
-	}
+	return handleFixture{ipm: ipm, mpls: mpls, req: core.PipeRequest{Upper: ipm, Lower: mpls}}
 }
 
 // items are the desired pipe (compiled as P1) and the ingress rule into it.
@@ -193,7 +170,7 @@ func (h handleFixture) items() []func() (msg.CommandItem, string) {
 // observe builds the device's observed state: pipes and rules plus the
 // fixture's pipe, installed as P8, and an ingress rule recording handle.
 func (h handleFixture) observe(pipes map[core.PipeID]obsPipe, rules []obsRule, handle string) *observed {
-	pipes["P8"] = obsPipe{upper: h.ipm, lower: h.mpls}
+	pipes["P8"] = obsPipe{upper: h.ipm, lower: h.mpls, handle: "nhlfe=2"}
 	rules = append(rules, obsRule{id: "r8", module: h.ipm, from: "Phy-cust", to: "P8", handle: handle})
 	return newObserved(pipes, rules)
 }
@@ -203,16 +180,18 @@ func (h handleFixture) observe(pipes map[core.PipeID]obsPipe, rules []obsRule, h
 // pipe was compiled as P0 but is observed installed as P7 — the diff
 // must adopt P7 (no churn), keep the installed rule referencing it, and
 // delete only the truly stale rule. A rule embedding an exported handle
-// (§II-E) is kept only while the handle it recorded is still current: a
-// stale one is deleted and created again.
+// (§II-E) is kept only while the handle it recorded is still the one its
+// To pipe reports, and a kept one is a dependency to watch: a stale one
+// is deleted and created again.
 func TestDiffAdoptsObservedPipeIDs(t *testing.T) {
 	for _, tc := range []struct {
 		handle  string
 		inPlace int
 		deletes []string
 		creates int
+		deps    int
 	}{
-		{handle: "nhlfe=2", inPlace: 4, deletes: []string{"r2"}},
+		{handle: "nhlfe=2", inPlace: 4, deletes: []string{"r2"}, deps: 1},
 		{handle: "nhlfe=1", inPlace: 3, deletes: []string{"r2", "r8"}, creates: 1},
 	} {
 		t.Run(tc.handle, func(t *testing.T) {
@@ -240,10 +219,10 @@ func TestDiffAdoptsObservedPipeIDs(t *testing.T) {
 				{id: "r2", module: vlan, from: "P7", to: "Phy-dead"},
 			}, tc.handle)
 			plan := &Plan{}
-			ss.unions[dev].diff(h.probe, o, plan, true)
+			ss.unions[dev].diff(o, plan, true)
 			checkPlan(t, plan, tc.inPlace, tc.deletes, tc.creates)
-			if len(plan.handleDeps) != 1 || plan.handleDeps[0] != (handleDep{h.mpls, "pipe:P8"}) {
-				t.Errorf("handle dependencies %v, want the ingress rule's on %s pipe:P8", plan.handleDeps, h.mpls)
+			if len(plan.handleDeps) != tc.deps || tc.deps > 0 && plan.handleDeps[0] != (handleDep{h.mpls, "pipe:P8"}) {
+				t.Errorf("handle dependencies %v, want %d: the kept ingress rule's on %s pipe:P8", plan.handleDeps, tc.deps, h.mpls)
 			}
 		})
 	}
@@ -403,14 +382,14 @@ func TestDroppedRematchKeepsQueuedStateSpokenFor(t *testing.T) {
 			ss := newStoreState()
 			mustMerge(t, ss, "a", mk("Phy-a"))
 			dropped := &Plan{}
-			ss.unions[dev].diff(h.probe, o, dropped, true)
+			ss.unions[dev].diff(o, dropped, true)
 			checkPlan(t, dropped, 2, []string{"r2", "r8", "P8"}, 0)
 
 			b := mk("Phy-b")
 			appendItems(&b, h.items()...)
 			mustMerge(t, ss, "b", b)
 			plan := &Plan{}
-			ss.unions[dev].diff(h.probe, o, plan, false)
+			ss.unions[dev].diff(o, plan, false)
 			checkPlan(t, plan, tc.inPlace, tc.deletes, tc.creates)
 		})
 	}

@@ -61,6 +61,10 @@ type storeState struct {
 	viewsCaptured int
 	// shared counts distinct components with more than one owner.
 	shared int
+	// claimSeq numbers owner claims store-wide, in merge and script
+	// order, so a component's first claim orders it as a rebuilt union
+	// would; bindPending numbers fresh pipes by it.
+	claimSeq uint64
 	// compiledGen is the NM compileGen the unions were built against; a
 	// mismatch forces a full rebuild (topology, module discovery or
 	// domain changes can re-route any intent).
@@ -380,7 +384,7 @@ func (n *NM) planStoreLocked() (*Plan, error) {
 		ce, _ := refresh(dev, r)
 		ce.synced = false
 		plan.pruned = append(plan.pruned, dev)
-		(&deviceUnion{dev: dev}).diff(n, ce.o, plan, true)
+		(&deviceUnion{dev: dev}).diff(ce.o, plan, true)
 		if du := ss.unions[dev]; du != nil {
 			du.pendingDelRules, du.pendingDelPipes, du.newItems = nil, nil, nil
 		}
@@ -389,7 +393,7 @@ func (n *NM) planStoreLocked() (*Plan, error) {
 	for _, dev := range ss.order {
 		if act := action[dev]; act != actSkip {
 			ce := ss.cache[dev]
-			ss.unions[dev].diff(n, ce.o, plan, act == actRematch)
+			ss.unions[dev].diff(ce.o, plan, act == actRematch)
 			ce.synced = true
 			plan.Stats.DiffedDevices++
 		}
@@ -557,7 +561,8 @@ func (n *NM) recordOccupancyLocked(name string, devs []core.DeviceID) {
 // created — then binds the created components to the ids the devices
 // reported, writing them through the observation cache so the next pass
 // needs no re-observe. On success it commits the plan's occupancy-record
-// delta and journals the apply (when persistence is attached). A plan
+// delta; the apply-begin it journaled first (when persistence is
+// attached) is all a restart needs of it. A plan
 // superseded by a newer PlanStore (or Plan) is refused, and applying an
 // empty plan sends nothing.
 func (n *NM) Apply(plan *Plan) error {
@@ -619,14 +624,15 @@ func (n *NM) applyLocked(plan *Plan) error {
 				continue
 			}
 			ce.digest = ""
-			if du.bindCreated(n, ce.o, resps[i].Results, plan.createBinds[ds.Device]) {
+			if du.bindCreated(ce.o, plan, resps[i].Results) {
 				n.invalidateDevice(ds.Device)
 			}
 		}
 	}
 
 	// Dependency maintenance (§II-E): watch every provider component a
-	// desired rule embeds handles from, so churn fires a Trigger.
+	// kept or just-installed rule embeds a handle from, so churn fires a
+	// Trigger.
 	if err := n.installHandleTriggers(plan.handleDeps); err != nil {
 		return fmt.Errorf("nm: reconcile (triggers): %w", err)
 	}
@@ -655,15 +661,8 @@ func (n *NM) applyLocked(plan *Plan) error {
 		n.recordOccupancyLocked(name, devs)
 		delete(ss.recordsDirty, name)
 	}
-	var jerr error
-	if !plan.Empty() {
-		jerr = n.journalLocked(datastore.OpCommit, "", nil, 0)
-	}
 	j := n.journal
 	n.mu.Unlock()
-	if jerr != nil {
-		return jerr
-	}
 	if j != nil && j.SnapshotDue(autoSnapshotEvery) {
 		if err := n.checkpointLocked(); err != nil {
 			return fmt.Errorf("nm: apply: checkpoint: %w", err)

@@ -239,7 +239,9 @@ func (ss *storeState) merge(name string, scripts []DeviceScript) error {
 			if k := len(owners.items); k > 0 && owners.items[k-1] == name {
 				return
 			}
-			seq := owners.push(name)
+			ss.claimSeq++
+			seq := ss.claimSeq
+			owners.put(seq, name)
 			ss.ownerAdded(owners.items)
 			contrib.refs = append(contrib.refs, contribRef{du: du, it: it, seq: seq})
 		}
